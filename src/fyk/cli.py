@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +39,6 @@ class RunConfig:
     resolution: int = 64
     out: str = None
     fmt: str = "csv"
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -78,7 +77,7 @@ def _build_config(args):
         raise UsageError("bad config value: %s" % exc) from exc
     out = args.out if args.out is not None else file_vals.get("out")
     fmt = args.format if args.format is not None else file_vals.get("format", "csv")
-    return RunConfig(tol=tol, resolution=res, out=out, fmt=fmt, extras=file_vals)
+    return RunConfig(tol=tol, resolution=res, out=out, fmt=fmt)
 
 
 def _fmt(x):

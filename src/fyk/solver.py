@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import eigsh, spsolve
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+# eigsh is unused here; perfbench/tracing.py wraps solver.eigsh by name
+from scipy.sparse.linalg import eigsh, spsolve  # noqa: F401
 
 from . import bubble
-from ._quad import gauss_panels
 from .errors import DomainError, NumericError
 from .specfun import constants, sphere_area
 
@@ -113,16 +114,34 @@ def _vertical_transmissibility(z_lo, z_hi, g):
     return 2.0 * g * dz / (z_hi ** (2.0 * g) - z_lo ** (2.0 * g))
 
 
-def _radial_face_weights(grid, n):
-    """r^(n-1) at radial faces i*hr, i = 0..nr (zero on the axis)."""
-    faces = np.arange(grid.nr + 1) * grid.hr
-    return faces ** (n - 1)
-
-
 def _radial_cell_volumes(grid, n):
     """Exact integral of r^(n-1) over each cell."""
     faces = np.arange(grid.nr + 1) * grid.hr
     return np.diff(faces**n) / n
+
+
+def _flux_balance(t):
+    """Tridiagonal flux balance of len(t) - 1 cells in a row.
+
+    ``t[k]`` is the transmissibility of face k, between cells k-1 and k, so
+    row k is t[k] (u_k - u_(k-1)) + t[k+1] (u_k - u_(k+1)).  The end faces
+    t[0] and t[-1] reach a Dirichlet-0 ghost and only add to the diagonal; a
+    natural (zero-flux) end face has transmissibility 0.
+    """
+    t = np.asarray(t, dtype=float)
+    return sparse.diags(
+        [-t[1:-1], t[:-1] + t[1:], -t[1:-1]], [-1, 0, 1], format="csr"
+    )
+
+
+def _radial_faces(h, cells, power):
+    """Transmissibilities r^power / h of the faces k*h of a cell-centered
+    radial axis: the axis face is natural, and the last face reaches a
+    Dirichlet-0 ghost at distance h/2, which doubles it."""
+    t = (np.arange(cells + 1) * h) ** power / h
+    t[0] = 0.0
+    t[-1] *= 2.0
+    return t
 
 
 def apply_operator(idx, grid, field_arr):
@@ -144,9 +163,9 @@ def apply_operator(idx, grid, field_arr):
     out = np.zeros_like(u)
 
     # radial part: -(z^(1-2g)/vol) * d(r^(n-1) u_r), faces at i*hr
-    rw = _radial_face_weights(grid, n)
+    t_r = _radial_faces(hr, grid.nr, n - 1)
     vol = _radial_cell_volumes(grid, n)
-    flux = rw[1:-1, None] * (u[1:, :] - u[:-1, :]) / hr  # faces 1..nr-1
+    flux = t_r[1:-1, None] * (u[1:, :] - u[:-1, :])  # faces 1..nr-1
     div_r = np.zeros_like(u)
     div_r[0, :] = flux[0, :] / vol[0]  # axis face carries zero weight
     div_r[1:-1, :] = (flux[1:, :] - flux[:-1, :]) / vol[1:-1, None]
@@ -238,65 +257,28 @@ def solve_extension(idx, grid, dirichlet_trace, boundary=None):
         np.asarray(boundary(grid.r_max, z), dtype=float).ravel(), (nz + 1,)
     ).copy()
 
-    # unknowns: u[i, j] for 0 <= i < nr, 1 <= j <= nz-1
+    # unknowns: u[i, j] for 0 <= i < nr, 1 <= j <= nz-1, i-major
     nj = nz - 1
-    nunk = nr * nj
-
-    def uid(i, j):
-        return i * nj + (j - 1)
-
-    rw = _radial_face_weights(grid, n)
     vol = _radial_cell_volumes(grid, n)
-    tz = _vertical_transmissibility(z[:-1], z[1:], g)
-    zw = z ** (1.0 - 2.0 * g)
+    t_r = _radial_faces(hr, nr, n - 1)
+    tz = _vertical_transmissibility(z[:-1], z[1:], g) / hz**2
+    zw = z[1:nz] ** (1.0 - 2.0 * g)
+    A = (
+        sparse.kron(sparse.diags(1.0 / vol) @ _flux_balance(t_r), sparse.diags(zw))
+        + sparse.kron(sparse.identity(nr), _flux_balance(tz))
+    ).tocsr()
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nunk)
-
-    def add(i, j, ii, jj, v):
-        rows.append(uid(i, j))
-        cols.append(uid(ii, jj))
-        vals.append(v)
-
-    for j in range(1, nz):
-        cz = zw[j]
-        for i in range(nr):
-            k = uid(i, j)
-            diag = 0.0
-            # radial neighbours (axis face has zero weight)
-            cw = cz * rw[i] / (vol[i] * hr)
-            ce = cz * rw[i + 1] / (vol[i] * hr)
-            if i > 0:
-                add(i, j, i - 1, j, -cw)
-                diag += cw
-            if i < nr - 1:
-                add(i, j, i + 1, j, -ce)
-                diag += ce
-            else:
-                # Dirichlet at the face r = r_max, ghost distance hr/2
-                c_out = cz * rw[nr] / (vol[i] * (hr / 2.0))
-                diag += c_out
-                rhs[k] += c_out * side[j]
-            # vertical neighbours
-            cd = tz[j - 1] / hz**2
-            cu = tz[j] / hz**2
-            diag += cd + cu
-            if j > 1:
-                add(i, j, i, j - 1, -cd)
-            else:
-                rhs[k] += cd * trace[i]
-            if j < nz - 1:
-                add(i, j, i, j + 1, -cu)
-            else:
-                rhs[k] += cu * top[i]
-            add(i, j, i, j, diag)
-
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(nunk, nunk))
+    # Dirichlet data enters through the ghost faces of the boundary rows
+    rhs = np.zeros((nr, nj))
+    rhs[-1, :] += t_r[-1] / vol[-1] * zw * side[1:nz]
+    rhs[:, 0] += tz[0] * trace
+    rhs[:, -1] += tz[-1] * top
+    rhs = rhs.ravel()
     u = spsolve(A, rhs)
     if not np.all(np.isfinite(u)):
         raise NumericError(
             "extension solve produced non-finite values",
-            diagnostics={"nnz": A.nnz, "nunk": nunk},
+            diagnostics={"nnz": A.nnz, "nunk": rhs.size},
         )
     res = np.linalg.norm(A @ u - rhs)
     if res > 1e-8 * max(1.0, np.linalg.norm(rhs)):
@@ -311,13 +293,22 @@ def solve_extension(idx, grid, dirichlet_trace, boundary=None):
     return out
 
 
-def rayleigh_lambda1(idx, R, resolution=96, ntheta=48):
+def rayleigh_lambda1(idx, R, resolution=96):
     """Smallest eigenvalue of the weighted Rayleigh quotient on the half-ball
     of radius R, with zero data on the spherical cap and the trace face free.
 
     Cell-centered finite volumes in polar coordinates (rho, theta), theta
     measured from the trace plane; the separable weight is
-    rho^(n+1-2g) sin^(1-2g)(theta) cos^(n-1)(theta).
+    rho^(n+1-2g) sin^(1-2g)(theta) cos^(n-1)(theta).  The discrete operator
+    is the Kronecker sum L_rho x W + D x L_theta with mass M_rho x W (W the
+    angular cell masses, D the rho-cell integrals of rho^(n-1-2g)).  Both
+    theta faces are natural, so L_theta annihilates constants and the
+    vectors f(rho) x 1 span an invariant subspace carrying the pencil
+    (L_rho, M_rho); every other angular mode adds mu D with mu > 0, which
+    only raises the Rayleigh quotient.  So lambda1 is exactly the lowest
+    eigenvalue of the radial tridiagonal pencil, and neither the angular
+    mesh nor W enters it.
+
     The mesh width is fixed in absolute units (``resolution`` cells per unit
     radius), so the scaling law lambda1(R) R^2 = const is a genuine check of
     the discretized operator rather than an artifact of mesh similarity.
@@ -328,58 +319,21 @@ def rayleigh_lambda1(idx, R, resolution=96, ntheta=48):
     a = n + 1.0 - 2.0 * g
     nrho = max(8, int(round(resolution * R)))
     hrho = R / nrho
-    htheta = (np.pi / 2.0) / ntheta
-
     rho_f = np.arange(nrho + 1) * hrho
-    th_f = np.arange(ntheta + 1) * htheta
 
-    # exact angular cell masses and rho-cell moments
-    w_cell = np.empty(ntheta)
-    for j in range(ntheta):
-        t, w = gauss_panels([th_f[j], th_f[j + 1]], order=12)
-        w_cell[j] = np.sum(w * np.sin(t) ** (1.0 - 2.0 * g) * np.cos(t) ** (n - 1))
-    w_face = np.where(th_f > 0, np.sin(np.maximum(th_f, 1e-300)), 1.0) ** (
-        1.0 - 2.0 * g
-    ) * np.cos(th_f) ** (n - 1)
-    w_face[0] = 0.0  # trace face is natural; value never used
-    rho_mass = np.diff(rho_f ** (a + 1.0)) / (a + 1.0)  # int rho^a
-    rho_m2 = np.diff(rho_f ** (a - 1.0)) / (a - 1.0)  # int rho^(a-2)
-
-    nunk = nrho * ntheta
-
-    def uid(i, j):
-        return i * ntheta + j
-
-    rows, cols, vals = [], [], []
-
-    def stencil(k1, k2, t):
-        rows.extend((k1, k2, k1, k2))
-        cols.extend((k1, k2, k2, k1))
-        vals.extend((t, t, -t, -t))
-
-    for j in range(ntheta):
-        for i in range(nrho):
-            k = uid(i, j)
-            if i < nrho - 1:
-                t = w_cell[j] * rho_f[i + 1] ** a / hrho
-                stencil(k, uid(i + 1, j), t)
-            else:
-                # Dirichlet 0 on the spherical cap, ghost distance hrho/2
-                t = w_cell[j] * rho_f[nrho] ** a / (hrho / 2.0)
-                rows.append(k)
-                cols.append(k)
-                vals.append(t)
-            if j < ntheta - 1:
-                t = w_face[j + 1] * rho_m2[i] / htheta
-                stencil(k, uid(i, j + 1), t)
-            # theta = 0 (trace) and theta = pi/2 (axis) faces are natural
-
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(nunk, nunk))
-    mass = (rho_mass[:, None] * w_cell[None, :]).ravel()
-    M = sparse.diags(mass)
+    L = _flux_balance(_radial_faces(hrho, nrho, a))
+    mass = np.diff(rho_f ** (a + 1.0)) / (a + 1.0)  # int rho^a
+    # symmetric scaling M^(-1/2) L M^(-1/2) keeps the pencil tridiagonal
+    s = 1.0 / np.sqrt(mass)
     try:
-        lam, _ = eigsh(A, k=1, M=M, sigma=0.0, which="LM")
-    except Exception as exc:  # arpack / factorization failure
+        lam = eigh_tridiagonal(
+            L.diagonal() * s * s,
+            L.diagonal(1) * s[:-1] * s[1:],
+            eigvals_only=True,
+            select="i",
+            select_range=(0, 0),
+        )
+    except LinAlgError as exc:
         raise NumericError("eigenvalue solve failed: %s" % exc) from exc
     lam1 = float(lam[0])
     if lam1 <= 0:
@@ -450,23 +404,19 @@ def green_asymptotics(idx, R, width=None, resolution=512):
     return GreenFit(float(slope), float(np.exp(intercept)), r[sel], trace[sel])
 
 
-def _solve_trace_flux(idx, grid, cell_flux, zero_order=None, rhs_interior=None):
-    """FV solve of -div(z^(1-2g) grad u) (+ zero-order term) = source with a
-    prescribed or Robin weighted flux through z = 0 and zero Dirichlet on the
-    far faces.  ``cell_flux`` enters the trace-row balance as the incoming
-    weighted flux (already multiplied by the radial cell volume); a Robin
-    trace term is passed as ``zero_order['trace']`` (diagonal coefficient per
-    radial cell).  ``zero_order['bulk']`` is a (nr, nz+1) diagonal addition,
-    ``rhs_interior`` a (nr, nz+1) source already integrated over control
-    volumes.  Unknowns live on all rows j = 0..nz-1.
+def _trace_flux_matrix(idx, grid, zero_order=None):
+    """FV matrix of -div(z^(1-2g) grad u) (+ zero-order term) on the rows
+    j = 0..nz-1, i-major: the trace face z = 0 is natural, the far faces
+    r = r_max and z = z_max are zero Dirichlet.  A Robin trace term is passed
+    as ``zero_order['trace']`` (diagonal coefficient per radial cell), a bulk
+    term as ``zero_order['bulk']``, a (nr, nz+1) diagonal addition.
     """
     n, g = idx.n, idx.gamma
     hr, hz = grid.hr, grid.hz
     z = grid.z
     nr, nz = grid.nr, grid.nz
-    rw = _radial_face_weights(grid, n)
     vol = _radial_cell_volumes(grid, n)
-    tz = _vertical_transmissibility(z[:-1], z[1:], g)
+    tz = np.concatenate(([0.0], _vertical_transmissibility(z[:-1], z[1:], g)))
 
     # z-weight of each control volume slab (exact integral of z^(1-2g))
     ex = 2.0 - 2.0 * g
@@ -474,58 +424,34 @@ def _solve_trace_flux(idx, grid, cell_flux, zero_order=None, rhs_interior=None):
     slab_hi = np.minimum(z + hz / 2.0, grid.z_max)
     slab_w = (slab_hi**ex - slab_lo**ex) / ex
 
-    nunk = nr * nz  # rows j = 0..nz-1
+    L_r = _flux_balance(_radial_faces(hr, nr, n - 1))
+    A = sparse.kron(L_r, sparse.diags(slab_w[:nz]))
+    A = A + sparse.kron(sparse.diags(vol), _flux_balance(tz / hz))
+    if zero_order is not None:
+        diag = np.zeros((nr, nz))
+        if "trace" in zero_order:
+            diag[:, 0] += vol * zero_order["trace"]
+        if "bulk" in zero_order:
+            diag += zero_order["bulk"][:, :nz]
+        A = A + sparse.diags(diag.ravel())
+    return A.tocsr()
 
-    def uid(i, j):
-        return i * nz + j
 
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nunk)
-
-    def add(k1, k2, v):
-        rows.append(k1)
-        cols.append(k2)
-        vals.append(v)
-
-    for j in range(nz):
-        for i in range(nr):
-            k = uid(i, j)
-            diag = 0.0
-            # radial fluxes through faces i and i+1, slab-integrated z-weight
-            cw = slab_w[j] * rw[i] / hr
-            ce = slab_w[j] * rw[i + 1] / hr
-            if i > 0:
-                add(k, uid(i - 1, j), -cw)
-                diag += cw
-            if i < nr - 1:
-                add(k, uid(i + 1, j), -ce)
-                diag += ce
-            else:
-                diag += slab_w[j] * rw[nr] / (hr / 2.0)  # Dirichlet 0 ghost
-            # vertical fluxes
-            if j > 0:
-                cd = vol[i] * tz[j - 1] / hz
-                add(k, uid(i, j - 1), -cd)
-                diag += cd
-            cu = vol[i] * tz[j] / hz
-            if j < nz - 1:
-                add(k, uid(i, j + 1), -cu)
-            # j = nz - 1 couples to the Dirichlet-0 top row
-            diag += cu
-            if j == 0:
-                # incoming weighted flux through the trace face
-                if cell_flux is not None:
-                    rhs[k] += cell_flux[i]
-                if zero_order is not None and "trace" in zero_order:
-                    diag += vol[i] * zero_order["trace"][i]
-            if zero_order is not None and "bulk" in zero_order:
-                diag += zero_order["bulk"][i, j]
-            if rhs_interior is not None:
-                rhs[k] += rhs_interior[i, j]
-            add(k, k, diag)
-
-    A = sparse.csr_matrix((vals, (rows, cols)), shape=(nunk, nunk))
-    u = spsolve(A, rhs)
+def _solve_trace_flux(idx, grid, cell_flux, zero_order=None, rhs_interior=None):
+    """FV solve with the matrix of ``_trace_flux_matrix`` and a prescribed
+    weighted flux through z = 0.  ``cell_flux`` enters the trace-row balance
+    as the incoming weighted flux (already multiplied by the radial cell
+    volume); ``rhs_interior`` is a (nr, nz+1) source already integrated over
+    control volumes.  Unknowns live on all rows j = 0..nz-1.
+    """
+    nr, nz = grid.nr, grid.nz
+    A = _trace_flux_matrix(idx, grid, zero_order)
+    rhs = np.zeros((nr, nz))
+    if cell_flux is not None:
+        rhs[:, 0] += cell_flux
+    if rhs_interior is not None:
+        rhs += rhs_interior[:, :nz]
+    u = spsolve(A, rhs.ravel())
     if not np.all(np.isfinite(u)):
         raise NumericError("trace-flux solve produced non-finite values")
     out = np.zeros((nr, nz + 1))
@@ -564,12 +490,14 @@ class LinearizedResult:
 
     def _psi_at(self, r, z):
         g = self.grid
-        # bilinear in (r, z^(2g)) near the trace is the consistent chart,
-        # but plain bilinear suffices for the reported diagnostics
+        # bilinear in (r, z^(2g)): near the trace psi ~ a(r) + b(r) z^(2g),
+        # which this chart reproduces exactly
         i = min(max(int(r / g.hr - 0.5), 0), g.nr - 2)
         j = min(max(int(z / g.hz), 0), g.nz - 1)
+        two_g = 1.0 - g.weight_exponent
+        s_lo, s_hi = g.z[j] ** two_g, g.z[j + 1] ** two_g
         fr = np.clip((r - g.r[i]) / g.hr, 0.0, 1.0)
-        fz = np.clip((z - g.z[j]) / g.hz, 0.0, 1.0)
+        fz = np.clip((max(z, 0.0) ** two_g - s_lo) / (s_hi - s_lo), 0.0, 1.0)
         p = self.psi
         return float(
             (1 - fr) * (1 - fz) * p[i, j]
@@ -594,9 +522,9 @@ def solve_linearized(idx, pi, eps_hat, grid):
     lim z^(1-2g) dz psi = -(1/kappa)((n+2g)/m) w^(4g/m) psi(., 0),
     psi -> 0 at the axis (the harmonic vanishes like r^2) and at the far
     field.  The kernel fields (dilation and translation derivatives of the
-    bubble) live in the radial and first angular sectors, so the projection
-    step subtracts components whose coefficients are zero to rounding; they
-    are computed and reported rather than assumed.
+    bubble) live in the radial and first angular sectors, so their
+    components in psi vanish; they are computed and reported rather than
+    assumed.
     """
     if eps_hat <= 0:
         raise DomainError("eps_hat must be positive")
@@ -649,12 +577,13 @@ def solve_linearized(idx, pi, eps_hat, grid):
     )
 
     result = LinearizedResult(psi=psi, grid=grid, pi=pi, eps_hat=eps_hat)
-    _project_and_diagnose(idx, result)
+    _diagnose(idx, result)
     return result
 
 
-def _project_and_diagnose(idx, result):
-    """Subtract kernel components pinned at the origin and report residuals."""
+def _diagnose(idx, result):
+    """Report the kernel components pinned at the origin and the
+    orthogonality residuals."""
     n, g = idx.n, idx.gamma
     m = idx.m
     grid = result.grid
@@ -662,10 +591,8 @@ def _project_and_diagnose(idx, result):
     cst = constants(idx)
     h = 0.25 * grid.hr
 
-    # pinning coefficients from the angular representation (exactly zero for
-    # the quadratic harmonic; evaluated, not assumed)
-    e1 = np.zeros(n)
-    e1[0] = 1.0
+    # pinning coefficients from the angular representation (zero for the
+    # quadratic harmonic; evaluated, not assumed)
     val0 = result.evaluate(np.zeros(n), 0.0)
     grad0 = np.array(
         [
@@ -675,18 +602,6 @@ def _project_and_diagnose(idx, result):
     )
     c0 = 2.0 * val0 / (cst.alpha * m)
     ci = grad0 / (cst.alpha * m)
-    if abs(c0) > 0 or np.any(ci != 0.0):
-        z_pos = np.where(z > 0, z, z[1])  # Wz row 0 is killed by the z factor
-        prof = bubble.radial_profiles(idx, r, z_pos, fields=("W", "Wr_over_r", "Wz"))
-        z0 = (
-            r[:, None] ** 2 * prof["Wr_over_r"]
-            + z[None, :] * prof["Wz"]
-            + 0.5 * m * prof["W"]
-        )
-        # translation fields are first-harmonic; they cannot be represented
-        # in the quadratic-profile chart and their coefficients vanish by
-        # parity, so only the dilation component is subtractable here
-        result.psi = result.psi - c0 * z0
 
     # orthogonality residuals: angular factor x radial energy integral
     ang = sphere_area(n) * np.trace(result.pi.entries) / n

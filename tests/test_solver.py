@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fyk import bubble, solver
 from fyk.bubble import HalfSpacePoint
@@ -168,6 +169,32 @@ def test_solve_extension_converges_to_bubble(n, gamma):
     assert math.log2(errs[1] / errs[2]) >= 1.5, errs
 
 
+# -- trace-flux assembly ------------------------------------------------------
+
+
+def test_trace_flux_matrix_structure():
+    # the flux balance is symmetric, and constants carry no flux except
+    # through the two Dirichlet-0 faces r = r_max and z = z_max
+    idx = ProblemIndex(4, 0.3)
+    grid = WeightedGrid(3.0, 2.0, 12, 10, 1.0 - 2.0 * idx.gamma)
+    A = solver._trace_flux_matrix(idx, grid)
+    scale = abs(A).max()
+    assert abs(A - A.T).max() <= 1e-15 * scale
+    ones = (A @ np.ones(A.shape[0])).reshape(grid.nr, grid.nz)
+    ghost = np.zeros_like(ones, dtype=bool)
+    ghost[-1, :] = True
+    ghost[:, -1] = True
+    assert np.abs(ones[~ghost]).max() <= 1e-13 * scale
+    assert (ones[ghost] > 0.0).all()
+    # zero-order terms only add to the diagonal, the trace term on row j = 0
+    trace = np.linspace(-1.0, 1.0, grid.nr)
+    bulk = np.arange(grid.nr * (grid.nz + 1), dtype=float).reshape(grid.nr, -1)
+    D = solver._trace_flux_matrix(idx, grid, {"trace": trace, "bulk": bulk}) - A
+    expect = bulk[:, : grid.nz].copy()
+    expect[:, 0] += solver._radial_cell_volumes(grid, idx.n) * trace
+    assert abs(D - sparse.diags(expect.ravel())).max() <= 1e-13 * scale
+
+
 # -- eigenvalue scaling -------------------------------------------------------
 
 
@@ -181,6 +208,22 @@ def test_lambda1_positive_and_scales(n, gamma):
     assert max(scaled) / min(scaled) - 1.0 <= 1e-3
     # monotone decreasing in the domain radius
     assert vals[0.5] > vals[1.0] > vals[2.0]
+
+
+@pytest.mark.parametrize("n,gamma", [(3, 0.5), (4, 0.3)])
+def test_lambda1_continuum_limit(n, gamma):
+    # the half-ball in the weighted measure has effective dimension m + 2,
+    # so lambda1 R^2 -> j_{m/2,1}^2
+    import mpmath
+
+    idx = ProblemIndex(n, gamma)
+    target = float(mpmath.besseljzero(idx.m / 2.0, 1)) ** 2
+    assert solver.rayleigh_lambda1(idx, 1.0) == pytest.approx(target, rel=1e-3)
+
+
+def test_lambda1_is_deterministic():
+    idx = ProblemIndex(4, 0.3)
+    assert solver.rayleigh_lambda1(idx, 1.0) == solver.rayleigh_lambda1(idx, 1.0)
 
 
 # -- green's function ---------------------------------------------------------
@@ -251,6 +294,20 @@ def test_linearized_orthogonality_diagnostics():
     assert abs(d["psi_origin"]) <= 1e-12
     assert np.abs(np.asarray(d["grad_origin"])).max() <= 1e-12
     assert math.isfinite(d["envelope_max"])
+
+
+def test_linearized_interpolates_in_the_trace_chart():
+    # fields a + b z^(2g), the shape of solutions at the trace, are
+    # reproduced between the first two rows
+    idx = ProblemIndex(4, 0.3)
+    grid = _grid(idx, 8.0, 48)
+    psi = np.broadcast_to(1.0 + grid.z ** (2.0 * idx.gamma), (grid.nr, grid.nz + 1))
+    pi = SymmetricTensor(np.diag([1.0, -1.0, 0.0, 0.0]), trace_free=True)
+    res = solver.LinearizedResult(psi=psi, grid=grid, pi=pi, eps_hat=0.5)
+    xbar = np.array([2.0, 0.0, 0.0, 0.0])
+    for z in (0.1 * grid.hz, 0.5 * grid.hz):
+        exact = 1.0 + z ** (2.0 * idx.gamma)
+        assert res.evaluate(xbar, z) == pytest.approx(exact, rel=1e-12, abs=0)
 
 
 def test_linearized_evaluate_angular_factor():
