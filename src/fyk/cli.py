@@ -49,6 +49,9 @@ class RunConfig:
             raise UsageError("format must be csv or json")
 
 
+_CONFIG_KEYS = ("tol", "out", "format")
+
+
 def _load_config(path):
     """Flat key=value file; blank lines and #-comments ignored."""
     values = {}
@@ -60,7 +63,12 @@ def _load_config(path):
             if "=" not in line:
                 raise UsageError("bad config line: %r" % line)
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise UsageError(
+                    "unknown config key %r (known: %s)" % (key, ", ".join(_CONFIG_KEYS))
+                )
+            values[key] = val.strip()
     return values
 
 
@@ -68,13 +76,9 @@ def _build_config(args):
     file_vals = _load_config(args.config) if getattr(args, "config", None) else {}
     try:
         tol = args.tol if args.tol is not None else float(file_vals.get("tol", 1e-6))
-        res = (
-            args.resolution
-            if getattr(args, "resolution", None) is not None
-            else int(file_vals.get("resolution", 64))
-        )
     except ValueError as exc:
         raise UsageError("bad config value: %s" % exc) from exc
+    res = getattr(args, "resolution", RunConfig.resolution)
     out = args.out if args.out is not None else file_vals.get("out")
     fmt = args.format if args.format is not None else file_vals.get("format", "csv")
     return RunConfig(tol=tol, resolution=res, out=out, fmt=fmt)

@@ -7,6 +7,11 @@ Notation: with phi and what the two radial profiles from ``specfun``,
     App_a = int t^(a-2g) (phi')^2     B_b   = int t^(n-1-b+2g) what^2
     Bp_b  = int t^(n-1-b+2g) what what'   Bpp_b = int t^(n-1-b+2g) (what')^2
 
+Each is a sum of Mellin transforms M(p; mu, nu) = int_0^inf t^p K_mu K_nu dt
+with mu, nu in {g, 1-g}, which have a four-Gamma closed form
+(Gradshteyn-Ryzhik 6.576.4); ``compute_moments`` evaluates that form, and the
+tests keep direct quadrature of the integrands above as its oracle.
+
 The nine quadratic integrals of W over the half-space reduce, by Plancherel
 in the tangential variables, to bilinear combinations of these moments; the
 reductions implemented in ``_integrals_from_moments`` were re-derived from
@@ -17,19 +22,13 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy import integrate
+# integrate is unused here; perfbench/tracing.py wraps moments.integrate by name
+from scipy import integrate  # noqa: F401
 
 from . import bubble
 from ._quad import gauss_panels, graded_edges
 from .errors import DomainError, NumericError
-from .specfun import (
-    ProblemIndex,
-    profile_phi,
-    profile_phi_prime,
-    profile_what,
-    profile_what_prime,
-    sphere_area,
-)
+from .specfun import _d1, sphere_area
 
 __all__ = [
     "MomentTable",
@@ -42,9 +41,6 @@ __all__ = [
     "closed_form_ratios",
     "combined_ratios",
 ]
-
-_T_CUT = 60.0  # exp(-2t) tail below 1e-52 of the integrand scale
-
 
 @dataclass
 class MomentTable:
@@ -74,71 +70,69 @@ _DEFAULT_ORDERS = {
 }
 
 
-def _small_t_exponent(family, order, n, g):
-    """Power of t of the integrand as t -> 0+ (must exceed -1)."""
-    if family == "A":
-        return order - 2 * g
-    if family == "Ap":
-        return order - 1
-    if family == "App":
-        return order + 2 * g - 2
-    if family == "B":
-        return n - 1 - order - 2 * g
-    if family == "Bp":
-        return n - 2 - order - 2 * g
-    if family == "Bpp":
-        return n - 3 - order - 2 * g
-    raise DomainError(f"unknown moment family {family!r}")
+def _mellin_terms(family, order, n, g):
+    """The moment as a sum of terms (c, p, mu, nu), each c * M(p; mu, nu).
+
+    From phi = d1 t^g K_g, phi' = -d1 t^g K_(1-g) and what = t^(-g) K_g;
+    the weights t^(a-2g) and t^(n-1-b+2g) absorb the powers of t.
+    """
+    h = 1.0 - g
+    d2 = _d1(g) ** 2
+    w = n - 1 - order
+    terms = {
+        "A": ((d2, order, g, g),),
+        "Ap": ((-d2, order, g, h),),
+        "App": ((d2, order, h, h),),
+        "B": ((1.0, w, g, g),),
+        "Bp": ((-2.0 * g, w - 1, g, g), (-1.0, w, g, h)),
+        "Bpp": ((4.0 * g * g, w - 2, g, g), (4.0 * g, w - 1, g, h), (1.0, w, h, h)),
+    }
+    if family not in terms:
+        raise DomainError(f"unknown moment family {family!r}")
+    return terms[family]
 
 
-def _integrand(family, order, idx):
-    n, g = idx.n, idx.gamma
-    if family == "A":
-        return lambda t: t ** (order - 2 * g) * profile_phi(g, t) ** 2
-    if family == "Ap":
-        return lambda t: t ** (order - 2 * g) * profile_phi(g, t) * profile_phi_prime(g, t)
-    if family == "App":
-        return lambda t: t ** (order - 2 * g) * profile_phi_prime(g, t) ** 2
-    w = n - 1 - order + 2 * g
-    if family == "B":
-        return lambda t: t**w * profile_what(g, t) ** 2
-    if family == "Bp":
-        return lambda t: t**w * profile_what(g, t) * profile_what_prime(g, t)
-    if family == "Bpp":
-        return lambda t: t**w * profile_what_prime(g, t) ** 2
-    raise DomainError(f"unknown moment family {family!r}")
+def _mellin_kk(p, mu, nu):
+    """M(p; mu, nu) = int_0^inf t^p K_mu(t) K_nu(t) dt for p + 1 > mu + nu >= 0
+    (Gradshteyn-Ryzhik 6.576.4), evaluated in log space; inf on overflow."""
+    log_m = (p - 2.0) * math.log(2.0) - math.lgamma(p + 1.0) + sum(
+        math.lgamma((p + 1.0 + s * mu + r * nu) / 2.0) for s in (1, -1) for r in (1, -1)
+    )
+    try:
+        return math.exp(log_m)
+    except OverflowError:
+        return math.inf
 
 
 def compute_moments(idx, orders=None):
-    """Adaptive quadrature of the requested moments (relative tol 1e-9).
+    """The requested moments from the Mellin closed form of K_mu K_nu.
 
     ``orders`` maps family name ("A", "Ap", ..., "Bpp") to an iterable of
     integer orders; defaults to the orders the integral assembly needs.
-    Divergent requests raise a DomainError naming the failing index.
+    Divergent requests raise a DomainError naming the failing index; a value
+    beyond the floating-point range raises a NumericError.
     """
     if orders is None:
         orders = _DEFAULT_ORDERS
     table = MomentTable(n=idx.n, gamma=idx.gamma)
     for family, idxs in orders.items():
-        target = getattr(table, family)
         for order in idxs:
-            p = _small_t_exponent(family, order, idx.n, idx.gamma)
-            if p <= -1.0:
-                raise DomainError(
-                    f"moment {family}[{order}] diverges at t=0 for "
-                    f"(n, gamma) = ({idx.n}, {idx.gamma}) "
-                    f"(small-t exponent {p:.3f} <= -1)"
-                )
-            f = _integrand(family, order, idx)
-            val, err = integrate.quad(
-                f, 0.0, _T_CUT, epsabs=0.0, epsrel=1e-12, limit=400, points=[1.0]
-            )
-            if val != 0.0 and err > 1e-9 * abs(val):
+            terms = _mellin_terms(family, order, idx.n, idx.gamma)
+            # the integrand behaves like t^p K_mu K_nu ~ t^(p - mu - nu) at 0+
+            for _, p, mu, nu in terms:
+                if p + 1.0 <= mu + nu:
+                    raise DomainError(
+                        f"moment {family}[{order}] diverges at t=0 for "
+                        f"(n, gamma) = ({idx.n}, {idx.gamma}) "
+                        f"(small-t exponent {p - mu - nu:.3f} <= -1)"
+                    )
+            val = sum(c * _mellin_kk(p, mu, nu) for c, p, mu, nu in terms)
+            if not math.isfinite(val):
                 raise NumericError(
-                    f"moment {family}[{order}] quadrature above tolerance",
-                    {"value": val, "abserr": err},
+                    f"moment {family}[{order}] overflows the floating-point range",
+                    {"n": idx.n, "gamma": idx.gamma},
                 )
-            target[order] = val
+            getattr(table, family)[order] = val
     return table
 
 

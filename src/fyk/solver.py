@@ -614,11 +614,10 @@ def _diagnose(idx, result):
     pz = np.zeros_like(psi)
     pr[1:-1, :] = (psi[2:, :] - psi[:-2, :]) / (2.0 * grid.hr)
     pz[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * grid.hz)
-    weight = (
-        _radial_cell_volumes(grid, n)[:, None]
-        * np.where(z > 0, z, 0.0)[None, :] ** (1.0 - 2.0 * g)
-        * grid.hz
-    )
+    # the trace row z = 0 carries no weight (z^(1-2g) is infinite there for g > 1/2)
+    z_weight = np.zeros_like(z)
+    z_weight[z > 0] = z[z > 0] ** (1.0 - 2.0 * g)
+    weight = _radial_cell_volumes(grid, n)[:, None] * z_weight[None, :] * grid.hz
     i_rad = float(np.sum(weight * (pr * wr + pz * wz)))
     energy = float(np.sum(weight * (pr**2 + pz**2)))
     ortho_energy = ang * i_rad

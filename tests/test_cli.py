@@ -90,6 +90,16 @@ def test_config_file_sets_defaults(tmp_path, capsys):
     ) == 1
 
 
+def test_config_file_rejects_unknown_keys(tmp_path, capsys):
+    # resolution is a per-subcommand flag, not a config key
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("resolution = 16\n")
+    assert run(
+        ["solve", "lambda1", "--n", "3", "--gamma", "0.5", "--config", str(cfgfile)]
+    ) == 1
+    assert "resolution" in capsys.readouterr().err
+
+
 def test_coeff_scan_verdict(capsys):
     assert run(
         ["coeff-scan", "--n-min", "3", "--n-max", "8", "--gamma-step", "0.05"]

@@ -296,6 +296,16 @@ def test_linearized_orthogonality_diagnostics():
     assert math.isfinite(d["envelope_max"])
 
 
+def test_linearized_diagnostics_finite_above_half():
+    # for gamma > 1/2 the weight z^(1-2g) is infinite on the trace row,
+    # which must carry no weight rather than turn the energies into NaN
+    idx = ProblemIndex(5, 0.7)
+    d = _linearized(idx, cells=48, box=8.0).diagnostics
+    assert math.isfinite(d["energy"]) and d["energy"] > 0.0
+    assert abs(d["ortho_energy"]) <= 1e-12 * d["energy"]
+    assert abs(d["ortho_trace"]) <= 1e-12 * d["energy"]
+
+
 def test_linearized_interpolates_in_the_trace_chart():
     # fields a + b z^(2g), the shape of solutions at the trace, are
     # reproduced between the first two rows
