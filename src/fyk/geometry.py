@@ -194,7 +194,7 @@ def _flat_metric(xbar):
     return np.eye(len(xbar)), np.zeros((len(xbar), len(xbar), len(xbar)))
 
 
-def eikonal_characteristics(idx, K, xbar0, r, metric=None, rtol=1e-10):
+def eikonal_characteristics(K, xbar0, r, metric=None, rtol=1e-10):
     """Integrate the bicharacteristic system on s in [0, 2r).
 
     ``metric`` maps xbar to (g_inv, dg_inv) with dg_inv[k] = d_k g^{ij};
@@ -276,14 +276,14 @@ def characteristic_supnorms(idx, K, r, n=None, samples=24, metric=None):
     for _ in range(samples):
         v = rng.normal(size=n)
         v *= rng.uniform(0.0, 2.0 * r) / np.linalg.norm(v)
-        base = eikonal_characteristics(idx, K, v, r, metric=metric)
+        base = eikonal_characteristics(K, v, r, metric=metric)
         sup_p = max(sup_p, base.sup_p)
         sup_pdot = max(sup_pdot, base.sup_p_dot)
         for i in range(n):
             e = np.zeros(n)
             e[i] = h
-            hi = eikonal_characteristics(idx, K, np.clip(v + e, -2 * r, 2 * r), r, metric=metric)
-            lo = eikonal_characteristics(idx, K, np.clip(v - e, -2 * r, 2 * r), r, metric=metric)
+            hi = eikonal_characteristics(K, np.clip(v + e, -2 * r, 2 * r), r, metric=metric)
+            lo = eikonal_characteristics(K, np.clip(v - e, -2 * r, 2 * r), r, metric=metric)
             kmax = min(len(hi.s), len(lo.s))
             dp = np.abs(hi.p[:kmax] - lo.p[:kmax]).max() / (2.0 * h)
             sup_dp = max(sup_dp, dp)

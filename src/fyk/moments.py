@@ -257,9 +257,7 @@ def _field_pack(idx, r, z):
     """All integrand building blocks on a tensor grid (z > 0)."""
     f = bubble.radial_profiles(idx, r, z, ("W", "Wr_over_r", "Wz", "lap_tan"))
     f["Wr"] = r[:, None] * f["Wr_over_r"]
-    f["Z0"] = (
-        r[:, None] * f["Wr"] + z[None, :] * f["Wz"] + 0.5 * idx.m * f["W"]
-    )
+    f["Z0"] = bubble.dilation_field(idx, r, z, f)
     return f
 
 

@@ -104,35 +104,50 @@ def _d1(g):
     return 2.0 ** (1.0 - g) / math.gamma(g)
 
 
-def profile_phi(idx, t):
-    """Decaying profile phi(t) = d1 * t^gamma * K_gamma(t), phi(0) = 1."""
-    g = idx.gamma if isinstance(idx, ProblemIndex) else float(idx)
+# K_nu(t) ~ sqrt(pi/(2t)) e^(-t) underflows near t ~ 700; past this cutoff
+# every profile is exactly 0 in floating point and kv is not called
+_T_UNDERFLOW = 690.0
+
+
+def _profile(name, t, f, at_zero=None):
+    """Evaluate a profile: ``f`` on the points 0 < t <= _T_UNDERFLOW, exactly
+    0 beyond (inf included) and ``at_zero`` at t = 0, where it is defined.
+    NaN and points outside the domain raise DomainError."""
     tt = np.asarray(t, dtype=float)
+    if np.any(np.isnan(tt)):
+        raise DomainError(f"{name} got NaN")
+    if at_zero is None and np.any(tt <= 0.0):
+        raise DomainError(f"{name} requires t > 0")
     if np.any(tt < 0.0):
-        raise DomainError("profile_phi requires t >= 0")
-    pos = tt > 0.0
-    out = np.ones_like(tt)
-    ts = np.where(pos, tt, 1.0)
-    vals = _d1(g) * ts**g * special.kv(g, ts)
-    out = np.where(pos, vals, 1.0)
-    # K_gamma underflows around t ~ 700; the profile is then exactly 0 in fp
-    out = np.where(tt > 690.0, 0.0, out)
+        raise DomainError(f"{name} requires t >= 0")
+    out = np.zeros_like(tt)
+    live = (tt > 0.0) & (tt <= _T_UNDERFLOW)
+    out[live] = f(tt[live])
+    if at_zero is not None:
+        out[tt == 0.0] = at_zero
     if tt.ndim == 0:
         return float(out)
     return out
+
+
+def _gamma_of(idx):
+    return idx.gamma if isinstance(idx, ProblemIndex) else float(idx)
+
+
+def profile_phi(idx, t):
+    """Decaying profile phi(t) = d1 * t^gamma * K_gamma(t), phi(0) = 1."""
+    g = _gamma_of(idx)
+    return _profile(
+        "profile_phi", t, lambda ts: _d1(g) * ts**g * special.kv(g, ts), at_zero=1.0
+    )
 
 
 def profile_phi_prime(idx, t):
     """d/dt of profile_phi; equals -d1 * t^gamma * K_(1-gamma)(t) for t > 0."""
-    g = idx.gamma if isinstance(idx, ProblemIndex) else float(idx)
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt <= 0.0):
-        raise DomainError("profile_phi_prime requires t > 0")
-    out = -_d1(g) * tt**g * special.kv(1.0 - g, tt)
-    out = np.where(tt > 690.0, 0.0, out)
-    if tt.ndim == 0:
-        return float(out)
-    return out
+    g = _gamma_of(idx)
+    return _profile(
+        "profile_phi_prime", t, lambda tt: -_d1(g) * tt**g * special.kv(1.0 - g, tt)
+    )
 
 
 def profile_what(idx, t):
@@ -142,30 +157,19 @@ def profile_what(idx, t):
     weighted moments are determined); the extension evaluator calibrates the
     single multiplicative constant it needs against the bubble's center value.
     """
-    g = idx.gamma if isinstance(idx, ProblemIndex) else float(idx)
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt <= 0.0):
-        raise DomainError("profile_what requires t > 0")
-    out = tt ** (-g) * special.kv(g, tt)
-    out = np.where(tt > 690.0, 0.0, out)
-    if tt.ndim == 0:
-        return float(out)
-    return out
+    g = _gamma_of(idx)
+    return _profile("profile_what", t, lambda tt: tt ** (-g) * special.kv(g, tt))
 
 
 def profile_what_prime(idx, t):
     """d/dt of profile_what: -2*gamma*t^(-gamma-1)*K_gamma - t^(-gamma)*K_(1-gamma)."""
-    g = idx.gamma if isinstance(idx, ProblemIndex) else float(idx)
-    tt = np.asarray(t, dtype=float)
-    if np.any(tt <= 0.0):
-        raise DomainError("profile_what_prime requires t > 0")
-    out = -2.0 * g * tt ** (-g - 1.0) * special.kv(g, tt) - tt ** (-g) * special.kv(
-        1.0 - g, tt
+    g = _gamma_of(idx)
+    return _profile(
+        "profile_what_prime",
+        t,
+        lambda tt: -2.0 * g * tt ** (-g - 1.0) * special.kv(g, tt)
+        - tt ** (-g) * special.kv(1.0 - g, tt),
     )
-    out = np.where(tt > 690.0, 0.0, out)
-    if tt.ndim == 0:
-        return float(out)
-    return out
 
 
 def sphere_area(n):

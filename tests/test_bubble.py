@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from fyk import bubble
 from fyk.bubble import BubbleParams, HalfSpacePoint
@@ -195,3 +196,73 @@ def test_jacobi_field_translation_symmetry():
     assert abs(z1) <= 1e-8
     with pytest.raises(DomainError):
         bubble.jacobi_field(idx, 4, x)
+
+
+# -- the Fourier-Bessel kernel pair -------------------------------------------
+
+
+def _e_jv(mu, u):
+    """Gamma(mu+1) (u/2)^(-mu) J_mu(u) from SciPy's general-order jv at every
+    point, with the two-term series below 1e-7: the oracle for the kernel."""
+    u = np.asarray(u, dtype=float)
+    small = u < 1e-7
+    us = np.where(small, 1.0, u)
+    out = math.gamma(mu + 1.0) * (us / 2.0) ** (-mu) * special.jv(mu, us)
+    return np.where(small, 1.0 - u**2 / (4.0 * (mu + 1.0)), out)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_kernel_pair_matches_jv_formula(n):
+    nu = n / 2.0 - 1.0
+    edges = [0.0, 1e-9, 1e-7 * (1.0 - 1e-9), 1e-7, 1e-7 * (1.0 + 1e-9)]
+    edges += [nu + 1.0 - 1e-9, nu + 1.0, nu + 1.0 + 1e-9]
+    u = np.concatenate([edges, np.linspace(0.0, 3000.0, 600001)])
+    e0, e1 = bubble._e_pair(nu, u)
+    assert np.abs(e0 - _e_jv(nu, u)).max() <= 1e-14
+    assert np.abs(e1 - _e_jv(nu + 1.0, u)).max() <= 1e-14
+
+
+def test_kernel_pair_calls_jv_only_below_the_recurrence_range(monkeypatch):
+    seen = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(special, name)
+
+        @staticmethod
+        def jv(order, x):
+            seen.append(float(np.max(x)))
+            return special.jv(order, x)
+
+    monkeypatch.setattr(bubble, "special", Spy())
+    u = np.linspace(0.0, 40.0, 4001)
+    for nu in (0.0, 0.5, 3.0, 4.5):
+        bubble._e_pair(nu, u)
+        assert seen and max(seen) <= nu + 1.0
+        seen.clear()
+
+
+@pytest.mark.parametrize(
+    "nu,u",
+    [(0.0, 2.5), (0.5, 7.3), (1.0, 50.0), (2.5, 3.4), (4.0, 1234.5), (5.0, 6.0000001)],
+)
+def test_kernel_pair_against_mpmath(nu, u):
+    mpmath = pytest.importorskip("mpmath")
+    e0, e1 = bubble._e_pair(nu, np.array([u]))
+    with mpmath.workdps(30):
+        for mu, got in ((nu, e0[0]), (nu + 1.0, e1[0])):
+            m, x = mpmath.mpf(mu), mpmath.mpf(u)
+            want = mpmath.gamma(m + 1) * (x / 2) ** (-m) * mpmath.besselj(m, x)
+            assert abs(got - float(want)) <= 1e-14
+
+
+def test_extension_large_r_agreement():
+    # the fourier route against the poisson kernel away from the axis; past
+    # r = 20 the agreement degrades (1e-5 at r = 80, 3e-2 at r = 300)
+    idx = ProblemIndex(4, 0.3)
+    p = BubbleParams()
+    for rho in (5.0, 20.0):
+        x = _pt([rho, 0.0, 0.0, 0.0], 0.5)
+        a = bubble.extension(idx, p, x, route="fourier_bessel")
+        b = bubble.extension(idx, p, x, route="poisson_kernel")
+        assert abs(a / b - 1.0) <= 1e-7

@@ -122,7 +122,7 @@ def test_characteristics_trivial_from_center():
     # from xbar0 = 0 the momentum starts at zero and stays zero: the
     # characteristic is the vertical line and the phase never moves
     idx = ProblemIndex(3, 0.5)
-    b = geometry.eikonal_characteristics(idx, K=10.0, xbar0=np.zeros(3), r=0.005)
+    b = geometry.eikonal_characteristics(K=10.0, xbar0=np.zeros(3), r=0.005)
     assert b.sup_p == 0.0
     assert np.abs(b.z).max() == 0.0
     assert np.allclose(b.x[:, :3], 0.0)
@@ -132,7 +132,7 @@ def test_characteristics_trivial_from_center():
 def test_characteristics_conserve_defining_relation():
     idx = ProblemIndex(3, 0.5)
     v = np.array([0.004, -0.003, 0.001])
-    b = geometry.eikonal_characteristics(idx, K=10.0, xbar0=v, r=0.005)
+    b = geometry.eikonal_characteristics(K=10.0, xbar0=v, r=0.005)
     assert b.hamiltonian_max <= 1e-8
     # initial data: p = -2K xbar0, z = -K |xbar0|^2
     assert np.allclose(b.p[0, :3], -20.0 * v, rtol=1e-12)
@@ -142,12 +142,12 @@ def test_characteristics_conserve_defining_relation():
 def test_characteristics_domain_checks():
     idx = ProblemIndex(3, 0.5)
     with pytest.raises(DomainError):
-        geometry.eikonal_characteristics(idx, K=10.0, xbar0=np.zeros(3), r=0.02)
+        geometry.eikonal_characteristics(K=10.0, xbar0=np.zeros(3), r=0.02)
     with pytest.raises(DomainError):
-        geometry.eikonal_characteristics(idx, K=-1.0, xbar0=np.zeros(3), r=0.005)
+        geometry.eikonal_characteristics(K=-1.0, xbar0=np.zeros(3), r=0.005)
     with pytest.raises(DomainError):
         geometry.eikonal_characteristics(
-            idx, K=10.0, xbar0=np.array([1.0, 0.0, 0.0]), r=0.005
+            K=10.0, xbar0=np.array([1.0, 0.0, 0.0]), r=0.005
         )
 
 
@@ -174,6 +174,6 @@ def test_characteristics_curved_metric_still_conserves():
         return g, dg
 
     v = np.array([0.004, 0.002, -0.001])
-    b = geometry.eikonal_characteristics(idx, K=10.0, xbar0=v, r=0.005, metric=metric)
+    b = geometry.eikonal_characteristics(K=10.0, xbar0=v, r=0.005, metric=metric)
     assert b.hamiltonian_max <= 1e-8
     assert b.sup_p <= 5.0 / 10.0

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from fyk import specfun
 from fyk.errors import DomainError
@@ -91,6 +92,55 @@ def test_profile_what_derivative():
     h = 1e-6
     fd = (specfun.profile_what(g, t + h) - specfun.profile_what(g, t - h)) / (2 * h)
     assert specfun.profile_what_prime(g, t) == pytest.approx(fd, rel=1e-8)
+
+
+def _profile_formulas(g):
+    """The closed forms each profile evaluates below the underflow cutoff."""
+    d1 = 2.0 ** (1.0 - g) / math.gamma(g)
+    return {
+        "profile_phi": lambda t: d1 * t**g * special.kv(g, t),
+        "profile_phi_prime": lambda t: -d1 * t**g * special.kv(1.0 - g, t),
+        "profile_what": lambda t: t ** (-g) * special.kv(g, t),
+        "profile_what_prime": lambda t: -2.0 * g * t ** (-g - 1.0) * special.kv(g, t)
+        - t ** (-g) * special.kv(1.0 - g, t),
+    }
+
+
+_PROFILES = ("profile_phi", "profile_phi_prime", "profile_what", "profile_what_prime")
+
+
+@pytest.mark.parametrize("name", _PROFILES)
+def test_profiles_at_the_underflow_cutoff_and_beyond(name):
+    g = 0.3
+    prof = getattr(specfun, name)
+    formula = _profile_formulas(g)[name]
+    t = np.array([689.999, 690.0, 690.001, 1e4, np.inf])
+    want = np.concatenate([formula(t[:2]), np.zeros(3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = prof(g, t)
+        scalars = [prof(g, float(x)) for x in t]
+    assert np.array_equal(got, want)
+    assert np.array_equal(scalars, want)
+    assert all(isinstance(v, float) for v in scalars)
+    # below the cutoff the values are the closed form, bit for bit
+    dense = np.linspace(1e-3, 690.0, 4001).reshape(1, 4001)
+    assert np.array_equal(prof(g, dense), formula(dense))
+    if name == "profile_phi":
+        assert prof(g, 0.0) == 1.0
+        assert np.array_equal(prof(g, np.array([0.0, 1e4])), [1.0, 0.0])
+    else:
+        with pytest.raises(DomainError):
+            prof(g, 0.0)
+
+
+@pytest.mark.parametrize("name", _PROFILES)
+def test_profiles_reject_nan(name):
+    prof = getattr(specfun, name)
+    with pytest.raises(DomainError):
+        prof(0.3, math.nan)
+    with pytest.raises(DomainError):
+        prof(0.3, np.array([1.0, math.nan, 2.0]))
 
 
 def test_sphere_area_values():
