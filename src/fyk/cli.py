@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bubble, moments, pohozaev, solver
+from . import _threads, bubble, moments, pohozaev, solver
 from .errors import DomainError, NumericError
 from .specfun import ProblemIndex, constants
 
@@ -462,25 +462,18 @@ def build_parser():
     return parser
 
 
-def _limit_threads():
-    raw = os.environ.get("FYK_THREADS")
-    if not raw:
-        return
+def _check_threads():
+    """FYK_THREADS takes effect when fyk is imported; an invalid value is
+    reported here, as a usage error."""
     try:
-        limit = max(1, int(raw))
-    except ValueError:
-        raise UsageError("FYK_THREADS must be an integer")
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=limit)
-    except ImportError:
-        os.environ.setdefault("OMP_NUM_THREADS", str(limit))
+        _threads.env_threads()
+    except ValueError as exc:
+        raise UsageError(str(exc))
 
 
 def main(argv=None):
     try:
-        _limit_threads()
+        _check_threads()
         parser = build_parser()
         args = parser.parse_args(argv)
         cfg = _build_config(args)

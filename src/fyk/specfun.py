@@ -13,11 +13,14 @@ t^(-g) * K_g(t); its overall normalization is a free choice (see
 """
 from dataclasses import dataclass
 import math
+import os
+import threading
 
 import numpy as np
 from scipy import special
 
-from .errors import DomainError
+from . import _threads
+from .errors import DomainError, NumericError
 
 __all__ = [
     "ProblemIndex",
@@ -82,6 +85,8 @@ class Constants:
 def gamma_fn(x):
     """Gamma function on (0, inf); scalar or array."""
     arr = np.asarray(x, dtype=float)
+    if np.any(np.isnan(arr)):
+        raise DomainError("gamma_fn got NaN")
     if np.any(arr <= 0.0):
         raise DomainError("gamma_fn requires positive arguments")
     if arr.ndim == 0:
@@ -92,6 +97,8 @@ def gamma_fn(x):
 def bessel_k(order, t):
     """Modified Bessel function of the second kind K_order(t), t > 0."""
     tt = np.asarray(t, dtype=float)
+    if np.any(np.isnan(tt)):
+        raise DomainError("bessel_k got NaN")
     if np.any(tt <= 0.0):
         raise DomainError("bessel_k requires t > 0")
     out = special.kv(order, tt)
@@ -108,11 +115,72 @@ def _d1(g):
 # every profile is exactly 0 in floating point and kv is not called
 _T_UNDERFLOW = 690.0
 
+# points per chunk of a profile evaluation; an input of at most one chunk is
+# evaluated in the calling thread, a larger one chunk by chunk on the pool
+_CHUNK = 1 << 16
+
+_pool_lock = threading.Lock()
+_pool = None  # (threads, executor or None), made by _profile_pool on first use
+
+
+def _forget_pool():
+    # a forked child has none of the parent's worker threads: work queued on
+    # the inherited executor would never run, so the child makes its own
+    global _pool, _pool_lock
+    _pool_lock = threading.Lock()
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _profile_pool():
+    """The pool that evaluates profile chunks, as (threads, executor).
+
+    Its size is read once, on first use: FYK_THREADS when set, else the CPUs
+    this process may run on.  With one thread there is no executor and the
+    chunks run in the calling thread."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            n = _threads.threads()
+            if n > 1:
+                from concurrent.futures import ThreadPoolExecutor
+
+                _pool = (n, ThreadPoolExecutor(n, thread_name_prefix="fyk-profile"))
+            else:
+                _pool = (1, None)
+        return _pool
+
+
+def _profile_chunk(name, f, at_zero, t, out):
+    """Write the profile of the 1-D points ``t`` into ``out`` (same length).
+
+    numpy's error state is per thread, so it is set here, where the chunk
+    runs: an overflow past the float range raises NumericError."""
+    live = (t > 0.0) & (t <= _T_UNDERFLOW)
+    with np.errstate(over="ignore"):
+        vals = f(t[live])
+    if not np.all(np.isfinite(vals)):
+        bad = float(t[live][~np.isfinite(vals)][0])
+        raise NumericError(
+            f"{name} exceeds the float range at t = {bad!r}", {"t": bad}
+        )
+    out[live] = vals
+    if at_zero is not None:
+        out[t == 0.0] = at_zero
+
 
 def _profile(name, t, f, at_zero=None):
     """Evaluate a profile: ``f`` on the points 0 < t <= _T_UNDERFLOW, exactly
     0 beyond (inf included) and ``at_zero`` at t = 0, where it is defined.
-    NaN and points outside the domain raise DomainError."""
+    NaN and points outside the domain raise DomainError, a value past the
+    float range NumericError.
+
+    The flattened input is cut into chunks of _CHUNK points that write into
+    disjoint slices of the output, so the result does not depend on how many
+    threads evaluate them; kv releases the GIL, so the threads overlap."""
     tt = np.asarray(t, dtype=float)
     if np.any(np.isnan(tt)):
         raise DomainError(f"{name} got NaN")
@@ -120,11 +188,24 @@ def _profile(name, t, f, at_zero=None):
         raise DomainError(f"{name} requires t > 0")
     if np.any(tt < 0.0):
         raise DomainError(f"{name} requires t >= 0")
-    out = np.zeros_like(tt)
-    live = (tt > 0.0) & (tt <= _T_UNDERFLOW)
-    out[live] = f(tt[live])
-    if at_zero is not None:
-        out[tt == 0.0] = at_zero
+    out = np.zeros(tt.shape)
+    flat_t, flat_out = tt.reshape(-1), out.reshape(-1)
+    chunks = [slice(i, i + _CHUNK) for i in range(0, flat_t.size, _CHUNK)]
+    pool = _profile_pool()[1] if len(chunks) > 1 else None
+    if pool is None:
+        for c in chunks:
+            _profile_chunk(name, f, at_zero, flat_t[c], flat_out[c])
+    else:
+        futures = [
+            pool.submit(_profile_chunk, name, f, at_zero, flat_t[c], flat_out[c])
+            for c in chunks
+        ]
+        # wait for every chunk before raising the first error, so that no
+        # worker still writes into out once this call has returned
+        errors = [fut.exception() for fut in futures]
+        for exc in errors:
+            if exc is not None:
+                raise exc
     if tt.ndim == 0:
         return float(out)
     return out

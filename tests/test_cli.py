@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -177,3 +180,62 @@ def test_threads_env_is_validated(monkeypatch):
     assert run(["constants", "--n", "3", "--gamma", "0.5"]) == 1
     monkeypatch.setenv("FYK_THREADS", "2")
     assert run(["constants", "--n", "3", "--gamma", "0.5"]) == 0
+
+
+_BLAS_PROBE = textwrap.dedent(
+    """
+    import ctypes, json, os
+    import fyk
+    from fyk import specfun
+
+    def blas_threads():
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh
+                     if "openblas" in line and line.rstrip().endswith(".so")}
+        out = {}
+        for path in sorted(paths):
+            lib = ctypes.CDLL(path)
+            for symbol in ("scipy_openblas_get_num_threads64_",
+                           "scipy_openblas_get_num_threads",
+                           "openblas_get_num_threads64_",
+                           "openblas_get_num_threads"):
+                fn = getattr(lib, symbol, None)
+                if fn is not None:
+                    fn.argtypes = []
+                    fn.restype = ctypes.c_int
+                    out[os.path.basename(path)] = fn()
+                    break
+        return out
+
+    print(json.dumps({"blas": blas_threads(),
+                      "pool": specfun._profile_pool()[0]}))
+    """
+)
+
+
+def _run_python(code, threads):
+    """Run ``code`` in a fresh interpreter with FYK_THREADS set; its stdout."""
+    import fyk
+
+    env = dict(os.environ, FYK_THREADS=threads)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(fyk.__file__))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "2"  # FYK_THREADS takes precedence
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
+def test_threads_env_bounds_blas_and_the_profile_pool():
+    got = json.loads(_run_python(_BLAS_PROBE, "1"))
+    assert got["blas"], "no OpenBLAS found in the process"
+    assert set(got["blas"].values()) == {1}
+    assert got["pool"] == 1
+
+
+def test_invalid_threads_env_does_not_break_import():
+    assert _run_python("import fyk; print(fyk.__version__)", "zebra").strip()

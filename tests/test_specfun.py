@@ -1,13 +1,18 @@
 import math
+import multiprocessing
+import os
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from fyk import specfun
-from fyk.errors import DomainError
+from fyk import _threads, specfun
+from fyk.errors import DomainError, NumericError
 from fyk.specfun import ProblemIndex, constants
 
 
@@ -36,6 +41,10 @@ def test_gamma_fn_matches_reference():
     assert specfun.gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi))
     with pytest.raises(DomainError):
         specfun.gamma_fn(-1.0)
+    with pytest.raises(DomainError):
+        specfun.gamma_fn(math.nan)
+    with pytest.raises(DomainError):
+        specfun.gamma_fn(np.array([1.5, math.nan]))
 
 
 @pytest.mark.parametrize("order", [0.25, 0.5, 0.8])
@@ -134,13 +143,182 @@ def test_profiles_at_the_underflow_cutoff_and_beyond(name):
             prof(g, 0.0)
 
 
-@pytest.mark.parametrize("name", _PROFILES)
+@pytest.mark.parametrize("name", _PROFILES + ("bessel_k",))
 def test_profiles_reject_nan(name):
     prof = getattr(specfun, name)
     with pytest.raises(DomainError):
         prof(0.3, math.nan)
     with pytest.raises(DomainError):
         prof(0.3, np.array([1.0, math.nan, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "name, g, t", [("profile_what", 0.8, 1e-200), ("profile_what_prime", 0.25, 1e-300)]
+)
+def test_profile_overflow_raises(name, g, t, profile_pool):
+    # the true value exceeds the float range; it used to come back as +-inf
+    prof = getattr(specfun, name)
+    with pytest.raises(NumericError):
+        prof(g, t)
+    tt = np.ones(2 * specfun._CHUNK + 5)
+    tt[specfun._CHUNK + 3] = t
+    for threads in (1, 2):
+        profile_pool(threads)
+        with pytest.raises(NumericError):
+            prof(g, tt)
+
+
+@pytest.fixture
+def profile_pool(monkeypatch):
+    """Install a profile pool of the given size; shut it down afterwards."""
+    made = []
+
+    def install(threads):
+        if threads == 1:
+            pool = None
+        else:
+            pool = ThreadPoolExecutor(threads)
+            made.append(pool)
+        monkeypatch.setattr(specfun, "_pool", (threads, pool))
+
+    yield install
+    for pool in made:
+        pool.shutdown()
+
+
+def _chunked_input(at_zero):
+    """A 2-D input of several chunks, its length no multiple of the chunk,
+    with the points where the profiles change their branch sprinkled in."""
+    size = 3 * specfun._CHUNK + 1234
+    t = np.geomspace(1e-6, 1e3, size)
+    edges = [1e-9, 690.0, 690.001, np.inf] + ([0.0] if at_zero else [])
+    picks = np.linspace(0, size - 1, 40).astype(int)
+    t[picks] = np.resize(edges, picks.size)
+    return t.reshape(2, size // 2)
+
+
+@pytest.mark.parametrize("name", _PROFILES)
+def test_pooled_profiles_match_inline(name, profile_pool):
+    g = 0.3
+    prof = getattr(specfun, name)
+    t = _chunked_input(name == "profile_phi")
+    profile_pool(1)
+    inline = prof(g, t)
+    profile_pool(2)
+    pooled = prof(g, t)
+    assert pooled.shape == t.shape
+    assert np.array_equal(pooled, inline)
+    # and both are the closed form where kv is called, exactly 0 beyond
+    live = (t > 0.0) & (t <= 690.0)
+    want = np.zeros_like(t)
+    want[live] = _profile_formulas(g)[name](t[live])
+    want[t == 0.0] = 1.0
+    assert np.array_equal(pooled, want)
+
+
+class _NoPool:
+    def submit(self, *args, **kwargs):
+        raise AssertionError("the pool was used")
+
+
+@pytest.mark.parametrize("name", _PROFILES)
+def test_inputs_of_one_chunk_stay_in_the_calling_thread(name, monkeypatch):
+    monkeypatch.setattr(specfun, "_pool", (2, _NoPool()))
+    prof = getattr(specfun, name)
+    prof(0.3, 2.0)
+    prof(0.3, np.linspace(0.1, 800.0, specfun._CHUNK))
+    with pytest.raises(AssertionError, match="the pool was used"):
+        prof(0.3, np.linspace(0.1, 800.0, specfun._CHUNK + 1))
+
+
+def test_an_error_in_a_chunk_is_raised_once(profile_pool):
+    # two chunks overflow; the call raises the first chunk's NumericError
+    profile_pool(2)
+    t = np.ones(4 * specfun._CHUNK)
+    t[specfun._CHUNK + 7] = 1e-200
+    t[3 * specfun._CHUNK] = 1e-250
+    with pytest.raises(NumericError) as err:
+        specfun.profile_what(0.8, t)
+    assert err.value.diagnostics == {"t": 1e-200}
+
+
+def test_profile_pool_size(monkeypatch):
+    monkeypatch.setattr(specfun, "_pool", None)
+    monkeypatch.setenv("FYK_THREADS", "2")
+    threads, pool = specfun._profile_pool()
+    try:
+        assert threads == 2
+        assert specfun._profile_pool()[1] is pool  # made once
+    finally:
+        pool.shutdown()
+    monkeypatch.setattr(specfun, "_pool", None)
+    monkeypatch.setenv("FYK_THREADS", "1")
+    assert specfun._profile_pool() == (1, None)
+
+
+def test_concurrent_callers_share_one_pool(monkeypatch):
+    # more callers than cores and a short switch interval: the pool is made
+    # once, and every caller gets its own result, whole
+    monkeypatch.setattr(specfun, "_pool", None)
+    monkeypatch.setenv("FYK_THREADS", "4")
+    t = np.linspace(0.1, 50.0, 2 * specfun._CHUNK + 11)
+    want = _profile_formulas(0.3)["profile_phi"](t)
+    pools, results = [], [None] * 8
+
+    def call(k):
+        pools.append(specfun._profile_pool())
+        results[k] = specfun.profile_phi(0.3, t)
+
+    callers = [threading.Thread(target=call, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in callers:
+            th.start()
+        for th in callers:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    try:
+        assert not any(th.is_alive() for th in callers)
+        assert len({id(pool) for _, pool in pools}) == 1
+        assert all(np.array_equal(r, want) for r in results)
+    finally:
+        specfun._pool[1].shutdown()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+def test_pool_in_a_forked_child(monkeypatch):
+    monkeypatch.setattr(specfun, "_pool", None)
+    monkeypatch.setenv("FYK_THREADS", "2")
+    t = np.linspace(0.1, 50.0, 3 * specfun._CHUNK)
+    want = specfun.profile_phi(0.3, t)  # the parent's pool now exists
+
+    def child():
+        ok = np.array_equal(specfun.profile_phi(0.3, t), want)
+        os._exit(0 if ok else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    try:
+        assert not proc.is_alive(), "the child hung on the inherited pool"
+        assert proc.exitcode == 0
+    finally:
+        if proc.is_alive():
+            proc.kill()
+        specfun._pool[1].shutdown()
+
+
+def test_thread_count_from_the_environment(monkeypatch):
+    monkeypatch.delenv("FYK_THREADS", raising=False)
+    assert _threads.threads() == len(os.sched_getaffinity(0))
+    for raw, want in (("", len(os.sched_getaffinity(0))), ("3", 3), ("0", 1)):
+        monkeypatch.setenv("FYK_THREADS", raw)
+        assert _threads.threads() == want
+    monkeypatch.setenv("FYK_THREADS", "zebra")
+    with pytest.raises(ValueError, match="FYK_THREADS"):
+        _threads.threads()
 
 
 def test_sphere_area_values():
