@@ -10,13 +10,23 @@ near the trace, where solutions look like a(r) + b(r) z^(2g).
 Grid layout: r is cell-centered (faces at i*hr, no node on the axis), z is
 node-based with z = 0 on the grid.  The z = 0 row holds trace unknowns for
 flux/Robin problems and Dirichlet data for extension solves.
+
+Every finite-volume matrix here is a Kronecker sum
+L_r x diag(w_z) + diag(w_r) x L_z of two 1-D symmetric tridiagonal pencils,
+so the solves are separable (fast diagonalization, Lynch, Rice and Thomas
+1964): the eigenvectors of both pencils turn the 2-D solve into four dense
+products and a pointwise division.  The one non-separable term, the Robin
+diagonal on the trace row of the linearized problem, is added by a
+capacitance solve on the trace unknowns.  Each solve is still checked
+against the assembled sparse matrix (residual gate); SuperLU on that
+matrix is only a test oracle.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import LinAlgError, eigh_tridiagonal
-# eigsh is unused here; perfbench/tracing.py wraps solver.eigsh by name
+from scipy.linalg import LinAlgError, eigh_tridiagonal, solve
+# unused here; perfbench/tracing.py wraps solver.eigsh and solver.spsolve by name
 from scipy.sparse.linalg import eigsh, spsolve  # noqa: F401
 
 from . import bubble
@@ -120,6 +130,14 @@ def _radial_cell_volumes(grid, n):
     return np.diff(faces**n) / n
 
 
+def _slab_integrals(grid, ex):
+    """Exact integral of z^(ex-1) over each control-volume slab
+    [z_j - hz/2, z_j + hz/2] clipped to [0, z_max]."""
+    lo = np.maximum(grid.z - grid.hz / 2.0, 0.0)
+    hi = np.minimum(grid.z + grid.hz / 2.0, grid.z_max)
+    return (hi**ex - lo**ex) / ex
+
+
 def _flux_balance(t):
     """Tridiagonal flux balance of len(t) - 1 cells in a row.
 
@@ -142,6 +160,61 @@ def _radial_faces(h, cells, power):
     t[0] = 0.0
     t[-1] *= 2.0
     return t
+
+
+def _scaled_tridiagonal(L, w):
+    """Diagonal and off-diagonal of diag(w)^(-1/2) L diag(w)^(-1/2), the
+    symmetric standard form of the tridiagonal pencil (L, diag(w)), and the
+    scaling s = w^(-1/2)."""
+    s = 1.0 / np.sqrt(w)
+    return L.diagonal() * s * s, L.diagonal(1) * s[:-1] * s[1:], s
+
+
+def _fast_diag_solve(L_r, w_r, L_z, w_z, F, trace_diag=None):
+    """Solve (L_r x diag(w_z) + diag(w_r) x L_z + diag(trace_diag) x e0 e0') U = F
+    for U of shape (len(w_r), len(w_z)), i-major, by fast diagonalization.
+
+    With L_r X_r = diag(w_r) X_r diag(lam) and L_z X_z = diag(w_z) X_z diag(mu),
+    both eigenvector sets normalized in their mass, the Kronecker sum is
+    diagonal in X_r x X_z: U = X_r [(X_r' F X_z) / (lam_i + mu_j)] X_z'.  A
+    diagonal d = ``trace_diag`` on the row j = 0 is added by Woodbury: the
+    trace t = U[:, 0] solves (I + C diag(d)) t = t0 with t0 the trace of the
+    plain solve and C = X_r diag(c) X_r', c_i = sum_j X_z[0, j]^2 / (lam_i + mu_j),
+    and the plain solution loses the response to the trace source d t.
+    """
+    try:
+        d_r, e_r, s_r = _scaled_tridiagonal(L_r, w_r)
+        d_z, e_z, s_z = _scaled_tridiagonal(L_z, w_z)
+        lam, X_r = eigh_tridiagonal(d_r, e_r)
+        mu, X_z = eigh_tridiagonal(d_z, e_z)
+        X_r *= s_r[:, None]
+        X_z *= s_z[:, None]
+        denom = lam[:, None] + mu[None, :]
+        V = (X_r.T @ F @ X_z) / denom
+        if trace_diag is not None:
+            x0 = X_z[0]
+            C = (X_r * (x0**2 / denom).sum(axis=1)) @ X_r.T
+            t0 = X_r @ (V @ x0)
+            t = solve(np.eye(len(w_r)) + C * trace_diag[None, :], t0)
+            V -= np.outer(X_r.T @ (trace_diag * t), x0) / denom
+    except LinAlgError as exc:
+        raise NumericError("fast-diagonalization solve failed: %s" % exc) from exc
+    return X_r @ V @ X_z.T
+
+
+def _check_solution(what, A, u, f):
+    """Residual gate of a solve against its assembled sparse matrix."""
+    if not np.all(np.isfinite(u)):
+        raise NumericError(
+            "%s solve produced non-finite values" % what,
+            diagnostics={"nnz": A.nnz, "nunk": f.size},
+        )
+    res = float(np.linalg.norm(A @ u - f))
+    if res > 1e-8 * max(1.0, np.linalg.norm(f)):
+        raise NumericError(
+            "%s solve residual too large" % what,
+            diagnostics={"residual": res, "nunk": f.size},
+        )
 
 
 def apply_operator(idx, grid, field_arr):
@@ -257,39 +330,28 @@ def solve_extension(idx, grid, dirichlet_trace, boundary=None):
         np.asarray(boundary(grid.r_max, z), dtype=float).ravel(), (nz + 1,)
     ).copy()
 
-    # unknowns: u[i, j] for 0 <= i < nr, 1 <= j <= nz-1, i-major
-    nj = nz - 1
+    # unknowns: u[i, j] for 0 <= i < nr, 1 <= j <= nz-1, i-major; rows are
+    # scaled by the radial cell volumes, which makes the matrix the
+    # Kronecker sum L_r x diag(zw) + diag(vol) x L_z
     vol = _radial_cell_volumes(grid, n)
     t_r = _radial_faces(hr, nr, n - 1)
     tz = _vertical_transmissibility(z[:-1], z[1:], g) / hz**2
     zw = z[1:nz] ** (1.0 - 2.0 * g)
-    A = (
-        sparse.kron(sparse.diags(1.0 / vol) @ _flux_balance(t_r), sparse.diags(zw))
-        + sparse.kron(sparse.identity(nr), _flux_balance(tz))
-    ).tocsr()
+    L_r, L_z = _flux_balance(t_r), _flux_balance(tz)
 
     # Dirichlet data enters through the ghost faces of the boundary rows
-    rhs = np.zeros((nr, nj))
-    rhs[-1, :] += t_r[-1] / vol[-1] * zw * side[1:nz]
-    rhs[:, 0] += tz[0] * trace
-    rhs[:, -1] += tz[-1] * top
-    rhs = rhs.ravel()
-    u = spsolve(A, rhs)
-    if not np.all(np.isfinite(u)):
-        raise NumericError(
-            "extension solve produced non-finite values",
-            diagnostics={"nnz": A.nnz, "nunk": rhs.size},
-        )
-    res = np.linalg.norm(A @ u - rhs)
-    if res > 1e-8 * max(1.0, np.linalg.norm(rhs)):
-        raise NumericError(
-            "extension solve residual too large", diagnostics={"residual": res}
-        )
+    rhs = np.zeros((nr, nz - 1))
+    rhs[-1, :] += t_r[-1] * zw * side[1:nz]
+    rhs[:, 0] += vol * tz[0] * trace
+    rhs[:, -1] += vol * tz[-1] * top
+    u = _fast_diag_solve(L_r, vol, L_z, zw, rhs)
+    A = sparse.kron(L_r, sparse.diags(zw)) + sparse.kron(sparse.diags(vol), L_z)
+    _check_solution("extension", A.tocsr(), u.ravel(), rhs.ravel())
 
     out = np.empty((nr, nz + 1))
     out[:, 0] = trace
     out[:, nz] = top
-    out[:, 1:nz] = u.reshape(nr, nj)
+    out[:, 1:nz] = u
     return out
 
 
@@ -324,11 +386,11 @@ def rayleigh_lambda1(idx, R, resolution=96):
     L = _flux_balance(_radial_faces(hrho, nrho, a))
     mass = np.diff(rho_f ** (a + 1.0)) / (a + 1.0)  # int rho^a
     # symmetric scaling M^(-1/2) L M^(-1/2) keeps the pencil tridiagonal
-    s = 1.0 / np.sqrt(mass)
+    d, e, _ = _scaled_tridiagonal(L, mass)
     try:
         lam = eigh_tridiagonal(
-            L.diagonal() * s * s,
-            L.diagonal(1) * s[:-1] * s[1:],
+            d,
+            e,
             eigvals_only=True,
             select="i",
             select_range=(0, 0),
@@ -374,8 +436,7 @@ def green_asymptotics(idx, R, width=None, resolution=512):
     kappa = constants(idx).kappa
     L = 3.0 * R
     grid = WeightedGrid(L, L, resolution, resolution, 1.0 - 2.0 * g)
-    hr, hz = grid.hr, grid.hz
-    r, z = grid.r, grid.z
+    r = grid.r
     nr, nz = grid.nr, grid.nz
 
     # bump mollifier, unit mass in the discrete trace measure
@@ -388,8 +449,9 @@ def green_asymptotics(idx, R, width=None, resolution=512):
         raise DomainError("mollifier width unresolved by the grid")
     psi /= mass
 
-    flux = psi * vol / kappa  # prescribed weighted flux through z = 0, per cell
-    G = _solve_trace_flux(idx, grid, flux)
+    rhs = np.zeros((nr, nz))
+    rhs[:, 0] = psi * vol / kappa  # prescribed weighted flux through z = 0, per cell
+    G = _solve_trace_flux(idx, grid, rhs)
 
     trace = G[:, 0]
     sel = (r >= 4.0 * width) & (r <= R / 4.0)
@@ -404,29 +466,31 @@ def green_asymptotics(idx, R, width=None, resolution=512):
     return GreenFit(float(slope), float(np.exp(intercept)), r[sel], trace[sel])
 
 
+def _trace_flux_pencils(idx, grid):
+    """The two 1-D pencils of the trace-flux operator on the rows
+    j = 0..nz-1: it is L_r x diag(w_z) + diag(w_r) x L_z, returned as
+    (L_r, w_r, L_z, w_z).  w_r are the radial cell volumes, w_z the slab
+    integrals of z^(1-2g); the trace face z = 0 is natural, the far faces
+    r = r_max and z = z_max are zero Dirichlet."""
+    n, g = idx.n, idx.gamma
+    z, nz = grid.z, grid.nz
+    tz = np.concatenate(([0.0], _vertical_transmissibility(z[:-1], z[1:], g)))
+    L_r = _flux_balance(_radial_faces(grid.hr, grid.nr, n - 1))
+    L_z = _flux_balance(tz / grid.hz)
+    slab_w = _slab_integrals(grid, 2.0 - 2.0 * g)[:nz]
+    return L_r, _radial_cell_volumes(grid, n), L_z, slab_w
+
+
 def _trace_flux_matrix(idx, grid, zero_order=None):
     """FV matrix of -div(z^(1-2g) grad u) (+ zero-order term) on the rows
-    j = 0..nz-1, i-major: the trace face z = 0 is natural, the far faces
-    r = r_max and z = z_max are zero Dirichlet.  A Robin trace term is passed
-    as ``zero_order['trace']`` (diagonal coefficient per radial cell), a bulk
-    term as ``zero_order['bulk']``, a (nr, nz+1) diagonal addition.
+    j = 0..nz-1, i-major (see ``_trace_flux_pencils``).  A Robin trace term
+    is passed as ``zero_order['trace']`` (diagonal coefficient per radial
+    cell), a bulk term as ``zero_order['bulk']``, a (nr, nz+1) diagonal
+    addition.
     """
-    n, g = idx.n, idx.gamma
-    hr, hz = grid.hr, grid.hz
-    z = grid.z
     nr, nz = grid.nr, grid.nz
-    vol = _radial_cell_volumes(grid, n)
-    tz = np.concatenate(([0.0], _vertical_transmissibility(z[:-1], z[1:], g)))
-
-    # z-weight of each control volume slab (exact integral of z^(1-2g))
-    ex = 2.0 - 2.0 * g
-    slab_lo = np.maximum(z - hz / 2.0, 0.0)
-    slab_hi = np.minimum(z + hz / 2.0, grid.z_max)
-    slab_w = (slab_hi**ex - slab_lo**ex) / ex
-
-    L_r = _flux_balance(_radial_faces(hr, nr, n - 1))
-    A = sparse.kron(L_r, sparse.diags(slab_w[:nz]))
-    A = A + sparse.kron(sparse.diags(vol), _flux_balance(tz / hz))
+    L_r, vol, L_z, slab_w = _trace_flux_pencils(idx, grid)
+    A = sparse.kron(L_r, sparse.diags(slab_w)) + sparse.kron(sparse.diags(vol), L_z)
     if zero_order is not None:
         diag = np.zeros((nr, nz))
         if "trace" in zero_order:
@@ -437,25 +501,30 @@ def _trace_flux_matrix(idx, grid, zero_order=None):
     return A.tocsr()
 
 
-def _solve_trace_flux(idx, grid, cell_flux, zero_order=None, rhs_interior=None):
-    """FV solve with the matrix of ``_trace_flux_matrix`` and a prescribed
-    weighted flux through z = 0.  ``cell_flux`` enters the trace-row balance
-    as the incoming weighted flux (already multiplied by the radial cell
-    volume); ``rhs_interior`` is a (nr, nz+1) source already integrated over
-    control volumes.  Unknowns live on all rows j = 0..nz-1.
+def _solve_trace_flux(idx, grid, rhs, bulk_r=None, robin=None):
+    """FV solve with the matrix of ``_trace_flux_matrix``.  ``rhs`` is the
+    (nr, nz) right-hand side on the rows j = 0..nz-1, already integrated over
+    control volumes; a weighted flux prescribed through z = 0 enters its
+    trace row.  The zero-order terms are a separable bulk term
+    ``bulk_r[i] * w_z[j]`` and a Robin trace coefficient ``robin`` (per
+    radial cell, like ``zero_order['trace']``).  Returns the (nr, nz+1)
+    grid function, zero on the Dirichlet row j = nz.
     """
     nr, nz = grid.nr, grid.nz
-    A = _trace_flux_matrix(idx, grid, zero_order)
-    rhs = np.zeros((nr, nz))
-    if cell_flux is not None:
-        rhs[:, 0] += cell_flux
-    if rhs_interior is not None:
-        rhs += rhs_interior[:, :nz]
-    u = spsolve(A, rhs.ravel())
-    if not np.all(np.isfinite(u)):
-        raise NumericError("trace-flux solve produced non-finite values")
+    L_r, vol, L_z, slab_w = _trace_flux_pencils(idx, grid)
+    zero_order = {}
+    if bulk_r is not None:
+        L_r = L_r + sparse.diags(bulk_r)
+        zero_order["bulk"] = np.outer(bulk_r, slab_w)
+    trace_diag = None
+    if robin is not None:
+        trace_diag = vol * robin
+        zero_order["trace"] = robin
+    u = _fast_diag_solve(L_r, vol, L_z, slab_w, rhs, trace_diag)
+    A = _trace_flux_matrix(idx, grid, zero_order or None)
+    _check_solution("trace-flux", A, u.ravel(), rhs.ravel())
     out = np.zeros((nr, nz + 1))
-    out[:, :nz] = u.reshape(nr, nz)
+    out[:, :nz] = u
     return out
 
 
@@ -551,29 +620,22 @@ def solve_linearized(idx, pi, eps_hat, grid):
 
     # control-volume integration: radial volume x slab integral of z^(2-2g)
     vol = _radial_cell_volumes(grid, n)
-    ex = 3.0 - 2.0 * g
-    slab_lo = np.maximum(z - grid.hz / 2.0, 0.0)
-    slab_hi = np.minimum(z + grid.hz / 2.0, grid.z_max)
-    slab_z2 = (slab_hi**ex - slab_lo**ex) / ex  # integral of z^(2-2g)
+    slab_z2 = _slab_integrals(grid, 3.0 - 2.0 * g)
     safe = np.where(z > 0, z, 1.0)
     src_cells = vol[:, None] * slab_z2[None, :] * (source / safe[None, :])
     src_cells[:, 0] = 0.0  # the trace slab carries no volume source mass
 
-    # zero-order terms: angular eigenvalue 2n/r^2 in the bulk, Robin on trace
-    ex1 = 2.0 - 2.0 * g
-    slab_w = (slab_hi**ex1 - slab_lo**ex1) / ex1
+    # zero-order terms: angular eigenvalue 2n/r^2 in the bulk (the radial
+    # factor times the slab weights), Robin on the trace
     faces = np.arange(nr + 1) * grid.hr
     vol_m2 = np.diff(faces ** (n - 2.0)) / (n - 2.0)  # int r^(n-3)
-    bulk = 2.0 * n * vol_m2[:, None] * slab_w[None, :]
     w_tr = bubble._trace_radial(idx, r)
     robin = -((n + 2.0 * g) / m) * w_tr ** (4.0 * g / m) / kappa
     # lim z^(1-2g) dz psi = robin * psi(., 0); the outward bottom flux is the
     # negative of that limit, so the trace balance gains +robin on the LHS
     # diagonal (the coefficient is negative: the boundary term is attractive)
-    zero_order = {"bulk": bulk[:, : nz + 1], "trace": robin}
-
     psi = _solve_trace_flux(
-        idx, grid, None, zero_order=zero_order, rhs_interior=src_cells[:, : nz + 1]
+        idx, grid, src_cells[:, :nz], bulk_r=2.0 * n * vol_m2, robin=robin
     )
 
     result = LinearizedResult(psi=psi, grid=grid, pi=pi, eps_hat=eps_hat)

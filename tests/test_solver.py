@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import LinAlgError
+from scipy.sparse.linalg import spsolve
 
 from fyk import bubble, solver
 from fyk.bubble import HalfSpacePoint
-from fyk.errors import DomainError
+from fyk.errors import DomainError, NumericError
 from fyk.solver import SymmetricTensor, WeightedGrid
 from fyk.specfun import ProblemIndex, constants
 
@@ -331,3 +333,115 @@ def test_linearized_evaluate_angular_factor():
     v1 = res.evaluate(xy, 0.5)
     assert res.evaluate(yx, 0.5) == pytest.approx(-v1, rel=1e-12)
     assert res.evaluate(zz, 0.5) == 0.0
+
+
+# -- fast diagonalization against SuperLU -------------------------------------
+
+
+@pytest.fixture
+def captured(monkeypatch):
+    """Every (what, A, u, f) passed to the residual gate, in call order."""
+    calls = []
+    gate = solver._check_solution
+
+    def record(what, A, u, f):
+        calls.append((what, A, u.copy(), f.copy()))
+        return gate(what, A, u, f)
+
+    monkeypatch.setattr(solver, "_check_solution", record)
+    return calls
+
+
+def _assert_matches_superlu(calls, what):
+    # the fast solve agrees with SuperLU on the very matrix and right-hand
+    # side that its residual gate checks
+    assert [c[0] for c in calls] == [what]
+    _, A, u, f = calls[0]
+    ref = spsolve(A.tocsc(), f)
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (3, 0.02), (3, 0.98)])
+def test_extension_matches_superlu(captured, n, gamma):
+    idx = ProblemIndex(n, gamma)
+    grid = _grid(idx, 6.0, 64)
+    solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
+    _assert_matches_superlu(captured, "extension")
+
+
+@pytest.mark.parametrize("n,gamma", [(3, 0.5), (4, 0.3), (5, 0.7)])
+def test_green_matches_superlu(captured, n, gamma):
+    solver.green_asymptotics(ProblemIndex(n, gamma), R=2.0, resolution=128)
+    _assert_matches_superlu(captured, "trace-flux")
+
+
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7)])
+def test_linearized_with_robin_term_matches_superlu(captured, n, gamma):
+    idx = ProblemIndex(n, gamma)
+    _linearized(idx, cells=64, box=16.0)
+    _assert_matches_superlu(captured, "trace-flux")
+    # the gated matrix carries the separable bulk term on every row and the
+    # attractive (negative) Robin term on the trace row on top of it
+    grid = WeightedGrid(16.0, 16.0, 64, 64, 1.0 - 2.0 * gamma)
+    extra = (captured[0][1] - solver._trace_flux_matrix(idx, grid)).diagonal()
+    extra = extra.reshape(grid.nr, grid.nz)
+    slab_w = solver._trace_flux_pencils(idx, grid)[3]
+    bulk_r = extra[:, 1] / slab_w[1]
+    assert np.allclose(extra[:, 1:], np.outer(bulk_r, slab_w[1:]), rtol=1e-9, atol=0)
+    assert (extra[:, 0] - bulk_r * slab_w[0] < 0.0).all()
+
+
+def _solve_each(kind):
+    if kind == "extension":
+        idx = ProblemIndex(4, 0.3)
+        trace = lambda r: bubble._trace_radial(idx, r)
+        solver.solve_extension(idx, _grid(idx, 6.0, 32), trace)
+    elif kind == "green":
+        solver.green_asymptotics(ProblemIndex(3, 0.5), R=2.0, resolution=128)
+    else:
+        _linearized(ProblemIndex(4, 0.3), cells=32, box=8.0)
+
+
+@pytest.mark.parametrize("kind", ["extension", "green", "linearized"])
+def test_wrong_eigenvalue_trips_the_residual_gate(monkeypatch, kind):
+    eig = solver.eigh_tridiagonal
+
+    def wrong(d, e, **kw):
+        lam, X = eig(d, e, **kw)
+        lam = lam.copy()
+        lam[0] *= 1.01
+        return lam, X
+
+    monkeypatch.setattr(solver, "eigh_tridiagonal", wrong)
+    with pytest.raises(NumericError, match="residual") as info:
+        _solve_each(kind)
+    diag = info.value.diagnostics
+    assert diag["residual"] > 0.0 and diag["nunk"] > 0
+
+
+@pytest.mark.parametrize("kind", ["extension", "green", "linearized"])
+def test_failing_eigensolve_raises_numeric_error(monkeypatch, kind):
+    def fail(d, e, **kw):
+        raise LinAlgError("eigenvalue iteration did not converge")
+
+    monkeypatch.setattr(solver, "eigh_tridiagonal", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        _solve_each(kind)
+
+
+def test_singular_capacitance_raises_numeric_error(monkeypatch):
+    def singular(a, b):
+        raise LinAlgError("singular capacitance matrix")
+
+    monkeypatch.setattr(solver, "solve", singular)
+    with pytest.raises(NumericError, match="singular capacitance"):
+        _solve_each("linearized")
+
+
+def test_solves_do_not_call_superlu(monkeypatch):
+    def superlu(*args, **kw):
+        raise AssertionError("SuperLU called")
+
+    monkeypatch.setattr(solver, "spsolve", superlu)
+    for kind in ("extension", "green", "linearized"):
+        _solve_each(kind)
