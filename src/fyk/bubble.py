@@ -12,7 +12,20 @@ Two independent evaluation routes are provided for the extension:
   p_{n,g} z^(2g) / (|xbar - ybar|^2 + z^2)^((n+2g)/2).
 
 The tensor-grid evaluator ``radial_profiles`` shares one s-quadrature across
-all requested derivative fields, which keeps grid sweeps cheap.
+all requested derivative fields, which keeps grid sweeps cheap.  Two paired
+evaluators sum over s at matched points instead of on a tensor grid, so
+their cost grows with the number of points, not its square:
+``paired_profiles`` at points (r_k, z_k), and ``polar_profiles`` on arcs
+(r, z) = (rho sin t, rho cos t).  The latter rests on the scaling identity,
+from s = s'/rho,
+
+    W(rho sin t, rho cos t)
+      = D * int (s'/rho)^(n-1) what(s'/rho) e_nu(s' sin t) phi(s' cos t) ds'/rho:
+
+e_nu, e_(nu+1), phi and phi' are evaluated once on (s', t), and only the
+what-weights depend on rho.  The nodes s' are the outermost arc's s-rule
+scaled by its radius, so no arc sees more phase per panel than that rule
+resolves.  The three evaluators share their field formulas.
 
 The kernels e_nu and e_(nu+1) come together from ``_e_pair``.  Since n is an
 integer, nu is an integer or a half-integer, and the pair is run up from
@@ -52,11 +65,14 @@ __all__ = [
     "neumann_trace",
     "jacobi_field",
     "radial_profiles",
+    "paired_profiles",
+    "polar_profiles",
     "poisson_constant",
 ]
 
 _S_CUT = 45.0   # K_g(s) < 3e-20 beyond this; truncation is below fp noise
 _GAUSS_ORDER = 10
+_BLOCK = 2**17  # kernel values per block of paired points: two kv chunks for the pool
 
 
 @dataclass(frozen=True)
@@ -136,9 +152,10 @@ def _e_pair(nu, u):
     return e0, e1
 
 
-@lru_cache(maxsize=64)
-def _s_rule(n, gamma, rmax_key):
-    """Cached s-quadrature plus precomputed what-weights for one index.
+@lru_cache(maxsize=16)
+def _s_nodes(rmax_key):
+    """Nodes and raw weights of the s-quadrature; they do not depend on the
+    index, so ``polar_profiles`` can rescale them.
 
     ``rmax_key`` bounds the largest r the rule must resolve: panel widths are
     chosen so each panel sees at most a few oscillations of e_nu(s r).
@@ -148,20 +165,88 @@ def _s_rule(n, gamma, rmax_key):
     inner = graded_edges(0.0, min(1.0, _S_CUT), width / 4.0, ratio=1.5, h_max=width)
     outer = np.arange(inner[-1], _S_CUT + width, width)
     edges = np.unique(np.concatenate([inner, outer]))
-    s, ws = gauss_panels(edges, _GAUSS_ORDER)
-    idx = ProblemIndex(n, gamma)
+    return gauss_panels(edges, _GAUSS_ORDER)
+
+
+def _what_weights(idx, s, ws):
+    """The quadrature weights ``ws`` at the nodes ``s`` (any shape) times the
+    calibrated s-integrand factor D s^(n-1) what(s)."""
+    n, g = idx.n, idx.gamma
     what = profile_what(idx, s)
     # calibration: W(0,0) = alpha forces D * int s^(n-1) what(s) ds = alpha,
     # and the s-integral has the closed form 2^(n-g-2) Gamma(m/2) Gamma(n/2)
     m = idx.m
-    i0 = 2.0 ** (n - gamma - 2.0) * math.gamma(m / 2.0) * math.gamma(n / 2.0)
+    i0 = 2.0 ** (n - g - 2.0) * math.gamma(m / 2.0) * math.gamma(n / 2.0)
     D = constants(idx).alpha / i0
-    return s, ws * D * s ** (n - 1) * what
+    return ws * D * s ** (n - 1) * what
+
+
+@lru_cache(maxsize=64)
+def _s_rule(n, gamma, rmax_key):
+    """Cached s-quadrature plus precomputed what-weights for one index."""
+    s, ws = _s_nodes(rmax_key)
+    return s, _what_weights(ProblemIndex(n, gamma), s, ws)
 
 
 def _rmax_key(rmax):
     """Bucket rmax to a power of two so the lru cache is effective."""
     return float(2.0 ** math.ceil(math.log2(max(rmax, 1.0))))
+
+
+def _profile_fields(idx, s, kw, kernels, uz, fields, contract):
+    """The requested fields as s-sums, reduced by ``contract``.
+
+    Every field is  sum_i c_i kernel(ur_i) profile(uz_i)  with a coefficient
+    c = kw * (a power of s), kernel e_nu or e_(nu+1) from ``kernels``, the
+    pair ``_e_pair(nu, ur)``, and profile phi or phi' at uz.  The caller
+    evaluates the kernels, so that ur is freed before the profiles are
+    evaluated.  ``contract(c, kernel, profile)`` does the sum over the
+    s-axis (the first axis on a tensor grid, the last at paired points).
+    """
+    nu = idx.n / 2.0 - 1.0
+    Ev, Ev1 = kernels
+    Ph = profile_phi(idx, uz)
+    out = {}
+    if "W" in fields:
+        out["W"] = contract(kw, Ev, Ph)
+    if "Wr_over_r" in fields:
+        out["Wr_over_r"] = contract(-(kw * s**2 / (2.0 * (nu + 1.0))), Ev1, Ph)
+    if "lap_tan" in fields:
+        out["lap_tan"] = contract(-(kw * s**2), Ev, Ph)
+    if "Wz" in fields:
+        if np.any(uz <= 0.0):
+            raise DomainError("Wz requires z > 0")
+        out["Wz"] = contract(kw * s, Ev, profile_phi_prime(idx, uz))
+    if "W_minus_w" in fields:
+        out["W_minus_w"] = contract(kw, Ev, Ph - 1.0)
+    return out
+
+
+def _tensor_contract(c, kernel, profile):
+    return (kernel * c[:, None]).T @ profile
+
+
+def _paired_contract(c, kernel, profile):
+    # numpy sums the contiguous last axis pairwise: a few ulps of rounding,
+    # where a BLAS matrix-vector product sums the s-axis term by term
+    return (c[..., None, :] * (kernel * profile)).sum(axis=-1)
+
+
+def _paired_fields(idx, s, kw, s0, r, z, fields):
+    """``_profile_fields`` at the paired points (r[k], z[k]), with the
+    kernels at s0 r and the profiles at s0 z, in blocks of points: each
+    point's sum is independent of the others, and a block of _BLOCK values
+    bounds the temporaries of ``_e_pair`` and the profiles."""
+    nu = idx.n / 2.0 - 1.0
+    step = max(1, _BLOCK // s0.size)
+    parts = [
+        _profile_fields(
+            idx, s, kw, _e_pair(nu, np.outer(r[i : i + step], s0)),
+            np.outer(z[i : i + step], s0), fields, _paired_contract,
+        )
+        for i in range(0, max(r.size, 1), step)
+    ]
+    return {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
 
 
 def radial_profiles(idx, r, z, fields=("W",)):
@@ -179,29 +264,48 @@ def radial_profiles(idx, r, z, fields=("W",)):
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    n, nu = idx.n, idx.n / 2.0 - 1.0
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
+    kernels = _e_pair(idx.n / 2.0 - 1.0, np.outer(s, r))
+    return _profile_fields(idx, s, kw, kernels, np.outer(s, z), fields, _tensor_contract)
 
-    Ev, Ev1 = _e_pair(nu, np.outer(s, r))
 
-    sz = np.outer(s, z)
-    Ph = profile_phi(idx, sz)
+def paired_profiles(idx, r, z, fields=("W",)):
+    """The fields of ``radial_profiles`` at the paired points (r[k], z[k]).
 
-    out = {}
-    if "W" in fields:
-        out["W"] = (Ev * kw[:, None]).T @ Ph
-    if "Wr_over_r" in fields:
-        out["Wr_over_r"] = -(Ev1 * (kw * s**2 / (2.0 * (nu + 1.0)))[:, None]).T @ Ph
-    if "lap_tan" in fields:
-        out["lap_tan"] = -(Ev * (kw * s**2)[:, None]).T @ Ph
-    if "Wz" in fields:
-        if np.any(z <= 0.0):
-            raise DomainError("Wz requires z > 0")
-        Phd = profile_phi_prime(idx, sz)
-        out["Wz"] = (Ev * (kw * s)[:, None]).T @ Phd
-    if "W_minus_w" in fields:
-        out["W_minus_w"] = (Ev * kw[:, None]).T @ (Ph - 1.0)
-    return out
+    ``r`` and ``z`` are 1-D arrays of one length; returns a dict of 1-D
+    arrays.  All points share one s-rule, keyed on the largest r, and each
+    field is summed over s point by point, so the cost grows with N, not N^2.
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    if r.shape != z.shape or r.ndim != 1:
+        raise DomainError("paired r and z must be 1-D arrays of one length")
+    s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
+    return _paired_fields(idx, s, kw, s, r, z, fields)
+
+
+def polar_profiles(idx, rho, theta, fields=("W",)):
+    """The fields of ``radial_profiles`` on arcs: at (r, z) =
+    (rho[a] sin theta[t], rho[a] cos theta[t]), as (len(rho), len(theta))
+    arrays.  ``rho`` > 0 and 0 <= ``theta`` <= pi/2 (< pi/2 for ``Wz``).
+
+    With s = s'/rho every arc shares the kernel and profile values
+    e_nu(s' sin theta) and phi(s' cos theta); only the what-weights depend
+    on rho (see the module docstring).
+    """
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if rho.ndim != 1 or theta.ndim != 1 or not (rho.size and rho.min() > 0.0):
+        raise DomainError("polar_profiles needs a nonempty 1-D rho > 0 and 1-D theta")
+    top = rho.max()
+    s0, ws0 = _s_nodes(_rmax_key(top))
+    # the outermost arc keeps the rule radial_profiles would use there
+    scale = (top / rho)[:, None]
+    s = scale * s0
+    kw = _what_weights(idx, s, scale * ws0)
+    return _paired_fields(
+        idx, s, kw, s0, top * np.sin(theta), top * np.cos(theta), fields
+    )
 
 
 def extension_gamma_half(idx, r, z, lam=1.0):
@@ -319,13 +423,11 @@ def jacobi_field(idx, k, x, delta=1e-4):
 
 
 def dilation_field(idx, r, z, f):
-    """Z^0 = r W_r + z W_z + (m/2) W on the (r, z) tensor grid, from the
-    ``W``, ``Wr_over_r`` and ``Wz`` fields of ``radial_profiles`` there."""
-    return (
-        r[:, None] ** 2 * f["Wr_over_r"]
-        + z[None, :] * f["Wz"]
-        + 0.5 * idx.m * f["W"]
-    )
+    """Z^0 = r W_r + z W_z + (m/2) W from the ``W``, ``Wr_over_r`` and ``Wz``
+    fields of ``radial_profiles`` or ``polar_profiles``, at points (r, z)
+    that broadcast against them (r[:, None] and z[None, :] on a tensor
+    grid)."""
+    return r**2 * f["Wr_over_r"] + z * f["Wz"] + 0.5 * idx.m * f["W"]
 
 
 def jacobi_field_radial(idx, r, z):
@@ -334,4 +436,4 @@ def jacobi_field_radial(idx, r, z):
     r = np.atleast_1d(np.asarray(r, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
     f = radial_profiles(idx, r, z, ("W", "Wr_over_r", "Wz"))
-    return dilation_field(idx, r, z, f)
+    return dilation_field(idx, r[:, None], z[None, :], f)

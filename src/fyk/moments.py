@@ -253,30 +253,35 @@ def _grid_rules(idx, R):
     z, wz = gauss_panels(z_edges, 10)
     return r, wr, z, wz
 
-def _field_pack(idx, r, z):
-    """All integrand building blocks on a tensor grid (z > 0)."""
-    f = bubble.radial_profiles(idx, r, z, ("W", "Wr_over_r", "Wz", "lap_tan"))
-    f["Wr"] = r[:, None] * f["Wr_over_r"]
+_FIELDS = ("W", "Wr_over_r", "Wz", "lap_tan")
+
+
+def _field_pack(idx, r, z, f):
+    """Complete the fields ``f`` at the points (r, z), which broadcast
+    against f's arrays, with the integrand building blocks Wr and Z0."""
+    f["Wr"] = r * f["Wr_over_r"]
     f["Z0"] = bubble.dilation_field(idx, r, z, f)
     return f
 
 
-def _nine_integrands(idx, r, z, f):
-    """Pointwise integrand values as (z_exponent, 2-D array) pairs: the nine
-    quadratic integrals first, then the three combined functionals.  The
-    r^(n-1) area factor and the z-power weights are applied by the caller."""
+def _nine_integrands(idx, r, f):
+    """Pointwise integrand values as (z_exponent, array) pairs: the nine
+    quadratic integrals first, then the three combined functionals.  ``r``
+    broadcasts against the arrays of ``f``: r[:, None] on a tensor grid, the
+    paired radii on arcs.  The r^(n-1) area factor and the z-power weights
+    are applied by the caller."""
     g = idx.gamma
     n = idx.n
     Wrr = f["lap_tan"] - (n - 1) * f["Wr_over_r"]
     vals = [
         (1.0 - 2 * g, f["W"] ** 2),
-        (1.0 - 2 * g, r[:, None] * f["W"] * f["Wr"]),
+        (1.0 - 2 * g, r * f["W"] * f["Wr"]),
         (2.0 - 2 * g, f["W"] * f["Wz"]),
-        (2.0 - 2 * g, r[:, None] * f["Wr"] * f["Wz"]),
+        (2.0 - 2 * g, r * f["Wr"] * f["Wz"]),
         (3.0 - 2 * g, f["W"] * f["lap_tan"]),
         (3.0 - 2 * g, f["Wr"] ** 2),
         (3.0 - 2 * g, f["Wz"] ** 2),
-        (3.0 - 2 * g, r[:, None] * f["Wr"] * Wrr),
+        (3.0 - 2 * g, r * f["Wr"] * Wrr),
         (4.0 - 2 * g, f["Wz"] * f["lap_tan"]),
         # combined functionals against the dilation field
         (3.0 - 2 * g, f["lap_tan"] * f["Z0"]),
@@ -284,6 +289,15 @@ def _nine_integrands(idx, r, z, f):
         (1.0 - 2 * g, f["W"] * f["Z0"]),
     ]
     return vals
+
+
+def _tail_theta_rule():
+    """The tail's polar-angle rule: split at pi/4 (the square-complement
+    boundary radius has a kink there) and graded toward the equator, where
+    the z-power weights are not smooth (and singular for g > 1/2)."""
+    dist = 0.25 * math.pi * 0.55 ** np.arange(18)
+    th_edges = np.concatenate([[0.0], 0.5 * math.pi - dist, [0.5 * math.pi]])
+    return gauss_panels(th_edges, 12)
 
 
 def _integrals_direct(idx, R=None):
@@ -294,35 +308,37 @@ def _integrals_direct(idx, R=None):
     n, g = idx.n, idx.gamma
     S = sphere_area(n)
     r, wr, z, wz = _grid_rules(idx, R)
-    f = _field_pack(idx, r, z)
-    packs = _nine_integrands(idx, r, z, f)
+    rc, zc = r[:, None], z[None, :]
+    f = _field_pack(idx, rc, zc, bubble.radial_profiles(idx, r, z, _FIELDS))
+    packs = _nine_integrands(idx, rc, f)
     area_r = wr * r ** (n - 1)
     core = np.array([S * (area_r @ F @ (wz * z**pz)) for pz, F in packs])
 
     # tail over the complement of the square [0,R]^2: per polar angle, fit the
-    # radial profile of each integrand to a + b*rho^-2 on three sample arcs
-    # (shared homogeneity degree 2g - n) and integrate the fit outward
-    # theta rule: split at pi/4 (the square-complement boundary radius has a
-    # kink there) and grade toward the equator, where the z-power weights are
-    # not smooth (and singular for g > 1/2)
-    dist = 0.25 * math.pi * 0.55 ** np.arange(18)
-    th_edges = np.concatenate([[0.0], 0.5 * math.pi - dist, [0.5 * math.pi]])
-    th, wth = gauss_panels(th_edges, 12)
+    # radial profile of each integrand to its leading power rho^(-q) times a
+    # sum of the correction powers below, on five sample arcs, and integrate
+    # the fit outward
+    th, wth = _tail_theta_rule()
     arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
     q = n - 2.0 * g  # F_total ~ rho^(-q) g(theta), with F_total = F * r^(n-1) z^pz
-    samples = np.empty((len(packs), arcs.size, th.size))
-    for ia, rho in enumerate(arcs):
-        ra = rho * np.sin(th)
-        za = rho * np.cos(th)
-        fa = _field_pack(idx, ra, za)
-        pa = _nine_integrands(idx, ra, za, fa)
-        for k, (pz, F) in enumerate(pa):
-            samples[k, ia] = np.diagonal(F) * ra ** (n - 1) * za**pz
+    # all five arcs from one evaluation: polar_profiles rescales a single
+    # s-rule to each radius, so kernels and profiles are shared
+    ra = arcs[:, None] * np.sin(th)
+    za = arcs[:, None] * np.cos(th)
+    fa = _field_pack(idx, ra, za, bubble.polar_profiles(idx, arcs, th, _FIELDS))
+    samples = np.array(
+        [F * ra ** (n - 1) * za**pz for pz, F in _nine_integrands(idx, ra, fa)]
+    )
     tails = np.empty(len(packs))
     rho0 = R / np.maximum(np.sin(th), np.cos(th))
-    # correction exponents of the radial profile: inversion of the extension
-    # gives relative corrections rho^(-2g), rho^(-4g), rho^(-2), ...
-    expos = np.unique(np.round(np.array([0.0, 2.0 * g, 4.0 * g, 2.0]), 12))
+    # correction exponents of the radial profile.  The inversion
+    # W(x) = |x|^(-m) W(x/|x|^2) maps the far field to the trace expansion
+    # W ~ w + c z^(2g) + d z^2 near the origin, with |x|^(-1) in place of the
+    # distance to it: W has relative corrections rho^(-2g) and rho^(-2)
+    # (the Taylor term of w and d z^2), a product of two fields adds
+    # rho^(-4g), and W_z ~ 2g c z^(2g-1) + 2 d z adds rho^(-(2-2g))
+    expos = np.array([0.0, 2.0 * g, 4.0 * g, 2.0, 2.0 - 2.0 * g])
+    expos = np.unique(np.round(expos, 12))
     X = arcs[:, None] ** (-expos[None, :])
     for k in range(len(packs)):
         Y = samples[k] * arcs[:, None] ** q

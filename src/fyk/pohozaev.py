@@ -62,22 +62,17 @@ class BubbleExtensionField:
         self.idx = idx
         self._half = abs(idx.gamma - 0.5) < 1e-14
 
+    def _profiles(self, r, z, fields):
+        """The bubble fields at the paired points (r, z), in their
+        broadcast shape, from one s-rule keyed on the largest r."""
+        r, z = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(z, dtype=float))
+        f = bubble.paired_profiles(self.idx, r.ravel(), z.ravel(), fields)
+        return r, {k: v.reshape(r.shape) for k, v in f.items()}
+
     def value(self, r, z):
-        r = np.asarray(r, dtype=float)
-        z = np.asarray(z, dtype=float)
         if self._half:
             return bubble.extension_gamma_half(self.idx, r, z)
-        flat_r = np.atleast_1d(r).ravel()
-        flat_z = np.atleast_1d(z).ravel()
-        out = np.array(
-            [
-                bubble.radial_profiles(self.idx, np.array([ri]), np.array([zi]), ("W",))[
-                    "W"
-                ][0, 0]
-                for ri, zi in zip(flat_r, flat_z)
-            ]
-        )
-        return out.reshape(np.broadcast(r, z).shape)
+        return self._profiles(r, z, ("W",))[1]["W"]
 
     def grad(self, r, z):
         r = np.asarray(r, dtype=float)
@@ -89,18 +84,8 @@ class BubbleExtensionField:
             den = u**2 + r**2
             W = alpha * den ** (-q)
             return -2.0 * q * r * W / den, -2.0 * q * u * W / den
-        flat_r = np.atleast_1d(r).ravel()
-        flat_z = np.atleast_1d(z).ravel()
-        gr = np.empty(flat_r.size)
-        gz = np.empty(flat_r.size)
-        for i, (ri, zi) in enumerate(zip(flat_r, flat_z)):
-            f = bubble.radial_profiles(
-                self.idx, np.array([ri]), np.array([zi]), ("Wr_over_r", "Wz")
-            )
-            gr[i] = ri * f["Wr_over_r"][0, 0]
-            gz[i] = f["Wz"][0, 0]
-        shape = np.broadcast(r, z).shape
-        return gr.reshape(shape), gz.reshape(shape)
+        r, f = self._profiles(r, z, ("Wr_over_r", "Wz"))
+        return r * f["Wr_over_r"], f["Wz"]
 
     def trace(self, r):
         return bubble._trace_radial(self.idx, r)

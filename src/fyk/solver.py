@@ -612,7 +612,11 @@ def solve_linearized(idx, pi, eps_hat, grid):
     r, z = grid.r, grid.z
     nr, nz = grid.nr, grid.nz
 
-    prof = bubble.radial_profiles(idx, r, z, fields=("Wr_over_r", "lap_tan"))
+    # one evaluation serves the source and the diagnostics; Wz needs z > 0,
+    # so the trace row takes z[1], which the source multiplies by z = 0 and
+    # the diagnostics' weight masks
+    z_pos = np.where(z > 0, z, z[1])
+    prof = bubble.radial_profiles(idx, r, z_pos, fields=("Wr_over_r", "Wz", "lap_tan"))
     # pi_ij d_ij W = (W_rr - W_r/r) * angular for trace-free pi
     src_radial = prof["lap_tan"] - n * prof["Wr_over_r"]
     rho = np.sqrt(r[:, None] ** 2 + z[None, :] ** 2)
@@ -639,13 +643,14 @@ def solve_linearized(idx, pi, eps_hat, grid):
     )
 
     result = LinearizedResult(psi=psi, grid=grid, pi=pi, eps_hat=eps_hat)
-    _diagnose(idx, result)
+    _diagnose(idx, result, prof)
     return result
 
 
-def _diagnose(idx, result):
+def _diagnose(idx, result, prof):
     """Report the kernel components pinned at the origin and the
-    orthogonality residuals."""
+    orthogonality residuals; ``prof`` holds the bubble's ``Wr_over_r`` and
+    ``Wz`` on the grid, with the trace row at z[1]."""
     n, g = idx.n, idx.gamma
     m = idx.m
     grid = result.grid
@@ -667,8 +672,6 @@ def _diagnose(idx, result):
 
     # orthogonality residuals: angular factor x radial energy integral
     ang = sphere_area(n) * np.trace(result.pi.entries) / n
-    z_pos = np.where(z > 0, z, z[1])  # Wz row 0 is masked by the weight
-    prof = bubble.radial_profiles(idx, r, z_pos, fields=("W", "Wr_over_r", "Wz"))
     wr = r[:, None] * prof["Wr_over_r"]
     wz = prof["Wz"]
     psi = result.psi

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fyk import bubble
+from fyk import bubble, moments
 from fyk.bubble import BubbleParams, HalfSpacePoint
 from fyk.errors import DomainError
 from fyk.specfun import ProblemIndex, constants
@@ -266,3 +266,56 @@ def test_extension_large_r_agreement():
         a = bubble.extension(idx, p, x, route="fourier_bessel")
         b = bubble.extension(idx, p, x, route="poisson_kernel")
         assert abs(a / b - 1.0) <= 1e-7
+
+
+# -- paired and polar evaluation ----------------------------------------------
+
+
+_FIELDS = ("W", "Wr_over_r", "Wz", "lap_tan")
+
+
+@pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8), (5, 0.7), (4, 0.3)])
+def test_polar_profiles_match_tensor_diagonal(n, gamma):
+    # the arcs of the direct route: one radius-scaled s-rule against the
+    # tensor grid on each arc, whose rule is keyed on that arc's radius
+    idx = ProblemIndex(n, gamma)
+    alpha = constants(idx).alpha
+    R = 40.0 if n - 2.0 * gamma > 4.0 else 64.0
+    arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
+    th = moments._tail_theta_rule()[0][::4]  # every fourth node
+    got = bubble.polar_profiles(idx, arcs, th, _FIELDS)
+    for a, rho in enumerate(arcs):
+        want = bubble.radial_profiles(idx, rho * np.sin(th), rho * np.cos(th), _FIELDS)
+        # the rules share their graded panels at s -> 0 on the outer arc,
+        # and at R/2 when R is a power of two (R = 64 here); elsewhere the
+        # two differ at the Fourier-Bessel accuracy floor
+        same_start = rho == R or (R == 64.0 and rho == R / 2)
+        bound = (1e-15 if same_start else 1e-9) * alpha
+        for k in _FIELDS:
+            assert got[k].shape == (arcs.size, th.size)
+            assert np.abs(got[k][a] - np.diagonal(want[k])).max() <= bound, (rho, k)
+
+
+def test_paired_profiles_match_tensor_diagonal():
+    idx = ProblemIndex(5, 0.7)
+    r = np.array([0.0, 0.3, 1.7, 2.5])
+    z = np.array([0.2, 1.1, 0.05, 3.0])
+    got = bubble.paired_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
+    want = bubble.radial_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
+    for k, v in got.items():
+        assert v.shape == r.shape
+        assert np.abs(v - np.diagonal(want[k])).max() <= 1e-15 * np.abs(want[k]).max()
+
+
+def test_paired_and_polar_profiles_reject_bad_input():
+    idx = ProblemIndex(4, 0.3)
+    with pytest.raises(DomainError):
+        bubble.paired_profiles(idx, np.ones(3), np.ones(2))
+    with pytest.raises(DomainError):
+        bubble.paired_profiles(idx, np.ones(2), np.array([1.0, 0.0]), ("Wz",))
+    with pytest.raises(DomainError):
+        bubble.polar_profiles(idx, np.array([1.0, 0.0]), np.array([0.3]))
+    with pytest.raises(DomainError):
+        bubble.polar_profiles(idx, np.array([]), np.array([0.3]))
+    with pytest.raises(DomainError):
+        bubble.polar_profiles(idx, np.array([1.0]), np.array([0.5 * math.pi + 0.1]), ("Wz",))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fyk import moments
+from fyk import bubble, moments
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import (
     ProblemIndex,
@@ -180,3 +180,39 @@ def test_c0_positive_and_scales():
         iset = moments.compute_integrals(ProblemIndex(n, g))
         assert iset.C0 > 0.0
         assert iset.I.shape == (9,)
+
+
+def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
+    # the five tail arcs share one kernel and profile evaluation: besides the
+    # core grid, phi and phi' each see S x N_theta points, not a tensor grid
+    # per arc
+    R = 8.0
+    seen = {"profile_phi": [], "profile_phi_prime": []}
+    for name in seen:
+        original = getattr(bubble, name)
+
+        def spy(idx, t, original=original, name=name):
+            seen[name].append(np.shape(t))
+            return original(idx, t)
+
+        monkeypatch.setattr(bubble, name, spy)
+    idx = ProblemIndex(5, 0.7)
+    moments._integrals_direct(idx, R=R)
+    _, _, z, _ = moments._grid_rules(idx, R)
+    # the core grid and the outer arc both key their s-rule on R; the arcs'
+    # (theta, s) values come in blocks of theta
+    S = bubble._s_nodes(bubble._rmax_key(R))[0].size
+    n_theta = moments._tail_theta_rule()[0].size
+    for name, shapes in seen.items():
+        assert shapes[0] == (S, z.size), name
+        assert all(cols == S for _, cols in shapes[1:]), name
+        assert sum(rows for rows, _ in shapes[1:]) == n_theta, name
+
+
+@pytest.mark.parametrize("n,gamma,bound", [(7, 0.25, 1e-9), (4, 0.3, 3e-6)])
+def test_direct_route_accuracy(n, gamma, bound):
+    # the tail fit carries the far-field exponent set 0, 2g, 4g, 2, 2 - 2g
+    idx = ProblemIndex(n, gamma)
+    iset = moments.compute_integrals(idx, method="direct_2d")
+    want = moments.closed_form_ratios(idx)
+    assert np.abs(iset.I / iset.C0 / want - 1.0).max() <= bound

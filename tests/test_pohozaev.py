@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fyk import moments, pohozaev
+from fyk import bubble, moments, pohozaev
 from fyk.errors import DomainError
 from fyk.pohozaev import BubbleExtensionField, PowerField
 from fyk.specfun import ProblemIndex, constants, sphere_area
@@ -127,3 +127,24 @@ def test_local_sign_bound_shape():
         pohozaev.local_sign_bound(idx, -1.0, 1.0, Cs, 0.5)
     with pytest.raises(DomainError):
         pohozaev.local_sign_bound(idx, 1.0, 1.0, Cs, 0.0)
+
+
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (7, 0.25)])
+def test_bubble_field_matches_one_point_evaluation(n, gamma):
+    # value/grad on an array share one s-rule keyed on the largest r; with
+    # every r <= 1 that is the rule of each one-point call as well
+    idx = ProblemIndex(n, gamma)
+    field = BubbleExtensionField(idx)
+    r = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    z = np.array([0.01, 0.3, 0.9, 2.5])
+    W = field.value(r, z)
+    gr, gz = field.grad(r, z)
+    assert W.shape == gr.shape == gz.shape == (3, 4)
+    for (i, j), ri in np.ndenumerate(r):
+        f = bubble.radial_profiles(idx, [ri], [z[j]], ("W", "Wr_over_r", "Wz"))
+        for got, want in (
+            (W[i, j], f["W"][0, 0]),
+            (gr[i, j], ri * f["Wr_over_r"][0, 0]),
+            (gz[i, j], f["Wz"][0, 0]),
+        ):
+            assert abs(got - want) <= 1e-15 * abs(want), (ri, z[j])
