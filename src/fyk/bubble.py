@@ -27,6 +27,24 @@ what-weights depend on rho.  The nodes s' are the outermost arc's s-rule
 scaled by its radius, so no arc sees more phase per panel than that rule
 resolves.  The three evaluators share their field formulas.
 
+Every term of a field is  c(s) e(s r) p(s z)  with |e| <= 1 (DLMF 10.14.4),
+|c(s)| <= |kw| max(1, s^2) for the weights kw = D s^(n-1) what(s) ds, and p
+phi or phi', both bounded by  Phibar(t) = d1 sqrt(pi/2) t^(g-1/2) e^(-t)
+(1 + 1/t)  (``specfun.profile_decay_bound``; K_nu asymptotics, DLMF 10.40).
+The evaluators cut each point's s-sum where that bound makes the terms
+negligible: with b(s) the nonincreasing envelope of |kw| max(1, s^2) (on
+arcs also the max over arcs) and tau = 1e-20 sum |kw|, a node is kept while
+s z < 1 or b(s) Phibar(s z) >= tau.  The test is monotone in s, so the kept
+nodes are a prefix, found by bisection.  phi and phi' (and, at paired points,
+the kernels) are evaluated on that prefix only and are exactly 0 past it;
+the sums still run over every node in the same order.  sum |kw| is the
+calibration mass alpha, so each dropped term is below 1e-20 alpha and the
+at most ~6000 of them below 1e-16 alpha, the rounding floor of the sums
+(on the direct route's grids the dropped mass is at most 7e-19 alpha per
+point).  W_minus_w uses phi - 1, which reads -1 at a dropped node; its
+error is the dropped phi term alone, but its kernels are needed at every
+node.  On the direct route's core grid about half the profile points stay.
+
 The kernels e_nu and e_(nu+1) come together from ``_e_pair``.  Since n is an
 integer, nu is an integer or a half-integer, and the pair is run up from
 e_0 = J_0(u), e_1 = 2 J_1(u)/u (Cephes ``j0``/``j1``) or from
@@ -50,6 +68,7 @@ from .errors import DomainError, NumericError
 from .specfun import (
     ProblemIndex,
     constants,
+    profile_decay_bound,
     profile_phi,
     profile_phi_prime,
     profile_what,
@@ -71,8 +90,12 @@ __all__ = [
 ]
 
 _S_CUT = 45.0   # K_g(s) < 3e-20 beyond this; truncation is below fp noise
+# s-terms below _TAU times sum |kw| (the calibration mass, alpha) are not
+# evaluated; see the module docstring
+_TAU = 1e-20
 _GAUSS_ORDER = 10
-_BLOCK = 2**17  # kernel values per block of paired points: two kv chunks for the pool
+_BLOCK = 2**17  # kernel values per block of paired points: at most two kv chunks for the pool
+_KERNEL_BLOCK = 2**16  # kernel values per block of the tensor grid's _e_pair
 
 
 @dataclass(frozen=True)
@@ -193,19 +216,69 @@ def _rmax_key(rmax):
     return float(2.0 ** math.ceil(math.log2(max(rmax, 1.0))))
 
 
-def _profile_fields(idx, s, kw, kernels, uz, fields, contract):
+def _check_points(r, z, fields):
+    """Reject points the s-sums cannot take: NaN or infinite coordinates,
+    negative r or z, and z = 0 where Wz is requested."""
+    if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
+        raise DomainError("r and z must be finite")
+    if np.any(r < 0.0) or np.any(z < 0.0):
+        raise DomainError("r and z must be nonnegative")
+    if "Wz" in fields and np.any(z <= 0.0):
+        raise DomainError("Wz requires z > 0")
+
+
+def _live_counts(idx, s, kw, s0, z):
+    """For each point z[k], how many leading s-nodes carry terms that can
+    matter: those with s0 z < 1 or b(s) * profile_decay_bound(s0 z) >= tau
+    (see the module docstring).  ``s`` and ``kw`` have s0's length on their
+    last axis and may carry a leading axis of arcs; the envelope b takes the
+    max over it.  The test is monotone in s, so a bisection per point finds
+    the prefix."""
+    b = (np.abs(kw) * np.maximum(1.0, s * s)).reshape(-1, s0.size).max(axis=0)
+    b = np.maximum.accumulate(b[::-1])[::-1]
+    tau = _TAU * np.abs(kw).sum(axis=-1).min()
+    lo = np.zeros(z.shape, dtype=np.intp)
+    hi = np.full(z.shape, s0.size, dtype=np.intp)
+    for _ in range(s0.size.bit_length()):
+        mid = (lo + hi) // 2
+        i = np.minimum(mid, s0.size - 1)
+        t = s0[i] * z
+        big = b[i] * profile_decay_bound(idx, np.maximum(t, 1.0)) >= tau
+        keep = (mid < hi) & ((t < 1.0) | big)
+        lo = np.where(keep, mid + 1, lo)
+        hi = np.where(keep, hi, mid)
+    return lo
+
+
+def _scatter(live, vals):
+    """An array shaped like the mask ``live``: ``vals`` at its live entries
+    and exactly 0 elsewhere."""
+    out = np.zeros(live.shape)
+    out[live] = vals
+    return out
+
+
+def _cut_profiles(idx, t, live, fields):
+    """phi, and phi' where ``Wz`` is requested, at the live entries of the
+    mask ``live``, whose profile arguments are ``t``, and 0 elsewhere."""
+    Ph = _scatter(live, profile_phi(idx, t))
+    return Ph, _scatter(live, profile_phi_prime(idx, t)) if "Wz" in fields else None
+
+
+def _profile_fields(idx, s, kw, kernels, profiles, fields, contract):
     """The requested fields as s-sums, reduced by ``contract``.
 
     Every field is  sum_i c_i kernel(ur_i) profile(uz_i)  with a coefficient
     c = kw * (a power of s), kernel e_nu or e_(nu+1) from ``kernels``, the
-    pair ``_e_pair(nu, ur)``, and profile phi or phi' at uz.  The caller
-    evaluates the kernels, so that ur is freed before the profiles are
-    evaluated.  ``contract(c, kernel, profile)`` does the sum over the
-    s-axis (the first axis on a tensor grid, the last at paired points).
+    pair ``_e_pair(nu, ur)``, and profile phi or phi' from ``profiles``, the
+    pair ``_cut_profiles``.  The caller evaluates the kernels first, so that
+    ur is freed before the profiles are evaluated.  ``contract(c, kernel,
+    profile)`` does the sum over the s-axis (the first axis on a tensor grid,
+    the last at paired points).
     """
     nu = idx.n / 2.0 - 1.0
     Ev, Ev1 = kernels
-    Ph = profile_phi(idx, uz)
+    Ph, Php = profiles
     out = {}
     if "W" in fields:
         out["W"] = contract(kw, Ev, Ph)
@@ -214,10 +287,10 @@ def _profile_fields(idx, s, kw, kernels, uz, fields, contract):
     if "lap_tan" in fields:
         out["lap_tan"] = contract(-(kw * s**2), Ev, Ph)
     if "Wz" in fields:
-        if np.any(uz <= 0.0):
-            raise DomainError("Wz requires z > 0")
-        out["Wz"] = contract(kw * s, Ev, profile_phi_prime(idx, uz))
+        out["Wz"] = contract(kw * s, Ev, Php)
     if "W_minus_w" in fields:
+        # a dropped phi reads 0 here, so its term is -kw e_nu: the trace part
+        # needs the kernel at every node
         out["W_minus_w"] = contract(kw, Ev, Ph - 1.0)
     return out
 
@@ -236,24 +309,31 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
     """``_profile_fields`` at the paired points (r[k], z[k]), with the
     kernels at s0 r and the profiles at s0 z, in blocks of points: each
     point's sum is independent of the others, and a block of _BLOCK values
-    bounds the temporaries of ``_e_pair`` and the profiles."""
+    bounds the temporaries of ``_e_pair`` and the profiles.  Kernels and
+    profiles are evaluated on each point's live s-prefix only and are 0
+    past it, so every sum still runs over all of s0 in the same order."""
     nu = idx.n / 2.0 - 1.0
+    counts = _live_counts(idx, s, kw, s0, z)
+    kernel_counts = np.full(counts.shape, s0.size) if "W_minus_w" in fields else counts
+    cols = np.arange(s0.size)
+
+    def block(blk):
+        live = cols < kernel_counts[blk, None]
+        kernels = [_scatter(live, e) for e in _e_pair(nu, np.outer(r[blk], s0)[live])]
+        live = cols < counts[blk, None]
+        profiles = _cut_profiles(idx, np.outer(z[blk], s0)[live], live, fields)
+        return _profile_fields(idx, s, kw, kernels, profiles, fields, _paired_contract)
+
     step = max(1, _BLOCK // s0.size)
-    parts = [
-        _profile_fields(
-            idx, s, kw, _e_pair(nu, np.outer(r[i : i + step], s0)),
-            np.outer(z[i : i + step], s0), fields, _paired_contract,
-        )
-        for i in range(0, max(r.size, 1), step)
-    ]
+    parts = [block(slice(i, i + step)) for i in range(0, max(r.size, 1), step)]
     return {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
 
 
 def radial_profiles(idx, r, z, fields=("W",)):
     """Evaluate extension-derived fields on the tensor grid r x z.
 
-    ``r`` and ``z`` are 1-D arrays (z > 0 except where noted); returns a dict
-    of (len(r), len(z)) arrays. Available fields:
+    ``r`` and ``z`` are 1-D arrays of finite values >= 0 (z > 0 for ``Wz``);
+    returns a dict of (len(r), len(z)) arrays. Available fields:
 
     * ``W``        — the extension itself (z = 0 allowed)
     * ``Wr_over_r``— (1/r) dW/dr (finite at r = 0)
@@ -264,9 +344,17 @@ def radial_profiles(idx, r, z, fields=("W",)):
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
+    _check_points(r, z, fields)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
-    kernels = _e_pair(idx.n / 2.0 - 1.0, np.outer(s, r))
-    return _profile_fields(idx, s, kw, kernels, np.outer(s, z), fields, _tensor_contract)
+    # _e_pair is element-wise: blocks of rows keep its temporaries in cache
+    nu = idx.n / 2.0 - 1.0
+    Ev, Ev1 = np.empty((s.size, r.size)), np.empty((s.size, r.size))
+    rows = max(1, _KERNEL_BLOCK // max(r.size, 1))
+    for i in range(0, s.size, rows):
+        Ev[i : i + rows], Ev1[i : i + rows] = _e_pair(nu, np.outer(s[i : i + rows], r))
+    live = np.arange(s.size)[:, None] < _live_counts(idx, s, kw, s, z)
+    profiles = _cut_profiles(idx, np.outer(s, z)[live], live, fields)
+    return _profile_fields(idx, s, kw, (Ev, Ev1), profiles, fields, _tensor_contract)
 
 
 def paired_profiles(idx, r, z, fields=("W",)):
@@ -280,6 +368,7 @@ def paired_profiles(idx, r, z, fields=("W",)):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if r.shape != z.shape or r.ndim != 1:
         raise DomainError("paired r and z must be 1-D arrays of one length")
+    _check_points(r, z, fields)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
     return _paired_fields(idx, s, kw, s, r, z, fields)
 
@@ -297,15 +386,17 @@ def polar_profiles(idx, rho, theta, fields=("W",)):
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if rho.ndim != 1 or theta.ndim != 1 or not (rho.size and rho.min() > 0.0):
         raise DomainError("polar_profiles needs a nonempty 1-D rho > 0 and 1-D theta")
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(theta))):
+        raise DomainError("rho and theta must be finite")
     top = rho.max()
+    r, z = top * np.sin(theta), top * np.cos(theta)
+    _check_points(r, z, fields)
     s0, ws0 = _s_nodes(_rmax_key(top))
     # the outermost arc keeps the rule radial_profiles would use there
     scale = (top / rho)[:, None]
     s = scale * s0
     kw = _what_weights(idx, s, scale * ws0)
-    return _paired_fields(
-        idx, s, kw, s0, top * np.sin(theta), top * np.cos(theta), fields
-    )
+    return _paired_fields(idx, s, kw, s0, r, z, fields)
 
 
 def extension_gamma_half(idx, r, z, lam=1.0):

@@ -8,7 +8,8 @@ The surface functional lives on the interior half-sphere of radius r:
               + (r/(p+1)) * oint_{boundary sphere} f^(-delta) u^(p+1),
 
 and P' is the kappa part alone.  Fields are axisymmetric functions of
-(r, z) = (|xbar|, x_N) exposing ``value`` and ``grad``.
+(r, z) = (|xbar|, x_N) exposing ``value``, ``grad`` and ``value_grad``, which
+returns both from one evaluation.
 """
 from dataclasses import dataclass
 import math
@@ -87,6 +88,14 @@ class BubbleExtensionField:
         r, f = self._profiles(r, z, ("Wr_over_r", "Wz"))
         return r * f["Wr_over_r"], f["Wz"]
 
+    def value_grad(self, r, z):
+        """(u, u_r, u_z) from one paired evaluation: the same per-point sums
+        as ``value`` and ``grad``."""
+        if self._half:
+            return (self.value(r, z), *self.grad(r, z))
+        r, f = self._profiles(r, z, ("W", "Wr_over_r", "Wz"))
+        return f["W"], r * f["Wr_over_r"], f["Wz"]
+
     def trace(self, r):
         return bubble._trace_radial(self.idx, r)
 
@@ -117,6 +126,9 @@ class PowerField:
             for c, mu in zip(self.coeffs, self.exponents)
         )
         return dr, dz
+
+    def value_grad(self, r, z):
+        return (self.value(r, z), *self.grad(r, z))
 
     def trace(self, r):
         return self.value(np.asarray(r, dtype=float), 0.0)
@@ -172,8 +184,7 @@ def _surface_integral(idx, field, r, nodes=12):
     s = np.sqrt(1.0 - c**2)
     rr = r * s
     zz = r * c
-    u = field.value(rr, zz)
-    ur, uz = field.grad(rr, zz)
+    u, ur, uz = field.value_grad(rr, zz)
     u_rho = s * ur + c * uz
     grad2 = ur**2 + uz**2
     integrand = 0.5 * m * u * u_rho - 0.5 * r * grad2 + r * u_rho**2

@@ -31,6 +31,7 @@ __all__ = [
     "profile_phi_prime",
     "profile_what",
     "profile_what_prime",
+    "profile_decay_bound",
     "constants",
     "sphere_area",
 ]
@@ -251,6 +252,24 @@ def profile_what_prime(idx, t):
         lambda tt: -2.0 * g * tt ** (-g - 1.0) * special.kv(g, tt)
         - tt ** (-g) * special.kv(1.0 - g, tt),
     )
+
+
+def profile_decay_bound(idx, t):
+    """Upper bound d1 * sqrt(pi/2) * t^(gamma-1/2) * e^(-t) * (1 + 1/t) on both
+    profile_phi(t) and |profile_phi_prime(t)|, for finite t > 0.
+
+    It is K_nu(t) <= sqrt(pi/(2t)) e^(-t) (1 + 1/t) for nu in [0, 1] times
+    d1 * t^gamma: the integral representation DLMF 10.32.8 gives
+    K_nu(t) <= sqrt(pi/(2t)) e^(-t) for nu <= 1/2, and with
+    (1 + u/(2t))^(nu-1/2) <= 1 + (nu-1/2) u/(2t) the factor 1 + 3/(8t) for
+    1/2 < nu <= 1 (DLMF 10.40.10).  The ratio to K_nu tends to 1 as t grows.
+    """
+    g = _gamma_of(idx)
+    tt = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(tt) & (tt > 0.0)):
+        raise DomainError("profile_decay_bound requires finite t > 0")
+    out = _d1(g) * math.sqrt(0.5 * math.pi) * tt ** (g - 0.5) * np.exp(-tt) * (1.0 + 1.0 / tt)
+    return float(out) if tt.ndim == 0 else out
 
 
 def sphere_area(n):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fyk import bubble, moments
+from fyk import bubble, moments, specfun
 from fyk.bubble import BubbleParams, HalfSpacePoint
 from fyk.errors import DomainError
 from fyk.specfun import ProblemIndex, constants
@@ -308,9 +308,22 @@ def test_paired_profiles_match_tensor_diagonal():
 
 
 def test_paired_and_polar_profiles_reject_bad_input():
+    # a NaN point would otherwise drop out of the decay cut's bisection
     idx = ProblemIndex(4, 0.3)
     with pytest.raises(DomainError):
         bubble.paired_profiles(idx, np.ones(3), np.ones(2))
+    nan, inf = math.nan, math.inf
+    for r, z in [(nan, 1.0), (1.0, nan), (inf, 1.0), (1.0, inf), (-1.0, 1.0), (1.0, -1.0)]:
+        with pytest.raises(DomainError):
+            bubble.paired_profiles(idx, np.array([r]), np.array([z]))
+        with pytest.raises(DomainError):
+            bubble.radial_profiles(idx, np.array([r]), np.array([z]))
+    with pytest.raises(DomainError):
+        bubble.radial_profiles(idx, np.ones(2), np.array([1.0, 0.0]), ("Wz",))
+    for rho, th in [(nan, 0.3), (inf, 0.3), (1.0, nan), (1.0, inf),
+                    (1.0, -0.1), (1.0, 0.5 * math.pi + 0.1), (-1.0, 0.3)]:
+        with pytest.raises(DomainError):
+            bubble.polar_profiles(idx, np.array([0.5, rho]), np.array([0.2, th]))
     with pytest.raises(DomainError):
         bubble.paired_profiles(idx, np.ones(2), np.array([1.0, 0.0]), ("Wz",))
     with pytest.raises(DomainError):
@@ -319,3 +332,56 @@ def test_paired_and_polar_profiles_reject_bad_input():
         bubble.polar_profiles(idx, np.array([]), np.array([0.3]))
     with pytest.raises(DomainError):
         bubble.polar_profiles(idx, np.array([1.0]), np.array([0.5 * math.pi + 0.1]), ("Wz",))
+
+
+# -- the decay cut ------------------------------------------------------------
+
+
+def _uncut_fields(idx, s, kw, kernels, Ph, Php, combine):
+    """The four fields as full s-sums, every term evaluated: the oracle for
+    the decay cut.  ``combine(c, kernel, profile)`` sums over the last axis."""
+    nu = idx.n / 2.0 - 1.0
+    Ev, Ev1 = kernels
+    return {
+        "W": combine(kw, Ev, Ph),
+        "Wr_over_r": combine(-kw * s**2 / (2.0 * (nu + 1.0)), Ev1, Ph),
+        "lap_tan": combine(-kw * s**2, Ev, Ph),
+        "Wz": combine(kw * s, Ev, Php),
+    }
+
+
+@pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8)])
+def test_decay_cut_matches_the_uncut_sums(n, gamma):
+    # the direct route's core grid (every sixth r and every second z node)
+    # and its five tail arcs
+    idx = ProblemIndex(n, gamma)
+    nu = idx.n / 2.0 - 1.0
+    alpha = constants(idx).alpha
+    R = 40.0 if n - 2.0 * gamma > 4.0 else 64.0
+    r, _, z, _ = moments._grid_rules(idx, R)
+    r, z = r[::6], z[::2]
+    s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
+    uz = np.outer(z, s)
+    want = _uncut_fields(
+        idx, s, kw, bubble._e_pair(nu, np.outer(r, s)),
+        specfun.profile_phi(idx, uz), specfun.profile_phi_prime(idx, uz),
+        lambda c, K, P: (K * c) @ P.T,
+    )
+    got = bubble.radial_profiles(idx, r, z, _FIELDS)
+    for k in _FIELDS:
+        assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("core", k)
+
+    arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
+    th = moments._tail_theta_rule()[0]
+    s0, ws0 = bubble._s_nodes(bubble._rmax_key(R))
+    scale = (R / arcs)[:, None]
+    s, kw = scale * s0, bubble._what_weights(idx, scale * s0, scale * ws0)
+    uz = np.outer(R * np.cos(th), s0)
+    want = _uncut_fields(
+        idx, s, kw, bubble._e_pair(nu, np.outer(R * np.sin(th), s0)),
+        specfun.profile_phi(idx, uz), specfun.profile_phi_prime(idx, uz),
+        lambda c, K, P: c @ (K * P).T,
+    )
+    got = bubble.polar_profiles(idx, arcs, th, _FIELDS)
+    for k in _FIELDS:
+        assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("arcs", k)

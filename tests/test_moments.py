@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from fyk import bubble, moments
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import (
     ProblemIndex,
+    profile_decay_bound,
     profile_phi,
     profile_phi_prime,
     profile_what,
@@ -182,31 +183,75 @@ def test_c0_positive_and_scales():
         assert iset.I.shape == (9,)
 
 
+def _live_entries(idx, s, kw, s0, z):
+    """The profile arguments z[k] * s0[i] the decay cut keeps, from its rule
+    applied to every term: s0 z < 1, or b(s) * bound(s0 z) >= 1e-20 sum |kw|,
+    with b the nonincreasing envelope of |kw| max(1, s^2) (max over arcs)."""
+    b = (np.abs(kw) * np.maximum(1.0, s * s)).reshape(-1, s0.size).max(axis=0)
+    b = np.maximum.accumulate(b[::-1])[::-1]
+    tau = 1e-20 * np.abs(kw).sum(axis=-1).min()
+    t = np.outer(z, s0)
+    keep = (t < 1.0) | (b * profile_decay_bound(idx, np.maximum(t, 1.0)) >= tau)
+    # the rule keeps a prefix of s at every point
+    assert np.array_equal(keep, np.arange(s0.size) < keep.sum(axis=1)[:, None])
+    assert not keep.all()
+    return t[keep]
+
+
 def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
-    # the five tail arcs share one kernel and profile evaluation: besides the
-    # core grid, phi and phi' each see S x N_theta points, not a tensor grid
-    # per arc
+    # the five tail arcs share one kernel and profile evaluation, and the
+    # decay cut evaluates only the s-terms that can matter: phi and phi' see
+    # each live (s, z) point of the core grid and of the arcs' (s', theta)
+    # grid exactly once, and no dropped point reaches kv
     R = 8.0
+    idx = ProblemIndex(5, 0.7)
     seen = {"profile_phi": [], "profile_phi_prime": []}
     for name in seen:
         original = getattr(bubble, name)
 
         def spy(idx, t, original=original, name=name):
-            seen[name].append(np.shape(t))
+            seen[name].append(np.array(t, dtype=float).ravel())
             return original(idx, t)
 
         monkeypatch.setattr(bubble, name, spy)
-    idx = ProblemIndex(5, 0.7)
+    kv_args = []
+    kv = special.kv
+
+    def kv_spy(order, t):
+        kv_args.append((order, np.array(t, dtype=float).ravel()))
+        return kv(order, t)
+
+    monkeypatch.setattr(special, "kv", kv_spy)
+    polar_args = []
+    polar = bubble.polar_profiles
+
+    def polar_spy(idx, rho, theta, fields):
+        polar_args.append((rho, theta))
+        return polar(idx, rho, theta, fields)
+
+    monkeypatch.setattr(bubble, "polar_profiles", polar_spy)
     moments._integrals_direct(idx, R=R)
-    _, _, z, _ = moments._grid_rules(idx, R)
-    # the core grid and the outer arc both key their s-rule on R; the arcs'
-    # (theta, s) values come in blocks of theta
-    S = bubble._s_nodes(bubble._rmax_key(R))[0].size
-    n_theta = moments._tail_theta_rule()[0].size
-    for name, shapes in seen.items():
-        assert shapes[0] == (S, z.size), name
-        assert all(cols == S for _, cols in shapes[1:]), name
-        assert sum(rows for rows, _ in shapes[1:]) == n_theta, name
+
+    r, _, z, _ = moments._grid_rules(idx, R)
+    s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
+    core = _live_entries(idx, s, kw, s, z)
+    [(arcs, th)] = polar_args
+    top = arcs.max()
+    s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
+    scale = (top / arcs)[:, None]
+    kw = bubble._what_weights(idx, scale * s0, scale * ws0)
+    tail = _live_entries(idx, scale * s0, kw, s0, top * np.cos(th))
+    for name, calls in seen.items():
+        assert calls[0].size == core.size, name
+        assert np.array_equal(np.sort(calls[0]), np.sort(core)), name
+        got = np.concatenate(calls[1:])
+        assert got.size == tail.size, name
+        assert np.array_equal(np.sort(got), np.sort(tail)), name
+    # K_(1-g) serves phi' alone: it sees exactly the live points below the
+    # underflow cutoff
+    live = np.concatenate([core, tail])
+    prime = np.concatenate([t for order, t in kv_args if order == 1.0 - idx.gamma])
+    assert np.array_equal(np.sort(prime), np.sort(live[live <= 690.0]))
 
 
 @pytest.mark.parametrize("n,gamma,bound", [(7, 0.25, 1e-9), (4, 0.3, 3e-6)])

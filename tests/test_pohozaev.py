@@ -148,3 +148,33 @@ def test_bubble_field_matches_one_point_evaluation(n, gamma):
             (gz[i, j], f["Wz"][0, 0]),
         ):
             assert abs(got - want) <= 1e-15 * abs(want), (ri, z[j])
+
+
+@pytest.mark.parametrize(
+    "field",
+    [BubbleExtensionField(ProblemIndex(4, 0.3)), BubbleExtensionField(ProblemIndex(3, 0.5)),
+     PowerField([1.0, 0.5], [2.6, 0.0])],
+    ids=["bubble", "bubble-half", "power"],
+)
+def test_value_grad_is_value_and_grad(field):
+    r = np.linspace(0.0, 2.0, 12).reshape(3, 4)
+    z = np.array([0.01, 0.3, 0.9, 2.5])
+    u, ur, uz = field.value_grad(r, z)
+    gr, gz = field.grad(r, z)
+    assert np.array_equal(u, field.value(r, z))
+    assert np.array_equal(ur, gr) and np.array_equal(uz, gz)
+
+
+def test_each_half_sphere_makes_one_paired_call(monkeypatch):
+    calls = []
+    paired = bubble.paired_profiles
+
+    def spy(idx, r, z, fields):
+        calls.append(fields)
+        return paired(idx, r, z, fields)
+
+    monkeypatch.setattr(bubble, "paired_profiles", spy)
+    idx = ProblemIndex(4, 0.3)
+    for r in (0.5, 1.0, 2.0):
+        pohozaev.pohozaev_P(idx, BubbleExtensionField(idx), r)
+    assert calls == [("W", "Wr_over_r", "Wz")] * 3

@@ -152,6 +152,27 @@ def test_profiles_reject_nan(name):
         prof(0.3, np.array([1.0, math.nan, 2.0]))
 
 
+@pytest.mark.parametrize("g", [0.02, 0.25, 0.5, 0.8, 0.98])
+def test_profile_decay_bound_dominates_phi_and_its_derivative(g):
+    # the decay cut of the Fourier-Bessel sums drops a term only where this
+    # bound on the profile is negligible, so it must hold at every t >= 1
+    t = np.linspace(1.0, 700.0, 200001)
+    bound = specfun.profile_decay_bound(g, t)
+    assert np.all(specfun.profile_phi(g, t) <= bound)
+    assert np.all(np.abs(specfun.profile_phi_prime(g, t)) <= bound)
+    # and it is tight for large t, where the cut applies
+    assert specfun.profile_phi(g, 600.0) >= 0.99 * specfun.profile_decay_bound(g, 600.0)
+
+
+def test_profile_decay_bound_rejects_bad_input():
+    for t in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            specfun.profile_decay_bound(0.8, t)
+    # e^(-t) underflows to exactly 0, without a warning
+    bound = specfun.profile_decay_bound(0.8, 1e4)
+    assert isinstance(bound, float) and bound == 0.0
+
+
 @pytest.mark.parametrize(
     "name, g, t", [("profile_what", 0.8, 1e-200), ("profile_what_prime", 0.25, 1e-300)]
 )
