@@ -15,6 +15,7 @@ from .specfun import (
     gamma_fn,
     profile_phi,
     profile_phi_prime,
+    profile_phi_pair,
     profile_what,
     profile_what_prime,
     sphere_area,

@@ -21,16 +21,6 @@ def env_threads():
         raise ValueError(f"FYK_THREADS must be an integer, got {raw!r}") from None
 
 
-def threads():
-    """FYK_THREADS when set, else the number of CPUs this process may run on."""
-    n = env_threads()
-    if n is not None:
-        return n
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def bound_blas():
     """Set the BLAS thread variables from FYK_THREADS, when it is set.
 

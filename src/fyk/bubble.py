@@ -37,13 +37,20 @@ arcs also the max over arcs) and tau = 1e-20 sum |kw|, a node is kept while
 s z < 1 or b(s) Phibar(s z) >= tau.  The test is monotone in s, so the kept
 nodes are a prefix, found by bisection.  phi and phi' (and, at paired points,
 the kernels) are evaluated on that prefix only and are exactly 0 past it;
-the sums still run over every node in the same order.  sum |kw| is the
+the sums still run over every node in the same order.  Where Wz is
+requested, phi and phi' come from one ``specfun.profile_phi_pair`` call,
+one kernel evaluation for both.  sum |kw| is the
 calibration mass alpha, so each dropped term is below 1e-20 alpha and the
 at most ~6000 of them below 1e-16 alpha, the rounding floor of the sums
 (on the direct route's grids the dropped mass is at most 7e-19 alpha per
 point).  W_minus_w uses phi - 1, which reads -1 at a dropped node; its
 error is the dropped phi term alone, but its kernels are needed at every
 node.  On the direct route's core grid about half the profile points stay.
+
+The s-rule is keyed on the largest r.  A point at large z puts its
+s-integrand at s ~ 1/z, which the rule's first panels resolve only while
+(first node) * z <= _SZ_MAX; beyond that the evaluators raise NumericError
+rather than return a sum that misses the integrand.
 
 The kernels e_nu and e_(nu+1) come together from ``_e_pair``.  Since n is an
 integer, nu is an integer or a half-integer, and the pair is run up from
@@ -70,7 +77,7 @@ from .specfun import (
     constants,
     profile_decay_bound,
     profile_phi,
-    profile_phi_prime,
+    profile_phi_pair,
     profile_what,
     sphere_area,
 )
@@ -94,7 +101,11 @@ _S_CUT = 45.0   # K_g(s) < 3e-20 beyond this; truncation is below fp noise
 # evaluated; see the module docstring
 _TAU = 1e-20
 _GAUSS_ORDER = 10
-_BLOCK = 2**17  # kernel values per block of paired points: at most two kv chunks for the pool
+# the s-sums raise past (first s-node) * max z = _SZ_MAX (see the module
+# docstring): below it the gamma = 1/2 closed form holds to 7e-10 at r = 0
+# for n = 3..12; 1e-8 is first lost at 0.12 (n = 9, 12)
+_SZ_MAX = 0.1
+_BLOCK = 2**17  # kernel and profile values per block of paired points
 _KERNEL_BLOCK = 2**16  # kernel values per block of the tensor grid's _e_pair
 
 
@@ -227,6 +238,20 @@ def _check_points(r, z, fields):
         raise DomainError("Wz requires z > 0")
 
 
+def _check_reach(s0, z):
+    """Raise NumericError where the s-nodes ``s0`` cannot resolve the
+    largest z (see _SZ_MAX)."""
+    if not z.size:
+        return
+    zmax, first = float(z.max()), float(s0[0])
+    if first * zmax > _SZ_MAX:
+        raise NumericError(
+            f"z = {zmax:g} is beyond the s-rule's reach: its first node "
+            f"{first:.3g} times z is {first * zmax:.3g} > {_SZ_MAX}",
+            {"z": zmax, "s_first": first, "reach": first * zmax},
+        )
+
+
 def _live_counts(idx, s, kw, s0, z):
     """For each point z[k], how many leading s-nodes carry terms that can
     matter: those with s0 z < 1 or b(s) * profile_decay_bound(s0 z) >= tau
@@ -260,9 +285,11 @@ def _scatter(live, vals):
 
 def _cut_profiles(idx, t, live, fields):
     """phi, and phi' where ``Wz`` is requested, at the live entries of the
-    mask ``live``, whose profile arguments are ``t``, and 0 elsewhere."""
-    Ph = _scatter(live, profile_phi(idx, t))
-    return Ph, _scatter(live, profile_phi_prime(idx, t)) if "Wz" in fields else None
+    mask ``live``, whose profile arguments are ``t``, and 0 elsewhere; the
+    pair comes from one kernel evaluation."""
+    if "Wz" not in fields:
+        return _scatter(live, profile_phi(idx, t)), None
+    return tuple(_scatter(live, p) for p in profile_phi_pair(idx, t))
 
 
 def _profile_fields(idx, s, kw, kernels, profiles, fields, contract):
@@ -313,6 +340,7 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
     profiles are evaluated on each point's live s-prefix only and are 0
     past it, so every sum still runs over all of s0 in the same order."""
     nu = idx.n / 2.0 - 1.0
+    _check_reach(s0, z)
     counts = _live_counts(idx, s, kw, s0, z)
     kernel_counts = np.full(counts.shape, s0.size) if "W_minus_w" in fields else counts
     cols = np.arange(s0.size)
@@ -346,6 +374,7 @@ def radial_profiles(idx, r, z, fields=("W",)):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     _check_points(r, z, fields)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
+    _check_reach(s, z)
     # _e_pair is element-wise: blocks of rows keep its temporaries in cache
     nu = idx.n / 2.0 - 1.0
     Ev, Ev1 = np.empty((s.size, r.size)), np.empty((s.size, r.size))

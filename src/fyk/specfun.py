@@ -10,16 +10,39 @@ whose decaying solution is d1 * t^g * K_g(t) with d1 = 2^(1-g)/Gamma(g).
 The radial Fourier profile of the standard trace bubble is proportional to
 t^(-g) * K_g(t); its overall normalization is a free choice (see
 ``profile_what``) and is pinned downstream by a single calibration.
+
+All four profiles, and the pair (phi, phi') of ``profile_phi_pair``, rest
+on one numpy kernel, ``_k_pair``, that returns K_g and K_(1-g) together at
+0 < t <= 690 (past that every profile is exactly 0).  Its two regimes:
+
+* t < _T_SERIES = 0.5: Temme's series (N. M. Temme, J. Comput. Phys. 19,
+  1975; Numerical Recipes ``bessik``), which yields K_mu and K_(mu+1) at
+  once; with mu = -g (g <= 1/2) or mu = g - 1 (g > 1/2) that pair is
+  (K_g, K_(1-g)).  1/Gamma(1 +- mu) and Temme's gam1 come from the Taylor
+  series of 1/Gamma(1+x) (A&S 6.1.34), so gam1 stays free of cancellation
+  as g -> 0 or 1.  The number of terms is fixed per octave of t.
+* t >= 0.5: the trapezoidal rule for e^t K_nu(t) = int_0^inf
+  e^(-t (cosh u - 1)) cosh(nu u) du (DLMF 10.32.9), which converges
+  exponentially (Trefethen & Weideman, SIAM Rev. 56, 2014).  Each octave
+  of t has its own step and node count, chosen so that the discretization
+  and truncation errors stay below e^(-_L), _L = 40; one exponential per
+  node serves both orders.
+
+A point's octave, and so its series length or rule, depends on that point
+alone and the arithmetic is element-wise: a value does not depend on the
+other points of a call.  Against 30-digit mpmath values at g in {0.02,
+0.25, 0.5, 0.7, 0.8, 0.98} and 1e-12 <= t <= 690 the kernel is within
+1.1e-15 relative for both orders, where SciPy's ``kv`` errs by up to 7e-14.
+``kv`` remains in ``bessel_k``, for general orders, and in the tests as a
+reference.
 """
 from dataclasses import dataclass
+from functools import lru_cache
 import math
-import os
-import threading
 
 import numpy as np
 from scipy import special
 
-from . import _threads
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -29,6 +52,7 @@ __all__ = [
     "bessel_k",
     "profile_phi",
     "profile_phi_prime",
+    "profile_phi_pair",
     "profile_what",
     "profile_what_prime",
     "profile_decay_bound",
@@ -113,75 +137,255 @@ def _d1(g):
 
 
 # K_nu(t) ~ sqrt(pi/(2t)) e^(-t) underflows near t ~ 700; past this cutoff
-# every profile is exactly 0 in floating point and kv is not called
+# every profile is exactly 0 in floating point and the kernel is not called
 _T_UNDERFLOW = 690.0
 
-# points per chunk of a profile evaluation; an input of at most one chunk is
-# evaluated in the calling thread, a larger one chunk by chunk on the pool
+# points per chunk of a profile evaluation; it bounds the kernel's
+# temporaries, about a dozen arrays of one chunk each
 _CHUNK = 1 << 16
 
-_pool_lock = threading.Lock()
-_pool = None  # (threads, executor or None), made by _profile_pool on first use
+# -- the kernel (K_g, K_(1-g)) ------------------------------------------------
+
+# Taylor coefficients of 1/Gamma(1+x) about 0 (A&S 6.1.34), to double
+# precision; on |x| <= 1/2 the last one is below 1e-22
+_RGAMMA_TAYLOR = (
+    1.0, 0.5772156649015329, -0.6558780715202539, -0.04200263503409524,
+    0.16653861138229148, -0.04219773455554433, -0.009621971527876973,
+    0.0072189432466631, -0.0011651675918590652, -0.00021524167411495098,
+    0.0001280502823881162, -2.013485478078824e-05, -1.2504934821426706e-06,
+    1.133027231981696e-06, -2.056338416977607e-07, 6.116095104481416e-09,
+    5.002007644469223e-09, -1.18127457048702e-09, 1.0434267116911005e-10,
+    7.782263439905071e-12, -3.696805618642206e-12, 5.100370287454476e-13,
+    -2.0583260535665066e-14, -5.348122539423018e-15, 1.2267786282382608e-15,
+)
+
+# points t < _T_SERIES (a power of 2) take Temme's series, the others the
+# trapezoidal rule
+_T_SERIES = 0.5
+# the trapezoidal rule's discretization and truncation errors are held to
+# e^(-_L) of the integral
+_L = 40.0
+# octave bands are frexp exponents: band b holds 2^(b-1) <= t < 2^b; the
+# series bands run up to _BAND_RULE - 1, every t below 2^(_BAND_MIN - 1)
+# joins the lowest, and the rule bands run from _BAND_RULE to the one that
+# holds _T_UNDERFLOW
+_BAND_MIN = -64
+_BAND_RULE = math.frexp(_T_SERIES)[1]
+_BAND_TOP = math.frexp(_T_UNDERFLOW)[1]
 
 
-def _forget_pool():
-    # a forked child has none of the parent's worker threads: work queued on
-    # the inherited executor would never run, so the child makes its own
-    global _pool, _pool_lock
-    _pool_lock = threading.Lock()
-    _pool = None
+def _series_terms(band):
+    """Terms of Temme's series for t < 2^band: the first term left out,
+    (2/t) (t^2/4)^(n+1) / ((n+1)!)^2 relative to the sum (the factor 2/t
+    bounds (2/t)^(2|mu|) in the K_(mu+1) sum), is below 2^-64 at the top of
+    the band."""
+    t = math.ldexp(1.0, band)
+    y = 0.25 * t * t
+    n = 1
+    while (2.0 / t) * y ** (n + 1) / math.factorial(n + 1) ** 2 >= 2.0**-64:
+        n += 1
+    return n
 
 
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+# term i of the series runs on the points of the bands from _SERIES_FROM[i - 1]
+# up; the term count grows with the band
+_SERIES_FROM = tuple(
+    next(b for b in range(_BAND_MIN, _BAND_RULE) if _series_terms(b) >= i)
+    for i in range(1, _series_terms(_BAND_RULE - 1) + 1)
+)
 
 
-def _profile_pool():
-    """The pool that evaluates profile chunks, as (threads, executor).
+@lru_cache(maxsize=64)
+def _temme_constants(g):
+    """mu with (K_mu, K_(mu+1)) = (K_g, K_(1-g)) up to order, and Temme's
+    scalars: gam1 = (1/Gamma(1-mu) - 1/Gamma(1+mu))/(2 mu), gam2 =
+    (1/Gamma(1-mu) + 1/Gamma(1+mu))/2, 1/Gamma(1+mu), 1/Gamma(1-mu) and
+    pi mu / sin(pi mu).  gam1 and gam2 are the odd and even parts of the
+    Taylor series, so gam1 has no cancellation as mu -> 0."""
+    mu = -g if g <= 0.5 else g - 1.0
+    m2 = mu * mu
+    gam1 = gam2 = 0.0
+    for a in reversed(_RGAMMA_TAYLOR[1::2]):
+        gam1 = gam1 * m2 + a
+    for a in reversed(_RGAMMA_TAYLOR[0::2]):
+        gam2 = gam2 * m2 + a
+    gam1 = -gam1
+    return mu, gam1, gam2, gam2 - mu * gam1, gam2 + mu * gam1, math.pi * mu / math.sin(math.pi * mu)
 
-    Its size is read once, on first use: FYK_THREADS when set, else the CPUs
-    this process may run on.  With one thread there is no executor and the
-    chunks run in the calling thread."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            n = _threads.threads()
-            if n > 1:
-                from concurrent.futures import ThreadPoolExecutor
 
-                _pool = (n, ThreadPoolExecutor(n, thread_name_prefix="fyk-profile"))
-            else:
-                _pool = (1, None)
-        return _pool
+def _temme(g, t, bounds, k0, k1):
+    """Temme's series for K_mu and K_(mu+1) (Numerical Recipes ``bessik``,
+    x < 2) at the points ``t`` < _T_SERIES, sorted by band; ``bounds[b -
+    _BAND_MIN]`` is where band b starts.  Writes K_g into k0, K_(1-g) into k1.
+
+    (t/2)^(-mu) comes from one power, not from exp(mu log(2/t)), which would
+    lose |mu log(t/2)| ulps; sinh(mu log(2/t)) comes from it too where that
+    argument is at least 1."""
+    mu, gam1, gam2, gampl, gammi, fact = _temme_constants(g)
+    x2 = 0.5 * t
+    ex = np.power(x2, -mu)
+    ie = 1.0 / ex
+    e = np.log(x2)
+    e *= -mu
+    sh = np.where(np.abs(e) < 1.0, np.sinh(e), 0.5 * (ex - ie))
+    # f_0 = fact (gam1 cosh(e) + gam2 sinh(e)/mu)
+    ff = (ex + ie) * (0.5 * gam1)
+    sh *= gam2 / mu
+    ff += sh
+    ff *= fact
+    s0 = ff.copy()
+    p = ex
+    p *= 0.5 / gampl
+    q = ie
+    q *= 0.5 / gammi
+    s1 = p.copy()
+    c = np.ones(t.size)
+    y = t * t
+    y *= 0.25
+    tmp = sh
+    for i, band in enumerate(_SERIES_FROM, start=1):
+        j = bounds[band - _BAND_MIN]
+        if j == t.size:
+            break
+        F, P, Q, C, T = ff[j:], p[j:], q[j:], c[j:], tmp[j:]
+        # f_i = (i f_(i-1) + p_(i-1) + q_(i-1)) / (i^2 - mu^2), c_i = y^i / i!
+        F *= i
+        F += P
+        F += Q
+        F *= 1.0 / (i * i - mu * mu)
+        C *= y[j:]
+        C *= 1.0 / i
+        P *= 1.0 / (i - mu)
+        Q *= 1.0 / (i + mu)
+        np.multiply(C, F, out=T)
+        s0[j:] += T
+        # the K_(mu+1) term c_i (p_i - i f_i)
+        np.multiply(F, -float(i), out=T)
+        T += P
+        T *= C
+        s1[j:] += T
+    s1 *= 2.0 / t
+    if g <= 0.5:
+        k0[:], k1[:] = s0, s1
+    else:
+        k0[:], k1[:] = s1, s0
 
 
-def _profile_chunk(name, f, at_zero, t, out):
-    """Write the profile of the 1-D points ``t`` into ``out`` (same length).
+def _rule_step(hi):
+    """The largest trapezoidal step h with hi (1 - cos d) - 2 pi d / h <= -L
+    for some strip half-width d <= pi/2: h = 2 pi d / (L + hi (1 - cos d)),
+    maximal where L + hi (1 - cos d - d sin d) = 0, or at d = pi/2."""
+    G = lambda d: _L + hi * (1.0 - math.cos(d) - d * math.sin(d))
+    lo, up = 0.0, 0.5 * math.pi
+    if G(up) < 0.0:
+        for _ in range(100):
+            mid = 0.5 * (lo + up)
+            lo, up = (mid, up) if G(mid) > 0.0 else (lo, mid)
+    return 2.0 * math.pi * up / (_L + hi * (1.0 - math.cos(up)))
 
-    numpy's error state is per thread, so it is set here, where the chunk
-    runs: an overflow past the float range raises NumericError."""
+
+@lru_cache(maxsize=256)
+def _trapezoid_rule(g, band):
+    """The trapezoidal rule on band 2^(band-1) <= t < 2^band for
+    e^t K_nu(t) = int_0^inf e^(-t (cosh u - 1)) cosh(nu u) du (DLMF 10.32.9):
+    the exponents -(cosh u_k - 1) and the weights, a row each for nu = g and
+    nu = 1 - g.
+
+    The integrand is analytic in the strip |Im u| < d, where it grows by at
+    most e^(t (1 - cos d)), so the rule's error is about
+    e^(t (1 - cos d) - 2 pi d / h) (Trefethen & Weideman, SIAM Rev. 56,
+    2014): the step holds it to e^(-L) at the band's top.  The nodes stop at
+    the first U with 2^(band-1) (cosh U - 1) - U >= L, past which every
+    term, cosh(nu u) <= e^u included, is below e^(-L)."""
+    lo, hi = math.ldexp(0.5, band), min(math.ldexp(1.0, band), _T_UNDERFLOW)
+    h = _rule_step(hi)
+    a, b = 0.0, 50.0  # lo (cosh U - 1) - U - L is convex, negative at 0
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        a, b = (mid, b) if lo * (math.cosh(mid) - 1.0) - mid < _L else (a, mid)
+    u = h * np.arange(math.ceil(b / h) + 1)
+    w = h * np.cosh(np.outer([g, 1.0 - g], u))
+    w[:, 0] *= 0.5
+    return -2.0 * np.sinh(0.5 * u) ** 2, w
+
+
+def _trapezoid(g, t, band, k0, k1):
+    """The band's trapezoidal rule at the points ``t``: one exponential per
+    node serves both orders.  Writes K_g into k0, K_(1-g) into k1."""
+    c, w = _trapezoid_rule(g, band)
+    k = np.empty((2, t.size))
+    k[:] = w[:, :1]
+    x, y = np.empty(t.size), np.empty((2, t.size))
+    for j in range(1, c.size):
+        np.multiply(t, c[j], out=x)
+        np.exp(x, out=x)
+        np.multiply(w[:, j : j + 1], x, out=y)
+        k += y
+    np.negative(t, out=x)
+    np.exp(x, out=x)
+    np.multiply(k[0], x, out=k0)
+    np.multiply(k[1], x, out=k1)
+
+
+def _k_pair(g, t):
+    """K_g(t) and K_(1-g)(t) at a 1-D array of 0 < t <= _T_UNDERFLOW, for
+    0 < g < 1 (see the module docstring).
+
+    Each point's band, and with it its series length or rule, is a function
+    of that point alone, and the arithmetic is element-wise, so a value does
+    not depend on the other points of the call.  The points are sorted by
+    band (a stable sort of small integers) so that each band is one slice."""
+    band = np.maximum(np.frexp(t)[1], _BAND_MIN).astype(np.int8)
+    order = np.argsort(band, kind="stable")
+    ts = t[order]
+    bounds = np.searchsorted(band[order], np.arange(_BAND_MIN, _BAND_TOP + 2))
+    k0, k1 = np.empty(t.size), np.empty(t.size)
+    n = bounds[_BAND_RULE - _BAND_MIN]  # points of the series bands
+    if n:
+        _temme(g, ts[:n], bounds, k0[:n], k1[:n])
+    for b in range(_BAND_RULE, _BAND_TOP + 1):
+        i, j = bounds[b - _BAND_MIN], bounds[b - _BAND_MIN + 1]
+        if j > i:
+            _trapezoid(g, ts[i:j], b, k0[i:j], k1[i:j])
+    out0, out1 = np.empty(t.size), np.empty(t.size)
+    out0[order] = k0
+    out1[order] = k1
+    return out0, out1
+
+
+# -- the profiles ---------------------------------------------------------------
+
+
+def _profile_chunk(name, f, at_zero, t, outs):
+    """Write the values of ``f`` at the 1-D points ``t`` into ``outs`` (each
+    of t's length).  An overflow past the float range raises NumericError:
+    the kernel's warnings are silenced here, where its result is checked."""
     live = (t > 0.0) & (t <= _T_UNDERFLOW)
-    with np.errstate(over="ignore"):
-        vals = f(t[live])
-    if not np.all(np.isfinite(vals)):
-        bad = float(t[live][~np.isfinite(vals)][0])
+    tl = t[live]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = f(tl)
+    finite = np.logical_and.reduce([np.isfinite(v) for v in vals])
+    if not np.all(finite):
+        bad = float(tl[~finite][0])
         raise NumericError(
             f"{name} exceeds the float range at t = {bad!r}", {"t": bad}
         )
-    out[live] = vals
-    if at_zero is not None:
-        out[t == 0.0] = at_zero
+    for out, v in zip(outs, vals):
+        out[live] = v
+        if at_zero is not None:
+            out[t == 0.0] = at_zero
 
 
-def _profile(name, t, f, at_zero=None):
-    """Evaluate a profile: ``f`` on the points 0 < t <= _T_UNDERFLOW, exactly
-    0 beyond (inf included) and ``at_zero`` at t = 0, where it is defined.
-    NaN and points outside the domain raise DomainError, a value past the
-    float range NumericError.
+def _profile(name, t, f, count=1, at_zero=None):
+    """Evaluate ``count`` profiles: ``f`` maps the points 0 < t <=
+    _T_UNDERFLOW (a 1-D array) to a tuple of their values; each profile is
+    exactly 0 beyond (inf included) and ``at_zero`` at t = 0, where it is
+    defined.  NaN and points outside the domain raise DomainError, a value
+    past the float range NumericError.  Returns a tuple of floats or of
+    arrays shaped like ``t``.
 
-    The flattened input is cut into chunks of _CHUNK points that write into
-    disjoint slices of the output, so the result does not depend on how many
-    threads evaluate them; kv releases the GIL, so the threads overlap."""
+    The flattened input is evaluated in chunks of _CHUNK points, one after
+    the other, in the calling thread."""
     tt = np.asarray(t, dtype=float)
     if np.any(np.isnan(tt)):
         raise DomainError(f"{name} got NaN")
@@ -189,47 +393,43 @@ def _profile(name, t, f, at_zero=None):
         raise DomainError(f"{name} requires t > 0")
     if np.any(tt < 0.0):
         raise DomainError(f"{name} requires t >= 0")
-    out = np.zeros(tt.shape)
-    flat_t, flat_out = tt.reshape(-1), out.reshape(-1)
-    chunks = [slice(i, i + _CHUNK) for i in range(0, flat_t.size, _CHUNK)]
-    pool = _profile_pool()[1] if len(chunks) > 1 else None
-    if pool is None:
-        for c in chunks:
-            _profile_chunk(name, f, at_zero, flat_t[c], flat_out[c])
-    else:
-        futures = [
-            pool.submit(_profile_chunk, name, f, at_zero, flat_t[c], flat_out[c])
-            for c in chunks
-        ]
-        # wait for every chunk before raising the first error, so that no
-        # worker still writes into out once this call has returned
-        errors = [fut.exception() for fut in futures]
-        for exc in errors:
-            if exc is not None:
-                raise exc
+    outs = [np.zeros(tt.shape) for _ in range(count)]
+    flat_t, flat_outs = tt.reshape(-1), [o.reshape(-1) for o in outs]
+    for i in range(0, flat_t.size, _CHUNK):
+        c = slice(i, i + _CHUNK)
+        _profile_chunk(name, f, at_zero, flat_t[c], [o[c] for o in flat_outs])
     if tt.ndim == 0:
-        return float(out)
-    return out
+        return tuple(float(o) for o in outs)
+    return tuple(outs)
 
 
 def _gamma_of(idx):
     return idx.gamma if isinstance(idx, ProblemIndex) else float(idx)
 
 
+def _phi_pair(g, t):
+    k0, k1 = _k_pair(g, t)
+    a = _d1(g) * t**g
+    return a * k0, -a * k1
+
+
 def profile_phi(idx, t):
     """Decaying profile phi(t) = d1 * t^gamma * K_gamma(t), phi(0) = 1."""
     g = _gamma_of(idx)
-    return _profile(
-        "profile_phi", t, lambda ts: _d1(g) * ts**g * special.kv(g, ts), at_zero=1.0
-    )
+    return _profile("profile_phi", t, lambda ts: _phi_pair(g, ts)[:1], at_zero=1.0)[0]
 
 
 def profile_phi_prime(idx, t):
     """d/dt of profile_phi; equals -d1 * t^gamma * K_(1-gamma)(t) for t > 0."""
     g = _gamma_of(idx)
-    return _profile(
-        "profile_phi_prime", t, lambda tt: -_d1(g) * tt**g * special.kv(1.0 - g, tt)
-    )
+    return _profile("profile_phi_prime", t, lambda ts: _phi_pair(g, ts)[1:])[0]
+
+
+def profile_phi_pair(idx, t):
+    """(profile_phi(t), profile_phi_prime(t)) for t > 0 from one kernel
+    evaluation, bit for bit the values of the two calls."""
+    g = _gamma_of(idx)
+    return _profile("profile_phi_pair", t, lambda ts: _phi_pair(g, ts), count=2)
 
 
 def profile_what(idx, t):
@@ -240,18 +440,18 @@ def profile_what(idx, t):
     single multiplicative constant it needs against the bubble's center value.
     """
     g = _gamma_of(idx)
-    return _profile("profile_what", t, lambda tt: tt ** (-g) * special.kv(g, tt))
+    return _profile("profile_what", t, lambda ts: (ts ** (-g) * _k_pair(g, ts)[0],))[0]
 
 
 def profile_what_prime(idx, t):
     """d/dt of profile_what: -2*gamma*t^(-gamma-1)*K_gamma - t^(-gamma)*K_(1-gamma)."""
     g = _gamma_of(idx)
-    return _profile(
-        "profile_what_prime",
-        t,
-        lambda tt: -2.0 * g * tt ** (-g - 1.0) * special.kv(g, tt)
-        - tt ** (-g) * special.kv(1.0 - g, tt),
-    )
+
+    def f(ts):
+        k0, k1 = _k_pair(g, ts)
+        return (-(2.0 * g * k0 / ts + k1) * ts ** (-g),)
+
+    return _profile("profile_what_prime", t, f)[0]
 
 
 def profile_decay_bound(idx, t):

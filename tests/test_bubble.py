@@ -6,7 +6,7 @@ from scipy import special
 
 from fyk import bubble, moments, specfun
 from fyk.bubble import BubbleParams, HalfSpacePoint
-from fyk.errors import DomainError
+from fyk.errors import DomainError, NumericError
 from fyk.specfun import ProblemIndex, constants
 
 
@@ -266,6 +266,58 @@ def test_extension_large_r_agreement():
         a = bubble.extension(idx, p, x, route="fourier_bessel")
         b = bubble.extension(idx, p, x, route="poisson_kernel")
         assert abs(a / b - 1.0) <= 1e-7
+
+
+def test_far_points_beyond_the_s_rule_raise():
+    # the s-rule is keyed on r; at z = 1000 its first node sits at s z ~ 2,
+    # far past the s ~ 1/z where the integrand lives, and the sums used to
+    # come back 39 % off at (3, 1/2)
+    idx = ProblemIndex(3, 0.5)
+    far = np.array([1000.0])
+    with pytest.raises(NumericError):
+        bubble.radial_profiles(idx, np.zeros(1), far)
+    with pytest.raises(NumericError):
+        bubble.paired_profiles(idx, np.zeros(1), far)
+    with pytest.raises(NumericError):
+        bubble.extension(idx, BubbleParams(), _pt(np.zeros(3), 1000.0))
+    # the arcs' rule is keyed on the radius, which bounds z as well
+    got = bubble.polar_profiles(idx, far, np.array([0.0, 0.7]))["W"][0]
+    want = bubble.extension_gamma_half(idx, 1000.0 * np.sin([0.0, 0.7]), 1000.0 * np.cos([0.0, 0.7]))
+    assert np.abs(got / want - 1.0).max() <= 1e-8
+    # within the reach the closed form holds to 1e-8, n = 3..12
+    for n in (3, 5, 9, 12):
+        idx = ProblemIndex(n, 0.5)
+        first = bubble._s_nodes(bubble._rmax_key(1.0))[0][0]
+        z = np.linspace(0.5, 1.0, 6) * bubble._SZ_MAX / first
+        got = bubble.paired_profiles(idx, np.zeros(z.size), z)["W"]
+        assert np.abs(got / bubble.extension_gamma_half(idx, 0.0, z) - 1.0).max() <= 1e-8
+        with pytest.raises(NumericError):
+            bubble.paired_profiles(idx, np.zeros(1), np.array([1.01 * z[-1]]))
+
+
+def test_reach_check_leaves_the_routes_unchanged(monkeypatch, tmp_path):
+    # the direct route (R = 64 and its arcs), the Pohozaev surface fields and
+    # the solvers' reference fields stay within the s-rule's reach: their
+    # tables are the same with the check as with it switched off
+    from fyk import cli
+
+    jobs = [
+        ["integrals", "--n", "4", "--gamma", "0.8", "--method", "direct_2d"],
+        ["pohozaev", "--n", "4", "--gamma", "0.3"],
+        ["solve", "extension", "--n", "4", "--gamma", "0.3"],
+        ["solve", "linearized", "--n", "4", "--gamma", "0.3"],
+    ]
+    tables = {}
+    for reach in (bubble._SZ_MAX, math.inf):
+        monkeypatch.setattr(bubble, "_SZ_MAX", reach)
+        for k, argv in enumerate(jobs):
+            out = tmp_path / f"{reach}-{k}"
+            assert cli.main(argv + ["--out", str(out)]) in (0, 3)
+            for f in sorted(out.iterdir()):
+                tables.setdefault((k, f.name), []).append(f.read_bytes())
+    assert len(tables) >= len(jobs)
+    for key, (checked, unchecked) in tables.items():
+        assert checked == unchecked, key
 
 
 # -- paired and polar evaluation ----------------------------------------------

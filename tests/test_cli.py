@@ -186,7 +186,6 @@ _BLAS_PROBE = textwrap.dedent(
     """
     import ctypes, json, os
     import fyk
-    from fyk import specfun
 
     def blas_threads():
         with open("/proc/self/maps") as fh:
@@ -207,8 +206,7 @@ _BLAS_PROBE = textwrap.dedent(
                     break
         return out
 
-    print(json.dumps({"blas": blas_threads(),
-                      "pool": specfun._profile_pool()[0]}))
+    print(json.dumps({"blas": blas_threads()}))
     """
 )
 
@@ -230,11 +228,10 @@ def _run_python(code, threads):
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc")
-def test_threads_env_bounds_blas_and_the_profile_pool():
+def test_threads_env_bounds_blas():
     got = json.loads(_run_python(_BLAS_PROBE, "1"))
     assert got["blas"], "no OpenBLAS found in the process"
     assert set(got["blas"].values()) == {1}
-    assert got["pool"] == 1
 
 
 def test_invalid_threads_env_does_not_break_import():

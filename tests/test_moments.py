@@ -200,12 +200,13 @@ def _live_entries(idx, s, kw, s0, z):
 
 def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     # the five tail arcs share one kernel and profile evaluation, and the
-    # decay cut evaluates only the s-terms that can matter: phi and phi' see
-    # each live (s, z) point of the core grid and of the arcs' (s', theta)
-    # grid exactly once, and no dropped point reaches kv
+    # decay cut evaluates only the s-terms that can matter: phi and phi' come
+    # together from profile_phi_pair, which sees each live (s, z) point of
+    # the core grid and of the arcs' (s', theta) grid exactly once, and
+    # SciPy's kv is never called
     R = 8.0
     idx = ProblemIndex(5, 0.7)
-    seen = {"profile_phi": [], "profile_phi_prime": []}
+    seen = {"profile_phi_pair": [], "profile_phi": []}
     for name in seen:
         original = getattr(bubble, name)
 
@@ -241,17 +242,14 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     scale = (top / arcs)[:, None]
     kw = bubble._what_weights(idx, scale * s0, scale * ws0)
     tail = _live_entries(idx, scale * s0, kw, s0, top * np.cos(th))
-    for name, calls in seen.items():
-        assert calls[0].size == core.size, name
-        assert np.array_equal(np.sort(calls[0]), np.sort(core)), name
-        got = np.concatenate(calls[1:])
-        assert got.size == tail.size, name
-        assert np.array_equal(np.sort(got), np.sort(tail)), name
-    # K_(1-g) serves phi' alone: it sees exactly the live points below the
-    # underflow cutoff
-    live = np.concatenate([core, tail])
-    prime = np.concatenate([t for order, t in kv_args if order == 1.0 - idx.gamma])
-    assert np.array_equal(np.sort(prime), np.sort(live[live <= 690.0]))
+    calls = seen["profile_phi_pair"]
+    assert seen["profile_phi"] == []
+    assert calls[0].size == core.size
+    assert np.array_equal(np.sort(calls[0]), np.sort(core))
+    got = np.concatenate(calls[1:])
+    assert got.size == tail.size
+    assert np.array_equal(np.sort(got), np.sort(tail))
+    assert kv_args == []
 
 
 @pytest.mark.parametrize("n,gamma,bound", [(7, 0.25, 1e-9), (4, 0.3, 3e-6)])

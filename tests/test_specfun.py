@@ -1,11 +1,8 @@
 import math
-import multiprocessing
-import os
-import sys
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,23 +115,51 @@ def _profile_formulas(g):
 _PROFILES = ("profile_phi", "profile_phi_prime", "profile_what", "profile_what_prime")
 
 
+def _mp_profiles(g):
+    """The profiles in 30-digit arithmetic."""
+    g = mpmath.mpf(g)
+    d1 = 2 ** (1 - g) / mpmath.gamma(g)
+    return {
+        "profile_phi": lambda t: d1 * t**g * mpmath.besselk(g, t),
+        "profile_phi_prime": lambda t: -d1 * t**g * mpmath.besselk(1 - g, t),
+        "profile_what": lambda t: t ** (-g) * mpmath.besselk(g, t),
+        "profile_what_prime": lambda t: -2 * g * t ** (-g - 1) * mpmath.besselk(g, t)
+        - t ** (-g) * mpmath.besselk(1 - g, t),
+    }
+
+
+def _rel_err(got, want):
+    return np.abs(np.asarray(got) / np.asarray(want) - 1.0)
+
+
+def _within_kernel_bounds(t, err):
+    """The kernel's accuracy contract: 2e-15 relative up to t = 128, 1e-13
+    beyond."""
+    return np.all(err <= np.where(t <= 128.0, 2e-15, 1e-13))
+
+
 @pytest.mark.parametrize("name", _PROFILES)
 def test_profiles_at_the_underflow_cutoff_and_beyond(name):
     g = 0.3
     prof = getattr(specfun, name)
-    formula = _profile_formulas(g)[name]
     t = np.array([689.999, 690.0, 690.001, 1e4, np.inf])
-    want = np.concatenate([formula(t[:2]), np.zeros(3)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = prof(g, t)
         scalars = [prof(g, float(x)) for x in t]
-    assert np.array_equal(got, want)
-    assert np.array_equal(scalars, want)
+    assert np.array_equal(scalars, got)
     assert all(isinstance(v, float) for v in scalars)
-    # below the cutoff the values are the closed form, bit for bit
+    assert np.array_equal(got[2:], np.zeros(3))
+    with mpmath.workdps(30):
+        mp = _mp_profiles(g)[name]
+        assert np.all(_rel_err(got[:2], [float(mp(mpmath.mpf(x))) for x in t[:2]]) <= 1e-13)
+        # below the cutoff: the 30-digit values, and SciPy's kv formula to
+        # within kv's own error
+        sample = np.geomspace(1e-3, 690.0, 41)
+        want = [float(mp(mpmath.mpf(x))) for x in sample]
+    assert _within_kernel_bounds(sample, _rel_err(prof(g, sample), want))
     dense = np.linspace(1e-3, 690.0, 4001).reshape(1, 4001)
-    assert np.array_equal(prof(g, dense), formula(dense))
+    assert np.all(_rel_err(prof(g, dense), _profile_formulas(g)[name](dense)) <= 1e-13)
     if name == "profile_phi":
         assert prof(g, 0.0) == 1.0
         assert np.array_equal(prof(g, np.array([0.0, 1e4])), [1.0, 0.0])
@@ -143,7 +168,7 @@ def test_profiles_at_the_underflow_cutoff_and_beyond(name):
             prof(g, 0.0)
 
 
-@pytest.mark.parametrize("name", _PROFILES + ("bessel_k",))
+@pytest.mark.parametrize("name", _PROFILES + ("profile_phi_pair", "bessel_k"))
 def test_profiles_reject_nan(name):
     prof = getattr(specfun, name)
     with pytest.raises(DomainError):
@@ -152,7 +177,108 @@ def test_profiles_reject_nan(name):
         prof(0.3, np.array([1.0, math.nan, 2.0]))
 
 
+# -- the (K_g, K_(1-g)) kernel ------------------------------------------------
+
+_KERNEL_GAMMAS = [0.02, 0.25, 0.5, 0.8, 0.98]
+
+
+def _band_points(seed):
+    """Two random points in every octave from 2^-40 (about 1e-12) to 690,
+    each octave edge, the float just below it, and both ends."""
+    rng = np.random.default_rng(seed)
+    edges = np.ldexp(1.0, np.arange(-40, 10))
+    inner = edges[:, None] * rng.uniform(1.0, 2.0, (edges.size, 2))
+    t = np.concatenate([inner.ravel(), edges, np.nextafter(edges, 0.0), [1e-12, 689.0, 690.0]])
+    return t[(t >= 1e-12) & (t <= 690.0)]
+
+
+@pytest.mark.parametrize("g", _KERNEL_GAMMAS)
+def test_kernel_pair_against_mpmath(g):
+    t = _band_points(int(100 * g))
+    k0, k1 = specfun._k_pair(g, t)
+    with mpmath.workdps(30):
+        g_mp = mpmath.mpf(g)
+        want0 = [float(mpmath.besselk(g_mp, mpmath.mpf(x))) for x in t]
+        want1 = [float(mpmath.besselk(1 - g_mp, mpmath.mpf(x))) for x in t]
+    assert _within_kernel_bounds(t, _rel_err(k0, want0))
+    assert _within_kernel_bounds(t, _rel_err(k1, want1))
+
+
+def test_kernel_pair_at_half_is_the_closed_form():
+    # K_(1/2)(t) = sqrt(pi/(2t)) e^(-t) (DLMF 10.39.2), for both orders
+    t = np.concatenate([np.geomspace(1e-12, 690.0, 3001), _band_points(7)])
+    want = np.sqrt(math.pi / (2.0 * t)) * np.exp(-t)
+    for k in specfun._k_pair(0.5, t):
+        assert _within_kernel_bounds(t, _rel_err(k, want))
+
+
 @pytest.mark.parametrize("g", [0.02, 0.25, 0.5, 0.8, 0.98])
+def test_kernel_pair_wronskian(g):
+    # I_mu K_(mu+1) + I_(mu+1) K_mu = 1/t (DLMF 10.28.2) with mu = -g for
+    # g <= 1/2 and mu = g - 1 above, where (K_mu, K_(mu+1)) = (K_g, K_(1-g))
+    # up to order; SciPy's iv supplies the I's
+    t = np.linspace(1e-8, 600.0, 200001)
+    k0, k1 = specfun._k_pair(g, t)
+    mu = -g if g <= 0.5 else g - 1.0
+    k_mu, k_mu1 = (k0, k1) if g <= 0.5 else (k1, k0)
+    w = special.iv(mu, t) * k_mu1 + special.iv(mu + 1.0, t) * k_mu
+    assert np.abs(t * w - 1.0).max() <= 1e-13
+
+
+def test_kernel_values_depend_on_the_point_alone():
+    # a shuffled input, a strided subset and single points give the
+    # values of the whole input, bit for bit
+    rng = np.random.default_rng(5)
+    t = np.concatenate([np.geomspace(1e-12, 690.0, 20000), _band_points(3)])
+    for g in (0.25, 0.8):
+        k0, k1 = specfun._k_pair(g, t)
+        perm = rng.permutation(t.size)
+        p0, p1 = specfun._k_pair(g, t[perm])
+        assert np.array_equal(p0, k0[perm]) and np.array_equal(p1, k1[perm])
+        s0, s1 = specfun._k_pair(g, t[3::7])
+        assert np.array_equal(s0, k0[3::7]) and np.array_equal(s1, k1[3::7])
+        for i in rng.choice(t.size, 60, replace=False):
+            one0, one1 = specfun._k_pair(g, t[i : i + 1])
+            assert one0[0] == k0[i] and one1[0] == k1[i]
+
+
+def test_profiles_and_field_evaluators_leave_scipy_kv_alone(monkeypatch):
+    from fyk import bubble
+
+    def kv(*args):
+        raise AssertionError("special.kv was called")
+
+    monkeypatch.setattr(special, "kv", kv)
+    t = np.geomspace(1e-9, 800.0, 1001)
+    for name in _PROFILES + ("profile_phi_pair",):
+        getattr(specfun, name)(0.3, t)
+    idx = ProblemIndex(4, 0.35)  # an index whose s-rule is not cached yet
+    fields = ("W", "Wr_over_r", "Wz", "lap_tan", "W_minus_w")
+    pts = np.array([0.2, 1.0, 3.0])
+    bubble.radial_profiles(idx, pts, pts, fields)
+    bubble.paired_profiles(idx, pts, pts, fields)
+    bubble.polar_profiles(idx, pts, np.array([0.1, 0.8]), fields)
+
+
+def test_profile_phi_pair_is_phi_and_phi_prime():
+    g = 0.7
+    t = _chunked_input(False)
+    phi, phi_prime = specfun.profile_phi_pair(g, t)
+    assert phi.shape == phi_prime.shape == t.shape
+    assert np.array_equal(phi, specfun.profile_phi(g, t))
+    assert np.array_equal(phi_prime, specfun.profile_phi_prime(g, t))
+    pair = specfun.profile_phi_pair(g, 2.5)
+    assert pair == (specfun.profile_phi(g, 2.5), specfun.profile_phi_prime(g, 2.5))
+    assert all(isinstance(v, float) for v in pair)
+    assert specfun.profile_phi_pair(g, 700.0) == (0.0, 0.0)
+    for bad in (0.0, -1.0):
+        with pytest.raises(DomainError):
+            specfun.profile_phi_pair(g, bad)
+    with pytest.raises(NumericError):
+        specfun.profile_phi_pair(0.02, np.array([1.0, 5e-324]))
+
+
+@pytest.mark.parametrize("g", _KERNEL_GAMMAS)
 def test_profile_decay_bound_dominates_phi_and_its_derivative(g):
     # the decay cut of the Fourier-Bessel sums drops a term only where this
     # bound on the profile is negligible, so it must hold at every t >= 1
@@ -176,35 +302,15 @@ def test_profile_decay_bound_rejects_bad_input():
 @pytest.mark.parametrize(
     "name, g, t", [("profile_what", 0.8, 1e-200), ("profile_what_prime", 0.25, 1e-300)]
 )
-def test_profile_overflow_raises(name, g, t, profile_pool):
+def test_profile_overflow_raises(name, g, t):
     # the true value exceeds the float range; it used to come back as +-inf
     prof = getattr(specfun, name)
     with pytest.raises(NumericError):
         prof(g, t)
     tt = np.ones(2 * specfun._CHUNK + 5)
     tt[specfun._CHUNK + 3] = t
-    for threads in (1, 2):
-        profile_pool(threads)
-        with pytest.raises(NumericError):
-            prof(g, tt)
-
-
-@pytest.fixture
-def profile_pool(monkeypatch):
-    """Install a profile pool of the given size; shut it down afterwards."""
-    made = []
-
-    def install(threads):
-        if threads == 1:
-            pool = None
-        else:
-            pool = ThreadPoolExecutor(threads)
-            made.append(pool)
-        monkeypatch.setattr(specfun, "_pool", (threads, pool))
-
-    yield install
-    for pool in made:
-        pool.shutdown()
+    with pytest.raises(NumericError):
+        prof(g, tt)
 
 
 def _chunked_input(at_zero):
@@ -212,49 +318,58 @@ def _chunked_input(at_zero):
     with the points where the profiles change their branch sprinkled in."""
     size = 3 * specfun._CHUNK + 1234
     t = np.geomspace(1e-6, 1e3, size)
-    edges = [1e-9, 690.0, 690.001, np.inf] + ([0.0] if at_zero else [])
+    edges = [1e-9, 0.5, 690.0, 690.001, np.inf] + ([0.0] if at_zero else [])
     picks = np.linspace(0, size - 1, 40).astype(int)
     t[picks] = np.resize(edges, picks.size)
     return t.reshape(2, size // 2)
 
 
 @pytest.mark.parametrize("name", _PROFILES)
-def test_pooled_profiles_match_inline(name, profile_pool):
+def test_chunked_profiles_match_their_chunks(name):
+    # one input of several chunks gives, bit for bit, the values of its
+    # chunks evaluated one by one and of slices that straddle them
     g = 0.3
     prof = getattr(specfun, name)
     t = _chunked_input(name == "profile_phi")
-    profile_pool(1)
-    inline = prof(g, t)
-    profile_pool(2)
-    pooled = prof(g, t)
-    assert pooled.shape == t.shape
-    assert np.array_equal(pooled, inline)
-    # and both are the closed form where kv is called, exactly 0 beyond
+    got = prof(g, t)
+    assert got.shape == t.shape
+    flat, vals = t.ravel(), got.ravel()
+    C = specfun._CHUNK
+    for i in range(0, flat.size, C):
+        assert np.array_equal(prof(g, flat[i : i + C]), vals[i : i + C])
+    for i in (C - 17, 2 * C - 1):
+        assert np.array_equal(prof(g, flat[i : i + 40]), vals[i : i + 40])
+    # and they are the closed form where the kernel is called, 0 beyond
     live = (t > 0.0) & (t <= 690.0)
-    want = np.zeros_like(t)
-    want[live] = _profile_formulas(g)[name](t[live])
-    want[t == 0.0] = 1.0
-    assert np.array_equal(pooled, want)
-
-
-class _NoPool:
-    def submit(self, *args, **kwargs):
-        raise AssertionError("the pool was used")
+    assert np.all(_rel_err(got[live], _profile_formulas(g)[name](t[live])) <= 1e-13)
+    assert np.array_equal(got[t > 690.0], np.zeros(np.count_nonzero(t > 690.0)))
+    assert np.all(got[t == 0.0] == 1.0)
 
 
 @pytest.mark.parametrize("name", _PROFILES)
 def test_inputs_of_one_chunk_stay_in_the_calling_thread(name, monkeypatch):
-    monkeypatch.setattr(specfun, "_pool", (2, _NoPool()))
+    # every chunk, of an input of one chunk or of several, is evaluated in
+    # the calling thread: no thread is started
+    seen = []
+    k_pair = specfun._k_pair
+
+    def spy(g, t):
+        seen.append(threading.get_ident())
+        return k_pair(g, t)
+
+    monkeypatch.setattr(specfun, "_k_pair", spy)
+    before = threading.active_count()
     prof = getattr(specfun, name)
     prof(0.3, 2.0)
     prof(0.3, np.linspace(0.1, 800.0, specfun._CHUNK))
-    with pytest.raises(AssertionError, match="the pool was used"):
-        prof(0.3, np.linspace(0.1, 800.0, specfun._CHUNK + 1))
+    prof(0.3, np.linspace(0.1, 800.0, 3 * specfun._CHUNK + 1))
+    assert len(seen) == 1 + 1 + 4
+    assert set(seen) == {threading.get_ident()}
+    assert threading.active_count() == before
 
 
-def test_an_error_in_a_chunk_is_raised_once(profile_pool):
+def test_an_error_in_a_chunk_is_raised_once():
     # two chunks overflow; the call raises the first chunk's NumericError
-    profile_pool(2)
     t = np.ones(4 * specfun._CHUNK)
     t[specfun._CHUNK + 7] = 1e-200
     t[3 * specfun._CHUNK] = 1e-250
@@ -263,83 +378,15 @@ def test_an_error_in_a_chunk_is_raised_once(profile_pool):
     assert err.value.diagnostics == {"t": 1e-200}
 
 
-def test_profile_pool_size(monkeypatch):
-    monkeypatch.setattr(specfun, "_pool", None)
-    monkeypatch.setenv("FYK_THREADS", "2")
-    threads, pool = specfun._profile_pool()
-    try:
-        assert threads == 2
-        assert specfun._profile_pool()[1] is pool  # made once
-    finally:
-        pool.shutdown()
-    monkeypatch.setattr(specfun, "_pool", None)
-    monkeypatch.setenv("FYK_THREADS", "1")
-    assert specfun._profile_pool() == (1, None)
-
-
-def test_concurrent_callers_share_one_pool(monkeypatch):
-    # more callers than cores and a short switch interval: the pool is made
-    # once, and every caller gets its own result, whole
-    monkeypatch.setattr(specfun, "_pool", None)
-    monkeypatch.setenv("FYK_THREADS", "4")
-    t = np.linspace(0.1, 50.0, 2 * specfun._CHUNK + 11)
-    want = _profile_formulas(0.3)["profile_phi"](t)
-    pools, results = [], [None] * 8
-
-    def call(k):
-        pools.append(specfun._profile_pool())
-        results[k] = specfun.profile_phi(0.3, t)
-
-    callers = [threading.Thread(target=call, args=(k,)) for k in range(8)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for th in callers:
-            th.start()
-        for th in callers:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    try:
-        assert not any(th.is_alive() for th in callers)
-        assert len({id(pool) for _, pool in pools}) == 1
-        assert all(np.array_equal(r, want) for r in results)
-    finally:
-        specfun._pool[1].shutdown()
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
-def test_pool_in_a_forked_child(monkeypatch):
-    monkeypatch.setattr(specfun, "_pool", None)
-    monkeypatch.setenv("FYK_THREADS", "2")
-    t = np.linspace(0.1, 50.0, 3 * specfun._CHUNK)
-    want = specfun.profile_phi(0.3, t)  # the parent's pool now exists
-
-    def child():
-        ok = np.array_equal(specfun.profile_phi(0.3, t), want)
-        os._exit(0 if ok else 1)
-
-    proc = multiprocessing.get_context("fork").Process(target=child)
-    proc.start()
-    proc.join(timeout=60)
-    try:
-        assert not proc.is_alive(), "the child hung on the inherited pool"
-        assert proc.exitcode == 0
-    finally:
-        if proc.is_alive():
-            proc.kill()
-        specfun._pool[1].shutdown()
-
-
 def test_thread_count_from_the_environment(monkeypatch):
     monkeypatch.delenv("FYK_THREADS", raising=False)
-    assert _threads.threads() == len(os.sched_getaffinity(0))
-    for raw, want in (("", len(os.sched_getaffinity(0))), ("3", 3), ("0", 1)):
+    assert _threads.env_threads() is None
+    for raw, want in (("", None), ("3", 3), ("0", 1)):
         monkeypatch.setenv("FYK_THREADS", raw)
-        assert _threads.threads() == want
+        assert _threads.env_threads() == want
     monkeypatch.setenv("FYK_THREADS", "zebra")
     with pytest.raises(ValueError, match="FYK_THREADS"):
-        _threads.threads()
+        _threads.env_threads()
 
 
 def test_sphere_area_values():
