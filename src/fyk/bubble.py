@@ -36,16 +36,31 @@ negligible: with b(s) the nonincreasing envelope of |kw| max(1, s^2) (on
 arcs also the max over arcs) and tau = 1e-20 sum |kw|, a node is kept while
 s z < 1 or b(s) Phibar(s z) >= tau.  The test is monotone in s, so the kept
 nodes are a prefix, found by bisection.  phi and phi' (and, at paired points,
-the kernels) are evaluated on that prefix only and are exactly 0 past it;
-the sums still run over every node in the same order.  Where Wz is
-requested, phi and phi' come from one ``specfun.profile_phi_pair`` call,
-one kernel evaluation for both.  sum |kw| is the
-calibration mass alpha, so each dropped term is below 1e-20 alpha and the
-at most ~6000 of them below 1e-16 alpha, the rounding floor of the sums
+the kernels) are evaluated on that prefix only and are exactly 0 past it.
+Where Wz is requested, phi and phi' come from one
+``specfun.profile_phi_pair`` call, one kernel evaluation for both.  sum |kw|
+is the calibration mass alpha, so each dropped term is below 1e-20 alpha and
+the at most ~6000 of them below 1e-16 alpha, the rounding floor of the sums
 (on the direct route's grids the dropped mass is at most 7e-19 alpha per
 point).  W_minus_w uses phi - 1, which reads -1 at a dropped node; its
 error is the dropped phi term alone, but its kernels are needed at every
 node.  On the direct route's core grid about half the profile points stay.
+
+At paired points the sums run over every node, with numpy's pairwise sum.
+``radial_profiles`` streams the tensor grid instead, one block of s-rows at
+a time (``_KERNEL_BLOCK`` values per row block), so it never holds an
+S x len(r) or S x len(z) array.  The z columns are sorted by their live
+prefix, longest first, so the columns a block still needs are a prefix too.
+Each block evaluates the kernels on (s, r), the profiles on its live (s, z)
+entries alone, and adds its terms to the outputs in place by BLAS dgemm:
+the fields on e_nu (W, lap_tan, Wz) share one GEMM, with the coefficients
+on the profile side, Wr_over_r takes one on e_(nu+1), and W_minus_w one over
+every column and row.  The other fields stop after the last live row.  Each
+dgemm adds the partial sum of at most isqrt(S) rows to the output with one
+rounding, so an entry's sum is chunked, and the chunked sum of S terms in
+chunks of k rounds within (k + S/k) eps sum |terms| (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, section 4.2), least near
+k = sqrt(S); one GEMM over all S rows sums term by term.
 
 The s-rule is keyed on the largest r.  A point at large z puts its
 s-integrand at s ~ 1/z, which the rule's first panels resolve only while
@@ -58,10 +73,12 @@ e_0 = J_0(u), e_1 = 2 J_1(u)/u (Cephes ``j0``/``j1``) or from
 e_(-1/2) = cos u, e_(1/2) = sin(u)/u (DLMF 10.16.1) by the recurrence
 e_(mu+1) = mu (mu+1) (2/u)^2 (e_mu - e_(mu-1)), which is DLMF 10.6.1
 rescaled.  The recurrence is stable only where u exceeds the orders it
-passes, so it runs where u > nu + 1; below that SciPy's general-order ``jv``
-takes the two orders, and below u = 1e-7 a two-term series replaces the 0/0
-ratio form.  At the core grids of ``direct_2d`` this leaves ``jv`` a few
-percent of the points.
+passes, so it runs where u > nu + 1.  Below that the power series
+e_mu(u) = sum_k (-u^2/4)^k / (k! (mu+1)_k) (DLMF 10.2.2, normalized) takes
+both orders by Horner's rule, with a term count fixed per nu by the terms at
+u = nu + 1 (``_series_terms``); it is exact at u = 0, and a value depends on
+its own u alone.  Against 30-digit mpmath it is within 6.2e-16 for n <= 24,
+where SciPy's ``jv`` errs by up to 9.2e-15, so no ``jv`` call is left.
 """
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -69,6 +86,7 @@ import math
 
 import numpy as np
 from scipy import integrate, special
+from scipy.linalg import blas
 
 from ._quad import gauss_panels, graded_edges
 from .errors import DomainError, NumericError
@@ -106,7 +124,7 @@ _GAUSS_ORDER = 10
 # for n = 3..12; 1e-8 is first lost at 0.12 (n = 9, 12)
 _SZ_MAX = 0.1
 _BLOCK = 2**17  # kernel and profile values per block of paired points
-_KERNEL_BLOCK = 2**16  # kernel values per block of the tensor grid's _e_pair
+_KERNEL_BLOCK = 2**16  # kernel or profile values per block of the tensor grid's s-rows
 
 
 @dataclass(frozen=True)
@@ -155,13 +173,30 @@ def _trace_radial(idx, r):
     return alpha * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-idx.m / 2.0)
 
 
-def _e_ratio(mu, u):
-    """Gamma(mu+1) (u/2)^(-mu) J_mu(u) from SciPy's jv; equals 1 at 0."""
-    small = u < 1e-7
-    us = np.where(small, 1.0, u)
-    out = math.gamma(mu + 1.0) * (us / 2.0) ** (-mu) * special.jv(mu, us)
-    # two-term series near zero, where the ratio form would divide 0 by 0
-    return np.where(small, 1.0 - u**2 / (4.0 * (mu + 1.0)), out)
+def _series_terms(nu):
+    """The highest power of the series in ``_e_series`` that ``_e_pair``
+    needs: the first whose term for e_nu at u = nu + 1, the largest u the
+    series serves, is below 2^-60.  The term ratio (u/2)^2 / (k (mu + k))
+    grows with u and shrinks with the order mu, so the count serves
+    e_(nu+1) and every smaller u as well."""
+    x = (nu + 1.0) ** 2 / 4.0
+    term, k = 1.0, 0
+    while term >= 2.0**-60:
+        k += 1
+        term *= x / (k * (nu + k))
+    return k
+
+
+def _e_series(mu, u, terms):
+    """e_mu(u) = sum_k (-u^2/4)^k / (k! (mu+1)_k) (DLMF 10.2.2 normalized)
+    up to the power ``terms``, by Horner's rule; exactly 1 at u = 0."""
+    x = -0.25 * u * u
+    acc = np.ones_like(u)
+    for k in range(terms, 0, -1):
+        acc *= x
+        acc /= k * (mu + k)
+        acc += 1.0
+    return acc
 
 
 def _e_pair(nu, u):
@@ -170,7 +205,7 @@ def _e_pair(nu, u):
     u = np.asarray(u, dtype=float)
     low = u <= nu + 1.0
     # points where the recurrence is unstable get a harmless stand-in and
-    # are overwritten from jv below
+    # are overwritten from the power series below
     us = np.where(low, nu + 2.0, u)
     if nu == int(nu):
         mu, e0, e1 = 0.0, special.j0(us), 2.0 * special.j1(us) / us
@@ -181,8 +216,10 @@ def _e_pair(nu, u):
         e0, e1 = e1, (mu + 1.0) * (mu + 2.0) * h2 * (e1 - e0)
         mu += 1.0
     ul = u[low]
-    e0[low] = _e_ratio(nu, ul)
-    e1[low] = _e_ratio(nu + 1.0, ul)
+    if ul.size:
+        terms = _series_terms(nu)
+        e0[low] = _e_series(nu, ul, terms)
+        e1[low] = _e_series(nu + 1.0, ul, terms)
     return e0, e1
 
 
@@ -292,38 +329,27 @@ def _cut_profiles(idx, t, live, fields):
     return tuple(_scatter(live, p) for p in profile_phi_pair(idx, t))
 
 
-def _profile_fields(idx, s, kw, kernels, profiles, fields, contract):
-    """The requested fields as s-sums, reduced by ``contract``.
+_PHI, _PHI_PRIME, _PHI_MINUS_1 = range(3)
 
-    Every field is  sum_i c_i kernel(ur_i) profile(uz_i)  with a coefficient
-    c = kw * (a power of s), kernel e_nu or e_(nu+1) from ``kernels``, the
-    pair ``_e_pair(nu, ur)``, and profile phi or phi' from ``profiles``, the
-    pair ``_cut_profiles``.  The caller evaluates the kernels first, so that
-    ur is freed before the profiles are evaluated.  ``contract(c, kernel,
-    profile)`` does the sum over the s-axis (the first axis on a tensor grid,
-    the last at paired points).
-    """
+
+def _field_terms(idx, s, kw, fields):
+    """The requested fields as s-sums, in a fixed order: each field is
+    sum_i c_i kernel(s_i r) profile(s_i z), given as (c, kernel, profile)
+    with a coefficient c = kw * (a power of s), kernel 0 for e_nu and 1 for
+    e_(nu+1) (the pair ``_e_pair``), and profile phi, phi' or phi - 1
+    (``_PHI``, ``_PHI_PRIME``, ``_PHI_MINUS_1``).  The three evaluators
+    share these formulas."""
     nu = idx.n / 2.0 - 1.0
-    Ev, Ev1 = kernels
-    Ph, Php = profiles
-    out = {}
-    if "W" in fields:
-        out["W"] = contract(kw, Ev, Ph)
-    if "Wr_over_r" in fields:
-        out["Wr_over_r"] = contract(-(kw * s**2 / (2.0 * (nu + 1.0))), Ev1, Ph)
-    if "lap_tan" in fields:
-        out["lap_tan"] = contract(-(kw * s**2), Ev, Ph)
-    if "Wz" in fields:
-        out["Wz"] = contract(kw * s, Ev, Php)
-    if "W_minus_w" in fields:
+    terms = {
+        "W": (kw, 0, _PHI),
+        "Wr_over_r": (-(kw * s**2 / (2.0 * (nu + 1.0))), 1, _PHI),
+        "lap_tan": (-(kw * s**2), 0, _PHI),
+        "Wz": (kw * s, 0, _PHI_PRIME),
         # a dropped phi reads 0 here, so its term is -kw e_nu: the trace part
         # needs the kernel at every node
-        out["W_minus_w"] = contract(kw, Ev, Ph - 1.0)
-    return out
-
-
-def _tensor_contract(c, kernel, profile):
-    return (kernel * c[:, None]).T @ profile
+        "W_minus_w": (kw, 0, _PHI_MINUS_1),
+    }
+    return {k: v for k, v in terms.items() if k in fields}
 
 
 def _paired_contract(c, kernel, profile):
@@ -333,8 +359,8 @@ def _paired_contract(c, kernel, profile):
 
 
 def _paired_fields(idx, s, kw, s0, r, z, fields):
-    """``_profile_fields`` at the paired points (r[k], z[k]), with the
-    kernels at s0 r and the profiles at s0 z, in blocks of points: each
+    """The fields of ``_field_terms`` at the paired points (r[k], z[k]), with
+    the kernels at s0 r and the profiles at s0 z, in blocks of points: each
     point's sum is independent of the others, and a block of _BLOCK values
     bounds the temporaries of ``_e_pair`` and the profiles.  Kernels and
     profiles are evaluated on each point's live s-prefix only and are 0
@@ -344,17 +370,30 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
     counts = _live_counts(idx, s, kw, s0, z)
     kernel_counts = np.full(counts.shape, s0.size) if "W_minus_w" in fields else counts
     cols = np.arange(s0.size)
+    terms = _field_terms(idx, s, kw, fields)
 
     def block(blk):
         live = cols < kernel_counts[blk, None]
         kernels = [_scatter(live, e) for e in _e_pair(nu, np.outer(r[blk], s0)[live])]
         live = cols < counts[blk, None]
-        profiles = _cut_profiles(idx, np.outer(z[blk], s0)[live], live, fields)
-        return _profile_fields(idx, s, kw, kernels, profiles, fields, _paired_contract)
+        Ph, Php = _cut_profiles(idx, np.outer(z[blk], s0)[live], live, fields)
+        profiles = (Ph, Php, Ph - 1.0 if "W_minus_w" in terms else None)
+        return {
+            k: _paired_contract(c, kernels[e], profiles[p]) for k, (c, e, p) in terms.items()
+        }
 
     step = max(1, _BLOCK // s0.size)
     parts = [block(slice(i, i + step)) for i in range(0, max(r.size, 1), step)]
     return {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
+
+
+def _accumulate(a, b, c, step):
+    """c += a^T b in place, for C-ordered ``a`` and ``b`` with the s-rows of
+    one block as their first axis and an F-ordered ``c``: one BLAS dgemm per
+    ``step`` rows, each adding its partial sum to c with one rounding."""
+    for i in range(0, len(a), step):
+        j = slice(i, i + step)
+        blas.dgemm(1.0, a[j].T, b[j].T, beta=1.0, c=c, trans_b=True, overwrite_c=True)
 
 
 def radial_profiles(idx, r, z, fields=("W",)):
@@ -375,15 +414,52 @@ def radial_profiles(idx, r, z, fields=("W",)):
     _check_points(r, z, fields)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
     _check_reach(s, z)
-    # _e_pair is element-wise: blocks of rows keep its temporaries in cache
     nu = idx.n / 2.0 - 1.0
-    Ev, Ev1 = np.empty((s.size, r.size)), np.empty((s.size, r.size))
-    rows = max(1, _KERNEL_BLOCK // max(r.size, 1))
-    for i in range(0, s.size, rows):
-        Ev[i : i + rows], Ev1[i : i + rows] = _e_pair(nu, np.outer(s[i : i + rows], r))
-    live = np.arange(s.size)[:, None] < _live_counts(idx, s, kw, s, z)
-    profiles = _cut_profiles(idx, np.outer(s, z)[live], live, fields)
-    return _profile_fields(idx, s, kw, (Ev, Ev1), profiles, fields, _tensor_contract)
+    counts = _live_counts(idx, s, kw, s, z)
+    # z columns by live count, descending, so the live columns of every
+    # block of s-rows are a prefix (on ascending z the order is the identity)
+    order = np.argsort(-counts, kind="stable")
+    zs, counts = z[order], counts[order]
+    terms = _field_terms(idx, s, kw, fields)
+    # the fields on one kernel share one GEMM: in a group of g fields, column
+    # j * g + f of the F-ordered buffer is field f at z column j, so a block
+    # adds to the contiguous columns of its live prefix.  W_minus_w needs
+    # every column and every row, and has a group of its own
+    groups, bufs, out = {}, {}, {}
+    for k, (_, e, p) in terms.items():
+        groups.setdefault((e, p == _PHI_MINUS_1), []).append(k)
+    for g, keys in groups.items():
+        bufs[g] = np.zeros((r.size, len(keys), z.size), order="F")
+        out.update((k, bufs[g][:, f]) for f, k in enumerate(keys))
+    stop = s.size if "W_minus_w" in terms else counts.max(initial=0)
+    rows = max(1, _KERNEL_BLOCK // max(r.size, z.size, 1))
+    # partial sums of about sqrt(S) rows minimize the chunked sum's rounding
+    # bound (see the module docstring)
+    step = max(1, math.isqrt(s.size))
+    for i in range(0, stop if r.size and z.size else 0, rows):
+        blk = slice(i, i + rows)
+        kernels = _e_pair(nu, np.outer(s[blk], r))
+        live = np.count_nonzero(counts > i)
+        mask = np.arange(i, i + len(kernels[0]))[:, None] < counts[:live]
+        Ph, Php = _cut_profiles(idx, np.outer(s[blk], zs[:live])[mask], mask, fields)
+        profiles = [Ph, Php, None]
+        if "W_minus_w" in terms:
+            profiles[_PHI_MINUS_1] = np.full((len(mask), z.size), -1.0)
+            profiles[_PHI_MINUS_1][:, :live] += Ph
+        for (e, full), keys in groups.items():
+            width = z.size if full else live
+            if not width:
+                continue
+            P = np.empty((len(mask), width, len(keys)))
+            for f, k in enumerate(keys):
+                c, _, p = terms[k]
+                P[:, :, f] = c[blk, None] * profiles[p]
+            dst = bufs[e, full][:, :, :width].reshape(r.size, -1, order="F")
+            _accumulate(kernels[e], P.reshape(len(P), -1), dst, step)
+    if not np.array_equal(order, np.arange(z.size)):
+        inv = np.argsort(order)
+        out = {k: v[:, inv] for k, v in out.items()}
+    return {k: out[k] for k in terms}
 
 
 def paired_profiles(idx, r, z, fields=("W",)):

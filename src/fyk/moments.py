@@ -265,30 +265,28 @@ def _field_pack(idx, r, z, f):
 
 
 def _nine_integrands(idx, r, f):
-    """Pointwise integrand values as (z_exponent, array) pairs: the nine
+    """Pointwise integrand values as (z_exponent, array) pairs, one at a
+    time, so the caller can reduce each before the next is built: the nine
     quadratic integrals first, then the three combined functionals.  ``r``
     broadcasts against the arrays of ``f``: r[:, None] on a tensor grid, the
     paired radii on arcs.  The r^(n-1) area factor and the z-power weights
     are applied by the caller."""
     g = idx.gamma
     n = idx.n
-    Wrr = f["lap_tan"] - (n - 1) * f["Wr_over_r"]
-    vals = [
-        (1.0 - 2 * g, f["W"] ** 2),
-        (1.0 - 2 * g, r * f["W"] * f["Wr"]),
-        (2.0 - 2 * g, f["W"] * f["Wz"]),
-        (2.0 - 2 * g, r * f["Wr"] * f["Wz"]),
-        (3.0 - 2 * g, f["W"] * f["lap_tan"]),
-        (3.0 - 2 * g, f["Wr"] ** 2),
-        (3.0 - 2 * g, f["Wz"] ** 2),
-        (3.0 - 2 * g, r * f["Wr"] * Wrr),
-        (4.0 - 2 * g, f["Wz"] * f["lap_tan"]),
-        # combined functionals against the dilation field
-        (3.0 - 2 * g, f["lap_tan"] * f["Z0"]),
-        (2.0 - 2 * g, f["Wz"] * f["Z0"]),
-        (1.0 - 2 * g, f["W"] * f["Z0"]),
-    ]
-    return vals
+    yield 1.0 - 2 * g, f["W"] ** 2
+    yield 1.0 - 2 * g, r * f["W"] * f["Wr"]
+    yield 2.0 - 2 * g, f["W"] * f["Wz"]
+    yield 2.0 - 2 * g, r * f["Wr"] * f["Wz"]
+    yield 3.0 - 2 * g, f["W"] * f["lap_tan"]
+    yield 3.0 - 2 * g, f["Wr"] ** 2
+    yield 3.0 - 2 * g, f["Wz"] ** 2
+    # W_rr = lap_tan - (n - 1) W_r / r
+    yield 3.0 - 2 * g, r * f["Wr"] * (f["lap_tan"] - (n - 1) * f["Wr_over_r"])
+    yield 4.0 - 2 * g, f["Wz"] * f["lap_tan"]
+    # combined functionals against the dilation field
+    yield 3.0 - 2 * g, f["lap_tan"] * f["Z0"]
+    yield 2.0 - 2 * g, f["Wz"] * f["Z0"]
+    yield 1.0 - 2 * g, f["W"] * f["Z0"]
 
 
 def _tail_theta_rule():
@@ -310,9 +308,10 @@ def _integrals_direct(idx, R=None):
     r, wr, z, wz = _grid_rules(idx, R)
     rc, zc = r[:, None], z[None, :]
     f = _field_pack(idx, rc, zc, bubble.radial_profiles(idx, r, z, _FIELDS))
-    packs = _nine_integrands(idx, rc, f)
     area_r = wr * r ** (n - 1)
-    core = np.array([S * (area_r @ F @ (wz * z**pz)) for pz, F in packs])
+    core = np.array(
+        [S * (area_r @ F @ (wz * z**pz)) for pz, F in _nine_integrands(idx, rc, f)]
+    )
 
     # tail over the complement of the square [0,R]^2: per polar angle, fit the
     # radial profile of each integrand to its leading power rho^(-q) times a
@@ -329,7 +328,7 @@ def _integrals_direct(idx, R=None):
     samples = np.array(
         [F * ra ** (n - 1) * za**pz for pz, F in _nine_integrands(idx, ra, fa)]
     )
-    tails = np.empty(len(packs))
+    tails = np.empty(12)
     rho0 = R / np.maximum(np.sin(th), np.cos(th))
     # correction exponents of the radial profile.  The inversion
     # W(x) = |x|^(-m) W(x/|x|^2) maps the far field to the trace expansion
@@ -340,7 +339,7 @@ def _integrals_direct(idx, R=None):
     expos = np.array([0.0, 2.0 * g, 4.0 * g, 2.0, 2.0 - 2.0 * g])
     expos = np.unique(np.round(expos, 12))
     X = arcs[:, None] ** (-expos[None, :])
-    for k in range(len(packs)):
+    for k in range(12):
         Y = samples[k] * arcs[:, None] ** q
         coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
         t_fit = sum(

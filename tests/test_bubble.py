@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy import special
+from scipy.linalg import blas
 
 from fyk import bubble, moments, specfun
 from fyk.bubble import BubbleParams, HalfSpacePoint
@@ -222,8 +223,8 @@ def test_kernel_pair_matches_jv_formula(n):
     assert np.abs(e1 - _e_jv(nu + 1.0, u)).max() <= 1e-14
 
 
-def test_kernel_pair_calls_jv_only_below_the_recurrence_range(monkeypatch):
-    seen = []
+def test_kernel_pair_never_calls_jv(monkeypatch):
+    # the recurrence covers u > nu + 1 and the power series the rest
 
     class Spy:
         def __getattr__(self, name):
@@ -231,15 +232,13 @@ def test_kernel_pair_calls_jv_only_below_the_recurrence_range(monkeypatch):
 
         @staticmethod
         def jv(order, x):
-            seen.append(float(np.max(x)))
-            return special.jv(order, x)
+            raise AssertionError("special.jv called")
 
     monkeypatch.setattr(bubble, "special", Spy())
-    u = np.linspace(0.0, 40.0, 4001)
-    for nu in (0.0, 0.5, 3.0, 4.5):
-        bubble._e_pair(nu, u)
-        assert seen and max(seen) <= nu + 1.0
-        seen.clear()
+    u = np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(0.0, 40.0, 4001)])
+    for nu in (-0.5, 0.0, 0.5, 3.0, 4.5, 11.0):
+        e0, e1 = bubble._e_pair(nu, u)
+        assert e0[0] == 1.0 and e1[0] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -254,6 +253,22 @@ def test_kernel_pair_against_mpmath(nu, u):
             m, x = mpmath.mpf(mu), mpmath.mpf(u)
             want = mpmath.gamma(m + 1) * (x / 2) ** (-m) * mpmath.besselj(m, x)
             assert abs(got - float(want)) <= 1e-14
+
+
+@pytest.mark.parametrize("n", range(2, 25))
+def test_kernel_series_against_mpmath(n):
+    # the power series serves u <= nu + 1; at its upper end its terms
+    # cancel most, and the recurrence takes over just above it
+    mpmath = pytest.importorskip("mpmath")
+    nu = n / 2.0 - 1.0
+    u = np.array([nu + 1.0 - 1e-9, nu + 1.0])
+    e0, e1 = bubble._e_pair(nu, u)
+    with mpmath.workdps(30):
+        for mu, got in ((nu, e0), (nu + 1.0, e1)):
+            for x, g in zip(u, got):
+                m, x = mpmath.mpf(mu), mpmath.mpf(x)
+                want = mpmath.gamma(m + 1) * (x / 2) ** (-m) * mpmath.besselj(m, x)
+                assert abs(g - float(want)) <= 1e-15, (mu, x)
 
 
 def test_extension_large_r_agreement():
@@ -359,6 +374,21 @@ def test_paired_profiles_match_tensor_diagonal():
         assert np.abs(v - np.diagonal(want[k])).max() <= 1e-15 * np.abs(want[k]).max()
 
 
+def test_w_minus_w_sums_every_s_row(monkeypatch):
+    # far above the trace every column's live s-prefix ends early, yet
+    # W_minus_w keeps the term -kw e_nu of every node, in every block of
+    # 16 s-rows; the paired points sum every node as well
+    idx = ProblemIndex(5, 0.7)
+    r = np.array([0.0, 0.7, 2.0])
+    z = np.array([2.0, 3.0, 5.0])
+    s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
+    assert bubble._live_counts(idx, s, kw, s, z).max() < s.size / 2
+    monkeypatch.setattr(bubble, "_KERNEL_BLOCK", 16 * z.size)
+    got = bubble.radial_profiles(idx, r, z, ("W_minus_w",))["W_minus_w"]
+    want = bubble.paired_profiles(idx, r, z, ("W_minus_w",))["W_minus_w"]
+    assert np.abs(np.diagonal(got) - want).max() <= 1e-15 * np.abs(got).max()
+
+
 def test_paired_and_polar_profiles_reject_bad_input():
     # a NaN point would otherwise drop out of the decay cut's bisection
     idx = ProblemIndex(4, 0.3)
@@ -386,20 +416,70 @@ def test_paired_and_polar_profiles_reject_bad_input():
         bubble.polar_profiles(idx, np.array([1.0]), np.array([0.5 * math.pi + 0.1]), ("Wz",))
 
 
-# -- the decay cut ------------------------------------------------------------
+# -- the decay cut and the streamed s-sums ------------------------------------
 
 
-def _uncut_fields(idx, s, kw, kernels, Ph, Php, combine):
-    """The four fields as full s-sums, every term evaluated: the oracle for
-    the decay cut.  ``combine(c, kernel, profile)`` sums over the last axis."""
+def _uncut_terms(idx, s, kw, r, z, profiles):
+    """(coefficient, kernel, profile) of each of the five fields, every term
+    evaluated, with the s-nodes on the first axis: kernels at s r and
+    profiles at s z for the (s, r) and (s, z) arrays ``r`` and ``z``.
+    ``profiles`` maps an array of arguments to (phi, phi')."""
     nu = idx.n / 2.0 - 1.0
-    Ev, Ev1 = kernels
+    Ev, Ev1 = bubble._e_pair(nu, s[:, None] * r)
+    Ph, Php = profiles(s[:, None] * z)
     return {
-        "W": combine(kw, Ev, Ph),
-        "Wr_over_r": combine(-kw * s**2 / (2.0 * (nu + 1.0)), Ev1, Ph),
-        "lap_tan": combine(-kw * s**2, Ev, Ph),
-        "Wz": combine(kw * s, Ev, Php),
+        "W": (kw, Ev, Ph),
+        "Wr_over_r": (-(kw * s**2 / (2.0 * (nu + 1.0))), Ev1, Ph),
+        "lap_tan": (-(kw * s**2), Ev, Ph),
+        "Wz": (kw * s, Ev, Php),
+        "W_minus_w": (kw, Ev, Ph - 1.0),
     }
+
+
+def _uncut_pair(idx):
+    return lambda t: (specfun.profile_phi(idx, t), specfun.profile_phi_prime(idx, t))
+
+
+def _blocked_uncut_sums(idx, s, kw, r, z):
+    """The five fields on the grid r x z summed as ``radial_profiles`` sums
+    them, but over every term: the same blocks of s-rows, partial sums of
+    isqrt(S) rows each added to the output by one dgemm, and the coefficient
+    on the profile side.  Against it the cut shows alone."""
+    rows = max(1, bubble._KERNEL_BLOCK // max(r.size, z.size))
+    step = math.isqrt(s.size)
+    out = {k: np.zeros((r.size, z.size), order="F") for k in _FIELDS + ("W_minus_w",)}
+    for i in range(0, s.size, rows):
+        b = slice(i, i + rows)
+        for k, (c, K, P) in _uncut_terms(idx, s[b], kw[b], r, z, _uncut_pair(idx)).items():
+            for j in range(0, len(K), step):
+                Kj, Pj = K[j : j + step], c[j : j + step, None] * P[j : j + step]
+                blas.dgemm(1.0, Kj.T, Pj.T, beta=1.0, c=out[k], trans_b=True, overwrite_c=True)
+    return out
+
+
+def _one_gemm_sums_and_scale(idx, s, kw, r, z):
+    """The five fields as one GEMM over the decay cut's terms, with the
+    coefficient on the kernel side and the s-terms summed one by one, and
+    the scale sum |terms| of each field's rounding."""
+    counts = bubble._live_counts(idx, s, kw, s, z)
+    dead = np.arange(s.size)[:, None] >= counts
+
+    def cut(t):
+        return tuple(np.where(dead, 0.0, p) for p in _uncut_pair(idx)(t))
+
+    sums, scale = {}, {}
+    for k, (c, K, P) in _uncut_terms(idx, s, kw, r, z, cut).items():
+        sums[k] = (K * c[:, None]).T @ P
+        scale[k] = (np.abs(K) * np.abs(c)[:, None]).T @ np.abs(P)
+    return sums, scale
+
+
+def _rounding_floor(s, scale):
+    """Two orders of one s-sum of products differ by at most
+    2 gamma_(S+1) sum |terms| ~ (S + 1) eps sum |terms|: each term takes at
+    most two product roundings and S - 1 additions in any order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, eq. 4.4)."""
+    return (s.size + 1) * np.finfo(float).eps * scale
 
 
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8)])
@@ -413,15 +493,17 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma):
     r, _, z, _ = moments._grid_rules(idx, R)
     r, z = r[::6], z[::2]
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
-    uz = np.outer(z, s)
-    want = _uncut_fields(
-        idx, s, kw, bubble._e_pair(nu, np.outer(r, s)),
-        specfun.profile_phi(idx, uz), specfun.profile_phi_prime(idx, uz),
-        lambda c, K, P: (K * c) @ P.T,
-    )
-    got = bubble.radial_profiles(idx, r, z, _FIELDS)
-    for k in _FIELDS:
+    got = bubble.radial_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
+    # in the streamed order, every dropped term is below 1e-20 alpha
+    want = _blocked_uncut_sums(idx, s, kw, r, z)
+    for k in want:
         assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("core", k)
+    # against the one-GEMM sum of the same terms, the order of summation
+    # moves a field at its rounding floor only: Wz near z = 0 sums large
+    # cancelling terms, so this floor is far above 1e-15 alpha there
+    one, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
+    for k in one:
+        assert np.all(np.abs(got[k] - one[k]) <= _rounding_floor(s, scale[k])), ("order", k)
 
     arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
     th = moments._tail_theta_rule()[0]
@@ -429,11 +511,83 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma):
     scale = (R / arcs)[:, None]
     s, kw = scale * s0, bubble._what_weights(idx, scale * s0, scale * ws0)
     uz = np.outer(R * np.cos(th), s0)
-    want = _uncut_fields(
-        idx, s, kw, bubble._e_pair(nu, np.outer(R * np.sin(th), s0)),
-        specfun.profile_phi(idx, uz), specfun.profile_phi_prime(idx, uz),
-        lambda c, K, P: c @ (K * P).T,
-    )
+    Ev, Ev1 = bubble._e_pair(nu, np.outer(R * np.sin(th), s0))
+    Ph, Php = specfun.profile_phi(idx, uz), specfun.profile_phi_prime(idx, uz)
+
+    def combine(c, K, P):
+        return c @ (K * P).T
+
+    want = {
+        "W": combine(kw, Ev, Ph),
+        "Wr_over_r": combine(-kw * s**2 / (2.0 * (nu + 1.0)), Ev1, Ph),
+        "lap_tan": combine(-kw * s**2, Ev, Ph),
+        "Wz": combine(kw * s, Ev, Php),
+    }
     got = bubble.polar_profiles(idx, arcs, th, _FIELDS)
     for k in _FIELDS:
         assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("arcs", k)
+
+
+def test_radial_profiles_peak_memory():
+    # the (4, 0.8) core grid of the direct route, 720 x 1020 points on 5790
+    # s-nodes: streaming the s-rows keeps no S x N array; the four outputs
+    # alone take 23.5 MB (one S x N array would take 47 MB, and the
+    # evaluation before streaming peaked at 215 MB)
+    import tracemalloc
+
+    idx = ProblemIndex(4, 0.8)
+    r, _, z, _ = moments._grid_rules(idx, 64.0)
+    bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
+    tracemalloc.start()
+    try:
+        bubble.radial_profiles(idx, r, z, _FIELDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 86e6
+
+
+def _small_grid():
+    # a direct-route core grid at R = 8, where the s-rule has about 800
+    # nodes, so that one-row blocks stay cheap; the decay cut is active
+    idx = ProblemIndex(5, 0.7)
+    r, _, z, _ = moments._grid_rules(idx, 8.0)
+    return idx, r[::3], z[::3]
+
+
+@pytest.mark.parametrize("height", ["one row", "whole grid"])
+def test_block_height_moves_only_rounding(monkeypatch, height):
+    idx, r, z = _small_grid()
+    fields = _FIELDS + ("W_minus_w",)
+    s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
+    default = bubble.radial_profiles(idx, r, z, fields)
+    block = 1 if height == "one row" else s.size * max(r.size, z.size)
+    monkeypatch.setattr(bubble, "_KERNEL_BLOCK", block)
+    got = bubble.radial_profiles(idx, r, z, fields)
+    _, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
+    for k in fields:
+        assert np.all(np.abs(got[k] - default[k]) <= _rounding_floor(s, scale[k])), k
+
+
+def test_field_subsets_match_the_full_request():
+    # each output entry is the same chain of roundings whichever fields
+    # share its GEMM
+    idx, r, z = _small_grid()
+    full = bubble.radial_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
+    for sub in [("W",), ("Wr_over_r", "Wz", "lap_tan"), ("W_minus_w",)]:
+        got = bubble.radial_profiles(idx, r, z, sub)
+        assert tuple(got) == tuple(k for k in full if k in sub)
+        for k in sub:
+            assert np.array_equal(got[k], full[k]), (sub, k)
+
+
+def test_shuffled_z_permutes_the_fields():
+    # the columns are sorted by their live s-prefix internally; the output
+    # follows the caller's order
+    idx, r, z = _small_grid()
+    fields = _FIELDS + ("W_minus_w",)
+    want = bubble.radial_profiles(idx, r, z, fields)
+    perm = np.random.default_rng(7).permutation(z.size)
+    got = bubble.radial_profiles(idx, r, z[perm], fields)
+    for k in fields:
+        assert np.array_equal(got[k], want[k][:, perm]), k

@@ -202,8 +202,8 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     # the five tail arcs share one kernel and profile evaluation, and the
     # decay cut evaluates only the s-terms that can matter: phi and phi' come
     # together from profile_phi_pair, which sees each live (s, z) point of
-    # the core grid and of the arcs' (s', theta) grid exactly once, and
-    # SciPy's kv is never called
+    # the core grid (over several calls, one per block of s-rows) and of the
+    # arcs' (s', theta) grid exactly once, and SciPy's kv is never called
     R = 8.0
     idx = ProblemIndex(5, 0.7)
     seen = {"profile_phi_pair": [], "profile_phi": []}
@@ -227,7 +227,7 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     polar = bubble.polar_profiles
 
     def polar_spy(idx, rho, theta, fields):
-        polar_args.append((rho, theta))
+        polar_args.append((rho, theta, len(seen["profile_phi_pair"])))
         return polar(idx, rho, theta, fields)
 
     monkeypatch.setattr(bubble, "polar_profiles", polar_spy)
@@ -236,7 +236,7 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     r, _, z, _ = moments._grid_rules(idx, R)
     s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
     core = _live_entries(idx, s, kw, s, z)
-    [(arcs, th)] = polar_args
+    [(arcs, th, split)] = polar_args
     top = arcs.max()
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
     scale = (top / arcs)[:, None]
@@ -244,9 +244,11 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     tail = _live_entries(idx, scale * s0, kw, s0, top * np.cos(th))
     calls = seen["profile_phi_pair"]
     assert seen["profile_phi"] == []
-    assert calls[0].size == core.size
-    assert np.array_equal(np.sort(calls[0]), np.sort(core))
-    got = np.concatenate(calls[1:])
+    assert split > 1  # the core grid streams its s-rows in blocks
+    got = np.concatenate(calls[:split])
+    assert got.size == core.size
+    assert np.array_equal(np.sort(got), np.sort(core))
+    got = np.concatenate(calls[split:])
     assert got.size == tail.size
     assert np.array_equal(np.sort(got), np.sort(tail))
     assert kv_args == []
