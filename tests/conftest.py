@@ -3,6 +3,25 @@
 Prints a one-line verdict per acceptance test at the end of the run so the
 pass/fail state of the whole contract is readable at a glance.
 """
+import pytest
+
+from fyk._quad import gauss_panels, graded_edges
+
+
+@pytest.fixture
+def capped_grid_rules():
+    """The direct route's core rule with its panel widths capped at 1, a
+    drop-in for ``moments._grid_rules``: 480 x 780 points at R = 40 and
+    720 x 1020 at R = 64, against 190 x 460 and 210 x 470 for the geometric
+    grid.  An oracle for that grid, and a fixed, denser point set for the
+    profile tests."""
+
+    def rules(idx, R):
+        r, wr = gauss_panels(graded_edges(0.0, R, 0.05, ratio=1.35, h_max=1.0), 10)
+        z, wz = gauss_panels(graded_edges(0.0, R, 1e-9, ratio=1.7, h_max=1.0), 10)
+        return r, wr, z, wz
+
+    return rules
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

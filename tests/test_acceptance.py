@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from fyk import bubble, moments, pohozaev, solver
+from fyk import bubble, cli, moments, pohozaev, solver
 from fyk.errors import DomainError
 from fyk.specfun import ProblemIndex, constants
 
@@ -43,6 +43,17 @@ def test_criterion_01_ratios_direct_route(n, gamma):
     rel = np.abs(iset.I / iset.C0 - moments.closed_form_ratios(idx))
     rel /= np.abs(moments.closed_form_ratios(idx))
     assert rel.max() <= 1e-4
+
+
+def test_criterion_01_direct_route_at_4_08():
+    # the weight z^(-0.6) is singular at the trace: the tail's equator panel
+    # is Gauss-Jacobi in that weight, and the CLI's residual check passes
+    idx = ProblemIndex(4, 0.8)
+    iset = _integrals(4, 0.8, "direct_2d")
+    rel = np.abs(iset.I / iset.C0 / moments.closed_form_ratios(idx) - 1.0)
+    assert rel.max() <= 1e-4
+    argv = ["integrals", "--n", "4", "--gamma", "0.8", "--method", "direct_2d", "--tol", "1e-4"]
+    assert cli.main(argv) == 0
 
 
 @pytest.mark.xfail(

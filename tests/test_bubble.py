@@ -349,7 +349,7 @@ def test_polar_profiles_match_tensor_diagonal(n, gamma):
     alpha = constants(idx).alpha
     R = 40.0 if n - 2.0 * gamma > 4.0 else 64.0
     arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
-    th = moments._tail_theta_rule()[0][::4]  # every fourth node
+    th = moments._tail_theta_rule(gamma)[0]  # all 84 nodes
     got = bubble.polar_profiles(idx, arcs, th, _FIELDS)
     for a, rho in enumerate(arcs):
         want = bubble.radial_profiles(idx, rho * np.sin(th), rho * np.cos(th), _FIELDS)
@@ -483,14 +483,14 @@ def _rounding_floor(s, scale):
 
 
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8)])
-def test_decay_cut_matches_the_uncut_sums(n, gamma):
-    # the direct route's core grid (every sixth r and every second z node)
-    # and its five tail arcs
+def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
+    # the capped core grid (every sixth r and every second z node: 120 x 510
+    # points at R = 64) and the direct route's five tail arcs
     idx = ProblemIndex(n, gamma)
     nu = idx.n / 2.0 - 1.0
     alpha = constants(idx).alpha
     R = 40.0 if n - 2.0 * gamma > 4.0 else 64.0
-    r, _, z, _ = moments._grid_rules(idx, R)
+    r, _, z, _ = capped_grid_rules(idx, R)
     r, z = r[::6], z[::2]
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
     got = bubble.radial_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
@@ -506,7 +506,7 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma):
         assert np.all(np.abs(got[k] - one[k]) <= _rounding_floor(s, scale[k])), ("order", k)
 
     arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
-    th = moments._tail_theta_rule()[0]
+    th = moments._tail_theta_rule(gamma)[0]
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(R))
     scale = (R / arcs)[:, None]
     s, kw = scale * s0, bubble._what_weights(idx, scale * s0, scale * ws0)
@@ -528,15 +528,15 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma):
         assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("arcs", k)
 
 
-def test_radial_profiles_peak_memory():
-    # the (4, 0.8) core grid of the direct route, 720 x 1020 points on 5790
+def test_radial_profiles_peak_memory(capped_grid_rules):
+    # the capped (4, 0.8) core grid at R = 64, 720 x 1020 points on 5790
     # s-nodes: streaming the s-rows keeps no S x N array; the four outputs
     # alone take 23.5 MB (one S x N array would take 47 MB, and the
     # evaluation before streaming peaked at 215 MB)
     import tracemalloc
 
     idx = ProblemIndex(4, 0.8)
-    r, _, z, _ = moments._grid_rules(idx, 64.0)
+    r, _, z, _ = capped_grid_rules(idx, 64.0)
     bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
     tracemalloc.start()
     try:
@@ -547,17 +547,17 @@ def test_radial_profiles_peak_memory():
     assert peak <= 86e6
 
 
-def _small_grid():
-    # a direct-route core grid at R = 8, where the s-rule has about 800
-    # nodes, so that one-row blocks stay cheap; the decay cut is active
+def _small_grid(grid_rules):
+    # the capped core grid at R = 8, where the s-rule has about 800 nodes,
+    # so that one-row blocks stay cheap; the decay cut is active
     idx = ProblemIndex(5, 0.7)
-    r, _, z, _ = moments._grid_rules(idx, 8.0)
+    r, _, z, _ = grid_rules(idx, 8.0)
     return idx, r[::3], z[::3]
 
 
 @pytest.mark.parametrize("height", ["one row", "whole grid"])
-def test_block_height_moves_only_rounding(monkeypatch, height):
-    idx, r, z = _small_grid()
+def test_block_height_moves_only_rounding(monkeypatch, height, capped_grid_rules):
+    idx, r, z = _small_grid(capped_grid_rules)
     fields = _FIELDS + ("W_minus_w",)
     s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
     default = bubble.radial_profiles(idx, r, z, fields)
@@ -569,10 +569,10 @@ def test_block_height_moves_only_rounding(monkeypatch, height):
         assert np.all(np.abs(got[k] - default[k]) <= _rounding_floor(s, scale[k])), k
 
 
-def test_field_subsets_match_the_full_request():
+def test_field_subsets_match_the_full_request(capped_grid_rules):
     # each output entry is the same chain of roundings whichever fields
     # share its GEMM
-    idx, r, z = _small_grid()
+    idx, r, z = _small_grid(capped_grid_rules)
     full = bubble.radial_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
     for sub in [("W",), ("Wr_over_r", "Wz", "lap_tan"), ("W_minus_w",)]:
         got = bubble.radial_profiles(idx, r, z, sub)
@@ -581,10 +581,10 @@ def test_field_subsets_match_the_full_request():
             assert np.array_equal(got[k], full[k]), (sub, k)
 
 
-def test_shuffled_z_permutes_the_fields():
+def test_shuffled_z_permutes_the_fields(capped_grid_rules):
     # the columns are sorted by their live s-prefix internally; the output
     # follows the caller's order
-    idx, r, z = _small_grid()
+    idx, r, z = _small_grid(capped_grid_rules)
     fields = _FIELDS + ("W_minus_w",)
     want = bubble.radial_profiles(idx, r, z, fields)
     perm = np.random.default_rng(7).permutation(z.size)

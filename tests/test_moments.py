@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, special
+from scipy import special
 
 from fyk import bubble, moments
+from fyk._quad import gauss_panels
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import (
     ProblemIndex,
@@ -35,22 +36,25 @@ _CRITERION_3_ORDERS = {
 }
 
 
-def _quad_moment(family, order, n, g):
-    """Oracle: adaptive quadrature of the defining integrand of a moment."""
-    a = order - 2.0 * g
-    w = n - 1 - order + 2.0 * g
-    f = {
-        "A": lambda t: t**a * profile_phi(g, t) ** 2,
-        "Ap": lambda t: t**a * profile_phi(g, t) * profile_phi_prime(g, t),
-        "App": lambda t: t**a * profile_phi_prime(g, t) ** 2,
-        "B": lambda t: t**w * profile_what(g, t) ** 2,
-        "Bp": lambda t: t**w * profile_what(g, t) * profile_what_prime(g, t),
-        "Bpp": lambda t: t**w * profile_what_prime(g, t) ** 2,
-    }[family]
-    # the integrands decay like exp(-2t): the tail beyond t = 60 is below 1e-50
-    val, err = integrate.quad(f, 0.0, 60.0, epsabs=0.0, epsrel=1e-12, limit=400, points=[1.0])
-    assert err <= 1e-10 * abs(val)
-    return val
+def _moment_oracle(n, g, order):
+    """Oracle: the defining integrands of the moments on a fixed composite
+    Gauss-Legendre rule over [0, 60] with ``order`` nodes per panel, graded
+    toward the t -> 0 singularities (t^(2g-1) at worst, from App_1):
+    panels [5^-(k+1), 5^-k] for k < 45, then unit panels.  The integrands
+    decay like exp(-2t): the tail beyond t = 60 is below 1e-50.  Returns
+    moment(family, k), the moment of that family at order k."""
+    edges = np.concatenate([[0.0], 5.0 ** -np.arange(45.0, 0.0, -1.0), np.arange(1.0, 61.0)])
+    t, w = gauss_panels(edges, order)
+    ph, php = profile_phi(g, t), profile_phi_prime(g, t)
+    wh, whp = profile_what(g, t), profile_what_prime(g, t)
+    products = {"A": ph * ph, "Ap": ph * php, "App": php * php,
+                "B": wh * wh, "Bp": wh * whp, "Bpp": whp * whp}
+
+    def moment(family, k):
+        p = k - 2.0 * g if family.startswith("A") else n - 1 - k + 2.0 * g
+        return w @ (t**p * products[family])
+
+    return moment
 
 
 @pytest.mark.parametrize("gamma", [0.2, 0.45, 0.7])
@@ -58,9 +62,12 @@ def test_a_chain_against_direct_quadrature(gamma):
     # every family at the criterion-3 orders against direct quadrature
     n = 8
     table = moments.compute_moments(ProblemIndex(n, gamma), orders=_CRITERION_3_ORDERS)
+    oracle, doubled = _moment_oracle(n, gamma, 20), _moment_oracle(n, gamma, 40)
     for family, orders in _CRITERION_3_ORDERS.items():
         for order in orders:
-            want = _quad_moment(family, order, n, gamma)
+            want = oracle(family, order)
+            # the rule has converged: doubling its order moves no digit that matters
+            assert abs(doubled(family, order) - want) <= 1e-12 * abs(want), (family, order)
             assert getattr(table, family)[order] == pytest.approx(want, rel=1e-9), (family, order)
     # and the chain relation ties A_1 to A_3 with rational coefficients
     lhs = table.A[1]
@@ -261,3 +268,18 @@ def test_direct_route_accuracy(n, gamma, bound):
     iset = moments.compute_integrals(idx, method="direct_2d")
     want = moments.closed_form_ratios(idx)
     assert np.abs(iset.I / iset.C0 / want - 1.0).max() <= bound
+
+
+def test_geometric_core_grid_matches_the_capped_grid(monkeypatch, capped_grid_rules):
+    # panels that grow geometrically all the way to R give the totals of
+    # the capped grid, with 190 x 460 core points instead of 480 x 780
+    idx, R = ProblemIndex(7, 0.25), 40.0
+    r, _, z, _ = moments._grid_rules(idx, R)
+    rc, _, zc, _ = capped_grid_rules(idx, R)
+    assert (r.size, z.size, rc.size, zc.size) == (190, 460, 480, 780)
+    iset, combined = moments._integrals_direct(idx, R=R)
+    got = np.concatenate([iset.I, combined])
+    monkeypatch.setattr(moments, "_grid_rules", capped_grid_rules)
+    iset, combined = moments._integrals_direct(idx, R=R)
+    want = np.concatenate([iset.I, combined])
+    assert np.abs(got / want - 1.0).max() <= 1e-13
