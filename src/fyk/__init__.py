@@ -2,10 +2,6 @@
 weighted moment integrals, boundary identities, and the associated
 finite-volume solvers and coordinate-jet algebra."""
 
-from . import _threads
-
-_threads.bound_blas()  # before any import below loads numpy
-
 from .errors import DomainError, NumericError
 from .specfun import (
     Constants,

@@ -80,7 +80,7 @@ u = nu + 1 (``_series_terms``); it is exact at u = 0, and a value depends on
 its own u alone.  Against 30-digit mpmath it is within 6.2e-16 for n <= 24,
 where SciPy's ``jv`` errs by up to 9.2e-15, so no ``jv`` call is left.
 """
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 import math
 

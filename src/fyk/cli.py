@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _threads, bubble, moments, pohozaev, solver
+from . import bubble, moments, pohozaev, solver
 from .errors import DomainError, NumericError
 from .specfun import ProblemIndex, constants
 
@@ -462,18 +462,8 @@ def build_parser():
     return parser
 
 
-def _check_threads():
-    """FYK_THREADS takes effect when fyk is imported; an invalid value is
-    reported here, as a usage error."""
-    try:
-        _threads.env_threads()
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
 def main(argv=None):
     try:
-        _check_threads()
         parser = build_parser()
         args = parser.parse_args(argv)
         cfg = _build_config(args)

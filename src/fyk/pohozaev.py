@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy import special
 
 from . import bubble
 from ._quad import gauss_panels
 from .errors import DomainError
-from .specfun import ProblemIndex, constants, sphere_area
+from .specfun import constants, sphere_area
 
 __all__ = [
     "PohozaevReport",

@@ -18,8 +18,9 @@ so the solves are separable (fast diagonalization, Lynch, Rice and Thomas
 products and a pointwise division.  The one non-separable term, the Robin
 diagonal on the trace row of the linearized problem, is added by a
 capacitance solve on the trace unknowns.  Each solve is still checked
-against the assembled sparse matrix (residual gate); SuperLU on that
-matrix is only a test oracle.
+against the assembled sparse matrix (residual gate): one ``_kron_sum``
+assembles it from the very pencils the solve diagonalized, after the solve
+has returned.  SuperLU on that matrix is only a test oracle.
 """
 from dataclasses import dataclass, field
 
@@ -202,6 +203,18 @@ def _fast_diag_solve(L_r, w_r, L_z, w_z, F, trace_diag=None):
     return X_r @ V @ X_z.T
 
 
+def _kron_sum(L_r, w_r, L_z, w_z, trace_diag=None):
+    """CSR matrix L_r x diag(w_z) + diag(w_r) x L_z, i-major, plus
+    ``trace_diag`` on the rows j = 0 when given: the matrix that
+    ``_fast_diag_solve`` inverts, for its residual gate."""
+    A = sparse.kron(L_r, sparse.diags(w_z)) + sparse.kron(sparse.diags(w_r), L_z)
+    if trace_diag is not None:
+        diag = np.zeros((len(w_r), len(w_z)))
+        diag[:, 0] = trace_diag
+        A = A + sparse.diags(diag.ravel())
+    return A.tocsr()
+
+
 def _check_solution(what, A, u, f):
     """Residual gate of a solve against its assembled sparse matrix."""
     if not np.all(np.isfinite(u)):
@@ -235,13 +248,10 @@ def apply_operator(idx, grid, field_arr):
 
     out = np.zeros_like(u)
 
-    # radial part: -(z^(1-2g)/vol) * d(r^(n-1) u_r), faces at i*hr
-    t_r = _radial_faces(hr, grid.nr, n - 1)
-    vol = _radial_cell_volumes(grid, n)
-    flux = t_r[1:-1, None] * (u[1:, :] - u[:-1, :])  # faces 1..nr-1
-    div_r = np.zeros_like(u)
-    div_r[0, :] = flux[0, :] / vol[0]  # axis face carries zero weight
-    div_r[1:-1, :] = (flux[1:, :] - flux[:-1, :]) / vol[1:-1, None]
+    # radial part: -(z^(1-2g)/vol) * d(r^(n-1) u_r), faces at i*hr; the row
+    # nr-1 would need the ghost beyond r_max and is zeroed below
+    L_r = _flux_balance(_radial_faces(hr, grid.nr, n - 1))
+    div_r = -(L_r @ u) / _radial_cell_volumes(grid, n)[:, None]
     zw = np.where(z > 0, z, 1.0) ** (1.0 - 2.0 * g)
     zw[0] = 0.0  # the j = 0 row is not evaluated anyway
 
@@ -290,22 +300,6 @@ def barrier_values(idx, mu, x):
     return first, second
 
 
-def _bubble_boundary(idx, lam=1.0):
-    """Analytic extension values of W_{lam,0} as a callable on (r, z) arrays."""
-
-    def values(r, z):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        m = idx.m
-        prof = bubble.radial_profiles(idx, r / lam, z / lam, fields=("W",))
-        out = lam ** (-m / 2.0) * prof["W"]
-        if r.size == 1 or z.size == 1:
-            return out.ravel()
-        return out
-
-    return values
-
-
 def solve_extension(idx, grid, dirichlet_trace, boundary=None):
     """Solve -div(z^(1-2g) grad u) = 0 with Dirichlet data everywhere.
 
@@ -317,7 +311,7 @@ def solve_extension(idx, grid, dirichlet_trace, boundary=None):
     grid.check(idx)
     n, g = idx.n, idx.gamma
     if boundary is None:
-        boundary = _bubble_boundary(idx)
+        boundary = lambda r, z: bubble.radial_profiles(idx, r, z)["W"]
     hr, hz = grid.hr, grid.hz
     r, z = grid.r, grid.z
     nr, nz = grid.nr, grid.nz
@@ -345,8 +339,7 @@ def solve_extension(idx, grid, dirichlet_trace, boundary=None):
     rhs[:, 0] += vol * tz[0] * trace
     rhs[:, -1] += vol * tz[-1] * top
     u = _fast_diag_solve(L_r, vol, L_z, zw, rhs)
-    A = sparse.kron(L_r, sparse.diags(zw)) + sparse.kron(sparse.diags(vol), L_z)
-    _check_solution("extension", A.tocsr(), u.ravel(), rhs.ravel())
+    _check_solution("extension", _kron_sum(L_r, vol, L_z, zw), u.ravel(), rhs.ravel())
 
     out = np.empty((nr, nz + 1))
     out[:, 0] = trace
@@ -481,47 +474,22 @@ def _trace_flux_pencils(idx, grid):
     return L_r, _radial_cell_volumes(grid, n), L_z, slab_w
 
 
-def _trace_flux_matrix(idx, grid, zero_order=None):
-    """FV matrix of -div(z^(1-2g) grad u) (+ zero-order term) on the rows
-    j = 0..nz-1, i-major (see ``_trace_flux_pencils``).  A Robin trace term
-    is passed as ``zero_order['trace']`` (diagonal coefficient per radial
-    cell), a bulk term as ``zero_order['bulk']``, a (nr, nz+1) diagonal
-    addition.
-    """
-    nr, nz = grid.nr, grid.nz
-    L_r, vol, L_z, slab_w = _trace_flux_pencils(idx, grid)
-    A = sparse.kron(L_r, sparse.diags(slab_w)) + sparse.kron(sparse.diags(vol), L_z)
-    if zero_order is not None:
-        diag = np.zeros((nr, nz))
-        if "trace" in zero_order:
-            diag[:, 0] += vol * zero_order["trace"]
-        if "bulk" in zero_order:
-            diag += zero_order["bulk"][:, :nz]
-        A = A + sparse.diags(diag.ravel())
-    return A.tocsr()
-
-
 def _solve_trace_flux(idx, grid, rhs, bulk_r=None, robin=None):
-    """FV solve with the matrix of ``_trace_flux_matrix``.  ``rhs`` is the
-    (nr, nz) right-hand side on the rows j = 0..nz-1, already integrated over
-    control volumes; a weighted flux prescribed through z = 0 enters its
-    trace row.  The zero-order terms are a separable bulk term
-    ``bulk_r[i] * w_z[j]`` and a Robin trace coefficient ``robin`` (per
-    radial cell, like ``zero_order['trace']``).  Returns the (nr, nz+1)
-    grid function, zero on the Dirichlet row j = nz.
+    """FV solve of -div(z^(1-2g) grad u) (+ zero-order terms) on the rows
+    j = 0..nz-1 (see ``_trace_flux_pencils``).  ``rhs`` is the (nr, nz)
+    right-hand side, already integrated over control volumes; a weighted
+    flux prescribed through z = 0 enters its trace row.  The zero-order
+    terms are a separable bulk term ``bulk_r[i] * w_z[j]`` and a Robin trace
+    coefficient ``robin`` per radial cell.  Returns the (nr, nz+1) grid
+    function, zero on the Dirichlet row j = nz.
     """
     nr, nz = grid.nr, grid.nz
     L_r, vol, L_z, slab_w = _trace_flux_pencils(idx, grid)
-    zero_order = {}
     if bulk_r is not None:
         L_r = L_r + sparse.diags(bulk_r)
-        zero_order["bulk"] = np.outer(bulk_r, slab_w)
-    trace_diag = None
-    if robin is not None:
-        trace_diag = vol * robin
-        zero_order["trace"] = robin
+    trace_diag = None if robin is None else vol * robin
     u = _fast_diag_solve(L_r, vol, L_z, slab_w, rhs, trace_diag)
-    A = _trace_flux_matrix(idx, grid, zero_order or None)
+    A = _kron_sum(L_r, vol, L_z, slab_w, trace_diag)
     _check_solution("trace-flux", A, u.ravel(), rhs.ravel())
     out = np.zeros((nr, nz + 1))
     out[:, :nz] = u
@@ -610,7 +578,7 @@ def solve_linearized(idx, pi, eps_hat, grid):
     m = idx.m
     kappa = constants(idx).kappa
     r, z = grid.r, grid.z
-    nr, nz = grid.nr, grid.nz
+    nz = grid.nz
 
     # one evaluation serves the source and the diagnostics; Wz needs z > 0,
     # so the trace row takes z[1], which the source multiplies by z = 0 and
@@ -631,8 +599,7 @@ def solve_linearized(idx, pi, eps_hat, grid):
 
     # zero-order terms: angular eigenvalue 2n/r^2 in the bulk (the radial
     # factor times the slab weights), Robin on the trace
-    faces = np.arange(nr + 1) * grid.hr
-    vol_m2 = np.diff(faces ** (n - 2.0)) / (n - 2.0)  # int r^(n-3)
+    vol_m2 = _radial_cell_volumes(grid, n - 2.0)  # int r^(n-3)
     w_tr = bubble._trace_radial(idx, r)
     robin = -((n + 2.0 * g) / m) * w_tr ** (4.0 * g / m) / kappa
     # lim z^(1-2g) dz psi = robin * psi(., 0); the outward bottom flux is the

@@ -174,12 +174,13 @@ def test_solve_extension_converges_to_bubble(n, gamma):
 # -- trace-flux assembly ------------------------------------------------------
 
 
-def test_trace_flux_matrix_structure():
+def test_kron_sum_structure():
     # the flux balance is symmetric, and constants carry no flux except
     # through the two Dirichlet-0 faces r = r_max and z = z_max
     idx = ProblemIndex(4, 0.3)
     grid = WeightedGrid(3.0, 2.0, 12, 10, 1.0 - 2.0 * idx.gamma)
-    A = solver._trace_flux_matrix(idx, grid)
+    L_r, vol, L_z, slab_w = solver._trace_flux_pencils(idx, grid)
+    A = solver._kron_sum(L_r, vol, L_z, slab_w)
     scale = abs(A).max()
     assert abs(A - A.T).max() <= 1e-15 * scale
     ones = (A @ np.ones(A.shape[0])).reshape(grid.nr, grid.nz)
@@ -188,13 +189,22 @@ def test_trace_flux_matrix_structure():
     ghost[:, -1] = True
     assert np.abs(ones[~ghost]).max() <= 1e-13 * scale
     assert (ones[ghost] > 0.0).all()
-    # zero-order terms only add to the diagonal, the trace term on row j = 0
+    # a bulk term on L_r and a trace term only add to the diagonal, the
+    # trace term on row j = 0
+    bulk_r = np.arange(grid.nr, dtype=float)
     trace = np.linspace(-1.0, 1.0, grid.nr)
-    bulk = np.arange(grid.nr * (grid.nz + 1), dtype=float).reshape(grid.nr, -1)
-    D = solver._trace_flux_matrix(idx, grid, {"trace": trace, "bulk": bulk}) - A
-    expect = bulk[:, : grid.nz].copy()
-    expect[:, 0] += solver._radial_cell_volumes(grid, idx.n) * trace
+    D = solver._kron_sum(L_r + sparse.diags(bulk_r), vol, L_z, slab_w, trace) - A
+    expect = np.outer(bulk_r, slab_w)
+    expect[:, 0] += trace
     assert abs(D - sparse.diags(expect.ravel())).max() <= 1e-13 * scale
+
+
+def test_extension_default_boundary_is_the_bubble():
+    idx = ProblemIndex(4, 0.3)
+    grid = _grid(idx, 6.0, 32)
+    W = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
+    top = bubble.radial_profiles(idx, grid.r, [grid.z_max])["W"][:, 0]
+    assert np.array_equal(W[:, -1], top)
 
 
 # -- eigenvalue scaling -------------------------------------------------------
@@ -383,9 +393,10 @@ def test_linearized_with_robin_term_matches_superlu(captured, n, gamma):
     # the gated matrix carries the separable bulk term on every row and the
     # attractive (negative) Robin term on the trace row on top of it
     grid = WeightedGrid(16.0, 16.0, 64, 64, 1.0 - 2.0 * gamma)
-    extra = (captured[0][1] - solver._trace_flux_matrix(idx, grid)).diagonal()
+    pencils = solver._trace_flux_pencils(idx, grid)
+    extra = (captured[0][1] - solver._kron_sum(*pencils)).diagonal()
     extra = extra.reshape(grid.nr, grid.nz)
-    slab_w = solver._trace_flux_pencils(idx, grid)[3]
+    slab_w = pencils[3]
     bulk_r = extra[:, 1] / slab_w[1]
     assert np.allclose(extra[:, 1:], np.outer(bulk_r, slab_w[1:]), rtol=1e-9, atol=0)
     assert (extra[:, 0] - bulk_r * slab_w[0] < 0.0).all()

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate, special
 
-from fyk import _threads, specfun
+from fyk import specfun
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import ProblemIndex, constants
 
@@ -376,17 +376,6 @@ def test_an_error_in_a_chunk_is_raised_once():
     with pytest.raises(NumericError) as err:
         specfun.profile_what(0.8, t)
     assert err.value.diagnostics == {"t": 1e-200}
-
-
-def test_thread_count_from_the_environment(monkeypatch):
-    monkeypatch.delenv("FYK_THREADS", raising=False)
-    assert _threads.env_threads() is None
-    for raw, want in (("", None), ("3", 3), ("0", 1)):
-        monkeypatch.setenv("FYK_THREADS", raw)
-        assert _threads.env_threads() == want
-    monkeypatch.setenv("FYK_THREADS", "zebra")
-    with pytest.raises(ValueError, match="FYK_THREADS"):
-        _threads.env_threads()
 
 
 def test_sphere_area_values():
