@@ -361,10 +361,11 @@ def _paired_contract(c, kernel, profile):
 def _paired_fields(idx, s, kw, s0, r, z, fields):
     """The fields of ``_field_terms`` at the paired points (r[k], z[k]), with
     the kernels at s0 r and the profiles at s0 z, in blocks of points: each
-    point's sum is independent of the others, and a block of _BLOCK values
-    bounds the temporaries of ``_e_pair`` and the profiles.  Kernels and
-    profiles are evaluated on each point's live s-prefix only and are 0
-    past it, so every sum still runs over all of s0 in the same order."""
+    point's sum is independent of the others, and a block of _BLOCK values,
+    counted over every arc of ``s``, bounds the temporaries of ``_e_pair``,
+    the profiles and the products.  Kernels and profiles are evaluated on
+    each point's live s-prefix only and are 0 past it, so every sum still
+    runs over all of s0 in the same order."""
     nu = idx.n / 2.0 - 1.0
     _check_reach(s0, z)
     counts = _live_counts(idx, s, kw, s0, z)
@@ -382,7 +383,7 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
             k: _paired_contract(c, kernels[e], profiles[p]) for k, (c, e, p) in terms.items()
         }
 
-    step = max(1, _BLOCK // s0.size)
+    step = max(1, _BLOCK // s.size)  # s carries the arc axis, if any
     parts = [block(slice(i, i + step)) for i in range(0, max(r.size, 1), step)]
     return {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
 

@@ -248,15 +248,16 @@ def _integrals_from_moments(idx):
 
 def _grid_rules(idx, R):
     """The core rule on [0, R]^2: 10-node Gauss-Legendre panels whose widths
-    grow geometrically all the way to R, by 1.35 in r from 0.05 and by 1.7
+    grow geometrically all the way to R, by 1.6 in r from 0.05 and by 2.2
     in z from 1e-9 (deep grading toward z = 0: the weight z^(1-2g) is
     singular for g > 1/2).  The integrands are analytic away from z = 0 and
     vary on the scale of the distance to the origin, so no width cap is
-    needed: at R = 64 this is 210 x 470 points, and capping the widths at 1
-    (720 x 1020 points) moves no total beyond 4.6e-15 relative on a sweep of
+    needed: this is 150 x 320 points at R = 64 and 130 x 310 at R = 32, and
+    capping the widths at 1 (and the ratios at 1.35 and 1.7: 720 x 1020
+    points at R = 64) moves no total beyond 5.2e-14 relative on a sweep of
     17 indices with n = 3 ... 12."""
-    r, wr = gauss_panels(graded_edges(0.0, R, 0.05, ratio=1.35), 10)
-    z, wz = gauss_panels(graded_edges(0.0, R, 1e-9, ratio=1.7), 10)
+    r, wr = gauss_panels(graded_edges(0.0, R, 0.05, ratio=1.6), 10)
+    z, wz = gauss_panels(graded_edges(0.0, R, 1e-9, ratio=2.2), 10)
     return r, wr, z, wz
 
 _FIELDS = ("W", "Wr_over_r", "Wz", "lap_tan")
@@ -318,10 +319,36 @@ def _tail_theta_rule(g):
     return th, wth
 
 
+def _default_radius(idx):
+    """The direct route's truncation radius: 32 where the integrands decay
+    fast (n - 2g > 4), else 64.  A power of two, so the core grid, whose
+    largest r rounds up to R, and the outer tail arc share one s-rule."""
+    return 32.0 if idx.n - 2.0 * idx.gamma > 4.0 else 64.0
+
+
+# sample arcs of the tail fit, as fractions of R
+_ARCS = np.array([0.2, 0.25, 0.28, 0.33, 0.4, 0.5, 0.63, 0.8, 1.0])
+
+
+def _tail_exponents(g):
+    """Relative correction exponents e of the far field, rho^(-q) sum_e
+    c_e rho^(-e).  The inversion W(x) = |x|^(-m) W(x/|x|^2) maps the far
+    field to the trace expansion W ~ w + c z^(2g) + d z^2 near the origin,
+    with |x|^(-1) in place of the distance to it: W has relative corrections
+    rho^(-2g) and rho^(-2) (the Taylor term of w and d z^2), and
+    W_z ~ 2g c z^(2g-1) + 2 d z adds rho^(-(2-2g)).  Every integrand is a
+    product of two fields, so its exponents are the pairwise sums of the
+    single-field set {0, 2g, 2 - 2g, 2}: 0, 2g, 4g, 2 - 2g, 2, 2 + 2g,
+    4 - 4g, 4 - 2g and 4, with coinciding ones merged."""
+    single = np.array([0.0, 2.0 * g, 2.0 - 2.0 * g, 2.0])
+    return np.unique(np.round(single[:, None] + single[None, :], 12))
+
+
 def _integrals_direct(idx, R=None):
     if R is None:
-        # push the truncation radius out when the integrands decay slowly
-        R = 40.0 if idx.n - 2.0 * idx.gamma > 4.0 else 64.0
+        R = _default_radius(idx)
+    if not (math.isfinite(R) and R > 0.0):
+        raise DomainError(f"the truncation radius R must be finite and > 0, got R = {R}")
     idx.require_supercritical("the quadratic integrals")
     n, g = idx.n, idx.gamma
     S = sphere_area(n)
@@ -334,13 +361,13 @@ def _integrals_direct(idx, R=None):
     )
 
     # tail over the complement of the square [0,R]^2: per polar angle, fit the
-    # radial profile of each integrand to its leading power rho^(-q) times a
-    # sum of the correction powers below, on five sample arcs, and integrate
-    # the fit outward
+    # radial profile of each integrand to its leading power rho^(-q) times the
+    # correction powers of _tail_exponents, on the nine arcs R * _ARCS, and
+    # integrate the fit outward
     th, wth = _tail_theta_rule(g)
-    arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
+    arcs = R * _ARCS
     q = n - 2.0 * g  # F_total ~ rho^(-q) g(theta), with F_total = F * r^(n-1) z^pz
-    # all five arcs from one evaluation: polar_profiles rescales a single
+    # all nine arcs from one evaluation: polar_profiles rescales a single
     # s-rule to each radius, so kernels and profiles are shared
     ra = arcs[:, None] * np.sin(th)
     za = arcs[:, None] * np.cos(th)
@@ -348,25 +375,17 @@ def _integrals_direct(idx, R=None):
     samples = np.array(
         [F * ra ** (n - 1) * za**pz for pz, F in _nine_integrands(idx, ra, fa)]
     )
-    tails = np.empty(12)
-    rho0 = R / np.maximum(np.sin(th), np.cos(th))
-    # correction exponents of the radial profile.  The inversion
-    # W(x) = |x|^(-m) W(x/|x|^2) maps the far field to the trace expansion
-    # W ~ w + c z^(2g) + d z^2 near the origin, with |x|^(-1) in place of the
-    # distance to it: W has relative corrections rho^(-2g) and rho^(-2)
-    # (the Taylor term of w and d z^2), a product of two fields adds
-    # rho^(-4g), and W_z ~ 2g c z^(2g-1) + 2 d z adds rho^(-(2-2g))
-    expos = np.array([0.0, 2.0 * g, 4.0 * g, 2.0, 2.0 - 2.0 * g])
-    expos = np.unique(np.round(expos, 12))
-    X = arcs[:, None] ** (-expos[None, :])
-    for k in range(12):
-        Y = samples[k] * arcs[:, None] ** q
-        coef, *_ = np.linalg.lstsq(X, Y, rcond=None)
-        t_fit = sum(
-            coef[j] * rho0 ** (2.0 - q - expos[j]) / (q - 2.0 + expos[j])
-            for j in range(expos.size)
-        )
-        tails[k] = S * np.sum(wth * t_fit)
+    # in units of R: fit Y(x) = F_total(x R) x^q = sum_e c_e x^(-e) on the
+    # arcs x = _ARCS, all twelve integrands and every angle in one lstsq;
+    # int_(rho0)^inf F_total rho drho = R^2 sum_e c_e u0^(2-q-e) / (q-2+e)
+    # with u0 = rho0 / R
+    expos = _tail_exponents(g)
+    X = _ARCS[:, None] ** (-expos[None, :])
+    Y = (samples * _ARCS[:, None] ** q).transpose(1, 0, 2).reshape(_ARCS.size, -1)
+    coef = np.linalg.lstsq(X, Y, rcond=None)[0].reshape(expos.size, 12, th.size)
+    u0 = 1.0 / np.maximum(np.sin(th), np.cos(th))
+    radial = u0 ** (2.0 - q - expos[:, None]) / (q - 2.0 + expos[:, None])
+    tails = S * R**2 * np.einsum("jkt,jt,t->k", coef, radial, wth)
     total = core + tails
     C0 = -total[4]  # I5 = -C0 exactly
     return IntegralSet(I=total[:9], C0=C0), total[9:]
@@ -396,6 +415,14 @@ def combined_integrals(idx, iset):
 def combined_integrals_direct(idx, R=None):
     """The three combined functionals by direct quadrature of the
     dilation-field-weighted integrands (independent of the nine-integral
-    assembly)."""
+    assembly).
+
+    ``R`` is the truncation radius of the core square [0, R]^2, beyond which
+    a far-field fit takes over; the default is ``_default_radius(idx)``.  It
+    should be a power of two, so that the core grid and the tail arcs share
+    one cached s-rule.  A finite R > 0 is required (else DomainError).  The
+    accuracy falls fast at small R: at (4, 0.8) the worst relative error of
+    the nine integrals over C0 is 1.1 at R = 4, 2.1e-2 at R = 8, 1.3e-3 at
+    R = 16, 5.6e-5 at R = 32 and 1.1e-5 at the default R = 64."""
     _, combined = _integrals_direct(idx, R=R)
     return np.asarray(combined)

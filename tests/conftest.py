@@ -12,7 +12,7 @@ from fyk._quad import gauss_panels, graded_edges
 def capped_grid_rules():
     """The direct route's core rule with its panel widths capped at 1, a
     drop-in for ``moments._grid_rules``: 480 x 780 points at R = 40 and
-    720 x 1020 at R = 64, against 190 x 460 and 210 x 470 for the geometric
+    720 x 1020 at R = 64, against 140 x 320 and 150 x 320 for the geometric
     grid.  An oracle for that grid, and a fixed, denser point set for the
     profile tests."""
 

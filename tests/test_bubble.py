@@ -347,16 +347,16 @@ def test_polar_profiles_match_tensor_diagonal(n, gamma):
     # tensor grid on each arc, whose rule is keyed on that arc's radius
     idx = ProblemIndex(n, gamma)
     alpha = constants(idx).alpha
-    R = 40.0 if n - 2.0 * gamma > 4.0 else 64.0
-    arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
+    R = moments._default_radius(idx)
+    arcs = R * moments._ARCS
     th = moments._tail_theta_rule(gamma)[0]  # all 84 nodes
     got = bubble.polar_profiles(idx, arcs, th, _FIELDS)
     for a, rho in enumerate(arcs):
         want = bubble.radial_profiles(idx, rho * np.sin(th), rho * np.cos(th), _FIELDS)
-        # the rules share their graded panels at s -> 0 on the outer arc,
-        # and at R/2 when R is a power of two (R = 64 here); elsewhere the
-        # two differ at the Fourier-Bessel accuracy floor
-        same_start = rho == R or (R == 64.0 and rho == R / 2)
+        # the rules share their graded panels at s -> 0 on the outer arc and,
+        # R being a power of two, at R/2 and R/4; elsewhere the two differ at
+        # the Fourier-Bessel accuracy floor (7.3e-10 alpha at (4, 0.8), 0.2 R)
+        same_start = rho in (R, R / 2, R / 4)
         bound = (1e-15 if same_start else 1e-9) * alpha
         for k in _FIELDS:
             assert got[k].shape == (arcs.size, th.size)
@@ -485,11 +485,12 @@ def _rounding_floor(s, scale):
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8)])
 def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     # the capped core grid (every sixth r and every second z node: 120 x 510
-    # points at R = 64) and the direct route's five tail arcs
+    # points at R = 64, 67 x 350 at R = 32) and the direct route's nine tail
+    # arcs
     idx = ProblemIndex(n, gamma)
     nu = idx.n / 2.0 - 1.0
     alpha = constants(idx).alpha
-    R = 40.0 if n - 2.0 * gamma > 4.0 else 64.0
+    R = moments._default_radius(idx)
     r, _, z, _ = capped_grid_rules(idx, R)
     r, z = r[::6], z[::2]
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
@@ -505,7 +506,7 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     for k in one:
         assert np.all(np.abs(got[k] - one[k]) <= _rounding_floor(s, scale[k])), ("order", k)
 
-    arcs = R * np.array([0.4, 0.5, 0.63, 0.8, 1.0])
+    arcs = R * moments._ARCS
     th = moments._tail_theta_rule(gamma)[0]
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(R))
     scale = (R / arcs)[:, None]

@@ -37,6 +37,12 @@ def test_integrals_pass_and_tolerance_breach(capsys):
     assert run(["integrals", "--n", "5", "--gamma", "0.5", "--tol", "1e-30"]) == 3
 
 
+def test_integrals_direct_route_meets_tol_at_3_045():
+    # the nine-exponent tail fit brings (3, 0.45) to about 2.5e-6
+    argv = ["integrals", "--n", "3", "--gamma", "0.45", "--method", "direct_2d", "--tol", "1e-4"]
+    assert run(argv) == 0
+
+
 def test_integrals_rejects_divergent_index():
     assert run(["integrals", "--n", "3", "--gamma", "0.5"]) == 1
 

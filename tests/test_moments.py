@@ -206,7 +206,7 @@ def _live_entries(idx, s, kw, s0, z):
 
 
 def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
-    # the five tail arcs share one kernel and profile evaluation, and the
+    # the nine tail arcs share one kernel and profile evaluation, and the
     # decay cut evaluates only the s-terms that can matter: phi and phi' come
     # together from profile_phi_pair, which sees each live (s, z) point of
     # the core grid (over several calls, one per block of s-rows) and of the
@@ -261,22 +261,51 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     assert kv_args == []
 
 
-@pytest.mark.parametrize("n,gamma,bound", [(7, 0.25, 1e-9), (4, 0.3, 3e-6)])
+@pytest.mark.parametrize(
+    "n,gamma,bound", [(7, 0.25, 1e-10), (4, 0.3, 1e-8), (3, 0.45, 1e-5), (4, 0.5, 1e-6)]
+)
 def test_direct_route_accuracy(n, gamma, bound):
-    # the tail fit carries the far-field exponent set 0, 2g, 4g, 2, 2 - 2g
+    # the tail fit carries the nine far-field exponents, the pairwise sums of
+    # 0, 2g, 2 - 2g and 2; (7, 0.25) at R = 32, the others at R = 64
     idx = ProblemIndex(n, gamma)
     iset = moments.compute_integrals(idx, method="direct_2d")
     want = moments.closed_form_ratios(idx)
     assert np.abs(iset.I / iset.C0 / want - 1.0).max() <= bound
 
 
+def test_tail_exponents_are_the_pairwise_sums():
+    g = 0.3
+    want = [0.0, 2 * g, 4 * g, 2 - 2 * g, 2.0, 2 + 2 * g, 4 - 4 * g, 4 - 2 * g, 4.0]
+    assert np.allclose(moments._tail_exponents(g), sorted(want), rtol=0.0, atol=1e-12)
+    # coinciding exponents merge: at g = 1/2 the set is 0, 1, 2, 3, 4
+    assert np.array_equal(moments._tail_exponents(0.5), [0.0, 1.0, 2.0, 3.0, 4.0])
+
+
+def test_default_radius_keys_the_s_rule_at_r():
+    # the core grid's largest r and the outer tail arc round up to the same
+    # power of two, R itself, so the whole route shares one s-rule
+    for n, gamma, R in [(7, 0.25, 32.0), (12, 0.7, 32.0), (4, 0.8, 64.0), (3, 0.45, 64.0)]:
+        idx = ProblemIndex(n, gamma)
+        assert moments._default_radius(idx) == R
+        r = moments._grid_rules(idx, R)[0]
+        assert bubble._rmax_key(r.max()) == R
+        assert bubble._rmax_key(R * moments._ARCS.max()) == R
+
+
+@pytest.mark.parametrize("R", [0.0, -8.0, math.nan, math.inf, -math.inf])
+def test_direct_route_rejects_bad_radius(R):
+    idx = ProblemIndex(5, 0.7)
+    with pytest.raises(DomainError, match="truncation radius R"):
+        moments.combined_integrals_direct(idx, R=R)
+
+
 def test_geometric_core_grid_matches_the_capped_grid(monkeypatch, capped_grid_rules):
     # panels that grow geometrically all the way to R give the totals of
-    # the capped grid, with 190 x 460 core points instead of 480 x 780
+    # the capped grid, with 140 x 320 core points instead of 480 x 780
     idx, R = ProblemIndex(7, 0.25), 40.0
     r, _, z, _ = moments._grid_rules(idx, R)
     rc, _, zc, _ = capped_grid_rules(idx, R)
-    assert (r.size, z.size, rc.size, zc.size) == (190, 460, 480, 780)
+    assert (r.size, z.size, rc.size, zc.size) == (140, 320, 480, 780)
     iset, combined = moments._integrals_direct(idx, R=R)
     got = np.concatenate([iset.I, combined])
     monkeypatch.setattr(moments, "_grid_rules", capped_grid_rules)
