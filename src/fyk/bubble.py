@@ -9,7 +9,23 @@ Two independent evaluation routes are provided for the extension:
   Gamma(nu+1) (u/2)^(-nu) J_nu(u).  The single constant D is calibrated so
   that W(0, 0) equals the bubble's center value.
 * ``poisson_kernel`` — convolution of the trace with the half-space kernel
-  p_{n,g} z^(2g) / (|xbar - ybar|^2 + z^2)^((n+2g)/2).
+  p_{n,g} z^(2g) / (|xbar - ybar|^2 + z^2)^((n+2g)/2) (Caffarelli and
+  Silvestre 2007), by one fixed Gauss product rule in the radius rho of
+  ybar and the angle theta between xbar and ybar, built per point and
+  summed as one numpy product.  The kernel peaks at rho = r, theta = 0 with
+  widths z and z/r, so the rho-panels grow geometrically (ratio 2) away
+  from r from width z/2, merged with panels at the trace's own scale graded
+  up from 0; past rho1 = 2 max(r, z, 1) the map rho = rho1/t leaves
+  t^(n-1) times a smooth factor on 0 < t <= 1; the theta-panels grow from
+  width z / (2 max(r, z)) at 0 up to width 1.  The distance is formed as
+  (rho - r)^2 + z^2 + 4 r rho sin^2(theta/2), which keeps its digits at
+  the peak.  At n = 1 the sphere of directions S^0 is the two points
+  theta = 0 and pi.  Against ``extension_gamma_half`` it holds to 1e-13
+  for n in {2, 3, 6, 12}, r <= 1000 and 1e-3 <= z <= 50.
+
+The kernel (Jacobi) fields Z^0 and Z^k of ``jacobi_field`` follow from the
+extension fields by the exact identities of the family's dilation and
+translation covariance, so no finite difference is taken.
 
 The tensor-grid evaluator ``radial_profiles`` shares one s-quadrature across
 all requested derivative fields, which keeps grid sweeps cheap.  Two paired
@@ -85,7 +101,7 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.linalg import blas
 
 from ._quad import gauss_panels, graded_edges
@@ -125,6 +141,10 @@ _GAUSS_ORDER = 10
 _SZ_MAX = 0.1
 _BLOCK = 2**17  # kernel and profile values per block of paired points
 _KERNEL_BLOCK = 2**16  # kernel or profile values per block of the tensor grid's s-rows
+# the Poisson route's product rule: Gauss nodes per panel and the growth of
+# its graded panels (see the module docstring)
+_POISSON_ORDER = 12
+_POISSON_RATIO = 2.0
 
 
 @dataclass(frozen=True)
@@ -161,11 +181,7 @@ class HalfSpacePoint:
 
 def trace_bubble(idx, p, xbar):
     """Trace bubble alpha * (lam / (lam^2 + |xbar - sigma|^2))^(m/2)."""
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    sig = p.center(idx.n)
-    rho2 = np.sum((xbar - sig) ** 2)
-    alpha = constants(idx).alpha
-    return alpha * (p.lam / (p.lam**2 + rho2)) ** (idx.m / 2.0)
+    return float(p.lam ** (-idx.m / 2.0) * _trace_radial(idx, _radius(idx, p, xbar)))
 
 
 def _trace_radial(idx, r):
@@ -528,48 +544,64 @@ def poisson_constant(idx):
 
 
 def _extension_poisson(idx, r, z):
-    """Poisson-kernel route at a single scaled point (r, z), z > 0."""
+    """Poisson-kernel route at a single scaled point (r, z), z > 0: one fixed
+    Gauss product rule over the radius rho of ybar and the angle theta
+    between xbar and ybar (see the module docstring)."""
     n, g = idx.n, idx.gamma
-    p_const = poisson_constant(idx)
-    area_sub = sphere_area(n - 1) if n >= 2 else 2.0
-    th, wth = np.polynomial.legendre.leggauss(80)
-    th = 0.5 * math.pi * (th + 1.0)
-    wth = 0.5 * math.pi * wth
-    sinp = np.sin(th) ** (n - 2) if n >= 2 else np.ones_like(th)
-    costh = np.cos(th)
-
-    def integrand(rho):
-        a = r * r + rho * rho + z * z
-        b = 2.0 * r * rho
-        ang = np.sum(wth * sinp * (a - b * costh) ** (-(n + 2.0 * g) / 2.0))
-        return _trace_radial(idx, rho) * rho ** (n - 1) * ang
-
-    val, err = integrate.quad(
-        integrand, 0.0, np.inf, epsabs=0.0, epsrel=1e-10, limit=400
-    )
-    if not np.isfinite(val) or (val != 0 and err > 1e-6 * abs(val)):
-        raise NumericError(
-            "poisson-route quadrature did not converge",
-            {"value": val, "abserr": err, "point": (r, z)},
+    rho1 = 2.0 * max(r, z, 1.0)
+    # rho-panels as offsets u = rho - r: geometric away from the kernel's
+    # peak at u = 0 from width z/2, merged with the trace's panels
+    edges = np.unique(np.concatenate([
+        -graded_edges(0.0, r, z / 2.0, ratio=_POISSON_RATIO),
+        graded_edges(0.0, rho1 - r, z / 2.0, ratio=_POISSON_RATIO),
+        graded_edges(0.0, rho1, 0.25, ratio=_POISSON_RATIO) - r,
+    ]))
+    u, wu = gauss_panels(edges, _POISSON_ORDER)
+    # the tail rho = rho1 / t, 0 < t <= 1, where the integrand is t^(n-1)
+    # times a smooth factor
+    t, wt = gauss_panels(np.linspace(0.0, 1.0, 5), _POISSON_ORDER)
+    u = np.concatenate([u, rho1 / t - r])
+    rho = r + u
+    wr = np.concatenate([wu, wt * rho1 / t**2])
+    # sin^2(theta/2) and the weights of the sphere S^(n-2) of directions
+    if n == 1:
+        half, wc = np.array([0.0, 1.0]), np.ones(2)
+    else:
+        h0 = z / (2.0 * max(r, z))
+        th, wth = gauss_panels(
+            graded_edges(0.0, math.pi, h0, ratio=_POISSON_RATIO, h_max=1.0), _POISSON_ORDER
         )
-    return p_const * area_sub * z ** (2.0 * g) * val
+        half = np.sin(0.5 * th) ** 2
+        wc = sphere_area(n - 1) * np.sin(th) ** (n - 2) * wth
+    # |xbar - ybar|^2 + z^2, with its digits kept where u and theta are small
+    d2 = (u * u + z * z)[:, None] + 4.0 * r * rho[:, None] * half
+    ang = d2 ** (-(n + 2.0 * g) / 2.0) @ wc
+    radial = _trace_radial(idx, rho) * rho ** (n - 1) * wr
+    return poisson_constant(idx) * z ** (2.0 * g) * (radial @ ang)
+
+
+def _radius(idx, p, xbar):
+    """|xbar - sigma| / lam for a point ``xbar`` of R^n."""
+    xbar = np.asarray(xbar, dtype=float)
+    if xbar.shape != (idx.n,):
+        raise DomainError(f"xbar must have shape ({idx.n},), got {xbar.shape}")
+    return float(np.linalg.norm(xbar - p.center(idx.n))) / p.lam
 
 
 def extension(idx, p, x, route="fourier_bessel"):
     """The extension W_{lam,sigma} at a half-space point."""
-    sig = p.center(idx.n)
-    xbar = np.atleast_1d(np.asarray(x.xbar, dtype=float))
-    r = float(np.linalg.norm(xbar - sig)) / p.lam
+    if route not in ("fourier_bessel", "poisson_kernel"):
+        raise DomainError(f"unknown route {route!r}")
+    r = _radius(idx, p, x.xbar)
     z = x.xN / p.lam
     scale = p.lam ** (-idx.m / 2.0)
     if x.xN == 0.0:
         return float(scale * _trace_radial(idx, r))
     if route == "fourier_bessel":
         w = radial_profiles(idx, np.array([r]), np.array([z]), ("W",))["W"][0, 0]
-        return float(scale * w)
-    if route == "poisson_kernel":
-        return float(scale * _extension_poisson(idx, r, z))
-    raise DomainError(f"unknown route {route!r}")
+    else:
+        w = _extension_poisson(idx, r, z)
+    return float(scale * w)
 
 
 def neumann_trace(idx, p, xbar):
@@ -580,9 +612,7 @@ def neumann_trace(idx, p, xbar):
     corrections h^(2-2g) and h^2; a two-stage Richardson ladder removes both.
     """
     g = idx.gamma
-    sig = p.center(idx.n)
-    xbar = np.atleast_1d(np.asarray(xbar, dtype=float))
-    r = float(np.linalg.norm(xbar - sig)) / p.lam
+    r = _radius(idx, p, xbar)
     kappa = constants(idx).kappa
 
     h0 = 0.04
@@ -599,24 +629,30 @@ def neumann_trace(idx, p, xbar):
     return float(val)
 
 
-def jacobi_field(idx, k, x, delta=1e-4):
-    """Kernel fields of the linearization: dilation (k=0) and translations.
+def jacobi_field(idx, k, x):
+    """Kernel fields of the linearization at the standard bubble (lam = 1,
+    sigma = 0): Z^0 = -dW/dlam (k = 0) and Z^k = dW/dsigma_k (1 <= k <= n).
 
-    Z^0 = -dW/dlam at (1, 0) and Z^k = dW/dsigma_k at (1, 0), via central
-    differences of the exact parameter covariance of the family.
+    By the exact parameter covariance of the family,
+    Z^0 = r W_r + z W_z + (m/2) W (``dilation_field``) and Z^k = -x_k W_r / r,
+    from one ``paired_profiles`` call; on the trace (xN = 0) they take the
+    trace's closed forms Z^0 = (m/2) w (1 - r^2)/(1 + r^2) and
+    Z^k = m x_k w / (1 + r^2).
     """
     if not 0 <= k <= idx.n:
         raise DomainError(f"k must lie in [0, {idx.n}]")
-    xbar = np.atleast_1d(np.asarray(x.xbar, dtype=float))
+    r = _radius(idx, BubbleParams(), x.xbar)
+    z = x.xN
+    m = idx.m
+    if z == 0.0:
+        w = _trace_radial(idx, r)
+        if k == 0:
+            return float(0.5 * m * w * (1.0 - r * r) / (1.0 + r * r))
+        return float(m * x.xbar[k - 1] * w / (1.0 + r * r))
+    f = paired_profiles(idx, np.array([r]), np.array([z]), ("W", "Wr_over_r", "Wz"))
     if k == 0:
-        wp = extension(idx, BubbleParams(lam=1.0 + delta), x)
-        wm = extension(idx, BubbleParams(lam=1.0 - delta), x)
-        return -(wp - wm) / (2.0 * delta)
-    e = np.zeros(idx.n)
-    e[k - 1] = delta
-    wp = extension(idx, BubbleParams(sigma=e), x)
-    wm = extension(idx, BubbleParams(sigma=-e), x)
-    return (wp - wm) / (2.0 * delta)
+        return float(dilation_field(idx, r, z, f)[0])
+    return float(-x.xbar[k - 1] * f["Wr_over_r"][0])
 
 
 def dilation_field(idx, r, z, f):

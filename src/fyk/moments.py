@@ -29,7 +29,7 @@ from scipy import integrate  # noqa: F401
 from . import bubble
 from ._quad import gauss_panels, graded_edges
 from .errors import DomainError, NumericError
-from .specfun import _d1, sphere_area
+from .specfun import _d1, constants, sphere_area
 
 __all__ = [
     "MomentTable",
@@ -207,18 +207,13 @@ def _plancherel_factor(idx):
     This is (2 pi)^(-n) d2^2 for the Fourier-profile constant d2 pinned by
     matching the extension's center value (see the bubble module).
     """
-    from .specfun import constants as _constants
-
-    alpha = _constants(idx).alpha
+    alpha = constants(idx).alpha
     return alpha**2 * 2.0 ** (2.0 * idx.gamma + 2.0 - idx.n) / math.gamma(idx.m / 2.0) ** 2
 
 
 def _integrals_from_moments(idx):
     idx.require_supercritical("the quadratic integrals")
-    t = compute_moments(
-        idx,
-        {"A": (1, 3), "Ap": (2, 4), "App": (3,), "B": (2,), "Bp": (1,)},
-    )
+    t = compute_moments(idx)
     n = idx.n
     S = sphere_area(n) * _plancherel_factor(idx)
     A1, A3 = t.A[1], t.A[3]

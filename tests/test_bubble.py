@@ -53,7 +53,10 @@ def test_extension_dual_route_agreement(n, gamma):
     # fourier-bessel synthesis vs the poisson kernel: fully independent
     idx = ProblemIndex(n, gamma)
     p = BubbleParams()
-    for rho, z in [(0.0, 0.5), (1.0, 0.3), (2.0, 1.5), (0.5, 3.0)]:
+    pts = [(0.0, 0.5), (1.0, 0.3), (2.0, 1.5), (0.5, 3.0)]
+    # near the trace the kernel is a spike of width z around xbar
+    pts += [(0.0, 1e-3), (1.0, 1e-2), (2.0, 1e-3), (0.5, 1e-2)]
+    for rho, z in pts:
         xbar = np.zeros(n)
         xbar[0] = rho
         a = bubble.extension(idx, p, _pt(xbar, z), route="fourier_bessel")
@@ -62,9 +65,69 @@ def test_extension_dual_route_agreement(n, gamma):
 
 
 def test_extension_unknown_route():
+    # on the trace too, where the extension is the trace for either route
     idx = ProblemIndex(3, 0.5)
-    with pytest.raises(DomainError):
-        bubble.extension(idx, BubbleParams(), _pt(np.zeros(3), 1.0), route="nope")
+    for xN in (1.0, 0.0):
+        with pytest.raises(DomainError):
+            bubble.extension(idx, BubbleParams(), _pt(np.zeros(3), xN), route="nope")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda idx, xbar: bubble.trace_bubble(idx, BubbleParams(), xbar),
+        lambda idx, xbar: bubble.extension(idx, BubbleParams(), _pt(xbar, 0.3)),
+        lambda idx, xbar: bubble.neumann_trace(idx, BubbleParams(), xbar),
+        lambda idx, xbar: bubble.jacobi_field(idx, 1, _pt(xbar, 0.3)),
+    ],
+    ids=["trace_bubble", "extension", "neumann_trace", "jacobi_field"],
+)
+def test_wrong_length_xbar_raises(call):
+    # a length-1 xbar used to broadcast against sigma and stand for |xbar| = 1
+    idx = ProblemIndex(4, 0.3)
+    for xbar in ([0.5], np.zeros(5), np.zeros((1, 4))):
+        with pytest.raises(DomainError):
+            call(idx, xbar)
+
+
+def test_poisson_route_gamma_half_sweep():
+    # at gamma = 1/2 the Poisson route against the closed form, from the
+    # spike near the trace (z = 1e-3) out to r = 1000
+    for n in (2, 3, 6, 12):
+        idx = ProblemIndex(n, 0.5)
+        for r in (0.0, 1.0, 5.0, 20.0, 80.0, 300.0, 1000.0):
+            xbar = np.zeros(n)
+            xbar[0] = r
+            for z in (1e-3, 1e-2, 0.5, 3.0, 50.0):
+                got = bubble.extension(idx, BubbleParams(), _pt(xbar, z), route="poisson_kernel")
+                want = float(bubble.extension_gamma_half(idx, r, z))
+                assert abs(got / want - 1.0) <= 1e-11, (n, r, z)
+
+
+@pytest.mark.parametrize("gamma", [0.1, 0.3, 0.45])
+def test_poisson_route_n1_against_line_quadrature(gamma):
+    # at n = 1 the sphere of directions is two points: the route against
+    # adaptive quadrature of the convolution over the whole line, split at
+    # the kernel's peak and the trace's scale
+    from scipy import integrate
+
+    idx = ProblemIndex(1, gamma)
+    c = bubble.poisson_constant(idx)
+    e = -(1.0 + 2.0 * gamma) / 2.0
+    for r in (0.0, 0.7, 3.0, 40.0):
+        for z in (1e-2, 0.3, 2.0, 30.0):
+
+            def f(y):
+                return bubble._trace_radial(idx, abs(y)) * ((r - y) ** 2 + z * z) ** e
+
+            cuts = sorted({-1.0, 0.0, 1.0, r - z, r, r + z})
+            pieces = [(-np.inf, cuts[0]), *zip(cuts[:-1], cuts[1:]), (cuts[-1], np.inf)]
+            val = sum(
+                integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                for a, b in pieces
+            )
+            got = bubble.extension(idx, BubbleParams(), _pt([r], z), route="poisson_kernel")
+            assert got == pytest.approx(c * z ** (2.0 * gamma) * val, rel=1e-10), (r, z)
 
 
 def test_gamma_half_closed_form():
@@ -175,18 +238,39 @@ def test_poisson_constant_normalization(n, gamma):
     assert c * sphere_area(n) * val == pytest.approx(1.0, rel=1e-10)
 
 
+_FD_DELTA = 1e-4
+
+
+def _jacobi_fd(idx, k, x):
+    """Z^0 = -dW/dlam and Z^k = dW/dsigma_k at (1, 0) by central differences
+    of the Fourier-Bessel extension: the oracle for ``jacobi_field``."""
+    if k == 0:
+        wp = bubble.extension(idx, BubbleParams(lam=1.0 + _FD_DELTA), x)
+        wm = bubble.extension(idx, BubbleParams(lam=1.0 - _FD_DELTA), x)
+        return -(wp - wm) / (2.0 * _FD_DELTA)
+    e = np.zeros(idx.n)
+    e[k - 1] = _FD_DELTA
+    wp = bubble.extension(idx, BubbleParams(sigma=e), x)
+    wm = bubble.extension(idx, BubbleParams(sigma=-e), x)
+    return (wp - wm) / (2.0 * _FD_DELTA)
+
+
 def test_jacobi_field_dilation_identity():
-    # Z^0 = r W_r + z W_z + (m/2) W, two independent evaluations
+    # Z^0 = r W_r + z W_z + (m/2) W, on the tensor grid and at paired points,
+    # against central differences; on the trace (z = 0) the closed form
     idx = ProblemIndex(4, 0.3)
     r = np.array([0.7, 1.6])
     z = np.array([0.4, 1.2])
     via_identity = bubble.jacobi_field_radial(idx, r, z)
     for i, ri in enumerate(r):
+        xbar = np.zeros(4)
+        xbar[0] = ri
         for j, zj in enumerate(z):
-            xbar = np.zeros(4)
-            xbar[0] = ri
-            fd = bubble.jacobi_field(idx, 0, _pt(xbar, zj))
-            assert via_identity[i, j] == pytest.approx(fd, rel=1e-5)
+            got = bubble.jacobi_field(idx, 0, _pt(xbar, zj))
+            assert via_identity[i, j] == pytest.approx(got, rel=1e-5)
+            assert got == pytest.approx(_jacobi_fd(idx, 0, _pt(xbar, zj)), rel=1e-6)
+        got = bubble.jacobi_field(idx, 0, _pt(xbar, 0.0))
+        assert got == pytest.approx(_jacobi_fd(idx, 0, _pt(xbar, 0.0)), rel=1e-6)
 
 
 def test_jacobi_field_translation_symmetry():
@@ -194,9 +278,15 @@ def test_jacobi_field_translation_symmetry():
     idx = ProblemIndex(3, 0.5)
     x = _pt(np.array([0.0, 1.0, 0.0]), 0.5)
     z1 = bubble.jacobi_field(idx, 1, x)
-    assert abs(z1) <= 1e-8
+    assert z1 == 0.0
     with pytest.raises(DomainError):
         bubble.jacobi_field(idx, 4, x)
+    # off the axis, against central differences, above and on the trace
+    for xN in (0.5, 0.0):
+        x = _pt(np.array([0.3, -0.8, 0.5]), xN)
+        for k in (1, 2, 3):
+            want = _jacobi_fd(idx, k, x)
+            assert bubble.jacobi_field(idx, k, x) == pytest.approx(want, rel=1e-6), (xN, k)
 
 
 # -- the Fourier-Bessel kernel pair -------------------------------------------
@@ -272,11 +362,11 @@ def test_kernel_series_against_mpmath(n):
 
 
 def test_extension_large_r_agreement():
-    # the fourier route against the poisson kernel away from the axis; past
-    # r = 20 the agreement degrades (1e-5 at r = 80, 3e-2 at r = 300)
+    # the fourier route against the poisson kernel away from the axis; the
+    # adaptive quadrature the poisson route once used lost 3e-2 at r = 300
     idx = ProblemIndex(4, 0.3)
     p = BubbleParams()
-    for rho in (5.0, 20.0):
+    for rho in (5.0, 20.0, 80.0, 300.0):
         x = _pt([rho, 0.0, 0.0, 0.0], 0.5)
         a = bubble.extension(idx, p, x, route="fourier_bessel")
         b = bubble.extension(idx, p, x, route="poisson_kernel")

@@ -1,4 +1,5 @@
-"""Every module-level import of the library is used.
+"""Every module-level import of the library is used, and only the modules
+that need it import ``scipy.integrate`` at module level.
 
 A static scan with the stdlib ``ast``: an imported name counts as used when
 the module reads it anywhere or lists it in ``__all__``.
@@ -15,6 +16,32 @@ PINNED = {
     ("solver", "eigsh"),
     ("solver", "spsolve"),
 }
+
+
+# the module-level names bound from scipy.integrate: perfbench/tracing.py
+# patches both by name (ROADMAP item 3(b) makes them lazy)
+SCIPY_INTEGRATE = {("moments", "integrate"), ("geometry", "solve_ivp")}
+
+
+def _library_sources():
+    for path in sorted(Path(fyk.__file__).parent.glob("*.py")):
+        if path.name != "__init__.py":
+            yield path.stem, path.read_text()
+
+
+def _scipy_integrate_names(source):
+    """The names a module binds at module level from ``scipy.integrate``."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Import):
+            names.update(
+                a.asname or "scipy" for a in node.names if a.name == "scipy.integrate"
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
+            names.update(a.asname or a.name for a in node.names if a.name == "integrate")
+        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
+            names.update(a.asname or a.name for a in node.names)
+    return names
 
 
 def _unused_imports(source):
@@ -40,9 +67,24 @@ def test_unused_import_scan_sees_reads_and_all():
 
 def test_library_has_no_unused_imports():
     unused = set()
-    for path in sorted(Path(fyk.__file__).parent.glob("*.py")):
-        if path.name != "__init__.py":
-            unused.update(
-                (path.stem, name) for name in _unused_imports(path.read_text())
-            )
+    for stem, source in _library_sources():
+        unused.update((stem, name) for name in _unused_imports(source))
     assert unused - PINNED == set()
+
+
+def test_scipy_integrate_scan_sees_every_import_form():
+    source = (
+        "import scipy.integrate\nimport scipy.integrate as si\nfrom scipy import integrate, special\n"
+        "from scipy.integrate import quad as q, solve_ivp\nimport scipy\n"
+        "def f():\n    from scipy import integrate as lazy\n"
+    )
+    assert _scipy_integrate_names(source) == {"scipy", "si", "integrate", "q", "solve_ivp"}
+
+
+def test_scipy_integrate_stays_out_of_the_library():
+    # the quadrature and ODE routes of the other modules are numpy rules;
+    # adaptive quadrature lives in the tests as an oracle
+    found = set()
+    for stem, source in _library_sources():
+        found.update((stem, name) for name in _scipy_integrate_names(source))
+    assert found == SCIPY_INTEGRATE
