@@ -11,6 +11,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -159,28 +160,34 @@ def cmd_integrals(args, cfg):
     return EXIT_OK if worst <= cfg.tol else EXIT_TOLERANCE
 
 
+def _coefficient_grid(ns, gammas):
+    """The coeff-scan rows over the grid ns x gammas from one array pass, and
+    the number of sign/gate points compared and mismatched.  The sign/gate
+    equivalence holds for n > 2 + 2 gamma, off the numerator's zero set."""
+    n, g = ns[:, None], gammas[None, :]
+    c = pohozaev.c_value(n, g)
+    positive = c > 0.0
+    gate = pohozaev.dimension_gate(n, g)
+    zero = abs(pohozaev.coefficient_numerator(n, g)) < 1e-12
+    compared = (n > 2 + 2 * g) & ~zero
+    # one Python float per gamma, shared by the rows of every n
+    gs = gammas.tolist()
+    rows = [
+        row
+        for k, nk in enumerate(ns.tolist())
+        for row in zip(repeat(nk), gs, *(a[k].tolist() for a in (c, positive, gate, zero)))
+    ]
+    return rows, int(np.count_nonzero(compared)), int(np.count_nonzero(compared & (positive != gate)))
+
+
 def cmd_coeff_scan(args, cfg):
     if args.n_min < 3 or args.n_max > 64 or args.n_min > args.n_max:
         raise UsageError("dimension range must lie within [3, 64]")
     if args.gamma_step <= 0 or args.gamma_step >= 1:
         raise UsageError("gamma step must lie in (0, 1)")
-    rows = []
-    mismatches = 0
-    checked = 0
     gammas = np.arange(args.gamma_step, 1.0, args.gamma_step)
-    for n in range(args.n_min, args.n_max + 1):
-        for g in gammas:
-            idx = ProblemIndex(n, float(g))
-            rep = pohozaev.coefficient(idx)
-            rows.append(
-                (n, float(g), rep.c_value, rep.positive, rep.gate_1_2, rep.boundary_zero)
-            )
-            if n > 2 + 2 * g:  # sign/gate equivalence holds in this regime
-                checked += 1
-                if rep.boundary_zero:
-                    continue
-                if rep.positive != rep.gate_1_2:
-                    mismatches += 1
+    ProblemIndex(args.n_min, float(gammas[-1]))  # arange can round its last gamma up to 1
+    rows, checked, mismatches = _coefficient_grid(np.arange(args.n_min, args.n_max + 1), gammas)
     verdict = "PASS" if mismatches == 0 else "FAIL"
     _emit(
         cfg,

@@ -32,6 +32,7 @@ __all__ = [
     "assemble_Fhat",
     "coefficient",
     "coefficient_numerator",
+    "c_value",
     "dimension_gate",
     "local_sign_bound",
 ]
@@ -236,20 +237,28 @@ def limit_value_oracle(idx, c1=1.0):
     return -kappa * c1**2 * 0.5 * m**2 * weighted_halfsphere_area_closed(idx)
 
 
+# The closed forms below take Python scalars or numpy arrays alike and give
+# the same bits either way: gamma is squared by multiplication.
+
+
 def coefficient_numerator(n, gamma):
     """Numerator polynomial 3n^2 + n(16 gamma^2 - 22) + 20(1 - gamma^2)."""
-    return 3.0 * n**2 + n * (16.0 * gamma**2 - 22.0) + 20.0 * (1.0 - gamma**2)
+    g2 = gamma * gamma
+    return 3.0 * n**2 + n * (16.0 * g2 - 22.0) + 20.0 * (1.0 - g2)
+
+
+def c_value(n, gamma):
+    """Closed-form sign coefficient numerator / (8 n (n-1)(1 - gamma^2))."""
+    return coefficient_numerator(n, gamma) / (8.0 * n * (n - 1.0) * (1.0 - gamma * gamma))
+
+
+_GATE_EDGES = (math.sqrt(1.0 / 19.0), 0.5, math.sqrt(5.0 / 11.0))
 
 
 def dimension_gate(n, gamma):
-    """The piecewise dimension threshold in gamma."""
-    if gamma <= math.sqrt(1.0 / 19.0):
-        return n >= 7
-    if gamma <= 0.5:
-        return n >= 6
-    if gamma <= math.sqrt(5.0 / 11.0):
-        return n >= 5
-    return n >= 4
+    """The piecewise dimension threshold in gamma: n >= 7, 6, 5, 4 on the
+    pieces cut at the edges sqrt(1/19), 1/2, sqrt(5/11)."""
+    return n >= 7 - sum(gamma > edge for edge in _GATE_EDGES)
 
 
 def coefficient(idx):
@@ -257,15 +266,14 @@ def coefficient(idx):
     n, g = idx.n, idx.gamma
     if n < 3:
         raise DomainError("coefficient requires n >= 3")
-    num = coefficient_numerator(n, g)
-    c_value = num / (8.0 * n * (n - 1.0) * (1.0 - g**2))
+    c = c_value(n, g)
     return CoefficientReport(
         n=n,
         gamma=g,
-        c_value=c_value,
-        positive=c_value > 0.0,
+        c_value=c,
+        positive=c > 0.0,
         gate_1_2=dimension_gate(n, g),
-        boundary_zero=abs(num) < 1e-12,
+        boundary_zero=abs(coefficient_numerator(n, g)) < 1e-12,
     )
 
 

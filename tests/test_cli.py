@@ -1,8 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
-from fyk import cli
+from fyk import cli, pohozaev
+from fyk.specfun import ProblemIndex
 
 
 def run(argv):
@@ -111,6 +113,61 @@ def test_coeff_scan_verdict(capsys):
     out = capsys.readouterr().out
     assert "PASS" in out
     assert run(["coeff-scan", "--n-min", "2", "--n-max", "8"]) == 1
+
+
+def _coeff_scan_one_row_at_a_time(n_min, n_max, step):
+    """Oracle for the coeff-scan table: the scalar ``pohozaev.coefficient``
+    per grid point, printed as the CLI prints it; also the number of points
+    where sign and gate are compared (n > 2 + 2 gamma, off the zero set)."""
+
+    def fmt(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        return format(x, ".17g") if isinstance(x, float) else str(x)
+
+    lines = ["n,gamma,c_value,positive,gate,boundary_zero"]
+    compared = 0
+    for n in range(n_min, n_max + 1):
+        for g in np.arange(step, 1.0, step):
+            rep = pohozaev.coefficient(ProblemIndex(n, float(g)))
+            row = (n, float(g), rep.c_value, rep.positive, rep.gate_1_2, rep.boundary_zero)
+            lines.append(",".join(fmt(v) for v in row))
+            compared += n > 2 + 2 * g and not rep.boundary_zero
+    return "\n".join(lines) + "\n", compared
+
+
+@pytest.mark.parametrize(
+    "argv, grid, compared",
+    [
+        ([], (3, 30, 1e-3), 27471),
+        (["--n-min", "3", "--n-max", "8", "--gamma-step", "0.01"], (3, 8, 0.01), 543),
+    ],
+    ids=["defaults", "n3-8_step0.01"],
+)
+def test_coeff_scan_table_matches_scalar_coefficient(capsys, argv, grid, compared):
+    assert run(["coeff-scan", *argv]) == 0
+    out = capsys.readouterr().out
+    table, count = _coeff_scan_one_row_at_a_time(*grid)
+    # the zero of the numerator at (5, 0.5) is listed but not compared
+    assert count == compared
+    assert out == table + "equivalence verdict: PASS (%d points checked, 0 mismatches)\n" % count
+
+
+def test_coefficient_scalar_and_array_paths_agree_bitwise():
+    n, g = np.meshgrid(np.arange(3, 65), np.arange(0.01, 1.0, 0.01), indexing="ij")
+    c = pohozaev.c_value(n, g)
+    gate = pohozaev.dimension_gate(n, g)
+    num = pohozaev.coefficient_numerator(n, g)
+    for k in np.ndindex(n.shape):
+        rep = pohozaev.coefficient(ProblemIndex(int(n[k]), float(g[k])))
+        assert rep.c_value == c[k] and rep.gate_1_2 == gate[k], (n[k], g[k])
+        assert rep.boundary_zero == (abs(num[k]) < 1e-12)
+
+
+def test_coeff_scan_grid_rounding_up_to_one_is_usage_error(capsys):
+    # np.arange(1/3, 1, 1/3) ends at 1.0, outside the open interval
+    assert run(["coeff-scan", "--gamma-step", repr(1.0 / 3.0)]) == 1
+    assert "gamma must lie in (0,1)" in capsys.readouterr().err
 
 
 def test_pohozaev_identity_run(capsys):

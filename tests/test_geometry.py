@@ -161,19 +161,84 @@ def test_characteristic_supnorm_bounds_flat():
     assert 2.0 * (sup["sup_grad_p"] + sup["sup_p_dot"]) <= 5.0 * K
 
 
-def test_characteristics_curved_metric_still_conserves():
+def _curved_metric(xbar):
     # a z-independent perturbed metric exercises the dg^{ij} force term
-    idx = ProblemIndex(3, 0.5)
+    n = len(xbar)
+    g = np.eye(n) * (1.0 + 0.1 * float(xbar @ xbar))
+    dg = np.zeros((n, n, n))
+    for k in range(n):
+        dg[k] = np.eye(n) * (0.2 * xbar[k])
+    return g, dg
 
-    def metric(xbar):
-        n = len(xbar)
-        g = np.eye(n) * (1.0 + 0.1 * float(xbar @ xbar))
-        dg = np.zeros((n, n, n))
-        for k in range(n):
-            dg[k] = np.eye(n) * (0.2 * xbar[k])
-        return g, dg
 
+def test_characteristics_curved_metric_still_conserves():
     v = np.array([0.004, 0.002, -0.001])
-    b = geometry.eikonal_characteristics(K=10.0, xbar0=v, r=0.005, metric=metric)
+    b = geometry.eikonal_characteristics(K=10.0, xbar0=v, r=0.005, metric=_curved_metric)
     assert b.hamiltonian_max <= 1e-8
     assert b.sup_p <= 5.0 / 10.0
+
+
+def _supnorms_one_at_a_time(idx, K, r, samples, metric):
+    """Oracle for ``characteristic_supnorms``: one ODE solve per start point,
+    each on its own adapted grid, finite-difference pairs compared by step
+    index.  The sampling is the library's."""
+    n = idx.n
+    rng = np.random.default_rng(7)
+    sup_p = sup_dp = sup_pdot = 0.0
+    h = 1e-6 * max(r, 1e-6)
+    for _ in range(samples):
+        v = rng.normal(size=n)
+        v *= rng.uniform(0.0, 2.0 * r) / np.linalg.norm(v)
+        base = geometry.eikonal_characteristics(K, v, r, metric=metric)
+        sup_p = max(sup_p, base.sup_p)
+        sup_pdot = max(sup_pdot, base.sup_p_dot)
+        for i in range(n):
+            e = np.zeros(n)
+            e[i] = h
+            hi = geometry.eikonal_characteristics(K, np.clip(v + e, -2 * r, 2 * r), r, metric=metric)
+            lo = geometry.eikonal_characteristics(K, np.clip(v - e, -2 * r, 2 * r), r, metric=metric)
+            kmax = min(len(hi.s), len(lo.s))
+            sup_dp = max(sup_dp, np.abs(hi.p[:kmax] - lo.p[:kmax]).max() / (2.0 * h))
+    return {"sup_p": sup_p, "sup_grad_p": sup_dp, "sup_p_dot": sup_pdot}
+
+
+@pytest.mark.parametrize("r", [0.004, 0.009])
+@pytest.mark.parametrize("metric", [None, _curved_metric], ids=["flat", "curved"])
+def test_batched_supnorms_match_one_solve_per_point(metric, r):
+    idx = ProblemIndex(3, 0.5)
+    got = geometry.characteristic_supnorms(idx, 10.0, r, samples=4, metric=metric)
+    want = _supnorms_one_at_a_time(idx, 10.0, r, 4, metric)
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        assert type(got[key]) is float
+        assert got[key] == pytest.approx(val, rel=1e-12, abs=0.0), key
+
+
+def test_supnorm_sweep_is_one_ode_solve(monkeypatch):
+    calls = []
+    solve_ivp = geometry.solve_ivp
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "solve_ivp", counted)
+    geometry.characteristic_supnorms(ProblemIndex(3, 0.5), 10.0, 0.005, samples=4)
+    # 4 samples and their 2n = 6 partners, each a state of 2n + 3 = 9
+    assert calls == [4 * 7 * 9]
+
+
+def test_start_points_outside_the_ball_raise():
+    K, r = 10.0, 0.005
+    h = 1e-6 * r
+    v = np.array([math.sqrt(2.0) * r, math.sqrt(2.0) * r, 0.0])  # |v| = 2r
+    # clipping to the box [-2r, 2r]^n leaves this partner outside the ball
+    partner = np.clip(v + np.array([h, 0.0, 0.0]), -2 * r, 2 * r)
+    assert np.linalg.norm(partner) > 2.0 * r * (1.0 + 1e-12)
+    geometry._characteristics(K, v[None], r, None, 1e-10)
+    with pytest.raises(DomainError):
+        geometry._characteristics(K, np.stack([v, partner, -v]), r, None, 1e-10)
+    with pytest.raises(DomainError):
+        geometry.eikonal_characteristics(K, partner, r)
+    with pytest.raises(DomainError):
+        geometry.characteristic_supnorms(ProblemIndex(3, 0.5), K, r, samples=0)
