@@ -78,10 +78,21 @@ chunks of k rounds within (k + S/k) eps sum |terms| (Higham, *Accuracy and
 Stability of Numerical Algorithms*, 2002, section 4.2), least near
 k = sqrt(S); one GEMM over all S rows sums term by term.
 
-The s-rule is keyed on the largest r.  A point at large z puts its
-s-integrand at s ~ 1/z, which the rule's first panels resolve only while
-(first node) * z <= _SZ_MAX; beyond that the evaluators raise NumericError
-rather than return a sum that misses the integrand.
+The s-rule is keyed on the largest r.  Its panels have width
+w = min(0.6, 5 / max r) out to s = 45, where K_g(s) < 3e-20, except near
+s = 0, where they are graded down geometrically (ratio 2) to w/256.
+There the s-integrand carries the factor s^(n-1-2g), which is least smooth
+at small n - 1 - 2g, and geometric grading toward an endpoint singularity
+resolves it at any exponent: against the Poisson route a start at w/4 left
+1.1e-4 at (3, 0.95) and 1.4e-7 at (4, 0.8), the graded one 1.1e-6 and
+6.4e-12.  The start stays in proportion to w, so the rules keyed on R and
+R/2 begin with the same panels scaled by 2.  A point at large z puts
+its s-integrand at s ~ 1/z, which the rule's first panels resolve only while
+(first node) * z <= _SZ_MAX, z <= 3.2e3 for max r <= 8; beyond that the
+evaluators raise NumericError rather than return a sum that misses the
+integrand.  ``polar_profiles`` raises likewise where an inner arc's scaled
+first node exceeds _S_FIRST_MAX: at rho below 0.03 times the outer radius
+where that is at most 8.
 
 The kernels e_nu and e_(nu+1) come together from ``_e_pair``.  Since n is an
 integer, nu is an integer or a half-integer, and the pair is run up from
@@ -136,9 +147,14 @@ _S_CUT = 45.0   # K_g(s) < 3e-20 beyond this; truncation is below fp noise
 _TAU = 1e-20
 _GAUSS_ORDER = 10
 # the s-sums raise past (first s-node) * max z = _SZ_MAX (see the module
-# docstring): below it the gamma = 1/2 closed form holds to 7e-10 at r = 0
-# for n = 3..12; 1e-8 is first lost at 0.12 (n = 9, 12)
+# docstring): below it the gamma = 1/2 closed form holds to 6.2e-10 at r = 0
+# for n = 3..12; 1e-8 is first lost at 0.125 (n = 8, 9)
 _SZ_MAX = 0.1
+# polar_profiles raises where an arc's first s-node, the outer arc's scaled
+# by (max rho)/rho, exceeds this: below it an arc at (4, 0.3) stays within
+# 1.7e-12 of paired_profiles, at (4, 0.8) within 1e-9; the s^(n-1-2g) factor
+# of the s-integrand is resolved no further (see the module docstring)
+_S_FIRST_MAX = 1e-3
 _BLOCK = 2**17  # kernel and profile values per block of paired points
 _KERNEL_BLOCK = 2**16  # kernel or profile values per block of the tensor grid's s-rows
 # the Poisson route's product rule: Gauss nodes per panel and the growth of
@@ -245,11 +261,13 @@ def _s_nodes(rmax_key):
     index, so ``polar_profiles`` can rescale them.
 
     ``rmax_key`` bounds the largest r the rule must resolve: panel widths are
-    chosen so each panel sees at most a few oscillations of e_nu(s r).
+    chosen so each panel sees at most a few oscillations of e_nu(s r).  The
+    first panel is graded down toward s = 0, to 1/256 of that width, for the
+    s^(n-1-2g) factor of the integrand there (see the module docstring).
     """
     rmax = float(rmax_key)
     width = min(0.6, 5.0 / max(rmax, 1e-9))
-    inner = graded_edges(0.0, min(1.0, _S_CUT), width / 4.0, ratio=1.5, h_max=width)
+    inner = graded_edges(0.0, min(1.0, _S_CUT), width / 256.0, ratio=2.0, h_max=width)
     outer = np.arange(inner[-1], _S_CUT + width, width)
     edges = np.unique(np.concatenate([inner, outer]))
     return gauss_panels(edges, _GAUSS_ORDER)
@@ -502,7 +520,9 @@ def polar_profiles(idx, rho, theta, fields=("W",)):
 
     With s = s'/rho every arc shares the kernel and profile values
     e_nu(s' sin theta) and phi(s' cos theta); only the what-weights depend
-    on rho (see the module docstring).
+    on rho (see the module docstring).  An arc so far inside the outermost
+    one that its scaled first s-node exceeds _S_FIRST_MAX raises
+    NumericError.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
@@ -517,6 +537,13 @@ def polar_profiles(idx, rho, theta, fields=("W",)):
     # the outermost arc keeps the rule radial_profiles would use there
     scale = (top / rho)[:, None]
     s = scale * s0
+    first = float(s[:, 0].max())
+    if first > _S_FIRST_MAX:
+        raise NumericError(
+            f"rho = {rho.min():g} is beyond the radius-scaled s-rule: its first "
+            f"node {first:.3g} > {_S_FIRST_MAX} (max rho {top:g})",
+            {"rho": float(rho.min()), "rho_max": float(top), "s_first": first},
+        )
     kw = _what_weights(idx, s, scale * ws0)
     return _paired_fields(idx, s, kw, s0, r, z, fields)
 

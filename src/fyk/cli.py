@@ -93,10 +93,32 @@ def _fmt(x):
     return str(x)
 
 
+_BOOL_TEXT = ("false", "true")
+
+
+def _rows_text(rows):
+    """The table lines of ``rows``, each ``",".join(map(_fmt, row))``, by one
+    % operation per row: a column of floats alone takes %.17g, any other
+    column %s, after bools become true/false and the values of a column
+    that mixes floats or bools with other types go through ``_fmt``."""
+    cols = list(zip(*rows))
+    specs = []
+    for j, col in enumerate(cols):
+        types = set(map(type, col))
+        if len(types) == 1 and issubclass(*types, float):
+            specs.append("%.17g")
+            continue
+        specs.append("%s")
+        if types == {bool}:
+            cols[j] = map(_BOOL_TEXT.__getitem__, col)
+        elif any(issubclass(t, (bool, float)) for t in types):
+            cols[j] = map(_fmt, col)
+    return list(map(",".join(specs).__mod__, zip(*cols)))
+
+
 def _emit(cfg, name, header, rows, notes=()):
     """Write/print one table. Rows are sequences matching the header."""
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines = [",".join(header)] + _rows_text(rows)
     text = "\n".join(lines) + "\n"
     if cfg.out:
         os.makedirs(cfg.out, exist_ok=True)

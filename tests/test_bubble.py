@@ -374,20 +374,20 @@ def test_extension_large_r_agreement():
 
 
 def test_far_points_beyond_the_s_rule_raise():
-    # the s-rule is keyed on r; at z = 1000 its first node sits at s z ~ 2,
-    # far past the s ~ 1/z where the integrand lives, and the sums used to
-    # come back 39 % off at (3, 1/2)
+    # the s-rule is keyed on r; at z = 4000 its first node sits at s z = 0.12,
+    # just past the reach, and further out the s ~ 1/z where the integrand
+    # lives is missed: at z = 1e4 the sums come back 1.4e-5 off at (3, 1/2)
     idx = ProblemIndex(3, 0.5)
-    far = np.array([1000.0])
+    far = np.array([4000.0])
     with pytest.raises(NumericError):
         bubble.radial_profiles(idx, np.zeros(1), far)
     with pytest.raises(NumericError):
         bubble.paired_profiles(idx, np.zeros(1), far)
     with pytest.raises(NumericError):
-        bubble.extension(idx, BubbleParams(), _pt(np.zeros(3), 1000.0))
+        bubble.extension(idx, BubbleParams(), _pt(np.zeros(3), 4000.0))
     # the arcs' rule is keyed on the radius, which bounds z as well
     got = bubble.polar_profiles(idx, far, np.array([0.0, 0.7]))["W"][0]
-    want = bubble.extension_gamma_half(idx, 1000.0 * np.sin([0.0, 0.7]), 1000.0 * np.cos([0.0, 0.7]))
+    want = bubble.extension_gamma_half(idx, 4000.0 * np.sin([0.0, 0.7]), 4000.0 * np.cos([0.0, 0.7]))
     assert np.abs(got / want - 1.0).max() <= 1e-8
     # within the reach the closed form holds to 1e-8, n = 3..12
     for n in (3, 5, 9, 12):
@@ -451,6 +451,45 @@ def test_polar_profiles_match_tensor_diagonal(n, gamma):
         for k in _FIELDS:
             assert got[k].shape == (arcs.size, th.size)
             assert np.abs(got[k][a] - np.diagonal(want[k])).max() <= bound, (rho, k)
+
+
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (7, 0.25)])
+def test_polar_profiles_resolve_each_arc_or_raise(n, gamma):
+    # with the outer arc at rho = 1 the rule is scaled by 1/rho on the inner
+    # one: below rho = 1e-4 it left no node where the s-integrand lives
+    # (W 100 % off), at 1e-3 it was 1.9e-7 off at (4, 0.3)
+    idx = ProblemIndex(n, gamma)
+    th = np.linspace(0.0, 1.5, 13)
+    accepted = []
+    for rho in np.logspace(-8.0, 0.0, 33):
+        try:
+            got = bubble.polar_profiles(idx, np.array([rho, 1.0]), th, _FIELDS)
+        except NumericError:
+            continue
+        want = bubble.paired_profiles(idx, rho * np.sin(th), rho * np.cos(th), _FIELDS)
+        for k in _FIELDS:
+            assert np.abs(got[k][0] - want[k]).max() <= 1e-9 * np.abs(want[k]).max(), (rho, k)
+        accepted.append(rho)
+    assert 0.05 > min(accepted) > 1e-3
+    # the direct route's arcs span 5:1 and stay within the rule
+    R = moments._default_radius(idx)
+    bubble.polar_profiles(idx, R * moments._ARCS, th, ("W",))
+
+
+@pytest.mark.parametrize(
+    "n,gamma,bound",
+    [(3, 0.75, 1e-7), (3, 0.95, 2e-6), (2, 0.3, 1e-6), (4, 0.8, 1e-11), (4, 0.95, 1e-10)],
+)
+def test_fourier_bessel_floor_against_the_poisson_route(n, gamma, bound):
+    # the s^(n-1-2g) factor of the s-integrand is least smooth at small
+    # n - 1 - 2g; the s-rule's start, graded toward s = 0, resolves it to
+    # 6.5e-8, 1.1e-6, 4.8e-7, 6.4e-12 and 3.3e-11 here (a first panel 64
+    # times wider left 3.3e-5, 1.1e-4, 1.6e-4, 1.4e-7 and 2.1e-7)
+    idx = ProblemIndex(n, gamma)
+    r, z = np.linspace(0.0, 3.0, 7), np.linspace(0.1, 2.0, 6)
+    fb = bubble.radial_profiles(idx, r, z)["W"]
+    po = np.array([[bubble._extension_poisson(idx, a, b) for b in z] for a in r])
+    assert np.abs(fb / po - 1.0).max() <= bound
 
 
 def test_paired_profiles_match_tensor_diagonal():

@@ -231,3 +231,35 @@ def test_linearized_bad_pi():
             "diag(1,1)",
         ]
     ) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["constants", "--n", "3", "--gamma", "0.5"],
+        ["integrals", "--n", "5", "--gamma", "0.7"],
+        ["coeff-scan"],
+        ["pohozaev", "--n", "4", "--gamma", "0.3"],
+        ["solve", "extension", "--n", "3", "--gamma", "0.5", "--sizes", "8,16,32"],
+        ["solve", "green", "--n", "3", "--gamma", "0.5", "--resolution", "128"],
+        ["solve", "lambda1", "--n", "3", "--gamma", "0.5", "--radii", "0.5,1", "--resolution", "16"],
+        ["solve", "linearized", "--n", "4", "--gamma", "0.3", "--resolution", "16", "--box", "10"],
+    ],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_row_text_is_the_per_value_format(monkeypatch, capsys, argv):
+    # every subcommand's rows, the mixed ones too (pohozaev's limit row, the
+    # extension table's empty first order), print as ",".join(map(_fmt, row))
+    tables = []
+    emit = cli._emit
+
+    def spy(cfg, name, header, rows, notes=()):
+        tables.append(rows)
+        return emit(cfg, name, header, rows, notes)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    assert run(argv) in (0, 3)
+    (rows,) = tables
+    assert cli._rows_text(rows) == [",".join(map(cli._fmt, row)) for row in rows]
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:len(rows) + 1] == cli._rows_text(rows)
