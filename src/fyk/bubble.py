@@ -62,21 +62,26 @@ point).  W_minus_w uses phi - 1, which reads -1 at a dropped node; its
 error is the dropped phi term alone, but its kernels are needed at every
 node.  On the direct route's core grid about half the profile points stay.
 
-At paired points the sums run over every node, with numpy's pairwise sum.
-``radial_profiles`` streams the tensor grid instead, one block of s-rows at
-a time (``_KERNEL_BLOCK`` values per row block), so it never holds an
-S x len(r) or S x len(z) array.  The z columns are sorted by their live
-prefix, longest first, so the columns a block still needs are a prefix too.
-Each block evaluates the kernels on (s, r), the profiles on its live (s, z)
-entries alone, and adds its terms to the outputs in place by BLAS dgemm:
-the fields on e_nu (W, lap_tan, Wz) share one GEMM, with the coefficients
-on the profile side, Wr_over_r takes one on e_(nu+1), and W_minus_w one over
-every column and row.  The other fields stop after the last live row.  Each
-dgemm adds the partial sum of at most isqrt(S) rows to the output with one
-rounding, so an entry's sum is chunked, and the chunked sum of S terms in
-chunks of k rounds within (k + S/k) eps sum |terms| (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002, section 4.2), least near
-k = sqrt(S); one GEMM over all S rows sums term by term.
+At paired points the sums run over every node, one block of points at a
+time (``_BLOCK`` values of (s, point) per block, however many arcs share
+them): a block forms kernel times profile on (s, point) for each field and
+contracts it over s with the field's coefficients, of every arc at once, by
+BLAS dgemm.  ``radial_profiles`` streams the tensor grid instead, one block
+of s-rows at a time (``_KERNEL_BLOCK`` values per row block), so it never
+holds an S x len(r) or S x len(z) array.  The z columns are sorted by their
+live prefix, longest first, so the columns a block still needs are a prefix
+too.  Each block evaluates the kernels on (s, r), the profiles on its live
+(s, z) entries alone, and adds its terms to the outputs in place by BLAS
+dgemm: the fields on e_nu (W, lap_tan, Wz) share one GEMM, with the
+coefficients on the profile side, Wr_over_r takes one on e_(nu+1), and
+W_minus_w one over every column and row.  The other fields stop after the
+last live row.  The tensor, paired and polar evaluators share one
+contraction, ``_accumulate``: each dgemm adds the partial sum of at most
+isqrt(S) s-rows to the output with one rounding, so an entry's sum is
+chunked, and the chunked sum of S terms in chunks of k rounds within
+(k + S/k) eps sum |terms| (Higham, *Accuracy and Stability of Numerical
+Algorithms*, 2002, section 4.2), least near k = sqrt(S); one GEMM over all
+S rows sums term by term.
 
 The s-rule is keyed on the largest r.  Its panels have width
 w = min(0.6, 5 / max r) out to s = 45, where K_g(s) < 3e-20, except near
@@ -155,7 +160,9 @@ _SZ_MAX = 0.1
 # 1.7e-12 of paired_profiles, at (4, 0.8) within 1e-9; the s^(n-1-2g) factor
 # of the s-integrand is resolved no further (see the module docstring)
 _S_FIRST_MAX = 1e-3
-_BLOCK = 2**17  # kernel and profile values per block of paired points
+# kernel or profile values of (s, point) per block of paired points; the
+# arcs of polar_profiles share them, so they do not count
+_BLOCK = 2**17
 _KERNEL_BLOCK = 2**16  # kernel or profile values per block of the tensor grid's s-rows
 # the Poisson route's product rule: Gauss nodes per panel and the growth of
 # its graded panels (see the module docstring)
@@ -386,40 +393,40 @@ def _field_terms(idx, s, kw, fields):
     return {k: v for k, v in terms.items() if k in fields}
 
 
-def _paired_contract(c, kernel, profile):
-    # numpy sums the contiguous last axis pairwise: a few ulps of rounding,
-    # where a BLAS matrix-vector product sums the s-axis term by term
-    return (c[..., None, :] * (kernel * profile)).sum(axis=-1)
-
-
 def _paired_fields(idx, s, kw, s0, r, z, fields):
     """The fields of ``_field_terms`` at the paired points (r[k], z[k]), with
     the kernels at s0 r and the profiles at s0 z, in blocks of points: each
-    point's sum is independent of the others, and a block of _BLOCK values,
-    counted over every arc of ``s``, bounds the temporaries of ``_e_pair``,
-    the profiles and the products.  Kernels and profiles are evaluated on
-    each point's live s-prefix only and are 0 past it, so every sum still
-    runs over all of s0 in the same order."""
+    point's sum is independent of the others, and a block of _BLOCK values
+    of (s0, point) bounds the temporaries of ``_e_pair`` and the profiles.
+    Kernels and profiles are evaluated on each point's live s-prefix only
+    and are 0 past it, so every sum still runs over all of s0 in the same
+    order.  Each field is kernel * profile contracted over s with its
+    coefficients, for every arc of ``s`` at once, by ``_accumulate``."""
     nu = idx.n / 2.0 - 1.0
     _check_reach(s0, z)
     counts = _live_counts(idx, s, kw, s0, z)
     kernel_counts = np.full(counts.shape, s0.size) if "W_minus_w" in fields else counts
-    cols = np.arange(s0.size)
+    rows = np.arange(s0.size)[:, None]
     terms = _field_terms(idx, s, kw, fields)
-
-    def block(blk):
-        live = cols < kernel_counts[blk, None]
-        kernels = [_scatter(live, e) for e in _e_pair(nu, np.outer(r[blk], s0)[live])]
-        live = cols < counts[blk, None]
-        Ph, Php = _cut_profiles(idx, np.outer(z[blk], s0)[live], live, fields)
+    # coefficients as (s, arc) and outputs as (arc, point), one arc on paired
+    # points; a block's columns of an F-ordered output take its dgemm in place
+    coefs = {
+        k: np.ascontiguousarray(np.reshape(c, (-1, s0.size)).T) for k, (c, _, _) in terms.items()
+    }
+    out = {k: np.zeros((c.shape[1], r.size), order="F") for k, c in coefs.items()}
+    step = max(1, math.isqrt(s0.size))  # see the module docstring
+    size = max(1, _BLOCK // s0.size)
+    for i in range(0, r.size, size):
+        blk = slice(i, i + size)
+        live = rows < kernel_counts[blk]
+        kernels = [_scatter(live, e) for e in _e_pair(nu, np.outer(s0, r[blk])[live])]
+        live = rows < counts[blk]
+        Ph, Php = _cut_profiles(idx, np.outer(s0, z[blk])[live], live, fields)
         profiles = (Ph, Php, Ph - 1.0 if "W_minus_w" in terms else None)
-        return {
-            k: _paired_contract(c, kernels[e], profiles[p]) for k, (c, e, p) in terms.items()
-        }
-
-    step = max(1, _BLOCK // s.size)  # s carries the arc axis, if any
-    parts = [block(slice(i, i + step)) for i in range(0, max(r.size, 1), step)]
-    return {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
+        for k, (_, e, p) in terms.items():
+            _accumulate(coefs[k], kernels[e] * profiles[p], out[k][:, blk], step)
+    shape = np.shape(kw)[:-1] + (r.size,)
+    return {k: v.reshape(shape) for k, v in out.items()}
 
 
 def _accumulate(a, b, c, step):

@@ -233,7 +233,8 @@ def cmd_pohozaev(args, cfg):
     for r in radii:
         rep = pohozaev.pohozaev_P(idx, fld, r)
         scale = max(abs(rep.surface_term), abs(rep.boundary_term))
-        ok = abs(rep.total) <= cfg.tol * max(scale, 1.0)
+        # a Python bool, which the tables print as true/false (not np.bool_)
+        ok = bool(abs(rep.total) <= cfg.tol * max(scale, 1.0))
         breach = breach or not ok
         rows.append((r, rep.surface_term, rep.boundary_term, rep.total, scale, ok))
     # limit of the truncated functional on the model end profile
@@ -242,7 +243,7 @@ def cmd_pohozaev(args, cfg):
     oracle = pohozaev.limit_value_oracle(idx, 1.0)
     rel = abs(computed - oracle) / abs(oracle)
     breach = breach or rel > 0.01
-    rows.append(("limit", computed, oracle, computed - oracle, abs(oracle), rel <= 0.01))
+    rows.append(("limit", computed, oracle, computed - oracle, abs(oracle), bool(rel <= 0.01)))
     _emit(
         cfg,
         "pohozaev_n%d_g%g" % (idx.n, idx.gamma),

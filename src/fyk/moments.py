@@ -241,19 +241,41 @@ def _integrals_from_moments(idx):
 # direct 2-D route
 
 
+# the width of the core grid's first z-panel, one Gauss-Jacobi panel in the
+# weight z^(1-2g): the z^(2g) term of the fields' trace expansion is not in
+# its polynomial space, and its error grows like _Z_FIRST^2 (at 1e-4,
+# (11, 0.35) loses two digits to 4.2e-12 relative)
+_Z_FIRST = 1e-6
+
+
+def _jacobi_end_panel(h, a):
+    """A 12-node Gauss-Jacobi panel on [0, h] in the distance d to an
+    endpoint singularity d^a, a > -1: the distances (descending) and their
+    weights, each divided by the weight function d^a at its node, so the
+    rule takes the plain integrand values."""
+    from scipy.special import roots_jacobi  # keeps scipy.special off the import path
+
+    x, wx = roots_jacobi(12, a, 0.0)  # weight (1 - x)^a on [-1, 1]
+    return 0.5 * h * (1.0 - x), 0.5 * h * wx / (1.0 - x) ** a
+
+
 def _grid_rules(idx, R):
-    """The core rule on [0, R]^2: 10-node Gauss-Legendre panels whose widths
-    grow geometrically all the way to R, by 1.6 in r from 0.05 and by 2.2
-    in z from 1e-9 (deep grading toward z = 0: the weight z^(1-2g) is
-    singular for g > 1/2).  The integrands are analytic away from z = 0 and
-    vary on the scale of the distance to the origin, so no width cap is
-    needed: this is 150 x 320 points at R = 64 and 130 x 310 at R = 32, and
-    capping the widths at 1 (and the ratios at 1.35 and 1.7: 720 x 1020
-    points at R = 64) moves no total beyond 5.2e-14 relative on a sweep of
-    17 indices with n = 3 ... 12."""
+    """The core rule on [0, R]^2.  In r, 10-node Gauss-Legendre panels whose
+    widths grow geometrically all the way to R, by 1.6 from 0.05.  In z, one
+    12-node Gauss-Jacobi panel in the weight z^(1-2g) on [0, _Z_FIRST] (every
+    integrand is that weight times z to an integer power times the fields,
+    and the weight is singular at z = 0 for g > 1/2), then 10-node
+    Gauss-Legendre panels from _Z_FIRST that grow by 2.2 all the way to R.
+    The integrands are analytic away from z = 0 and vary on the scale of the
+    distance to the origin, so no width cap is needed: this is 150 x 242
+    points at R = 64 and 130 x 232 at R = 32, and capping the widths at 1
+    (and the ratios at 1.35 and 1.7: 720 x 912 points at R = 64, the same
+    first z-panel) moves no total beyond 2.1e-14 relative on a sweep of 17
+    indices with n = 3 ... 12."""
     r, wr = gauss_panels(graded_edges(0.0, R, 0.05, ratio=1.6), 10)
-    z, wz = gauss_panels(graded_edges(0.0, R, 1e-9, ratio=2.2), 10)
-    return r, wr, z, wz
+    d, wd = _jacobi_end_panel(_Z_FIRST, 1.0 - 2.0 * idx.gamma)
+    z, wz = gauss_panels(graded_edges(_Z_FIRST, R, 1.2 * _Z_FIRST, ratio=2.2), 10)
+    return r, wr, np.concatenate([d[::-1], z]), np.concatenate([wd[::-1], wz])
 
 _FIELDS = ("W", "Wr_over_r", "Wz", "lap_tan")
 
@@ -301,14 +323,11 @@ def _tail_theta_rule(g):
     z = rho sin(pi/2 - theta), so this one panel fits all twelve; each of
     its weights is divided by the weight function at its node, so the rule
     takes the plain integrand values.  The arrays are shared: read-only."""
-    from scipy.special import roots_jacobi  # keeps scipy.special off the import path
-
     dist = 0.25 * math.pi * 0.55 ** np.arange(6)
     th, wth = gauss_panels(np.concatenate([[0.0], 0.5 * math.pi - dist]), 12)
-    a, h = 1.0 - 2.0 * g, dist[-1]
-    x, wx = roots_jacobi(12, a, 0.0)  # weight (1 - x)^a on [-1, 1]
-    th = np.concatenate([th, 0.5 * math.pi - 0.5 * h * (1.0 - x)])
-    wth = np.concatenate([wth, 0.5 * h * wx / (1.0 - x) ** a])
+    d, wd = _jacobi_end_panel(dist[-1], 1.0 - 2.0 * g)
+    th = np.concatenate([th, 0.5 * math.pi - d])
+    wth = np.concatenate([wth, wd])
     th.setflags(write=False)
     wth.setflags(write=False)
     return th, wth
@@ -418,6 +437,6 @@ def combined_integrals_direct(idx, R=None):
     one cached s-rule.  A finite R > 0 is required (else DomainError).  The
     accuracy falls fast at small R: at (4, 0.8) the worst relative error of
     the nine integrals over C0 is 1.1 at R = 4, 2.1e-2 at R = 8, 1.3e-3 at
-    R = 16, 5.6e-5 at R = 32 and 1.1e-5 at the default R = 64."""
+    R = 16, 5.6e-5 at R = 32 and 1.8e-6 at the default R = 64."""
     _, combined = _integrals_direct(idx, R=R)
     return np.asarray(combined)

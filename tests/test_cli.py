@@ -45,6 +45,15 @@ def test_integrals_direct_route_meets_tol_at_3_045():
     assert run(argv) == 0
 
 
+@pytest.mark.parametrize("n,gamma", [(5, 0.9), (10, 0.9)])
+def test_integrals_direct_route_meets_tol_for_singular_weight(n, gamma):
+    # the Gauss-Jacobi first z-panel resolves the weight z^(1-2g) for g > 1/2
+    # (worst residual 1.4e-7 at (5, 0.9) and 1e-12 at (10, 0.9); the Legendre
+    # start it replaced left 9.1e-2 and 2.6e-1)
+    argv = ["integrals", "--n", str(n), "--gamma", str(gamma), "--method", "direct_2d"]
+    assert run(argv + ["--tol", "1e-4"]) == 0
+
+
 def test_integrals_rejects_divergent_index():
     assert run(["integrals", "--n", "3", "--gamma", "0.5"]) == 1
 
@@ -233,33 +242,64 @@ def test_linearized_bad_pi():
     ) == 1
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["constants", "--n", "3", "--gamma", "0.5"],
-        ["integrals", "--n", "5", "--gamma", "0.7"],
-        ["coeff-scan"],
-        ["pohozaev", "--n", "4", "--gamma", "0.3"],
-        ["solve", "extension", "--n", "3", "--gamma", "0.5", "--sizes", "8,16,32"],
-        ["solve", "green", "--n", "3", "--gamma", "0.5", "--resolution", "128"],
-        ["solve", "lambda1", "--n", "3", "--gamma", "0.5", "--radii", "0.5,1", "--resolution", "16"],
-        ["solve", "linearized", "--n", "4", "--gamma", "0.3", "--resolution", "16", "--box", "10"],
-    ],
-    ids=lambda argv: "-".join(argv[:2]),
-)
-def test_row_text_is_the_per_value_format(monkeypatch, capsys, argv):
-    # every subcommand's rows, the mixed ones too (pohozaev's limit row, the
-    # extension table's empty first order), print as ",".join(map(_fmt, row))
+# one small run of every subcommand
+SUBCOMMANDS = [
+    ["constants", "--n", "3", "--gamma", "0.5"],
+    ["integrals", "--n", "5", "--gamma", "0.7"],
+    ["coeff-scan"],
+    ["pohozaev", "--n", "4", "--gamma", "0.3"],
+    ["solve", "extension", "--n", "3", "--gamma", "0.5", "--sizes", "8,16,32"],
+    ["solve", "green", "--n", "3", "--gamma", "0.5", "--resolution", "128"],
+    ["solve", "lambda1", "--n", "3", "--gamma", "0.5", "--radii", "0.5,1", "--resolution", "16"],
+    ["solve", "linearized", "--n", "4", "--gamma", "0.3", "--resolution", "16", "--box", "10"],
+]
+
+
+def _one_table(monkeypatch, argv):
+    """Run ``argv`` and return the (header, rows) of its one table."""
     tables = []
     emit = cli._emit
 
     def spy(cfg, name, header, rows, notes=()):
-        tables.append(rows)
+        tables.append((header, rows))
         return emit(cfg, name, header, rows, notes)
 
     monkeypatch.setattr(cli, "_emit", spy)
     assert run(argv) in (0, 3)
-    (rows,) = tables
+    (table,) = tables
+    return table
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda argv: "-".join(argv[:2]))
+def test_row_text_is_the_per_value_format(monkeypatch, capsys, argv):
+    # every subcommand's rows, the mixed ones too (pohozaev's limit row, the
+    # extension table's empty first order), print as ",".join(map(_fmt, row))
+    _, rows = _one_table(monkeypatch, argv)
     assert cli._rows_text(rows) == [",".join(map(cli._fmt, row)) for row in rows]
     out = capsys.readouterr().out.splitlines()
     assert out[1:len(rows) + 1] == cli._rows_text(rows)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    # pohozaev once more with a tolerance no radius meets, so its within_tol
+    # column holds false as well as true
+    SUBCOMMANDS + [["pohozaev", "--n", "4", "--gamma", "0.3", "--tol", "1e-30"]],
+    ids=[argv[0] if argv[0] != "solve" else "-".join(argv[:2]) for argv in SUBCOMMANDS]
+    + ["pohozaev-breach"],
+)
+def test_boolean_columns_print_true_false(monkeypatch, capsys, argv):
+    # a column holding any boolean holds Python bools only (np.bool_ prints
+    # True/False), and prints them as true/false
+    header, rows = _one_table(monkeypatch, argv)
+    lines = capsys.readouterr().out.splitlines()[1:len(rows) + 1]
+    cells = [line.split(",") for line in lines]
+    for j, name in enumerate(header):
+        col = [row[j] for row in rows]
+        if not any(isinstance(v, (bool, np.bool_)) for v in col):
+            continue
+        assert all(type(v) is bool for v in col), name
+        assert [c[j] for c in cells] == ["true" if v else "false" for v in col], name
+    if argv[0] == "pohozaev":
+        assert header[-1] == "within_tol"
+        assert {row[-1] for row in rows} == ({True, False} if "--tol" in argv else {True})

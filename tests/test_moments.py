@@ -262,11 +262,24 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "n,gamma,bound", [(7, 0.25, 1e-10), (4, 0.3, 1e-8), (3, 0.45, 1e-5), (4, 0.5, 1e-6)]
+    "n,gamma,bound",
+    [
+        (7, 0.25, 1e-10),
+        (4, 0.3, 1e-8),
+        (3, 0.45, 1e-5),
+        (4, 0.5, 1e-6),
+        (10, 0.9, 4e-13),
+        (5, 0.9, 8e-8),
+        (6, 0.75, 3e-8),
+        (4, 0.95, 1.2e-4),
+    ],
 )
 def test_direct_route_accuracy(n, gamma, bound):
     # the tail fit carries the nine far-field exponents, the pairwise sums of
-    # 0, 2g, 2 - 2g and 2; (7, 0.25) at R = 32, the others at R = 64
+    # 0, 2g, 2 - 2g and 2; R = 32 where n - 2g > 4, else 64.  For g > 1/2 the
+    # core grid's Gauss-Jacobi first z-panel carries the weight z^(1-2g): the
+    # Legendre start it replaced left 6.5e-3 at (10, 0.9), 4.6e-3 at (5, 0.9),
+    # 1.9e-6 at (6, 0.75) and 1.8e-2 at (4, 0.95)
     idx = ProblemIndex(n, gamma)
     iset = moments.compute_integrals(idx, method="direct_2d")
     want = moments.closed_form_ratios(idx)
@@ -299,13 +312,54 @@ def test_direct_route_rejects_bad_radius(R):
         moments.combined_integrals_direct(idx, R=R)
 
 
+@pytest.mark.parametrize("gamma", [0.05, 0.5, 0.8, 0.95])
+def test_first_z_panel_integrates_the_weight_exactly(gamma):
+    # the 12 nodes of the core grid's first z-panel integrate z^(1-2g) z^k
+    # exactly for k <= 23; its weights are divided by the weight function.
+    # Exactly means to the digits of SciPy's nodes x on [-1, 1]: the
+    # distance 1 - x to the singular end keeps an absolute error of about
+    # eps, which at g = 0.95 is 1e-13 relative at the nearest node
+    # (1 - x = 1.4e-3); measured 1.1e-13 there, at most 3.4e-14 elsewhere
+    idx, h = ProblemIndex(4, gamma), moments._Z_FIRST
+    _, _, z, wz = moments._grid_rules(idx, 64.0)
+    first = z <= h
+    x, w = z[first] / h, wz[first] / h  # the panel on [0, 1]
+    a = 1.0 - 2.0 * gamma
+    for k in range(24):
+        want = 1.0 / (a + k + 1.0)  # int_0^1 x^a x^k dx
+        assert abs(w @ x ** (a + k) / want - 1.0) <= 2e-13, k
+
+
+def test_core_grid_cost(monkeypatch):
+    # the cost of the direct route's core grid, whose z-columns each take a
+    # profile sum over the s-rule: at most 250 z-columns at R = 64 (242 now,
+    # 320 before the Gauss-Jacobi first panel), 12 of them on that panel
+    class Stop(Exception):
+        pass
+
+    calls = []
+
+    def spy(idx, r, z, fields):
+        calls.append(z)
+        raise Stop
+
+    monkeypatch.setattr(bubble, "radial_profiles", spy)
+    idx = ProblemIndex(4, 0.8)
+    assert moments._default_radius(idx) == 64.0
+    with pytest.raises(Stop):
+        moments._integrals_direct(idx)
+    [z] = calls
+    assert z.size <= 250
+    assert np.count_nonzero(z <= moments._Z_FIRST) == 12
+
+
 def test_geometric_core_grid_matches_the_capped_grid(monkeypatch, capped_grid_rules):
     # panels that grow geometrically all the way to R give the totals of
-    # the capped grid, with 140 x 320 core points instead of 480 x 780
+    # the capped grid, with 140 x 242 core points instead of 480 x 780
     idx, R = ProblemIndex(7, 0.25), 40.0
     r, _, z, _ = moments._grid_rules(idx, R)
     rc, _, zc, _ = capped_grid_rules(idx, R)
-    assert (r.size, z.size, rc.size, zc.size) == (140, 320, 480, 780)
+    assert (r.size, z.size, rc.size, zc.size) == (140, 242, 480, 780)
     iset, combined = moments._integrals_direct(idx, R=R)
     got = np.concatenate([iset.I, combined])
     monkeypatch.setattr(moments, "_grid_rules", capped_grid_rules)
