@@ -58,9 +58,8 @@ Where Wz is requested, phi and phi' come from one
 is the calibration mass alpha, so each dropped term is below 1e-20 alpha and
 the at most ~6000 of them below 1e-16 alpha, the rounding floor of the sums
 (on the direct route's grids the dropped mass is at most 7e-19 alpha per
-point).  W_minus_w uses phi - 1, which reads -1 at a dropped node; its
-error is the dropped phi term alone, but its kernels are needed at every
-node.  On the direct route's core grid about half the profile points stay.
+point).  Every field is cut this way.  On the direct route's core grid
+about half the profile points stay.
 
 At paired points the sums run over every node, one block of points at a
 time (``_BLOCK`` values of (s, point) per block, however many arcs share
@@ -72,16 +71,15 @@ holds an S x len(r) or S x len(z) array.  The z columns are sorted by their
 live prefix, longest first, so the columns a block still needs are a prefix
 too.  Each block evaluates the kernels on (s, r), the profiles on its live
 (s, z) entries alone, and adds its terms to the outputs in place by BLAS
-dgemm: the fields on e_nu (W, lap_tan, Wz) share one GEMM, with the
-coefficients on the profile side, Wr_over_r takes one on e_(nu+1), and
-W_minus_w one over every column and row.  The other fields stop after the
-last live row.  The tensor, paired and polar evaluators share one
-contraction, ``_accumulate``: each dgemm adds the partial sum of at most
-isqrt(S) s-rows to the output with one rounding, so an entry's sum is
-chunked, and the chunked sum of S terms in chunks of k rounds within
-(k + S/k) eps sum |terms| (Higham, *Accuracy and Stability of Numerical
-Algorithms*, 2002, section 4.2), least near k = sqrt(S); one GEMM over all
-S rows sums term by term.
+dgemm: one GEMM per kernel, with the coefficients on the profile side, so
+the fields on e_nu (W, lap_tan, Wz) share one and Wr_over_r takes one on
+e_(nu+1).  The blocks stop after the last live row.  The tensor, paired
+and polar evaluators share one contraction, ``_accumulate``: each dgemm
+adds the partial sum of at most isqrt(S) s-rows to the output with one
+rounding, so an entry's sum is chunked, and the chunked sum of S terms in
+chunks of k rounds within (k + S/k) eps sum |terms| (Higham, *Accuracy and
+Stability of Numerical Algorithms*, 2002, section 4.2), least near
+k = sqrt(S); one GEMM over all S rows sums term by term.
 
 The s-rule is keyed on the largest r.  Its panels have width
 w = min(0.6, 5 / max r) out to s = 45, where K_g(s) < 3e-20, except near
@@ -146,6 +144,8 @@ __all__ = [
     "poisson_constant",
 ]
 
+# the fields the evaluators take, in the order they return them
+_FIELD_NAMES = ("W", "Wr_over_r", "lap_tan", "Wz")
 _S_CUT = 45.0   # K_g(s) < 3e-20 beyond this; truncation is below fp noise
 # s-terms below _TAU times sum |kw| (the calibration mass, alpha) are not
 # evaluated; see the module docstring
@@ -305,9 +305,16 @@ def _rmax_key(rmax):
     return float(2.0 ** math.ceil(math.log2(max(rmax, 1.0))))
 
 
-def _check_points(r, z, fields):
-    """Reject points the s-sums cannot take: NaN or infinite coordinates,
-    negative r or z, and z = 0 where Wz is requested."""
+def _check_request(r, z, fields):
+    """Reject requests the s-sums cannot take: a field name that is not one
+    of ``_FIELD_NAMES`` (or a bare string in place of a sequence of names),
+    NaN or infinite coordinates, negative r or z, and z = 0 where Wz is
+    requested."""
+    if isinstance(fields, str):
+        raise DomainError(f"fields must be a sequence of field names, not the string {fields!r}")
+    unknown = [k for k in fields if k not in _FIELD_NAMES]
+    if unknown:
+        raise DomainError(f"unknown fields {unknown}; available: {', '.join(_FIELD_NAMES)}")
     if not (np.all(np.isfinite(r)) and np.all(np.isfinite(z))):
         raise DomainError("r and z must be finite")
     if np.any(r < 0.0) or np.any(z < 0.0):
@@ -370,25 +377,22 @@ def _cut_profiles(idx, t, live, fields):
     return tuple(_scatter(live, p) for p in profile_phi_pair(idx, t))
 
 
-_PHI, _PHI_PRIME, _PHI_MINUS_1 = range(3)
+_PHI, _PHI_PRIME = range(2)
 
 
 def _field_terms(idx, s, kw, fields):
-    """The requested fields as s-sums, in a fixed order: each field is
-    sum_i c_i kernel(s_i r) profile(s_i z), given as (c, kernel, profile)
-    with a coefficient c = kw * (a power of s), kernel 0 for e_nu and 1 for
-    e_(nu+1) (the pair ``_e_pair``), and profile phi, phi' or phi - 1
-    (``_PHI``, ``_PHI_PRIME``, ``_PHI_MINUS_1``).  The three evaluators
-    share these formulas."""
+    """The requested fields as s-sums, in the order of ``_FIELD_NAMES``:
+    each field is sum_i c_i kernel(s_i r) profile(s_i z), given as
+    (c, kernel, profile) with a coefficient c = kw * (a power of s), kernel
+    0 for e_nu and 1 for e_(nu+1) (the pair ``_e_pair``), and profile phi or
+    phi' (``_PHI``, ``_PHI_PRIME``).  The three evaluators share these
+    formulas."""
     nu = idx.n / 2.0 - 1.0
     terms = {
         "W": (kw, 0, _PHI),
         "Wr_over_r": (-(kw * s**2 / (2.0 * (nu + 1.0))), 1, _PHI),
         "lap_tan": (-(kw * s**2), 0, _PHI),
         "Wz": (kw * s, 0, _PHI_PRIME),
-        # a dropped phi reads 0 here, so its term is -kw e_nu: the trace part
-        # needs the kernel at every node
-        "W_minus_w": (kw, 0, _PHI_MINUS_1),
     }
     return {k: v for k, v in terms.items() if k in fields}
 
@@ -405,7 +409,6 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
     nu = idx.n / 2.0 - 1.0
     _check_reach(s0, z)
     counts = _live_counts(idx, s, kw, s0, z)
-    kernel_counts = np.full(counts.shape, s0.size) if "W_minus_w" in fields else counts
     rows = np.arange(s0.size)[:, None]
     terms = _field_terms(idx, s, kw, fields)
     # coefficients as (s, arc) and outputs as (arc, point), one arc on paired
@@ -418,11 +421,9 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
     size = max(1, _BLOCK // s0.size)
     for i in range(0, r.size, size):
         blk = slice(i, i + size)
-        live = rows < kernel_counts[blk]
-        kernels = [_scatter(live, e) for e in _e_pair(nu, np.outer(s0, r[blk])[live])]
         live = rows < counts[blk]
-        Ph, Php = _cut_profiles(idx, np.outer(s0, z[blk])[live], live, fields)
-        profiles = (Ph, Php, Ph - 1.0 if "W_minus_w" in terms else None)
+        kernels = [_scatter(live, e) for e in _e_pair(nu, np.outer(s0, r[blk])[live])]
+        profiles = _cut_profiles(idx, np.outer(s0, z[blk])[live], live, fields)
         for k, (_, e, p) in terms.items():
             _accumulate(coefs[k], kernels[e] * profiles[p], out[k][:, blk], step)
     shape = np.shape(kw)[:-1] + (r.size,)
@@ -448,12 +449,12 @@ def radial_profiles(idx, r, z, fields=("W",)):
     * ``Wr_over_r``— (1/r) dW/dr (finite at r = 0)
     * ``Wz``       — dW/dz (z > 0 required)
     * ``lap_tan``  — tangential Laplacian of W
-    * ``W_minus_w``— W(r, z) - W(r, 0), computed inside the s-integral to
-                     avoid catastrophic cancellation at small z
+
+    Any other name, or a bare string for ``fields``, raises DomainError.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_points(r, z, fields)
+    _check_request(r, z, fields)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
     _check_reach(s, z)
     nu = idx.n / 2.0 - 1.0
@@ -465,15 +466,14 @@ def radial_profiles(idx, r, z, fields=("W",)):
     terms = _field_terms(idx, s, kw, fields)
     # the fields on one kernel share one GEMM: in a group of g fields, column
     # j * g + f of the F-ordered buffer is field f at z column j, so a block
-    # adds to the contiguous columns of its live prefix.  W_minus_w needs
-    # every column and every row, and has a group of its own
+    # adds to the contiguous columns of its live prefix
     groups, bufs, out = {}, {}, {}
-    for k, (_, e, p) in terms.items():
-        groups.setdefault((e, p == _PHI_MINUS_1), []).append(k)
-    for g, keys in groups.items():
-        bufs[g] = np.zeros((r.size, len(keys), z.size), order="F")
-        out.update((k, bufs[g][:, f]) for f, k in enumerate(keys))
-    stop = s.size if "W_minus_w" in terms else counts.max(initial=0)
+    for k, (_, e, _) in terms.items():
+        groups.setdefault(e, []).append(k)
+    for e, keys in groups.items():
+        bufs[e] = np.zeros((r.size, len(keys), z.size), order="F")
+        out.update((k, bufs[e][:, f]) for f, k in enumerate(keys))
+    stop = counts.max(initial=0)
     rows = max(1, _KERNEL_BLOCK // max(r.size, z.size, 1))
     # partial sums of about sqrt(S) rows minimize the chunked sum's rounding
     # bound (see the module docstring)
@@ -483,20 +483,13 @@ def radial_profiles(idx, r, z, fields=("W",)):
         kernels = _e_pair(nu, np.outer(s[blk], r))
         live = np.count_nonzero(counts > i)
         mask = np.arange(i, i + len(kernels[0]))[:, None] < counts[:live]
-        Ph, Php = _cut_profiles(idx, np.outer(s[blk], zs[:live])[mask], mask, fields)
-        profiles = [Ph, Php, None]
-        if "W_minus_w" in terms:
-            profiles[_PHI_MINUS_1] = np.full((len(mask), z.size), -1.0)
-            profiles[_PHI_MINUS_1][:, :live] += Ph
-        for (e, full), keys in groups.items():
-            width = z.size if full else live
-            if not width:
-                continue
-            P = np.empty((len(mask), width, len(keys)))
+        profiles = _cut_profiles(idx, np.outer(s[blk], zs[:live])[mask], mask, fields)
+        for e, keys in groups.items():
+            P = np.empty((len(mask), live, len(keys)))
             for f, k in enumerate(keys):
                 c, _, p = terms[k]
                 P[:, :, f] = c[blk, None] * profiles[p]
-            dst = bufs[e, full][:, :, :width].reshape(r.size, -1, order="F")
+            dst = bufs[e][:, :, :live].reshape(r.size, -1, order="F")
             _accumulate(kernels[e], P.reshape(len(P), -1), dst, step)
     if not np.array_equal(order, np.arange(z.size)):
         inv = np.argsort(order)
@@ -515,7 +508,7 @@ def paired_profiles(idx, r, z, fields=("W",)):
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if r.shape != z.shape or r.ndim != 1:
         raise DomainError("paired r and z must be 1-D arrays of one length")
-    _check_points(r, z, fields)
+    _check_request(r, z, fields)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
     return _paired_fields(idx, s, kw, s, r, z, fields)
 
@@ -539,7 +532,7 @@ def polar_profiles(idx, rho, theta, fields=("W",)):
         raise DomainError("rho and theta must be finite")
     top = rho.max()
     r, z = top * np.sin(theta), top * np.cos(theta)
-    _check_points(r, z, fields)
+    _check_request(r, z, fields)
     s0, ws0 = _s_nodes(_rmax_key(top))
     # the outermost arc keeps the rule radial_profiles would use there
     scale = (top / rho)[:, None]
@@ -639,28 +632,22 @@ def extension(idx, p, x, route="fourier_bessel"):
 
 
 def neumann_trace(idx, p, xbar):
-    """-kappa * lim_{z->0} z^(1-2g) dW/dz, by weighted-quotient extrapolation.
+    """-kappa * lim_{z->0} z^(1-2g) dW/dz, as one s-sum of the fractional
+    symbol: sum kw s^(2g) e_nu(s r), times lam^(-(n+2g)/2).
 
-    Near the trace W = w + c z^(2g) + d z^2 + ..., so the quotient
-    q(h) = 2g (W(r,h) - w(r)) / h^(2g) tends to the weighted-flux limit with
-    corrections h^(2-2g) and h^2; a two-stage Richardson ladder removes both.
+    The profile phi(t) = d1 t^g K_g(t) has phi(t) = 1 - t^(2g) / (2 g kappa)
+    + O(t^2) (DLMF 10.30.2), so z^(1-2g) s phi'(s z) -> -s^(2g) / kappa as
+    z -> 0 and kappa cancels; the sum is (-Delta)^g w, the trace's symbol
+    |xi|^(2g) times its transform.  Against w^((n+2g)/(n-2g)), for n <= 12
+    and r <= 30, it holds within 2e-9 at r <= 3 and 1.1e-7 at r <= 10 for
+    n >= 3; further out the relative error grows as w^p falls, to 3.9e-4 at
+    (12, 0.95), r = 30, the s-rule's floor at large r.  At n = 1 it is about
+    1e-5, the s-rule's floor at small n - 1 - 2g (see the module docstring).
     """
-    g = idx.gamma
     r = _radius(idx, p, xbar)
-    kappa = constants(idx).kappa
-
-    h0 = 0.04
-    hs = np.array([h0, h0 / 2.0, h0 / 4.0])
-    dif = radial_profiles(idx, np.array([r]), hs, ("W_minus_w",))["W_minus_w"][0]
-    q = 2.0 * g * dif / hs ** (2.0 * g)
-    # first stage strips the h^(2-2g) term, second the h^2 term
-    f1 = 1.0 / (2.0 ** (2.0 - 2.0 * g) - 1.0)
-    q1 = q[1:] + (q[1:] - q[:-1]) * f1
-    q2 = q1[1] + (q1[1] - q1[0]) / 3.0
-    if not np.isfinite(q2):
-        raise NumericError("weighted-quotient extrapolation failed", {"q": q})
-    val = -kappa * q2 * p.lam ** (-(idx.n + 2.0 * g) / 2.0)
-    return float(val)
+    s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r))
+    e = _e_pair(idx.n / 2.0 - 1.0, s * r)[0]
+    return float((kw * s ** (2.0 * idx.gamma)) @ e * p.lam ** (-(idx.n + 2.0 * idx.gamma) / 2.0))
 
 
 def jacobi_field(idx, k, x):

@@ -220,6 +220,46 @@ def test_neumann_trace_balances_nonlinearity():
         assert flux == pytest.approx(w**idx.p_critical, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "n,gamma,lam,sigma,bound",
+    [
+        (4, 0.3, 1.0, None, 1e-13),
+        (5, 0.7, 1.0, None, 1e-13),
+        (4, 0.95, 1.0, None, 1e-13),
+        (3, 0.5, 1.0, None, 1e-13),
+        (10, 0.9, 1.0, None, 2e-10),
+        (5, 0.7, 2.0, [1.0, -0.5, 0.0, 0.0, 0.25], 1.3e-15),
+    ],
+)
+def test_neumann_trace_is_the_fractional_symbol_sum(n, gamma, lam, sigma, bound):
+    # sum kw s^(2g) e_nu(s r) against w^p: 4.4e-16, 6.4e-15, 1.3e-15,
+    # 3.3e-16, 9.8e-11 and 5.6e-16 here; the Richardson quotient it
+    # replaced left 8.0e-6, 2.4e-4, 8.4e-4, 1.8e-5, 3.4e-3 and 1.8e-4
+    idx = ProblemIndex(n, gamma)
+    p = BubbleParams(lam=lam, sigma=None if sigma is None else np.array(sigma))
+    for rho in np.linspace(0.0, 3.0, 13):
+        xbar = np.zeros(n)
+        xbar[0] = rho
+        flux = bubble.neumann_trace(idx, p, xbar)
+        w = bubble.trace_bubble(idx, p, xbar)
+        assert abs(flux / w**idx.p_critical - 1.0) <= bound, rho
+
+
+@pytest.mark.parametrize("n,gamma,bound", [(4, 0.3, 1.1e-10), (3, 0.05, 5e-14), (5, 0.5, 1e-7)])
+def test_extension_flux_meets_the_neumann_trace(n, gamma, bound):
+    # the extension's own Neumann data: -kappa z^(1-2g) Wz at z = 1e-8 is
+    # the flux up to its O(z^(2-2g)) correction (5.5e-11, 2.3e-14 and
+    # 5.0e-8 here)
+    idx = ProblemIndex(n, gamma)
+    r, z = np.array([0.0, 1.0, 2.5]), 1e-8
+    Wz = bubble.paired_profiles(idx, r, np.full(r.size, z), ("Wz",))["Wz"]
+    got = -constants(idx).kappa * z ** (1.0 - 2.0 * gamma) * Wz
+    for rho, g in zip(r, got):
+        xbar = np.zeros(n)
+        xbar[0] = rho
+        assert abs(g / bubble.neumann_trace(idx, BubbleParams(), xbar) - 1.0) <= bound, rho
+
+
 @pytest.mark.parametrize("n,gamma", [(3, 0.5), (4, 0.3), (5, 0.7)])
 def test_poisson_constant_normalization(n, gamma):
     # the kernel c * z^(2g) / (|x|^2 + z^2)^((n+2g)/2) must have unit mass,
@@ -496,26 +536,11 @@ def test_paired_profiles_match_tensor_diagonal():
     idx = ProblemIndex(5, 0.7)
     r = np.array([0.0, 0.3, 1.7, 2.5])
     z = np.array([0.2, 1.1, 0.05, 3.0])
-    got = bubble.paired_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
-    want = bubble.radial_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
+    got = bubble.paired_profiles(idx, r, z, _FIELDS)
+    want = bubble.radial_profiles(idx, r, z, _FIELDS)
     for k, v in got.items():
         assert v.shape == r.shape
         assert np.abs(v - np.diagonal(want[k])).max() <= 1e-15 * np.abs(want[k]).max()
-
-
-def test_w_minus_w_sums_every_s_row(monkeypatch):
-    # far above the trace every column's live s-prefix ends early, yet
-    # W_minus_w keeps the term -kw e_nu of every node, in every block of
-    # 16 s-rows; the paired points sum every node as well
-    idx = ProblemIndex(5, 0.7)
-    r = np.array([0.0, 0.7, 2.0])
-    z = np.array([2.0, 3.0, 5.0])
-    s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
-    assert bubble._live_counts(idx, s, kw, s, z).max() < s.size / 2
-    monkeypatch.setattr(bubble, "_KERNEL_BLOCK", 16 * z.size)
-    got = bubble.radial_profiles(idx, r, z, ("W_minus_w",))["W_minus_w"]
-    want = bubble.paired_profiles(idx, r, z, ("W_minus_w",))["W_minus_w"]
-    assert np.abs(np.diagonal(got) - want).max() <= 1e-15 * np.abs(got).max()
 
 
 def test_paired_and_polar_profiles_reject_bad_input():
@@ -545,11 +570,28 @@ def test_paired_and_polar_profiles_reject_bad_input():
         bubble.polar_profiles(idx, np.array([1.0]), np.array([0.5 * math.pi + 0.1]), ("Wz",))
 
 
+def test_profile_evaluators_reject_unknown_fields():
+    # unknown names used to drop out of the output without an error, and a
+    # bare string "Wz" asked for both W (a substring) and Wz
+    idx = ProblemIndex(4, 0.3)
+    pts = np.array([0.5, 1.0])
+    calls = [
+        lambda f: bubble.radial_profiles(idx, pts, pts, f),
+        lambda f: bubble.paired_profiles(idx, pts, pts, f),
+        lambda f: bubble.polar_profiles(idx, pts, np.array([0.2, 0.7]), f),
+    ]
+    for call in calls:
+        for fields in [("Wzz",), ("W", "Wrr"), ("W_minus_w",), "Wz", "W"]:
+            with pytest.raises(DomainError):
+                call(fields)
+        assert tuple(call(["Wz", "W"])) == ("W", "Wz")
+
+
 # -- the decay cut and the streamed s-sums ------------------------------------
 
 
 def _uncut_terms(idx, s, kw, r, z, profiles):
-    """(coefficient, kernel, profile) of each of the five fields, every term
+    """(coefficient, kernel, profile) of each of the four fields, every term
     evaluated, with the s-nodes on the first axis: kernels at s r and
     profiles at s z for the (s, r) and (s, z) arrays ``r`` and ``z``.
     ``profiles`` maps an array of arguments to (phi, phi')."""
@@ -561,7 +603,6 @@ def _uncut_terms(idx, s, kw, r, z, profiles):
         "Wr_over_r": (-(kw * s**2 / (2.0 * (nu + 1.0))), Ev1, Ph),
         "lap_tan": (-(kw * s**2), Ev, Ph),
         "Wz": (kw * s, Ev, Php),
-        "W_minus_w": (kw, Ev, Ph - 1.0),
     }
 
 
@@ -570,13 +611,13 @@ def _uncut_pair(idx):
 
 
 def _blocked_uncut_sums(idx, s, kw, r, z):
-    """The five fields on the grid r x z summed as ``radial_profiles`` sums
+    """The four fields on the grid r x z summed as ``radial_profiles`` sums
     them, but over every term: the same blocks of s-rows, partial sums of
     isqrt(S) rows each added to the output by one dgemm, and the coefficient
     on the profile side.  Against it the cut shows alone."""
     rows = max(1, bubble._KERNEL_BLOCK // max(r.size, z.size))
     step = math.isqrt(s.size)
-    out = {k: np.zeros((r.size, z.size), order="F") for k in _FIELDS + ("W_minus_w",)}
+    out = {k: np.zeros((r.size, z.size), order="F") for k in _FIELDS}
     for i in range(0, s.size, rows):
         b = slice(i, i + rows)
         for k, (c, K, P) in _uncut_terms(idx, s[b], kw[b], r, z, _uncut_pair(idx)).items():
@@ -587,7 +628,7 @@ def _blocked_uncut_sums(idx, s, kw, r, z):
 
 
 def _one_gemm_sums_and_scale(idx, s, kw, r, z):
-    """The five fields as one GEMM over the decay cut's terms, with the
+    """The four fields as one GEMM over the decay cut's terms, with the
     coefficient on the kernel side and the s-terms summed one by one, and
     the scale sum |terms| of each field's rounding."""
     counts = bubble._live_counts(idx, s, kw, s, z)
@@ -623,7 +664,7 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     r, _, z, _ = capped_grid_rules(idx, R)
     r, z = r[::6], z[::2]
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
-    got = bubble.radial_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
+    got = bubble.radial_profiles(idx, r, z, _FIELDS)
     # in the streamed order, every dropped term is below 1e-20 alpha
     want = _blocked_uncut_sums(idx, s, kw, r, z)
     for k in want:
@@ -688,14 +729,13 @@ def _small_grid(grid_rules):
 @pytest.mark.parametrize("height", ["one row", "whole grid"])
 def test_block_height_moves_only_rounding(monkeypatch, height, capped_grid_rules):
     idx, r, z = _small_grid(capped_grid_rules)
-    fields = _FIELDS + ("W_minus_w",)
     s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
-    default = bubble.radial_profiles(idx, r, z, fields)
+    default = bubble.radial_profiles(idx, r, z, _FIELDS)
     block = 1 if height == "one row" else s.size * max(r.size, z.size)
     monkeypatch.setattr(bubble, "_KERNEL_BLOCK", block)
-    got = bubble.radial_profiles(idx, r, z, fields)
+    got = bubble.radial_profiles(idx, r, z, _FIELDS)
     _, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
-    for k in fields:
+    for k in _FIELDS:
         assert np.all(np.abs(got[k] - default[k]) <= _rounding_floor(s, scale[k])), k
 
 
@@ -703,8 +743,8 @@ def test_field_subsets_match_the_full_request(capped_grid_rules):
     # each output entry is the same chain of roundings whichever fields
     # share its GEMM
     idx, r, z = _small_grid(capped_grid_rules)
-    full = bubble.radial_profiles(idx, r, z, _FIELDS + ("W_minus_w",))
-    for sub in [("W",), ("Wr_over_r", "Wz", "lap_tan"), ("W_minus_w",)]:
+    full = bubble.radial_profiles(idx, r, z, _FIELDS)
+    for sub in [("W",), ("Wr_over_r", "Wz", "lap_tan"), ("Wz", "W")]:
         got = bubble.radial_profiles(idx, r, z, sub)
         assert tuple(got) == tuple(k for k in full if k in sub)
         for k in sub:
@@ -715,9 +755,8 @@ def test_shuffled_z_permutes_the_fields(capped_grid_rules):
     # the columns are sorted by their live s-prefix internally; the output
     # follows the caller's order
     idx, r, z = _small_grid(capped_grid_rules)
-    fields = _FIELDS + ("W_minus_w",)
-    want = bubble.radial_profiles(idx, r, z, fields)
+    want = bubble.radial_profiles(idx, r, z, _FIELDS)
     perm = np.random.default_rng(7).permutation(z.size)
-    got = bubble.radial_profiles(idx, r, z[perm], fields)
-    for k in fields:
+    got = bubble.radial_profiles(idx, r, z[perm], _FIELDS)
+    for k in _FIELDS:
         assert np.array_equal(got[k], want[k][:, perm]), k

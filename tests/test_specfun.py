@@ -253,7 +253,7 @@ def test_profiles_and_field_evaluators_leave_scipy_kv_alone(monkeypatch):
     for name in _PROFILES + ("profile_phi_pair",):
         getattr(specfun, name)(0.3, t)
     idx = ProblemIndex(4, 0.35)  # an index whose s-rule is not cached yet
-    fields = ("W", "Wr_over_r", "Wz", "lap_tan", "W_minus_w")
+    fields = ("W", "Wr_over_r", "Wz", "lap_tan")
     pts = np.array([0.2, 1.0, 3.0])
     bubble.radial_profiles(idx, pts, pts, fields)
     bubble.paired_profiles(idx, pts, pts, fields)
