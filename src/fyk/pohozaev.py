@@ -38,10 +38,11 @@ __all__ = [
 ]
 
 
-# the half-sphere rule's tanh-sinh equator panel: its width in angle, its
-# steps 1/_TS_STEPS from _TS_START, where the weights are below 3e-16 of the
-# panel, and the least distance to the equator it may reach (see
-# _equator_stop)
+# the half-sphere rule: the order of its six Gauss panels, and its tanh-sinh
+# equator panel: its width in angle, its steps 1/_TS_STEPS from _TS_START,
+# where the weights are below 3e-16 of the panel, and the least distance to
+# the equator it may reach (see _equator_stop)
+_GAUSS_ORDER = 12
 _TS_WIDTH = 0.3
 _TS_STEPS = 12
 _TS_START = -3.2
@@ -158,14 +159,14 @@ def _equator_stop(g):
     return math.floor(_TS_STEPS * math.asinh(math.log(_TS_WIDTH / d_stop) / math.pi))
 
 
-def _halfsphere_rule(idx, nodes=12):
+def _halfsphere_rule(idx):
     """Quadrature for int_0^{pi/2} cos^(1-2g)th sin^(n-1)th h(th) dth,
     returned as (cos(th), sin(th), weights) with the full weight factor
     folded in.
 
     Fields built from the extension have normal derivatives like z^(2g-1)
     near the trace, so h itself can carry an integrable equator singularity.
-    Six Gauss panels of order ``nodes`` cover [0, pi/2 - 0.3]; the last 0.3
+    Six Gauss panels of order _GAUSS_ORDER cover [0, pi/2 - 0.3]; the last 0.3
     is one tanh-sinh panel (Takahasi and Mori 1974) in the distance
     d = pi/2 - th to the equator, d = 0.3 / (1 + exp(pi sinh t)) at the steps
     t = k / 12 in [_TS_START, ``_equator_stop``].  Its nodes cluster doubly
@@ -175,7 +176,7 @@ def _halfsphere_rule(idx, nodes=12):
     accuracy down to d = _D_MIN."""
     n, g = idx.n, idx.gamma
     edges = np.linspace(0.0, 0.5 * math.pi - _TS_WIDTH, 7)
-    th, w = gauss_panels(edges, nodes)
+    th, w = gauss_panels(edges, _GAUSS_ORDER)
     t = np.arange(math.ceil(_TS_START * _TS_STEPS), _equator_stop(g) + 1) / _TS_STEPS
     e = np.exp(math.pi * np.sinh(t))
     d = _TS_WIDTH / (1.0 + e)
@@ -187,9 +188,9 @@ def _halfsphere_rule(idx, nodes=12):
     return c, s, w * c ** (1.0 - 2.0 * g) * s ** (n - 1)
 
 
-def weighted_halfsphere_area(idx, r=1.0, nodes=12):
+def weighted_halfsphere_area(idx, r=1.0):
     """oint z^(1-2g) dsigma over the half-sphere of radius r (quadrature)."""
-    w = _halfsphere_rule(idx, nodes)[2]
+    w = _halfsphere_rule(idx)[2]
     return sphere_area(idx.n) * r ** (idx.n + 1.0 - 2.0 * idx.gamma) * np.sum(w)
 
 
@@ -205,11 +206,11 @@ def weighted_halfsphere_area_closed(idx, r=1.0):
     )
 
 
-def _surface_integral(idx, field, r, nodes=12):
+def _surface_integral(idx, field, r):
     """The weighted half-sphere integral of the dilation-tested bulk terms."""
     n, g = idx.n, idx.gamma
     m = idx.m
-    c, s, w = _halfsphere_rule(idx, nodes)
+    c, s, w = _halfsphere_rule(idx)
     u, ur, uz = field.value_grad(r * s, r * c)
     # the weight's square root goes into each factor: near the equator the
     # squared normal derivative would overflow where its weighted value does
@@ -221,14 +222,14 @@ def _surface_integral(idx, field, r, nodes=12):
     return sphere_area(n) * r ** (n + 1.0 - 2.0 * g) * np.sum(integrand)
 
 
-def pohozaev_Pprime(idx, field, r, nodes=12):
+def pohozaev_Pprime(idx, field, r):
     """The kappa-weighted half-sphere part of the identity."""
     if r <= 0.0:
         raise DomainError("radius must be positive")
-    return constants(idx).kappa * _surface_integral(idx, field, r, nodes)
+    return constants(idx).kappa * _surface_integral(idx, field, r)
 
 
-def pohozaev_P(idx, field, r, p=None, f=None, delta=0.0, nodes=12):
+def pohozaev_P(idx, field, r, p=None, f=None, delta=0.0):
     """Full functional: surface part plus the trace-sphere nonlinear term.
 
     ``f`` is a radial boundary function (callable of r) or None for f == 1;
@@ -238,7 +239,7 @@ def pohozaev_P(idx, field, r, p=None, f=None, delta=0.0, nodes=12):
         raise DomainError("radius must be positive")
     if p is None:
         p = idx.p_critical
-    surf = _surface_integral(idx, field, r, nodes)
+    surf = _surface_integral(idx, field, r)
     u_tr = float(field.trace(r))
     f_val = 1.0 if f is None else float(f(r))
     boundary = (

@@ -13,19 +13,19 @@ flux/Robin problems and Dirichlet data for extension solves.
 
 Every finite-volume matrix here is a Kronecker sum
 L_r x diag(w_z) + diag(w_r) x L_z of two 1-D symmetric tridiagonal pencils,
-so the solves are separable (fast diagonalization, Lynch, Rice and Thomas
-1964): the eigenvectors of both pencils turn the 2-D solve into four dense
-products and a pointwise division.  The one non-separable term, the Robin
-diagonal on the trace row of the linearized problem, is added by a
-capacitance solve on the trace unknowns.  Each solve is still checked
-against the assembled sparse matrix (residual gate): one ``_kron_sum``
-assembles it from the very pencils the solve diagonalized, after the solve
-has returned.  SuperLU on that matrix is only a test oracle.
+each kept as its two arrays (diagonal, off-diagonal), so the solves are
+separable (fast diagonalization, Lynch, Rice and Thomas 1964): the
+eigenvectors of both pencils turn the 2-D solve into four dense products and
+a pointwise division.  The one non-separable term, the Robin diagonal on the
+trace row of the linearized problem, is added by a capacitance solve on the
+trace unknowns.  Each solve is checked by its residual (residual gate), which
+``_kron_apply`` computes matrix-free from the very pencils the solve
+diagonalized; no sparse matrix is built.  An assembled sparse matrix and
+SuperLU on it are only a test oracle.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
 from scipy.linalg import LinAlgError, eigh_tridiagonal, solve
 # unused here; perfbench/tracing.py wraps solver.eigsh and solver.spsolve by name
 from scipy.sparse.linalg import eigsh, spsolve  # noqa: F401
@@ -140,7 +140,8 @@ def _slab_integrals(grid, ex):
 
 
 def _flux_balance(t):
-    """Tridiagonal flux balance of len(t) - 1 cells in a row.
+    """Symmetric tridiagonal flux balance of len(t) - 1 cells in a row, as
+    the pencil (diagonal, off-diagonal).
 
     ``t[k]`` is the transmissibility of face k, between cells k-1 and k, so
     row k is t[k] (u_k - u_(k-1)) + t[k+1] (u_k - u_(k+1)).  The end faces
@@ -148,9 +149,27 @@ def _flux_balance(t):
     natural (zero-flux) end face has transmissibility 0.
     """
     t = np.asarray(t, dtype=float)
-    return sparse.diags(
-        [-t[1:-1], t[:-1] + t[1:], -t[1:-1]], [-1, 0, 1], format="csr"
-    )
+    return t[:-1] + t[1:], -t[1:-1]
+
+
+def _tridiag_apply(L, U):
+    """L @ U along the first axis of the 2-D array U, for the symmetric
+    tridiagonal pencil L = (diagonal, off-diagonal)."""
+    d, e = L
+    out = d[:, None] * U
+    out[1:] += e[:, None] * U[:-1]
+    out[:-1] += e[:, None] * U[1:]
+    return out
+
+
+def _kron_apply(L_r, w_r, L_z, w_z, U, trace_diag=None):
+    """(L_r x diag(w_z) + diag(w_r) x L_z) U on the (len(w_r), len(w_z))
+    array U, plus ``trace_diag * U[:, 0]`` on the column j = 0 when given:
+    the operator that ``_fast_diag_solve`` inverts, applied matrix-free."""
+    out = _tridiag_apply(L_r, U) * w_z + w_r[:, None] * _tridiag_apply(L_z, U.T).T
+    if trace_diag is not None:
+        out[:, 0] += trace_diag * U[:, 0]
+    return out
 
 
 def _radial_faces(h, cells, power):
@@ -165,15 +184,17 @@ def _radial_faces(h, cells, power):
 
 def _scaled_tridiagonal(L, w):
     """Diagonal and off-diagonal of diag(w)^(-1/2) L diag(w)^(-1/2), the
-    symmetric standard form of the tridiagonal pencil (L, diag(w)), and the
-    scaling s = w^(-1/2)."""
+    symmetric standard form of the tridiagonal pencil (L, diag(w)) with
+    L = (diagonal, off-diagonal), and the scaling s = w^(-1/2)."""
+    d, e = L
     s = 1.0 / np.sqrt(w)
-    return L.diagonal() * s * s, L.diagonal(1) * s[:-1] * s[1:], s
+    return d * s * s, e * s[:-1] * s[1:], s
 
 
 def _fast_diag_solve(L_r, w_r, L_z, w_z, F, trace_diag=None):
     """Solve (L_r x diag(w_z) + diag(w_r) x L_z + diag(trace_diag) x e0 e0') U = F
-    for U of shape (len(w_r), len(w_z)), i-major, by fast diagonalization.
+    for U of shape (len(w_r), len(w_z)), i-major, by fast diagonalization;
+    L_r and L_z are tridiagonal pencils (diagonal, off-diagonal).
 
     With L_r X_r = diag(w_r) X_r diag(lam) and L_z X_z = diag(w_z) X_z diag(mu),
     both eigenvector sets normalized in their mass, the Kronecker sum is
@@ -203,26 +224,16 @@ def _fast_diag_solve(L_r, w_r, L_z, w_z, F, trace_diag=None):
     return X_r @ V @ X_z.T
 
 
-def _kron_sum(L_r, w_r, L_z, w_z, trace_diag=None):
-    """CSR matrix L_r x diag(w_z) + diag(w_r) x L_z, i-major, plus
-    ``trace_diag`` on the rows j = 0 when given: the matrix that
-    ``_fast_diag_solve`` inverts, for its residual gate."""
-    A = sparse.kron(L_r, sparse.diags(w_z)) + sparse.kron(sparse.diags(w_r), L_z)
-    if trace_diag is not None:
-        diag = np.zeros((len(w_r), len(w_z)))
-        diag[:, 0] = trace_diag
-        A = A + sparse.diags(diag.ravel())
-    return A.tocsr()
-
-
-def _check_solution(what, A, u, f):
-    """Residual gate of a solve against its assembled sparse matrix."""
+def _check_solution(what, pencils, u, f, trace_diag=None):
+    """Residual gate of a solve: ||A u - f|| for the Kronecker sum A of
+    ``pencils`` = (L_r, w_r, L_z, w_z) and ``trace_diag`` (see
+    ``_kron_apply``), on (len(w_r), len(w_z)) arrays u and f."""
     if not np.all(np.isfinite(u)):
         raise NumericError(
             "%s solve produced non-finite values" % what,
-            diagnostics={"nnz": A.nnz, "nunk": f.size},
+            diagnostics={"nunk": f.size},
         )
-    res = float(np.linalg.norm(A @ u - f))
+    res = float(np.linalg.norm(_kron_apply(*pencils, u, trace_diag) - f))
     if res > 1e-8 * max(1.0, np.linalg.norm(f)):
         raise NumericError(
             "%s solve residual too large" % what,
@@ -251,14 +262,15 @@ def apply_operator(idx, grid, field_arr):
     # radial part: -(z^(1-2g)/vol) * d(r^(n-1) u_r), faces at i*hr; the row
     # nr-1 would need the ghost beyond r_max and is zeroed below
     L_r = _flux_balance(_radial_faces(hr, grid.nr, n - 1))
-    div_r = -(L_r @ u) / _radial_cell_volumes(grid, n)[:, None]
+    div_r = -_tridiag_apply(L_r, u) / _radial_cell_volumes(grid, n)[:, None]
     zw = np.where(z > 0, z, 1.0) ** (1.0 - 2.0 * g)
     zw[0] = 0.0  # the j = 0 row is not evaluated anyway
 
-    # vertical part with flux-exact face transmissibilities
-    tz = _vertical_transmissibility(z[:-1], z[1:], g)  # faces j+1/2
-    fz = tz[None, :] * (u[:, 1:] - u[:, :-1]) / hz
-    div_z = (fz[:, 1:] - fz[:, :-1]) / hz  # nodes j = 1..nz-1
+    # vertical part with flux-exact face transmissibilities on the faces
+    # j+1/2 and natural end faces; only the nodes j = 1..nz-1 are kept
+    tz = _vertical_transmissibility(z[:-1], z[1:], g) / hz**2
+    L_z = _flux_balance(np.concatenate(([0.0], tz, [0.0])))
+    div_z = -_tridiag_apply(L_z, u.T).T[:, 1:-1]
 
     # near the weighted face solutions mix z^(2g) and z^2 behaviour; the
     # two-point fluxes cannot be consistent for both, so the first rows use
@@ -339,7 +351,7 @@ def solve_extension(idx, grid, dirichlet_trace, boundary=None):
     rhs[:, 0] += vol * tz[0] * trace
     rhs[:, -1] += vol * tz[-1] * top
     u = _fast_diag_solve(L_r, vol, L_z, zw, rhs)
-    _check_solution("extension", _kron_sum(L_r, vol, L_z, zw), u.ravel(), rhs.ravel())
+    _check_solution("extension", (L_r, vol, L_z, zw), u, rhs)
 
     out = np.empty((nr, nz + 1))
     out[:, 0] = trace
@@ -462,9 +474,10 @@ def green_asymptotics(idx, R, width=None, resolution=512):
 def _trace_flux_pencils(idx, grid):
     """The two 1-D pencils of the trace-flux operator on the rows
     j = 0..nz-1: it is L_r x diag(w_z) + diag(w_r) x L_z, returned as
-    (L_r, w_r, L_z, w_z).  w_r are the radial cell volumes, w_z the slab
-    integrals of z^(1-2g); the trace face z = 0 is natural, the far faces
-    r = r_max and z = z_max are zero Dirichlet."""
+    (L_r, w_r, L_z, w_z) with L_r and L_z as (diagonal, off-diagonal)
+    arrays.  w_r are the radial cell volumes, w_z the slab integrals of
+    z^(1-2g); the trace face z = 0 is natural, the far faces r = r_max and
+    z = z_max are zero Dirichlet."""
     n, g = idx.n, idx.gamma
     z, nz = grid.z, grid.nz
     tz = np.concatenate(([0.0], _vertical_transmissibility(z[:-1], z[1:], g)))
@@ -486,11 +499,10 @@ def _solve_trace_flux(idx, grid, rhs, bulk_r=None, robin=None):
     nr, nz = grid.nr, grid.nz
     L_r, vol, L_z, slab_w = _trace_flux_pencils(idx, grid)
     if bulk_r is not None:
-        L_r = L_r + sparse.diags(bulk_r)
+        L_r = (L_r[0] + bulk_r, L_r[1])
     trace_diag = None if robin is None else vol * robin
     u = _fast_diag_solve(L_r, vol, L_z, slab_w, rhs, trace_diag)
-    A = _kron_sum(L_r, vol, L_z, slab_w, trace_diag)
-    _check_solution("trace-flux", A, u.ravel(), rhs.ravel())
+    _check_solution("trace-flux", (L_r, vol, L_z, slab_w), u, rhs, trace_diag)
     out = np.zeros((nr, nz + 1))
     out[:, :nz] = u
     return out

@@ -1,5 +1,6 @@
-"""Every module-level import of the library is used, and only the modules
-that need it import ``scipy.integrate`` at module level.
+"""Every module-level import of the library is used, only the modules that
+need it import ``scipy.integrate`` at module level, and nothing but the
+pinned names comes from ``scipy.sparse``.
 
 A static scan with the stdlib ``ast``: an imported name counts as used when
 the module reads it anywhere or lists it in ``__all__``.
@@ -10,7 +11,7 @@ from pathlib import Path
 import fyk
 
 # perfbench/tracing.py patches these by name, so they stay until the tracer
-# stops reading them (ROADMAP items 2 and 3)
+# stops reading them (ROADMAP items 1 and 3(a))
 PINNED = {
     ("moments", "integrate"),
     ("solver", "eigsh"),
@@ -29,17 +30,23 @@ def _library_sources():
             yield path.stem, path.read_text()
 
 
-def _scipy_integrate_names(source):
-    """The names a module binds at module level from ``scipy.integrate``."""
+def _names_from(source, target):
+    """The names a module binds at module level from the package ``target``
+    or any of its submodules."""
+    parent, _, leaf = target.rpartition(".")
+
+    def inside(mod):
+        return mod == target or mod.startswith(target + ".")
+
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, ast.Import):
             names.update(
-                a.asname or "scipy" for a in node.names if a.name == "scipy.integrate"
+                a.asname or a.name.split(".")[0] for a in node.names if inside(a.name)
             )
-        elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-            names.update(a.asname or a.name for a in node.names if a.name == "integrate")
-        elif isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
+        elif isinstance(node, ast.ImportFrom) and node.module == parent:
+            names.update(a.asname or a.name for a in node.names if a.name == leaf)
+        elif isinstance(node, ast.ImportFrom) and inside(node.module or ""):
             names.update(a.asname or a.name for a in node.names)
     return names
 
@@ -78,7 +85,9 @@ def test_scipy_integrate_scan_sees_every_import_form():
         "from scipy.integrate import quad as q, solve_ivp\nimport scipy\n"
         "def f():\n    from scipy import integrate as lazy\n"
     )
-    assert _scipy_integrate_names(source) == {"scipy", "si", "integrate", "q", "solve_ivp"}
+    assert _names_from(source, "scipy.integrate") == {
+        "scipy", "si", "integrate", "q", "solve_ivp"
+    }
 
 
 def test_scipy_integrate_stays_out_of_the_library():
@@ -86,5 +95,23 @@ def test_scipy_integrate_stays_out_of_the_library():
     # adaptive quadrature lives in the tests as an oracle
     found = set()
     for stem, source in _library_sources():
-        found.update((stem, name) for name in _scipy_integrate_names(source))
+        found.update((stem, name) for name in _names_from(source, "scipy.integrate"))
     assert found == SCIPY_INTEGRATE
+
+
+def test_scipy_sparse_scan_sees_submodules():
+    source = (
+        "from scipy import sparse\nimport scipy.sparse.linalg as spla\n"
+        "from scipy.sparse.linalg import eigsh\nfrom scipy.linalg import solve\n"
+    )
+    assert _names_from(source, "scipy.sparse") == {"sparse", "spla", "eigsh"}
+
+
+def test_scipy_sparse_binds_only_pinned_names():
+    # the finite-volume pencils are plain (diagonal, off-diagonal) arrays and
+    # the residual gates apply them matrix-free, so no module builds a sparse
+    # matrix; the pinned names stay only for perfbench/tracing.py
+    found = set()
+    for stem, source in _library_sources():
+        found.update((stem, name) for name in _names_from(source, "scipy.sparse"))
+    assert found <= PINNED

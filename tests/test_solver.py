@@ -174,13 +174,32 @@ def test_solve_extension_converges_to_bubble(n, gamma):
 # -- trace-flux assembly ------------------------------------------------------
 
 
+def _tridiagonal(L):
+    d, e = L
+    return sparse.diags([e, d, e], [-1, 0, 1])
+
+
+def _kron_sum(L_r, w_r, L_z, w_z, trace_diag=None):
+    """The test oracle's sparse matrix L_r x diag(w_z) + diag(w_r) x L_z,
+    i-major, plus ``trace_diag`` on the rows j = 0, assembled from the
+    (diagonal, off-diagonal) pencils; a bulk term sits on L_r's diagonal."""
+    A = sparse.kron(_tridiagonal(L_r), sparse.diags(w_z)) + sparse.kron(
+        sparse.diags(w_r), _tridiagonal(L_z)
+    )
+    if trace_diag is not None:
+        diag = np.zeros((len(w_r), len(w_z)))
+        diag[:, 0] = trace_diag
+        A = A + sparse.diags(diag.ravel())
+    return A.tocsr()
+
+
 def test_kron_sum_structure():
     # the flux balance is symmetric, and constants carry no flux except
     # through the two Dirichlet-0 faces r = r_max and z = z_max
     idx = ProblemIndex(4, 0.3)
     grid = WeightedGrid(3.0, 2.0, 12, 10, 1.0 - 2.0 * idx.gamma)
     L_r, vol, L_z, slab_w = solver._trace_flux_pencils(idx, grid)
-    A = solver._kron_sum(L_r, vol, L_z, slab_w)
+    A = _kron_sum(L_r, vol, L_z, slab_w)
     scale = abs(A).max()
     assert abs(A - A.T).max() <= 1e-15 * scale
     ones = (A @ np.ones(A.shape[0])).reshape(grid.nr, grid.nz)
@@ -193,10 +212,30 @@ def test_kron_sum_structure():
     # trace term on row j = 0
     bulk_r = np.arange(grid.nr, dtype=float)
     trace = np.linspace(-1.0, 1.0, grid.nr)
-    D = solver._kron_sum(L_r + sparse.diags(bulk_r), vol, L_z, slab_w, trace) - A
+    bulk_L_r = (L_r[0] + bulk_r, L_r[1])
+    D = _kron_sum(bulk_L_r, vol, L_z, slab_w, trace) - A
     expect = np.outer(bulk_r, slab_w)
     expect[:, 0] += trace
     assert abs(D - sparse.diags(expect.ravel())).max() <= 1e-13 * scale
+    # the gates' matrix-free apply is that matrix times U, to rounding
+    U = np.random.default_rng(7).standard_normal((grid.nr, grid.nz))
+    for P, t in ((L_r, None), (bulk_L_r, None), (L_r, trace), (bulk_L_r, trace)):
+        M = _kron_sum(P, vol, L_z, slab_w, t)
+        got = solver._kron_apply(P, vol, L_z, slab_w, U, t)
+        assert got.shape == U.shape
+        row_scale = abs(M) @ np.abs(U.ravel())
+        assert (np.abs(got.ravel() - M @ U.ravel()) <= 1e-14 * row_scale).all()
+
+
+def test_non_finite_solution_trips_the_gate():
+    idx = ProblemIndex(4, 0.3)
+    grid = WeightedGrid(3.0, 2.0, 12, 10, 1.0 - 2.0 * idx.gamma)
+    pencils = solver._trace_flux_pencils(idx, grid)
+    u = np.zeros((grid.nr, grid.nz))
+    u[3, 4] = np.nan
+    with pytest.raises(NumericError, match="non-finite") as info:
+        solver._check_solution("trace-flux", pencils, u, np.zeros_like(u))
+    assert info.value.diagnostics == {"nunk": u.size}
 
 
 def test_extension_default_boundary_is_the_bubble():
@@ -248,6 +287,22 @@ def test_green_asymptotics_slope_and_constant():
     assert fit.constant == pytest.approx(constants(idx).green_const, rel=0.05)
     assert fit.radii.shape == fit.trace_values.shape
     assert (fit.trace_values > 0.0).all()
+
+
+def test_green_solve_peak_memory():
+    # the 512 x 512 trace-flux solve at the CLI default: the residual gate
+    # applies the Kronecker sum matrix-free, so the peak is a few dense
+    # 512 x 512 arrays (14.8 MB measured); assembling the sparse 2-D matrix
+    # for the gate took it to 70 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        solver.green_asymptotics(ProblemIndex(3, 0.5), 4.0, resolution=512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 30e6
 
 
 def test_green_requires_admissible_index():
@@ -350,24 +405,26 @@ def test_linearized_evaluate_angular_factor():
 
 @pytest.fixture
 def captured(monkeypatch):
-    """Every (what, A, u, f) passed to the residual gate, in call order."""
+    """Every (what, pencils, trace_diag, u, f) passed to the residual gate,
+    in call order."""
     calls = []
     gate = solver._check_solution
 
-    def record(what, A, u, f):
-        calls.append((what, A, u.copy(), f.copy()))
-        return gate(what, A, u, f)
+    def record(what, pencils, u, f, trace_diag=None):
+        calls.append((what, pencils, trace_diag, u.copy(), f.copy()))
+        return gate(what, pencils, u, f, trace_diag)
 
     monkeypatch.setattr(solver, "_check_solution", record)
     return calls
 
 
 def _assert_matches_superlu(calls, what):
-    # the fast solve agrees with SuperLU on the very matrix and right-hand
-    # side that its residual gate checks
+    # the fast solve agrees with SuperLU on the matrix assembled from the
+    # very pencils and right-hand side that its residual gate checks
     assert [c[0] for c in calls] == [what]
-    _, A, u, f = calls[0]
-    ref = spsolve(A.tocsc(), f)
+    _, pencils, trace_diag, u, f = calls[0]
+    A = _kron_sum(*pencils, trace_diag)
+    ref = spsolve(A.tocsc(), f.ravel()).reshape(f.shape)
     assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -390,16 +447,22 @@ def test_linearized_with_robin_term_matches_superlu(captured, n, gamma):
     idx = ProblemIndex(n, gamma)
     _linearized(idx, cells=64, box=16.0)
     _assert_matches_superlu(captured, "trace-flux")
-    # the gated matrix carries the separable bulk term on every row and the
-    # attractive (negative) Robin term on the trace row on top of it
+    # the gated pencils are the plain trace-flux ones plus the separable bulk
+    # term 2n int r^(n-3) on the radial diagonal, and the attractive
+    # (negative) Robin term vol * robin on the trace row
     grid = WeightedGrid(16.0, 16.0, 64, 64, 1.0 - 2.0 * gamma)
-    pencils = solver._trace_flux_pencils(idx, grid)
-    extra = (captured[0][1] - solver._kron_sum(*pencils)).diagonal()
-    extra = extra.reshape(grid.nr, grid.nz)
-    slab_w = pencils[3]
-    bulk_r = extra[:, 1] / slab_w[1]
-    assert np.allclose(extra[:, 1:], np.outer(bulk_r, slab_w[1:]), rtol=1e-9, atol=0)
-    assert (extra[:, 0] - bulk_r * slab_w[0] < 0.0).all()
+    L_r, vol, L_z, slab_w = solver._trace_flux_pencils(idx, grid)
+    _, (gL_r, gvol, gL_z, gslab_w), trace_diag, _, _ = captured[0]
+    for got, want in zip((gL_r[1], gvol, *gL_z, gslab_w), (L_r[1], vol, *L_z, slab_w)):
+        assert np.array_equal(got, want)
+    faces = np.arange(grid.nr + 1) * grid.hr
+    bulk_r = 2.0 * n * np.diff(faces ** (n - 2.0)) / (n - 2.0)
+    assert np.allclose(gL_r[0] - L_r[0], bulk_r, rtol=1e-9, atol=0)
+    w_tr = bubble._trace_radial(idx, grid.r)
+    m, kappa = idx.m, constants(idx).kappa
+    robin = -((n + 2.0 * gamma) / m) * w_tr ** (4.0 * gamma / m) / kappa
+    assert (trace_diag < 0.0).all()
+    assert np.allclose(trace_diag, vol * robin, rtol=1e-13, atol=0)
 
 
 def _solve_each(kind):
