@@ -58,8 +58,34 @@ Where Wz is requested, phi and phi' come from one
 is the calibration mass alpha, so each dropped term is below 1e-20 alpha and
 the at most ~6000 of them below 1e-16 alpha, the rounding floor of the sums
 (on the direct route's grids the dropped mass is at most 7e-19 alpha per
-point).  Every field is cut this way.  On the direct route's core grid
-about half the profile points stay.
+point).  Every field is cut this way.
+
+Near the trace ``radial_profiles`` evaluates no profile at all.  From
+K_g = (pi/2) (I_(-g) - I_g) / sin(pi g) (DLMF 10.27.4) and the series of
+I_(+-g) (DLMF 10.25.2),
+
+    phi(t) = sum_k (t/2)^(2k) / (k! (1-g)_k)
+             - (Gamma(1-g)/Gamma(1+g)) sum_k (t/2)^(2k+2g) / (k! (1+g)_k),
+
+and phi' term by term (``_profile_series``): the trace expansion
+W = w - z^(2g) (-Delta)^g w / (2 g kappa) + O(z^2) carried to every order.
+In a z column where every s-node has s z <= 1/2 (``specfun._T_SERIES``,
+where the kernel's own series ends; the cut keeps every node there) each
+field sum_s c(s) e(s r) p(s z) is then sum_j a_j (z/2)^(p_j) G_j(r) with
+G_j(r) = sum_s c(s) s^(p_j) e(s r).  The G_j are extra GEMM columns, with
+entries c(s) s^(p_j), summed in the same blocks by the same ``_accumulate``
+as the other columns; after the blocks each such series column is formed
+from its own z alone, term by term, not by a GEMM.  Both sums stop at the
+power whose term in the first, the larger, falls below 2^-60 at t = 1/2:
+18 powers per field for g <= 0.5, 20 for g from 0.6 to 0.98.  Series
+columns take this path only where they outnumber those powers, so a call
+with fewer (one point, or the single z = 0 column of ``fyk solve
+extension``) sums as before.  Near g = 0 and g = 1 the two sums cancel, by
+about 50 at t = 1/2, yet for n in {3, 4, 7, 12} and g from 0.02 to 0.98 a
+series column stays within 7 % of the kernel path's rounding floor,
+(S + 1) eps sum |terms|.  On the direct route's core grid at (4, 0.8),
+150 x 242 points on 5790 s-nodes, the cut keeps 81 % of the profile points
+and the series columns take 129 of the 242 columns, so 27 % are evaluated.
 
 At paired points the sums run over every node, one block of points at a
 time (``_BLOCK`` values of (s, point) per block, however many arcs share
@@ -121,6 +147,7 @@ from scipy.linalg import blas
 from ._quad import gauss_panels, graded_edges
 from .errors import DomainError, NumericError
 from .specfun import (
+    _T_SERIES,
     ProblemIndex,
     constants,
     profile_decay_bound,
@@ -160,6 +187,10 @@ _SZ_MAX = 0.1
 # 1.7e-12 of paired_profiles, at (4, 0.8) within 1e-9; the s^(n-1-2g) factor
 # of the s-integrand is resolved no further (see the module docstring)
 _S_FIRST_MAX = 1e-3
+# neumann_trace raises where |sum| / sum |terms| falls below this: on a sweep
+# of n <= 12, g in {0.05, ..., 0.95} and r <= 30 the values it keeps hold
+# within 2.3e-6 for n >= 2, and every ratio at r <= 3 is at least 4e-3
+_NEUMANN_MIN_RATIO = 1e-8
 # kernel or profile values of (s, point) per block of paired points; the
 # arcs of polar_profiles share them, so they do not count
 _BLOCK = 2**17
@@ -212,18 +243,41 @@ def _trace_radial(idx, r):
     return alpha * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-idx.m / 2.0)
 
 
-def _series_terms(nu):
-    """The highest power of the series in ``_e_series`` that ``_e_pair``
-    needs: the first whose term for e_nu at u = nu + 1, the largest u the
-    series serves, is below 2^-60.  The term ratio (u/2)^2 / (k (mu + k))
-    grows with u and shrinks with the order mu, so the count serves
-    e_(nu+1) and every smaller u as well."""
-    x = (nu + 1.0) ** 2 / 4.0
+def _series_terms(x, mu):
+    """The highest power of a series sum_k x^k / (k! (mu+1)_k) that a sum
+    needs: the first whose term is below 2^-60.  The term ratio
+    x / (k (mu + k)) grows with x and shrinks with mu, so the count serves
+    every smaller x and every larger mu as well.  ``_e_pair`` takes it at
+    u = nu + 1, the largest u its series serves (x = u^2/4, mu = nu), and
+    ``_profile_series`` at t = _T_SERIES (x = t^2/4, mu = -g)."""
     term, k = 1.0, 0
     while term >= 2.0**-60:
         k += 1
-        term *= x / (k * (nu + k))
+        term *= x / (k * (mu + k))
     return k
+
+
+@lru_cache(maxsize=64)
+def _profile_series(g):
+    """phi and phi' at t <= _T_SERIES as sums of powers, c_j (t/2)^(p_j):
+    (c, p) for each of ``_PHI`` and ``_PHI_PRIME``.  From K_g = (pi/2)
+    (I_(-g) - I_g) / sin(pi g) (DLMF 10.27.4) and the series of I_(+-g)
+    (DLMF 10.25.2),
+
+        phi(t) = sum_k (t/2)^(2k) / (k! (1-g)_k)
+                 - (Gamma(1-g)/Gamma(1+g)) sum_k (t/2)^(2k+2g) / (k! (1+g)_k),
+
+    and phi' term by term, where the power p takes a factor p/2.  Both sums
+    stop at the power ``_series_terms`` gives for the first at t = 1/2; from
+    k = 1 on, the second's terms are no larger than the first's there."""
+    k = np.arange(_series_terms(0.25 * _T_SERIES**2, -g) + 1.0)
+    # 1/(k! (1-g)_k) and 1/(k! (1+g)_k) as running products
+    a = np.cumprod(np.concatenate([[1.0], 1.0 / (k[1:] * (k[1:] - g))]))
+    b = np.cumprod(np.concatenate([[1.0], 1.0 / (k[1:] * (k[1:] + g))]))
+    c = np.concatenate([a, -(math.gamma(1.0 - g) / math.gamma(1.0 + g)) * b])
+    p = np.concatenate([2.0 * k, 2.0 * k + 2.0 * g])
+    # phi' drops the constant term, whose factor p/2 is 0
+    return (c, p), (0.5 * (c * p)[1:], p[1:] - 1.0)
 
 
 def _e_series(mu, u, terms):
@@ -256,7 +310,7 @@ def _e_pair(nu, u):
         mu += 1.0
     ul = u[low]
     if ul.size:
-        terms = _series_terms(nu)
+        terms = _series_terms(0.25 * (nu + 1.0) ** 2, nu)
         e0[low] = _e_series(nu, ul, terms)
         e1[low] = _e_series(nu + 1.0, ul, terms)
     return e0, e1
@@ -360,6 +414,17 @@ def _live_counts(idx, s, kw, s0, z):
     return lo
 
 
+def _series_columns(idx, s, z):
+    """The mask of the z columns that ``radial_profiles`` sums from the
+    profiles' series: those where every s-node has s z <= _T_SERIES (so the
+    decay cut keeps every node), if they outnumber the series' terms, else
+    none."""
+    series = z * s[-1] <= _T_SERIES
+    if np.count_nonzero(series) <= _profile_series(idx.gamma)[_PHI][1].size:
+        series[:] = False
+    return series
+
+
 def _scatter(live, vals):
     """An array shaped like the mask ``live``: ``vals`` at its live entries
     and exactly 0 elsewhere."""
@@ -451,6 +516,12 @@ def radial_profiles(idx, r, z, fields=("W",)):
     * ``lap_tan``  — tangential Laplacian of W
 
     Any other name, or a bare string for ``fields``, raises DomainError.
+
+    The s-sums run in blocks of s-rows, one GEMM per kernel.  Columns with
+    s z <= 1/2 at every s-node are summed from the profiles' series: a few
+    s-sums of powers of s per field, combined per column with the powers of
+    z/2, so no profile is evaluated there; they take this path only where
+    they outnumber the series' terms (see the module docstring).
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -459,21 +530,36 @@ def radial_profiles(idx, r, z, fields=("W",)):
     _check_reach(s, z)
     nu = idx.n / 2.0 - 1.0
     counts = _live_counts(idx, s, kw, s, z)
-    # z columns by live count, descending, so the live columns of every
-    # block of s-rows are a prefix (on ascending z the order is the identity)
+    stop = counts.max(initial=0)
+    # the series columns (see the module docstring) go last and are never
+    # live; the others by live count, descending, so the live columns of
+    # every block of s-rows are a prefix (on ascending z without series
+    # columns the order is the identity)
+    series = _series_columns(idx, s, z)
+    counts[series] = -1
     order = np.argsort(-counts, kind="stable")
     zs, counts = z[order], counts[order]
+    cols = z.size - np.count_nonzero(series)  # the kernel columns come first
     terms = _field_terms(idx, s, kw, fields)
-    # the fields on one kernel share one GEMM: in a group of g fields, column
-    # j * g + f of the F-ordered buffer is field f at z column j, so a block
-    # adds to the contiguous columns of its live prefix
-    groups, bufs, out = {}, {}, {}
+    # each field's series as (coefficients, powers) of z/2, empty without
+    # series columns
+    expand = {}
+    for k, (_, _, p) in terms.items():
+        expand[k] = _profile_series(idx.gamma)[p] if cols < z.size else (np.empty(0),) * 2
+    # the fields on one kernel share one GEMM: in a group of g fields, the
+    # F-ordered buffer holds the series' s-sums of each field, then column
+    # j * g + f is field f at z column j, so a block adds to the contiguous
+    # columns of the s-sums and of its live prefix
+    groups, bufs, out, heads, sums = {}, {}, {}, {}, {}
     for k, (_, e, _) in terms.items():
         groups.setdefault(e, []).append(k)
     for e, keys in groups.items():
-        bufs[e] = np.zeros((r.size, len(keys), z.size), order="F")
-        out.update((k, bufs[e][:, f]) for f, k in enumerate(keys))
-    stop = counts.max(initial=0)
+        ends = np.cumsum([0] + [expand[k][1].size for k in keys])
+        bufs[e] = np.zeros((r.size, ends[-1] + len(keys) * z.size), order="F")
+        grid = bufs[e][:, ends[-1] :].reshape(r.size, len(keys), z.size, order="F")
+        for f, k in enumerate(keys):
+            heads[k] = slice(ends[f], ends[f + 1])
+            out[k], sums[k] = grid[:, f], bufs[e][:, heads[k]]
     rows = max(1, _KERNEL_BLOCK // max(r.size, z.size, 1))
     # partial sums of about sqrt(S) rows minimize the chunked sum's rounding
     # bound (see the module docstring)
@@ -485,12 +571,24 @@ def radial_profiles(idx, r, z, fields=("W",)):
         mask = np.arange(i, i + len(kernels[0]))[:, None] < counts[:live]
         profiles = _cut_profiles(idx, np.outer(s[blk], zs[:live])[mask], mask, fields)
         for e, keys in groups.items():
-            P = np.empty((len(mask), live, len(keys)))
+            head = bufs[e].shape[1] - len(keys) * z.size
+            P = np.empty((len(mask), head + live * len(keys)))
+            cells = P[:, head:].reshape(len(P), live, len(keys))  # a view
             for f, k in enumerate(keys):
                 c, _, p = terms[k]
-                P[:, :, f] = c[blk, None] * profiles[p]
-            dst = bufs[e][:, :, :live].reshape(r.size, -1, order="F")
-            _accumulate(kernels[e], P.reshape(len(P), -1), dst, step)
+                cells[:, :, f] = c[blk, None] * profiles[p]
+                pw = expand[k][1]
+                if pw.size:
+                    # the terms of the s-sums: the coefficient times s^power
+                    P[:, heads[k]] = c[blk, None] * s[blk, None] ** pw
+            _accumulate(kernels[e], P, bufs[e][:, : head + live * len(keys)], step)
+    # each series column from its own z alone: the powers of z/2 times the
+    # s-sums, added term by term
+    half = zs[cols:] / 2.0
+    for k, (coef, pw) in expand.items():
+        acc = out[k][:, cols:]
+        for j in range(pw.size):
+            acc += sums[k][:, j, None] * (coef[j] * half ** pw[j])
     if not np.array_equal(order, np.arange(z.size)):
         inv = np.argsort(order)
         out = {k: v[:, inv] for k, v in out.items()}
@@ -640,14 +738,26 @@ def neumann_trace(idx, p, xbar):
     z -> 0 and kappa cancels; the sum is (-Delta)^g w, the trace's symbol
     |xi|^(2g) times its transform.  Against w^((n+2g)/(n-2g)), for n <= 12
     and r <= 30, it holds within 2e-9 at r <= 3 and 1.1e-7 at r <= 10 for
-    n >= 3; further out the relative error grows as w^p falls, to 3.9e-4 at
-    (12, 0.95), r = 30, the s-rule's floor at large r.  At n = 1 it is about
-    1e-5, the s-rule's floor at small n - 1 - 2g (see the module docstring).
+    n >= 3.  Further out the sum falls far below its terms: its rounding is
+    about 3e-14 of sum |terms|, so the relative error grows as the ratio
+    |sum| / sum |terms| falls (7.4e-6 at ratio 1.1e-9, (12, 0.95), r = 20).
+    Where the ratio is below _NEUMANN_MIN_RATIO it raises NumericError; the
+    values it returns hold within 2.3e-6 on that sweep (n >= 2).  At n = 1
+    the error is about 1e-5, the s-rule's floor at small n - 1 - 2g (see the
+    module docstring).
     """
     r = _radius(idx, p, xbar)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r))
     e = _e_pair(idx.n / 2.0 - 1.0, s * r)[0]
-    return float((kw * s ** (2.0 * idx.gamma)) @ e * p.lam ** (-(idx.n + 2.0 * idx.gamma) / 2.0))
+    c = kw * s ** (2.0 * idx.gamma)
+    flux, mass = c @ e, np.abs(c) @ np.abs(e)
+    if abs(flux) < _NEUMANN_MIN_RATIO * mass:
+        raise NumericError(
+            f"the Neumann trace at r = {r:g} cancels to {abs(flux) / mass:.3g} of "
+            f"its terms, below {_NEUMANN_MIN_RATIO:g}: its rounding would show",
+            {"r": r, "ratio": abs(flux) / mass},
+        )
+    return float(flux * p.lam ** (-(idx.n + 2.0 * idx.gamma) / 2.0))
 
 
 def jacobi_field(idx, k, x):

@@ -245,6 +245,28 @@ def test_neumann_trace_is_the_fractional_symbol_sum(n, gamma, lam, sigma, bound)
         assert abs(flux / w**idx.p_critical - 1.0) <= bound, rho
 
 
+@pytest.mark.parametrize(
+    "rho,bound",
+    [(10.0, 2e-7), (15.0, 3e-6), (15.5, None), (20.0, None), (30.0, None)],
+)
+def test_neumann_trace_raises_where_its_sum_cancels(rho, bound):
+    # at (12, 0.95) |sum| / sum |terms| falls with r: 3.4e-7 at r = 10 and
+    # 1.2e-8 at 15 (errors 1.1e-7 and 2.3e-6 against w^p), then below 1e-8:
+    # 9.0e-9 at 15.5, 1.1e-9 at 20 and 3.6e-11 at 30, where the sum erred by
+    # 3.0e-6, 7.4e-6 and 3.9e-4
+    idx = ProblemIndex(12, 0.95)
+    p = BubbleParams()
+    xbar = np.zeros(12)
+    xbar[0] = rho
+    if bound is None:
+        with pytest.raises(NumericError, match="cancels"):
+            bubble.neumann_trace(idx, p, xbar)
+        return
+    flux = bubble.neumann_trace(idx, p, xbar)
+    w = bubble.trace_bubble(idx, p, xbar)
+    assert abs(flux / w**idx.p_critical - 1.0) <= bound
+
+
 @pytest.mark.parametrize("n,gamma,bound", [(4, 0.3, 1.1e-10), (3, 0.05, 5e-14), (5, 0.5, 1e-7)])
 def test_extension_flux_meets_the_neumann_trace(n, gamma, bound):
     # the extension's own Neumann data: -kappa z^(1-2g) Wz at z = 1e-8 is
@@ -665,13 +687,18 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     r, z = r[::6], z[::2]
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
     got = bubble.radial_profiles(idx, r, z, _FIELDS)
-    # in the streamed order, every dropped term is below 1e-20 alpha
+    # in the streamed order, every dropped term is below 1e-20 alpha; the
+    # columns with s z <= 1/2 at every node keep every term and are summed
+    # from the profiles' series, which moves them at rounding, below
+    cut = z * s[-1] > specfun._T_SERIES
+    assert 20 < np.count_nonzero(~cut) < z.size
     want = _blocked_uncut_sums(idx, s, kw, r, z)
     for k in want:
-        assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("core", k)
+        assert np.abs(got[k] - want[k])[:, cut].max() <= 1e-15 * alpha, ("core", k)
     # against the one-GEMM sum of the same terms, the order of summation
-    # moves a field at its rounding floor only: Wz near z = 0 sums large
-    # cancelling terms, so this floor is far above 1e-15 alpha there
+    # and the series move a field at its rounding floor only: Wz near z = 0
+    # sums large cancelling terms, so this floor is far above 1e-15 alpha
+    # there
     one, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
     for k in one:
         assert np.all(np.abs(got[k] - one[k]) <= _rounding_floor(s, scale[k])), ("order", k)
@@ -697,6 +724,33 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     got = bubble.polar_profiles(idx, arcs, th, _FIELDS)
     for k in _FIELDS:
         assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("arcs", k)
+
+
+@pytest.mark.parametrize("gamma", [0.02, 0.05, 0.5, 0.95, 0.98])
+@pytest.mark.parametrize("n", [3, 4, 7, 12])
+def test_series_columns_match_the_kernel_path(n, gamma):
+    # the columns with s z <= 1/2 at every node are summed from the
+    # profiles' series; alone, a column is too few to take that path, so it
+    # is the kernel path's sum.  Near g = 0 and g = 1 the series' two sums
+    # cancel (by a factor of about 50 at t = 1/2); the two stay within 7 %
+    # of the rounding floor of the kernel path's own summation order
+    idx = ProblemIndex(n, gamma)
+    r = np.concatenate([[0.0], np.geomspace(0.01, 8.0, 15)])
+    s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
+    z = np.concatenate([np.geomspace(1e-12, specfun._T_SERIES / s[-1], 24), [0.02, 0.1]])
+    series = z * s[-1] <= specfun._T_SERIES
+    assert np.array_equal(bubble._series_columns(idx, s, z), series)
+    # the series take the path only where they outnumber its terms
+    terms = bubble._profile_series(gamma)[0][1].size
+    assert not bubble._series_columns(idx, s, z[:terms]).any()
+    assert bubble._series_columns(idx, s, z[: terms + 1]).all()
+    got = bubble.radial_profiles(idx, r, z, _FIELDS)
+    _, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
+    for j in np.flatnonzero(series):
+        alone = bubble.radial_profiles(idx, r, z[j : j + 1], _FIELDS)
+        for k in _FIELDS:
+            floor = _rounding_floor(s, scale[k][:, j])
+            assert np.all(np.abs(got[k][:, j] - alone[k][:, 0]) <= floor), (z[j], k)
 
 
 def test_radial_profiles_peak_memory(capped_grid_rules):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from fyk import bubble, moments
+from fyk import bubble, moments, specfun
 from fyk._quad import gauss_panels
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import (
@@ -209,8 +209,9 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     # the nine tail arcs share one kernel and profile evaluation, and the
     # decay cut evaluates only the s-terms that can matter: phi and phi' come
     # together from profile_phi_pair, which sees each live (s, z) point of
-    # the core grid (over several calls, one per block of s-rows) and of the
-    # arcs' (s', theta) grid exactly once, and SciPy's kv is never called
+    # the core grid's kernel columns (over several calls, one per block of
+    # s-rows) and of the arcs' (s', theta) grid exactly once, and SciPy's kv
+    # is never called
     R = 8.0
     idx = ProblemIndex(5, 0.7)
     seen = {"profile_phi_pair": [], "profile_phi": []}
@@ -242,7 +243,11 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
 
     r, _, z, _ = moments._grid_rules(idx, R)
     s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
-    core = _live_entries(idx, s, kw, s, z)
+    # the columns with s z <= 1/2 at every node are summed from the
+    # profiles' series and evaluate no profile point
+    series = z * s[-1] <= specfun._T_SERIES
+    assert np.count_nonzero(series) > 20
+    core = _live_entries(idx, s, kw, s, z[~series])
     [(arcs, th, split)] = polar_args
     top = arcs.max()
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
@@ -253,12 +258,29 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     assert seen["profile_phi"] == []
     assert split > 1  # the core grid streams its s-rows in blocks
     got = np.concatenate(calls[:split])
+    # the live entries of the kernel columns alone, none of the series'
     assert got.size == core.size
     assert np.array_equal(np.sort(got), np.sort(core))
     got = np.concatenate(calls[split:])
     assert got.size == tail.size
     assert np.array_equal(np.sort(got), np.sort(tail))
     assert kv_args == []
+
+
+def test_direct_route_profile_points(monkeypatch):
+    # the core grid's columns near the trace are summed from the profiles'
+    # series, so at (4, 0.8) the route evaluates 0.47 M profile points, core
+    # and arcs, where evaluating every live point took 1.22 M
+    points = []
+    pair = bubble.profile_phi_pair
+
+    def spy(idx, t):
+        points.append(np.size(t))
+        return pair(idx, t)
+
+    monkeypatch.setattr(bubble, "profile_phi_pair", spy)
+    moments._integrals_direct(ProblemIndex(4, 0.8))
+    assert 0 < sum(points) <= 0.65e6
 
 
 @pytest.mark.parametrize(
