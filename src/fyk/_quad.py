@@ -1,5 +1,7 @@
-"""Internal quadrature helpers: composite Gauss rules on panel decompositions."""
+"""Internal quadrature helpers: composite Gauss rules on panel decompositions,
+a Gauss-Jacobi end panel, and the weighted half-sphere rule."""
 from functools import lru_cache
+import math
 
 import numpy as np
 
@@ -34,3 +36,67 @@ def graded_edges(a, b, h0, ratio=1.3, h_max=None):
         if h_max is not None:
             h = min(h, h_max)
     return np.array(edges)
+
+
+def jacobi_end_panel(h, a):
+    """A 12-node Gauss-Jacobi panel on [0, h] in the distance d to an
+    endpoint singularity d^a, a > -1: the distances (descending) and their
+    weights, each divided by the weight function d^a at its node, so the
+    rule takes the plain integrand values."""
+    from scipy.special import roots_jacobi  # keeps scipy.special off the import path
+
+    x, wx = roots_jacobi(12, a, 0.0)  # weight (1 - x)^a on [-1, 1]
+    return 0.5 * h * (1.0 - x), 0.5 * h * wx / (1.0 - x) ** a
+
+
+# the half-sphere rule: the order of its six Gauss panels, and its tanh-sinh
+# equator panel: its width in angle, its steps 1/_TS_STEPS from _TS_START,
+# where the weights are below 3e-16 of the panel, and the least distance to
+# the equator it may reach (see _equator_stop)
+_HALFSPHERE_ORDER = 12
+_TS_WIDTH = 0.3
+_TS_STEPS = 12
+_TS_START = -3.2
+_D_MIN = 1e-200
+
+
+def _equator_stop(g):
+    """The last step of the tanh-sinh panel, whose nodes stop at a distance
+    d_stop to the equator.  Near the equator the integrand, the weight
+    d^(1-2g) times the fields' squared normal derivative d^(4g-2) or a
+    bounded factor, grows like d^(a-1), a = min(2g, 2 - 2g), so the dropped
+    tail is O(d_stop^a), below eps at d_stop = eps^(1/a).  For g < 0.04 or
+    g > 0.96 that lies below _D_MIN, which keeps d^(1-2g) and (r d)^(2g-1)
+    within about 1e200, and the tail is left at _D_MIN^a."""
+    a = min(2.0 * g, 2.0 - 2.0 * g)
+    d_stop = max(np.finfo(float).eps ** (1.0 / a), _D_MIN)
+    # d = _TS_WIDTH / (1 + exp(pi sinh t)) >= d_stop
+    return math.floor(_TS_STEPS * math.asinh(math.log(_TS_WIDTH / d_stop) / math.pi))
+
+
+def halfsphere_rule(n, g):
+    """Quadrature for int_0^{pi/2} cos^(1-2g)th sin^(n-1)th h(th) dth over
+    the polar angle th from the z-axis, returned as (d, cos(th), sin(th),
+    weights), with d = pi/2 - th the distance to the equator (the trace
+    plane) and the full weight factor folded into the weights.
+
+    Fields built from the extension have normal derivatives like z^(2g-1)
+    near the trace, so h itself can carry an integrable equator singularity.
+    Six Gauss panels of order _HALFSPHERE_ORDER cover [0, pi/2 - 0.3]; the
+    last 0.3 is one tanh-sinh panel (Takahasi and Mori 1974) in d,
+    d = 0.3 / (1 + exp(pi sinh t)) at the steps t = k / 12 in
+    [_TS_START, ``_equator_stop``].  Its nodes cluster doubly exponentially
+    at d = 0, which integrates every power d^(a-1), a > 0, without tuning to
+    the exponent, and cos(th) = sin(d) and sin(th) = cos(d) are formed from
+    d, so the nodes keep full relative accuracy down to d = _D_MIN."""
+    edges = np.linspace(0.0, 0.5 * math.pi - _TS_WIDTH, 7)
+    th, w = gauss_panels(edges, _HALFSPHERE_ORDER)
+    t = np.arange(math.ceil(_TS_START * _TS_STEPS), _equator_stop(g) + 1) / _TS_STEPS
+    e = np.exp(math.pi * np.sinh(t))
+    d = _TS_WIDTH / (1.0 + e)
+    # dd/dt = d pi cosh(t) e / (1 + e), written so that e^2 cannot overflow
+    wd = d * math.pi * np.cosh(t) / (1.0 + 1.0 / e) / _TS_STEPS
+    c = np.concatenate([np.cos(th), np.sin(d)])
+    s = np.concatenate([np.sin(th), np.cos(d)])
+    w = np.concatenate([w, wd])
+    return np.concatenate([0.5 * math.pi - th, d]), c, s, w * c ** (1.0 - 2.0 * g) * s ** (n - 1)

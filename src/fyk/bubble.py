@@ -32,13 +32,14 @@ all requested derivative fields, which keeps grid sweeps cheap.  Two paired
 evaluators sum over s at matched points instead of on a tensor grid, so
 their cost grows with the number of points, not its square:
 ``paired_profiles`` at points (r_k, z_k), and ``polar_profiles`` on arcs
-(r, z) = (rho sin t, rho cos t).  The latter rests on the scaling identity,
-from s = s'/rho,
+(r, z) = (rho cos d, rho sin d), d the angle to the trace plane (measured
+from the trace, so that z = rho sin d keeps its digits next to it).  The
+latter rests on the scaling identity, from s = s'/rho,
 
-    W(rho sin t, rho cos t)
-      = D * int (s'/rho)^(n-1) what(s'/rho) e_nu(s' sin t) phi(s' cos t) ds'/rho:
+    W(rho cos d, rho sin d)
+      = D * int (s'/rho)^(n-1) what(s'/rho) e_nu(s' cos d) phi(s' sin d) ds'/rho:
 
-e_nu, e_(nu+1), phi and phi' are evaluated once on (s', t), and only the
+e_nu, e_(nu+1), phi and phi' are evaluated once on (s', d), and only the
 what-weights depend on rho.  The nodes s' are the outermost arc's s-rule
 scaled by its radius, so no arc sees more phase per panel than that rule
 resolves.  The three evaluators share their field formulas.
@@ -58,34 +59,24 @@ Where Wz is requested, phi and phi' come from one
 is the calibration mass alpha, so each dropped term is below 1e-20 alpha and
 the at most ~6000 of them below 1e-16 alpha, the rounding floor of the sums
 (on the direct route's grids the dropped mass is at most 7e-19 alpha per
-point).  Every field is cut this way.
+point).  Every field is cut this way; the coefficient of Wrz_over_r
+exceeds the envelope by at most s/n <= 45, so its dropped terms stay below
+4.5e-19 alpha.
 
-Near the trace ``radial_profiles`` evaluates no profile at all.  From
-K_g = (pi/2) (I_(-g) - I_g) / sin(pi g) (DLMF 10.27.4) and the series of
-I_(+-g) (DLMF 10.25.2),
+Near the origin a private third route, ``_origin_fields``, sums the trace
+expansion of Caffarelli and Silvestre (2007) to every order.  With
+phi(t) = sum_k A_k (t/2)^(2k) + B_k (t/2)^(2k+2g) (``_profile_series``;
+DLMF 10.25.2, 10.27.4) and (-Delta)^g w = w^p,
 
-    phi(t) = sum_k (t/2)^(2k) / (k! (1-g)_k)
-             - (Gamma(1-g)/Gamma(1+g)) sum_k (t/2)^(2k+2g) / (k! (1+g)_k),
+    W = sum_k A_k (z/2)^(2k) (-Delta)^k w + B_k (z/2)^(2k+2g) (-Delta)^k w^p,
 
-and phi' term by term (``_profile_series``): the trace expansion
-W = w - z^(2g) (-Delta)^g w / (2 g kappa) + O(z^2) carried to every order.
-In a z column where every s-node has s z <= 1/2 (``specfun._T_SERIES``,
-where the kernel's own series ends; the cut keeps every node there) each
-field sum_s c(s) e(s r) p(s z) is then sum_j a_j (z/2)^(p_j) G_j(r) with
-G_j(r) = sum_s c(s) s^(p_j) e(s r).  The G_j are extra GEMM columns, with
-entries c(s) s^(p_j), summed in the same blocks by the same ``_accumulate``
-as the other columns; after the blocks each such series column is formed
-from its own z alone, term by term, not by a GEMM.  Both sums stop at the
-power whose term in the first, the larger, falls below 2^-60 at t = 1/2:
-18 powers per field for g <= 0.5, 20 for g from 0.6 to 0.98.  Series
-columns take this path only where they outnumber those powers, so a call
-with fewer (one point, or the single z = 0 column of ``fyk solve
-extension``) sums as before.  Near g = 0 and g = 1 the two sums cancel, by
-about 50 at t = 1/2, yet for n in {3, 4, 7, 12} and g from 0.02 to 0.98 a
-series column stays within 7 % of the kernel path's rounding floor,
-(S + 1) eps sum |terms|.  On the direct route's core grid at (4, 0.8),
-150 x 242 points on 5790 s-nodes, the cut keeps 81 % of the profile points
-and the series columns take 129 of the 242 columns, so 27 % are evaluated.
+and the coefficient of r^(2j) in (-Delta)^k (1 + r^2)^(-a) is
+(-1)^j (a)_(j+k) / (j+k)! * 4^k (j+1)_k (j+n/2)_k.  The other fields
+differentiate the powers, and lap_tan shifts k to k + 1.  With the series'
+9 or 10 powers of z/2 and _ORIGIN_TERMS = 12 of r^2, at |x| <= 1/32
+(_ORIGIN_RADIUS) every field holds within 8.2e-15 of the g = 1/2 closed
+form for n <= 24 (the Fourier-Bessel sums: 9.1e-5 at n = 24); at |x| = 1/8
+the truncation leaves 5.2e-4 at n = 24, so it raises beyond 1/32.
 
 At paired points the sums run over every node, one block of points at a
 time (``_BLOCK`` values of (s, point) per block, however many arcs share
@@ -98,8 +89,8 @@ live prefix, longest first, so the columns a block still needs are a prefix
 too.  Each block evaluates the kernels on (s, r), the profiles on its live
 (s, z) entries alone, and adds its terms to the outputs in place by BLAS
 dgemm: one GEMM per kernel, with the coefficients on the profile side, so
-the fields on e_nu (W, lap_tan, Wz) share one and Wr_over_r takes one on
-e_(nu+1).  The blocks stop after the last live row.  The tensor, paired
+the fields on e_nu (W, lap_tan, Wz) share one and Wr_over_r and Wrz_over_r
+one on e_(nu+1).  The blocks stop after the last live row.  The tensor, paired
 and polar evaluators share one contraction, ``_accumulate``: each dgemm
 adds the partial sum of at most isqrt(S) s-rows to the output with one
 rounding, so an entry's sum is chunked, and the chunked sum of S terms in
@@ -121,7 +112,11 @@ its s-integrand at s ~ 1/z, which the rule's first panels resolve only while
 evaluators raise NumericError rather than return a sum that misses the
 integrand.  ``polar_profiles`` raises likewise where an inner arc's scaled
 first node exceeds _S_FIRST_MAX: at rho below 0.03 times the outer radius
-where that is at most 8.
+where that is at most 8.  Where n - 2g < 1 the factor s^(n-1-2g) is
+singular and the rule misses it (against the Poisson route 0.33 at
+(1, 0.45), 1.1e-3 at (2, 0.7); at most 2.2e-6 for n - 2g >= 1), so there
+``_what_weights``, which every Fourier-Bessel evaluator calls, raises
+NumericError; the Poisson route takes every n.
 
 The kernels e_nu and e_(nu+1) come together from ``_e_pair``.  Since n is an
 integer, nu is an integer or a half-integer, and the pair is run up from
@@ -171,8 +166,10 @@ __all__ = [
     "poisson_constant",
 ]
 
-# the fields the evaluators take, in the order they return them
-_FIELD_NAMES = ("W", "Wr_over_r", "lap_tan", "Wz")
+# the fields the evaluators take, in the order they return them, and those
+# on phi', which need z > 0
+_FIELD_NAMES = ("W", "Wr_over_r", "lap_tan", "Wz", "Wrz_over_r")
+_PRIME_FIELDS = ("Wz", "Wrz_over_r")
 _S_CUT = 45.0   # K_g(s) < 3e-20 beyond this; truncation is below fp noise
 # s-terms below _TAU times sum |kw| (the calibration mass, alpha) are not
 # evaluated; see the module docstring
@@ -187,6 +184,10 @@ _SZ_MAX = 0.1
 # 1.7e-12 of paired_profiles, at (4, 0.8) within 1e-9; the s^(n-1-2g) factor
 # of the s-integrand is resolved no further (see the module docstring)
 _S_FIRST_MAX = 1e-3
+# the origin expansion's powers of z/2 per branch and of r^2 per power, and
+# the radius it serves (see the module docstring)
+_ORIGIN_TERMS = 12
+_ORIGIN_RADIUS = 1.0 / 32.0
 # neumann_trace raises where |sum| / sum |terms| falls below this: on a sweep
 # of n <= 12, g in {0.05, ..., 0.95} and r <= 30 the values it keeps hold
 # within 2.3e-6 for n >= 2, and every ratio at r <= 3 is at least 4e-3
@@ -259,25 +260,23 @@ def _series_terms(x, mu):
 
 @lru_cache(maxsize=64)
 def _profile_series(g):
-    """phi and phi' at t <= _T_SERIES as sums of powers, c_j (t/2)^(p_j):
-    (c, p) for each of ``_PHI`` and ``_PHI_PRIME``.  From K_g = (pi/2)
-    (I_(-g) - I_g) / sin(pi g) (DLMF 10.27.4) and the series of I_(+-g)
-    (DLMF 10.25.2),
+    """phi at t <= _T_SERIES as a sum of powers, c_j (t/2)^(p_j): (c, p),
+    the K coefficients A_k of the first sum and then the K coefficients B_k
+    of the second.  From K_g = (pi/2) (I_(-g) - I_g) / sin(pi g)
+    (DLMF 10.27.4) and the series of I_(+-g) (DLMF 10.25.2),
 
         phi(t) = sum_k (t/2)^(2k) / (k! (1-g)_k)
-                 - (Gamma(1-g)/Gamma(1+g)) sum_k (t/2)^(2k+2g) / (k! (1+g)_k),
+                 - (Gamma(1-g)/Gamma(1+g)) sum_k (t/2)^(2k+2g) / (k! (1+g)_k).
 
-    and phi' term by term, where the power p takes a factor p/2.  Both sums
-    stop at the power ``_series_terms`` gives for the first at t = 1/2; from
-    k = 1 on, the second's terms are no larger than the first's there."""
+    Both sums stop at the power ``_series_terms`` gives for the first at
+    t = 1/2; from k = 1 on, the second's terms are no larger than the
+    first's there."""
     k = np.arange(_series_terms(0.25 * _T_SERIES**2, -g) + 1.0)
     # 1/(k! (1-g)_k) and 1/(k! (1+g)_k) as running products
     a = np.cumprod(np.concatenate([[1.0], 1.0 / (k[1:] * (k[1:] - g))]))
     b = np.cumprod(np.concatenate([[1.0], 1.0 / (k[1:] * (k[1:] + g))]))
     c = np.concatenate([a, -(math.gamma(1.0 - g) / math.gamma(1.0 + g)) * b])
-    p = np.concatenate([2.0 * k, 2.0 * k + 2.0 * g])
-    # phi' drops the constant term, whose factor p/2 is 0
-    return (c, p), (0.5 * (c * p)[1:], p[1:] - 1.0)
+    return c, np.concatenate([2.0 * k, 2.0 * k + 2.0 * g])
 
 
 def _e_series(mu, u, terms):
@@ -336,8 +335,15 @@ def _s_nodes(rmax_key):
 
 def _what_weights(idx, s, ws):
     """The quadrature weights ``ws`` at the nodes ``s`` (any shape) times the
-    calibrated s-integrand factor D s^(n-1) what(s)."""
+    calibrated s-integrand factor D s^(n-1) what(s); NumericError where
+    n - 2g < 1 (see the module docstring)."""
     n, g = idx.n, idx.gamma
+    if n - 2.0 * g < 1.0:
+        raise NumericError(
+            f"the Fourier-Bessel s-rule does not resolve n - 2 gamma = {n - 2.0 * g:g} < 1 "
+            f"at (n, gamma) = ({n}, {g}); the Poisson route takes this index",
+            {"n": n, "gamma": g},
+        )
     what = profile_what(idx, s)
     # calibration: W(0,0) = alpha forces D * int s^(n-1) what(s) ds = alpha,
     # and the s-integral has the closed form 2^(n-g-2) Gamma(m/2) Gamma(n/2)
@@ -362,8 +368,8 @@ def _rmax_key(rmax):
 def _check_request(r, z, fields):
     """Reject requests the s-sums cannot take: a field name that is not one
     of ``_FIELD_NAMES`` (or a bare string in place of a sequence of names),
-    NaN or infinite coordinates, negative r or z, and z = 0 where Wz is
-    requested."""
+    NaN or infinite coordinates, negative r or z, and z = 0 where a field
+    on phi' (Wz, Wrz_over_r) is requested."""
     if isinstance(fields, str):
         raise DomainError(f"fields must be a sequence of field names, not the string {fields!r}")
     unknown = [k for k in fields if k not in _FIELD_NAMES]
@@ -373,8 +379,9 @@ def _check_request(r, z, fields):
         raise DomainError("r and z must be finite")
     if np.any(r < 0.0) or np.any(z < 0.0):
         raise DomainError("r and z must be nonnegative")
-    if "Wz" in fields and np.any(z <= 0.0):
-        raise DomainError("Wz requires z > 0")
+    prime = [k for k in fields if k in _PRIME_FIELDS]
+    if prime and np.any(z <= 0.0):
+        raise DomainError(f"{', '.join(prime)} requires z > 0")
 
 
 def _check_reach(s0, z):
@@ -414,17 +421,6 @@ def _live_counts(idx, s, kw, s0, z):
     return lo
 
 
-def _series_columns(idx, s, z):
-    """The mask of the z columns that ``radial_profiles`` sums from the
-    profiles' series: those where every s-node has s z <= _T_SERIES (so the
-    decay cut keeps every node), if they outnumber the series' terms, else
-    none."""
-    series = z * s[-1] <= _T_SERIES
-    if np.count_nonzero(series) <= _profile_series(idx.gamma)[_PHI][1].size:
-        series[:] = False
-    return series
-
-
 def _scatter(live, vals):
     """An array shaped like the mask ``live``: ``vals`` at its live entries
     and exactly 0 elsewhere."""
@@ -434,10 +430,10 @@ def _scatter(live, vals):
 
 
 def _cut_profiles(idx, t, live, fields):
-    """phi, and phi' where ``Wz`` is requested, at the live entries of the
-    mask ``live``, whose profile arguments are ``t``, and 0 elsewhere; the
-    pair comes from one kernel evaluation."""
-    if "Wz" not in fields:
+    """phi, and phi' where a field on it is requested, at the live entries
+    of the mask ``live``, whose profile arguments are ``t``, and 0
+    elsewhere; the pair comes from one kernel evaluation."""
+    if not any(k in _PRIME_FIELDS for k in fields):
         return _scatter(live, profile_phi(idx, t)), None
     return tuple(_scatter(live, p) for p in profile_phi_pair(idx, t))
 
@@ -458,6 +454,8 @@ def _field_terms(idx, s, kw, fields):
         "Wr_over_r": (-(kw * s**2 / (2.0 * (nu + 1.0))), 1, _PHI),
         "lap_tan": (-(kw * s**2), 0, _PHI),
         "Wz": (kw * s, 0, _PHI_PRIME),
+        # d/dz of Wr_over_r
+        "Wrz_over_r": (-(kw * s**3 / (2.0 * (nu + 1.0))), 1, _PHI_PRIME),
     }
     return {k: v for k, v in terms.items() if k in fields}
 
@@ -514,14 +512,9 @@ def radial_profiles(idx, r, z, fields=("W",)):
     * ``Wr_over_r``— (1/r) dW/dr (finite at r = 0)
     * ``Wz``       — dW/dz (z > 0 required)
     * ``lap_tan``  — tangential Laplacian of W
+    * ``Wrz_over_r`` — (1/r) d^2W/dr dz (z > 0 required)
 
     Any other name, or a bare string for ``fields``, raises DomainError.
-
-    The s-sums run in blocks of s-rows, one GEMM per kernel.  Columns with
-    s z <= 1/2 at every s-node are summed from the profiles' series: a few
-    s-sums of powers of s per field, combined per column with the powers of
-    z/2, so no profile is evaluated there; they take this path only where
-    they outnumber the series' terms (see the module docstring).
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -530,36 +523,21 @@ def radial_profiles(idx, r, z, fields=("W",)):
     _check_reach(s, z)
     nu = idx.n / 2.0 - 1.0
     counts = _live_counts(idx, s, kw, s, z)
-    stop = counts.max(initial=0)
-    # the series columns (see the module docstring) go last and are never
-    # live; the others by live count, descending, so the live columns of
-    # every block of s-rows are a prefix (on ascending z without series
-    # columns the order is the identity)
-    series = _series_columns(idx, s, z)
-    counts[series] = -1
+    # z columns by live count, descending, so the live columns of every
+    # block of s-rows are a prefix (on ascending z the order is the identity)
     order = np.argsort(-counts, kind="stable")
     zs, counts = z[order], counts[order]
-    cols = z.size - np.count_nonzero(series)  # the kernel columns come first
     terms = _field_terms(idx, s, kw, fields)
-    # each field's series as (coefficients, powers) of z/2, empty without
-    # series columns
-    expand = {}
-    for k, (_, _, p) in terms.items():
-        expand[k] = _profile_series(idx.gamma)[p] if cols < z.size else (np.empty(0),) * 2
-    # the fields on one kernel share one GEMM: in a group of g fields, the
-    # F-ordered buffer holds the series' s-sums of each field, then column
-    # j * g + f is field f at z column j, so a block adds to the contiguous
-    # columns of the s-sums and of its live prefix
-    groups, bufs, out, heads, sums = {}, {}, {}, {}, {}
+    # the fields on one kernel share one GEMM: in a group of g fields, column
+    # j * g + f of the F-ordered buffer is field f at z column j, so a block
+    # adds to the contiguous columns of its live prefix
+    groups, bufs, out = {}, {}, {}
     for k, (_, e, _) in terms.items():
         groups.setdefault(e, []).append(k)
     for e, keys in groups.items():
-        ends = np.cumsum([0] + [expand[k][1].size for k in keys])
-        bufs[e] = np.zeros((r.size, ends[-1] + len(keys) * z.size), order="F")
-        grid = bufs[e][:, ends[-1] :].reshape(r.size, len(keys), z.size, order="F")
-        for f, k in enumerate(keys):
-            heads[k] = slice(ends[f], ends[f + 1])
-            out[k], sums[k] = grid[:, f], bufs[e][:, heads[k]]
+        bufs[e] = np.zeros((r.size, len(keys), z.size), order="F")
+        out.update((k, bufs[e][:, f]) for f, k in enumerate(keys))
+    stop = counts.max(initial=0)
     rows = max(1, _KERNEL_BLOCK // max(r.size, z.size, 1))
     # partial sums of about sqrt(S) rows minimize the chunked sum's rounding
     # bound (see the module docstring)
@@ -571,24 +549,12 @@ def radial_profiles(idx, r, z, fields=("W",)):
         mask = np.arange(i, i + len(kernels[0]))[:, None] < counts[:live]
         profiles = _cut_profiles(idx, np.outer(s[blk], zs[:live])[mask], mask, fields)
         for e, keys in groups.items():
-            head = bufs[e].shape[1] - len(keys) * z.size
-            P = np.empty((len(mask), head + live * len(keys)))
-            cells = P[:, head:].reshape(len(P), live, len(keys))  # a view
+            P = np.empty((len(mask), live, len(keys)))
             for f, k in enumerate(keys):
                 c, _, p = terms[k]
-                cells[:, :, f] = c[blk, None] * profiles[p]
-                pw = expand[k][1]
-                if pw.size:
-                    # the terms of the s-sums: the coefficient times s^power
-                    P[:, heads[k]] = c[blk, None] * s[blk, None] ** pw
-            _accumulate(kernels[e], P, bufs[e][:, : head + live * len(keys)], step)
-    # each series column from its own z alone: the powers of z/2 times the
-    # s-sums, added term by term
-    half = zs[cols:] / 2.0
-    for k, (coef, pw) in expand.items():
-        acc = out[k][:, cols:]
-        for j in range(pw.size):
-            acc += sums[k][:, j, None] * (coef[j] * half ** pw[j])
+                P[:, :, f] = c[blk, None] * profiles[p]
+            dst = bufs[e][:, :, :live].reshape(r.size, -1, order="F")
+            _accumulate(kernels[e], P.reshape(len(P), -1), dst, step)
     if not np.array_equal(order, np.arange(z.size)):
         inv = np.argsort(order)
         out = {k: v[:, inv] for k, v in out.items()}
@@ -611,25 +577,26 @@ def paired_profiles(idx, r, z, fields=("W",)):
     return _paired_fields(idx, s, kw, s, r, z, fields)
 
 
-def polar_profiles(idx, rho, theta, fields=("W",)):
+def polar_profiles(idx, rho, d, fields=("W",)):
     """The fields of ``radial_profiles`` on arcs: at (r, z) =
-    (rho[a] sin theta[t], rho[a] cos theta[t]), as (len(rho), len(theta))
-    arrays.  ``rho`` > 0 and 0 <= ``theta`` <= pi/2 (< pi/2 for ``Wz``).
+    (rho[a] cos d[t], rho[a] sin d[t]), as (len(rho), len(d)) arrays, where
+    d is the angle to the trace plane.  ``rho`` > 0 and 0 <= ``d`` <= pi/2
+    (> 0 for the fields on phi').  The angle is measured from the trace so
+    that z = rho sin d keeps its digits next to it.
 
     With s = s'/rho every arc shares the kernel and profile values
-    e_nu(s' sin theta) and phi(s' cos theta); only the what-weights depend
-    on rho (see the module docstring).  An arc so far inside the outermost
-    one that its scaled first s-node exceeds _S_FIRST_MAX raises
-    NumericError.
+    e_nu(s' cos d) and phi(s' sin d); only the what-weights depend on rho
+    (see the module docstring).  An arc so far inside the outermost one that
+    its scaled first s-node exceeds _S_FIRST_MAX raises NumericError.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if rho.ndim != 1 or theta.ndim != 1 or not (rho.size and rho.min() > 0.0):
-        raise DomainError("polar_profiles needs a nonempty 1-D rho > 0 and 1-D theta")
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(theta))):
-        raise DomainError("rho and theta must be finite")
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if rho.ndim != 1 or d.ndim != 1 or not (rho.size and rho.min() > 0.0):
+        raise DomainError("polar_profiles needs a nonempty 1-D rho > 0 and 1-D d")
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(d))):
+        raise DomainError("rho and d must be finite")
     top = rho.max()
-    r, z = top * np.sin(theta), top * np.cos(theta)
+    r, z = top * np.cos(d), top * np.sin(d)
     _check_request(r, z, fields)
     s0, ws0 = _s_nodes(_rmax_key(top))
     # the outermost arc keeps the rule radial_profiles would use there
@@ -644,6 +611,65 @@ def polar_profiles(idx, rho, theta, fields=("W",)):
         )
     kw = _what_weights(idx, s, scale * ws0)
     return _paired_fields(idx, s, kw, s0, r, z, fields)
+
+
+@lru_cache(maxsize=64)
+def _origin_tables(n, g):
+    """Per branch, w = alpha (1 + r^2)^(-m/2) and w^p = alpha^p
+    (1 + r^2)^(-(n+2g)/2): the powers of z/2 and A_k or B_k from
+    ``_profile_series``, and M[k, j], the coefficient of r^(2j) in
+    (-Delta)^k of the branch, for k <= K and j <= _ORIGIN_TERMS, one row and
+    column more than the sums take, for lap_tan (k + 1) and 1/r d/dr (j + 1)."""
+    c, p = _profile_series(g)
+    K = c.size // 2  # the coefficients A_k, then B_k
+    alpha = constants(ProblemIndex(n, g)).alpha
+    m = n - 2.0 * g
+    j = np.arange(_ORIGIN_TERMS + 1.0)
+    k = np.arange(K + 1.0)
+    i = np.arange(1.0, j[-1] + k[-1] + 1.0)
+
+    def rising(x):  # (x_j)_k as [k, j]
+        return np.cumprod(np.vstack([np.ones_like(x), x + k[:-1, None]]), axis=0)
+
+    jk = (j[None, :] + k[:, None]).astype(int)
+    tables = []
+    for b, (scale, a) in enumerate([(alpha, m / 2.0), (alpha ** ((n + 2.0 * g) / m), (n + 2.0 * g) / 2.0)]):
+        poch = np.concatenate([[1.0], np.cumprod((a + i - 1.0) / i)])  # (a)_i / i!
+        M = scale * (-1.0) ** j * poch[jk] * 4.0 ** k[:, None] * rising(j + 1.0) * rising(j + n / 2.0)
+        tables.append((p[b * K : (b + 1) * K], c[b * K : (b + 1) * K], M))
+    return tables
+
+
+def _origin_fields(idx, r, z, fields):
+    """The fields of ``radial_profiles`` at the paired points (r, z), arrays
+    of one shape, from the origin expansion (see the module docstring);
+    points with r^2 + z^2 > _ORIGIN_RADIUS^2 raise NumericError."""
+    r = np.asarray(r, dtype=float)
+    z = np.asarray(z, dtype=float)
+    _check_request(r, z, fields)
+    if np.any(r * r + z * z > _ORIGIN_RADIUS**2):
+        raise NumericError(
+            f"the origin expansion serves |x| <= {_ORIGIN_RADIUS:g}",
+            {"rho_max": float(np.sqrt((r * r + z * z).max()))},
+        )
+    J = _ORIGIN_TERMS
+    j = np.arange(J)
+    U = (r * r)[..., None] ** j
+    h = (z / 2.0)[..., None]
+    out = {}
+    for e, coef, M in _origin_tables(idx.n, idx.gamma):
+        Z = h**e
+        T = coef[:, None] * M[:-1, :J]
+        Tr = coef[:, None] * 2.0 * (j + 1.0) * M[:-1, 1:]  # (1/r) d/dr
+        terms = {"W": (Z, T), "Wr_over_r": (Z, Tr), "lap_tan": (Z, -coef[:, None] * M[1:, :J])}
+        if any(k in _PRIME_FIELDS for k in fields):
+            Zp = Z * (0.5 * e) / h  # d/dz (z/2)^e = (e/2) (z/2)^(e-1)
+            terms.update(Wz=(Zp, T), Wrz_over_r=(Zp, Tr))
+        for k in _FIELD_NAMES:
+            if k in fields:
+                zk, tk = terms[k]
+                out[k] = out.get(k, 0.0) + np.sum((zk @ tk) * U, axis=-1)
+    return out
 
 
 def extension_gamma_half(idx, r, z, lam=1.0):

@@ -37,14 +37,14 @@ class _Parser(argparse.ArgumentParser):
 @dataclass
 class RunConfig:
     tol: float = 1e-6
-    resolution: int = 64
+    resolution: int | None = None  # solve green, lambda1 and linearized only
     out: str = None
     fmt: str = "csv"
 
     def __post_init__(self):
         if self.tol <= 0:
             raise UsageError("tolerance must be positive")
-        if self.resolution < 8:
+        if self.resolution is not None and self.resolution < 8:
             raise UsageError("resolution must be at least 8 per axis")
         if self.fmt not in ("csv", "json"):
             raise UsageError("format must be csv or json")
@@ -79,7 +79,7 @@ def _build_config(args):
         tol = args.tol if args.tol is not None else float(file_vals.get("tol", 1e-6))
     except ValueError as exc:
         raise UsageError("bad config value: %s" % exc) from exc
-    res = getattr(args, "resolution", RunConfig.resolution)
+    res = getattr(args, "resolution", None)
     out = args.out if args.out is not None else file_vals.get("out")
     fmt = args.format if args.format is not None else file_vals.get("format", "csv")
     return RunConfig(tol=tol, resolution=res, out=out, fmt=fmt)

@@ -17,9 +17,21 @@ in the tangential variables, to bilinear combinations of these moments; the
 reductions implemented in ``_integrals_from_moments`` were re-derived from
 the profile ODEs and cross-validated against the direct two-dimensional
 route and against the closed-form ratio table (see ``closed_form_ratios``).
+
+The direct route (``method="direct_2d"``) integrates the fields themselves,
+with no truncation: the bubble extension is invariant under the inversion
+x -> x/|x|^2, W(x) = |x|^(-m) W(x/|x|^2) with m = n - 2g, so the half-space
+outside the unit half-ball is the unit half-ball again, and every integral
+is one sum over it.  In polar coordinates (rho, theta), with the fields
+scaled to be scale-free, each integrand is rho^(n+1-2g) times angular
+factors inside and rho^(n-3-2g) times the image fields outside
+(``_integrals_direct``).  The rule is a Gauss-Jacobi panel in
+rho^(n-3-2g) on [0, 1e-8] and Gauss panels of ratio 2 up to 1, times the
+Pohozaev half-sphere rule (``_quad.halfsphere_rule``).  The fields at
+rho >= 1/32 come from one ``bubble.polar_profiles`` band and inside 1/32
+from the origin expansion (``bubble._origin_fields``).
 """
 from dataclasses import dataclass, field
-from functools import lru_cache
 import math
 
 import numpy as np
@@ -27,7 +39,7 @@ import numpy as np
 from scipy import integrate  # noqa: F401
 
 from . import bubble
-from ._quad import gauss_panels, graded_edges
+from ._quad import gauss_panels, graded_edges, halfsphere_rule, jacobi_end_panel
 from .errors import DomainError, NumericError
 from .specfun import _d1, constants, sphere_area
 
@@ -241,166 +253,103 @@ def _integrals_from_moments(idx):
 # direct 2-D route
 
 
-# the width of the core grid's first z-panel, one Gauss-Jacobi panel in the
-# weight z^(1-2g): the z^(2g) term of the fields' trace expansion is not in
-# its polynomial space, and its error grows like _Z_FIRST^2 (at 1e-4,
-# (11, 0.35) loses two digits to 4.2e-12 relative)
-_Z_FIRST = 1e-6
+# the width of the rho-rule's first panel, one Gauss-Jacobi panel in the
+# weight rho^(n-3-2g): the fields' rho^(2g) branches are not in its
+# polynomial space, and at (3, 0.45) their error falls in proportion to the
+# width (2.8e-8 relative at 1e-4, 2.8e-10 at 1e-6, 3.5e-12 here, where the
+# Fourier-Bessel floor takes over)
+_RHO_FIRST = 1e-8
+
+_FIELDS = ("W", "Wr_over_r", "Wz", "lap_tan", "Wrz_over_r")
 
 
-def _jacobi_end_panel(h, a):
-    """A 12-node Gauss-Jacobi panel on [0, h] in the distance d to an
-    endpoint singularity d^a, a > -1: the distances (descending) and their
-    weights, each divided by the weight function d^a at its node, so the
-    rule takes the plain integrand values."""
-    from scipy.special import roots_jacobi  # keeps scipy.special off the import path
-
-    x, wx = roots_jacobi(12, a, 0.0)  # weight (1 - x)^a on [-1, 1]
-    return 0.5 * h * (1.0 - x), 0.5 * h * wx / (1.0 - x) ** a
-
-
-def _grid_rules(idx, R):
-    """The core rule on [0, R]^2.  In r, 10-node Gauss-Legendre panels whose
-    widths grow geometrically all the way to R, by 1.6 from 0.05.  In z, one
-    12-node Gauss-Jacobi panel in the weight z^(1-2g) on [0, _Z_FIRST] (every
-    integrand is that weight times z to an integer power times the fields,
-    and the weight is singular at z = 0 for g > 1/2), then 10-node
-    Gauss-Legendre panels from _Z_FIRST that grow by 2.2 all the way to R.
-    The integrands are analytic away from z = 0 and vary on the scale of the
-    distance to the origin, so no width cap is needed: this is 150 x 242
-    points at R = 64 and 130 x 232 at R = 32, and capping the widths at 1
-    (and the ratios at 1.35 and 1.7: 720 x 912 points at R = 64, the same
-    first z-panel) moves no total beyond 2.1e-14 relative on a sweep of 17
-    indices with n = 3 ... 12."""
-    r, wr = gauss_panels(graded_edges(0.0, R, 0.05, ratio=1.6), 10)
-    d, wd = _jacobi_end_panel(_Z_FIRST, 1.0 - 2.0 * idx.gamma)
-    z, wz = gauss_panels(graded_edges(_Z_FIRST, R, 1.2 * _Z_FIRST, ratio=2.2), 10)
-    return r, wr, np.concatenate([d[::-1], z]), np.concatenate([wd[::-1], wz])
-
-_FIELDS = ("W", "Wr_over_r", "Wz", "lap_tan")
+def _rho_rule(idx):
+    """The rule on 0 < rho <= 1: one 12-node Gauss-Jacobi panel in the
+    weight rho^(n-3-2g) on [0, _RHO_FIRST] (the exterior integrands carry
+    that power, singular at 0 for n - 2g < 3; the interior ones carry it
+    times rho^4), then 10-node Gauss-Legendre panels from _RHO_FIRST that
+    double in width up to 1.  The weights take the plain integrand values."""
+    d, wd = jacobi_end_panel(_RHO_FIRST, idx.n - 3.0 - 2.0 * idx.gamma)
+    rho, w = gauss_panels(graded_edges(_RHO_FIRST, 1.0, _RHO_FIRST, ratio=2.0), 10)
+    return np.concatenate([d[::-1], rho]), np.concatenate([wd[::-1], w])
 
 
-def _field_pack(idx, r, z, f):
-    """Complete the fields ``f`` at the points (r, z), which broadcast
-    against f's arrays, with the integrand building blocks Wr and Z0."""
-    f["Wr"] = r * f["Wr_over_r"]
-    f["Z0"] = bubble.dilation_field(idx, r, z, f)
-    return f
+def _half_ball_fields(idx, rho, d, c, s):
+    """The fields at the points (rho s, rho c) of the unit half-ball, as
+    (len(rho), len(d)) arrays, each times the power of rho that makes it
+    scale-free: W, R = rho^2 Wr_over_r, Z = rho Wz, L = rho^2 lap_tan,
+    T = rho^3 Wrz_over_r, Wrr = rho^2 W_rr and the dilation field
+    Q = Z^0; from the origin expansion below bubble._ORIGIN_RADIUS, from
+    one polar_profiles band above."""
+    inner = rho < bubble._ORIGIN_RADIUS
+    near = bubble._origin_fields(idx, np.outer(rho[inner], s), np.outer(rho[inner], c), _FIELDS)
+    far = bubble.polar_profiles(idx, rho[~inner], d, _FIELDS)
+    f = {k: np.concatenate([near[k], far[k]]) for k in _FIELDS}
+    p = rho[:, None]
+    W, R, Z, L = f["W"], p**2 * f["Wr_over_r"], p * f["Wz"], p**2 * f["lap_tan"]
+    return {"W": W, "R": R, "Z": Z, "L": L, "T": p**3 * f["Wrz_over_r"],
+            "Wrr": L - (idx.n - 1.0) * R, "Q": s * s * R + c * Z + 0.5 * idx.m * W}
 
 
-def _nine_integrands(idx, r, f):
-    """Pointwise integrand values as (z_exponent, array) pairs, one at a
-    time, so the caller can reduce each before the next is built: the nine
-    quadratic integrals first, then the three combined functionals.  ``r``
-    broadcasts against the arrays of ``f``: r[:, None] on a tensor grid, the
-    paired radii on arcs.  The r^(n-1) area factor and the z-power weights
-    are applied by the caller."""
-    g = idx.gamma
-    n = idx.n
-    yield 1.0 - 2 * g, f["W"] ** 2
-    yield 1.0 - 2 * g, r * f["W"] * f["Wr"]
-    yield 2.0 - 2 * g, f["W"] * f["Wz"]
-    yield 2.0 - 2 * g, r * f["Wr"] * f["Wz"]
-    yield 3.0 - 2 * g, f["W"] * f["lap_tan"]
-    yield 3.0 - 2 * g, f["Wr"] ** 2
-    yield 3.0 - 2 * g, f["Wz"] ** 2
-    # W_rr = lap_tan - (n - 1) W_r / r
-    yield 3.0 - 2 * g, r * f["Wr"] * (f["lap_tan"] - (n - 1) * f["Wr_over_r"])
-    yield 4.0 - 2 * g, f["Wz"] * f["lap_tan"]
-    # combined functionals against the dilation field
-    yield 3.0 - 2 * g, f["lap_tan"] * f["Z0"]
-    yield 2.0 - 2 * g, f["Wz"] * f["Z0"]
-    yield 1.0 - 2 * g, f["W"] * f["Z0"]
+def _kelvin(idx, c, s, f):
+    """The scale-free fields of ``_half_ball_fields`` at x = y/|y|^2, over
+    |y|^m, from those at y, where (c, s) = (z, r)/|y| at both points.
+
+    From W(x) = |y|^m W(y) (m = n - 2g) and x/|x| = y/|y|, every field at x
+    is |y|^m times a fixed combination of the fields at y.  The Hessian of
+    W at y enters through W_rr = lap_tan - (n - 1) W_r/r, W_rz = r Wrz_over_r
+    and the equation, z^2 W_zz = -z^2 lap_tan - (1 - 2g) z W_z, so that
+    nothing is divided by z.  The dilation field Q = Z^0 only changes
+    sign."""
+    n, g, m = idx.n, idx.gamma, idx.m
+    W, R, Z, L, T = (f[k] for k in "WRZLT")
+    c2, s2 = c * c, s * s
+    d = c2 - s2
+    Rx = d * R - m * W - 2.0 * c * Z
+    Zx = -m * c * W - 2.0 * s2 * c * R - d * Z
+    Wrr = (
+        m * ((m + 2.0) * s2 - 1.0) * W
+        - (2.0 * m * s2 * d + (n - 1.0) * d * d - 2.0 * s2 * (s2 - 3.0 * c2)) * R
+        + 2.0 * c * ((2.0 * n + 1.0) * s2 - c2) * Z
+        + (d * d - 4.0 * s2 * c2) * L
+        - 4.0 * s2 * c * d * T
+    )
+    return {"W": W, "R": Rx, "Z": Zx, "L": Wrr + (n - 1.0) * Rx, "Wrr": Wrr, "Q": -f["Q"]}
 
 
-@lru_cache(maxsize=16)
-def _tail_theta_rule(g):
-    """The tail's polar-angle rule, 84 nodes: 12-node Gauss-Legendre panels
-    split at pi/4 (the square-complement boundary radius has a kink there)
-    and graded toward the equator over six levels, then one 12-node
-    Gauss-Jacobi panel against the weight (pi/2 - theta)^(1-2g) up to the
-    equator.  Every integrand carries a z-power 1 - 2g plus an integer, and
-    z = rho sin(pi/2 - theta), so this one panel fits all twelve; each of
-    its weights is divided by the weight function at its node, so the rule
-    takes the plain integrand values.  The arrays are shared: read-only."""
-    dist = 0.25 * math.pi * 0.55 ** np.arange(6)
-    th, wth = gauss_panels(np.concatenate([[0.0], 0.5 * math.pi - dist]), 12)
-    d, wd = _jacobi_end_panel(dist[-1], 1.0 - 2.0 * g)
-    th = np.concatenate([th, 0.5 * math.pi - d])
-    wth = np.concatenate([wth, wd])
-    th.setflags(write=False)
-    wth.setflags(write=False)
-    return th, wth
+def _integrand_factors(s, f):
+    """The twelve integrands, the nine quadratic integrals and then the three
+    combined functionals, as (k, X, Y): in the scale-free fields ``f`` each
+    one is rho^(n+1-2g) c^k X Y times the rule's weight c^(1-2g) s^(n-1)
+    (the area factor r^(n-1) z^(1-2g+k) dr dz)."""
+    W, R, Z, L, Wrr, Q = (f[k] for k in ("W", "R", "Z", "L", "Wrr", "Q"))
+    sW, sR, ssR = s * W, s * R, s * s * R
+    return [
+        (0, W, W), (0, sW, sR), (1, W, Z), (1, ssR, Z), (2, W, L), (2, sR, sR),
+        (2, Z, Z), (2, ssR, Wrr), (3, Z, L),
+        # the combined functionals against the dilation field
+        (2, L, Q), (1, Z, Q), (0, W, Q),
+    ]
 
 
-def _default_radius(idx):
-    """The direct route's truncation radius: 32 where the integrands decay
-    fast (n - 2g > 4), else 64.  A power of two, so the core grid, whose
-    largest r rounds up to R, and the outer tail arc share one s-rule."""
-    return 32.0 if idx.n - 2.0 * idx.gamma > 4.0 else 64.0
-
-
-# sample arcs of the tail fit, as fractions of R
-_ARCS = np.array([0.2, 0.25, 0.28, 0.33, 0.4, 0.5, 0.63, 0.8, 1.0])
-
-
-def _tail_exponents(g):
-    """Relative correction exponents e of the far field, rho^(-q) sum_e
-    c_e rho^(-e).  The inversion W(x) = |x|^(-m) W(x/|x|^2) maps the far
-    field to the trace expansion W ~ w + c z^(2g) + d z^2 near the origin,
-    with |x|^(-1) in place of the distance to it: W has relative corrections
-    rho^(-2g) and rho^(-2) (the Taylor term of w and d z^2), and
-    W_z ~ 2g c z^(2g-1) + 2 d z adds rho^(-(2-2g)).  Every integrand is a
-    product of two fields, so its exponents are the pairwise sums of the
-    single-field set {0, 2g, 2 - 2g, 2}: 0, 2g, 4g, 2 - 2g, 2, 2 + 2g,
-    4 - 4g, 4 - 2g and 4, with coinciding ones merged."""
-    single = np.array([0.0, 2.0 * g, 2.0 - 2.0 * g, 2.0])
-    return np.unique(np.round(single[:, None] + single[None, :], 12))
-
-
-def _integrals_direct(idx, R=None):
-    if R is None:
-        R = _default_radius(idx)
-    if not (math.isfinite(R) and R > 0.0):
-        raise DomainError(f"the truncation radius R must be finite and > 0, got R = {R}")
+def _integrals_direct(idx):
+    """The twelve totals: with a = n - 3 - 2g, sum w rho^(a+4) c^k X Y over
+    the unit half-ball plus, by x = y/|y|^2, sum w rho^a c^k X' Y' with the
+    fields of ``_kelvin``.  Each power of rho is one exponent, and the
+    square root of each weight goes into each factor: near the equator the
+    raw products would overflow where their weighted values do not."""
     idx.require_supercritical("the quadratic integrals")
-    n, g = idx.n, idx.gamma
-    S = sphere_area(n)
-    r, wr, z, wz = _grid_rules(idx, R)
-    rc, zc = r[:, None], z[None, :]
-    f = _field_pack(idx, rc, zc, bubble.radial_profiles(idx, r, z, _FIELDS))
-    area_r = wr * r ** (n - 1)
-    core = np.array(
-        [S * (area_r @ F @ (wz * z**pz)) for pz, F in _nine_integrands(idx, rc, f)]
-    )
-
-    # tail over the complement of the square [0,R]^2: per polar angle, fit the
-    # radial profile of each integrand to its leading power rho^(-q) times the
-    # correction powers of _tail_exponents, on the nine arcs R * _ARCS, and
-    # integrate the fit outward
-    th, wth = _tail_theta_rule(g)
-    arcs = R * _ARCS
-    q = n - 2.0 * g  # F_total ~ rho^(-q) g(theta), with F_total = F * r^(n-1) z^pz
-    # all nine arcs from one evaluation: polar_profiles rescales a single
-    # s-rule to each radius, so kernels and profiles are shared
-    ra = arcs[:, None] * np.sin(th)
-    za = arcs[:, None] * np.cos(th)
-    fa = _field_pack(idx, ra, za, bubble.polar_profiles(idx, arcs, th, _FIELDS))
-    samples = np.array(
-        [F * ra ** (n - 1) * za**pz for pz, F in _nine_integrands(idx, ra, fa)]
-    )
-    # in units of R: fit Y(x) = F_total(x R) x^q = sum_e c_e x^(-e) on the
-    # arcs x = _ARCS, all twelve integrands and every angle in one lstsq;
-    # int_(rho0)^inf F_total rho drho = R^2 sum_e c_e u0^(2-q-e) / (q-2+e)
-    # with u0 = rho0 / R
-    expos = _tail_exponents(g)
-    X = _ARCS[:, None] ** (-expos[None, :])
-    Y = (samples * _ARCS[:, None] ** q).transpose(1, 0, 2).reshape(_ARCS.size, -1)
-    coef = np.linalg.lstsq(X, Y, rcond=None)[0].reshape(expos.size, 12, th.size)
-    u0 = 1.0 / np.maximum(np.sin(th), np.cos(th))
-    radial = u0 ** (2.0 - q - expos[:, None]) / (q - 2.0 + expos[:, None])
-    tails = S * R**2 * np.einsum("jkt,jt,t->k", coef, radial, wth)
-    total = core + tails
+    a = idx.n - 3.0 - 2.0 * idx.gamma
+    rho, wrho = _rho_rule(idx)
+    d, c, s, wth = halfsphere_rule(idx.n, idx.gamma)
+    f = _half_ball_fields(idx, rho, d, c, s)
+    total = np.zeros(12)
+    for power, g in ((a + 4.0, f), (a, _kelvin(idx, c, s, f))):
+        root = np.sqrt(wrho) * rho ** (0.5 * power)
+        for j, (k, X, Y) in enumerate(_integrand_factors(s, g)):
+            q = np.outer(root, np.sqrt(wth) * c ** (0.5 * k))
+            total[j] += np.sum((q * X) * (q * Y))
+    total *= sphere_area(idx.n)
     C0 = -total[4]  # I5 = -C0 exactly
     return IntegralSet(I=total[:9], C0=C0), total[9:]
 
@@ -426,17 +375,9 @@ def combined_integrals(idx, iset):
     return np.array([first, second, third])
 
 
-def combined_integrals_direct(idx, R=None):
+def combined_integrals_direct(idx):
     """The three combined functionals by direct quadrature of the
     dilation-field-weighted integrands (independent of the nine-integral
-    assembly).
-
-    ``R`` is the truncation radius of the core square [0, R]^2, beyond which
-    a far-field fit takes over; the default is ``_default_radius(idx)``.  It
-    should be a power of two, so that the core grid and the tail arcs share
-    one cached s-rule.  A finite R > 0 is required (else DomainError).  The
-    accuracy falls fast at small R: at (4, 0.8) the worst relative error of
-    the nine integrals over C0 is 1.1 at R = 4, 2.1e-2 at R = 8, 1.3e-3 at
-    R = 16, 5.6e-5 at R = 32 and 1.8e-6 at the default R = 64."""
-    _, combined = _integrals_direct(idx, R=R)
+    assembly), on the unit half-ball and its image under the inversion."""
+    _, combined = _integrals_direct(idx)
     return np.asarray(combined)

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import bubble
-from ._quad import gauss_panels
+from ._quad import halfsphere_rule
 from .errors import DomainError
 from .specfun import constants, sphere_area
 
@@ -36,17 +36,6 @@ __all__ = [
     "dimension_gate",
     "local_sign_bound",
 ]
-
-
-# the half-sphere rule: the order of its six Gauss panels, and its tanh-sinh
-# equator panel: its width in angle, its steps 1/_TS_STEPS from _TS_START,
-# where the weights are below 3e-16 of the panel, and the least distance to
-# the equator it may reach (see _equator_stop)
-_GAUSS_ORDER = 12
-_TS_WIDTH = 0.3
-_TS_STEPS = 12
-_TS_START = -3.2
-_D_MIN = 1e-200
 
 
 @dataclass
@@ -145,52 +134,9 @@ class PowerField:
         return self.value(np.asarray(r, dtype=float), 0.0)
 
 
-def _equator_stop(g):
-    """The last step of the tanh-sinh panel, whose nodes stop at a distance
-    d_stop to the equator.  Near the equator the integrand, the weight
-    d^(1-2g) times the fields' squared normal derivative d^(4g-2) or a
-    bounded factor, grows like d^(a-1), a = min(2g, 2 - 2g), so the dropped
-    tail is O(d_stop^a), below eps at d_stop = eps^(1/a).  For g < 0.04 or
-    g > 0.96 that lies below _D_MIN, which keeps d^(1-2g) and (r d)^(2g-1)
-    within about 1e200, and the tail is left at _D_MIN^a."""
-    a = min(2.0 * g, 2.0 - 2.0 * g)
-    d_stop = max(np.finfo(float).eps ** (1.0 / a), _D_MIN)
-    # d = _TS_WIDTH / (1 + exp(pi sinh t)) >= d_stop
-    return math.floor(_TS_STEPS * math.asinh(math.log(_TS_WIDTH / d_stop) / math.pi))
-
-
-def _halfsphere_rule(idx):
-    """Quadrature for int_0^{pi/2} cos^(1-2g)th sin^(n-1)th h(th) dth,
-    returned as (cos(th), sin(th), weights) with the full weight factor
-    folded in.
-
-    Fields built from the extension have normal derivatives like z^(2g-1)
-    near the trace, so h itself can carry an integrable equator singularity.
-    Six Gauss panels of order _GAUSS_ORDER cover [0, pi/2 - 0.3]; the last 0.3
-    is one tanh-sinh panel (Takahasi and Mori 1974) in the distance
-    d = pi/2 - th to the equator, d = 0.3 / (1 + exp(pi sinh t)) at the steps
-    t = k / 12 in [_TS_START, ``_equator_stop``].  Its nodes cluster doubly
-    exponentially at d = 0, which integrates every power d^(a-1), a > 0,
-    without tuning to the exponent, and cos(th) = sin(d) and
-    sin(th) = cos(d) are formed from d, so the nodes keep full relative
-    accuracy down to d = _D_MIN."""
-    n, g = idx.n, idx.gamma
-    edges = np.linspace(0.0, 0.5 * math.pi - _TS_WIDTH, 7)
-    th, w = gauss_panels(edges, _GAUSS_ORDER)
-    t = np.arange(math.ceil(_TS_START * _TS_STEPS), _equator_stop(g) + 1) / _TS_STEPS
-    e = np.exp(math.pi * np.sinh(t))
-    d = _TS_WIDTH / (1.0 + e)
-    # dd/dt = d pi cosh(t) e / (1 + e), written so that e^2 cannot overflow
-    wd = d * math.pi * np.cosh(t) / (1.0 + 1.0 / e) / _TS_STEPS
-    c = np.concatenate([np.cos(th), np.sin(d)])
-    s = np.concatenate([np.sin(th), np.cos(d)])
-    w = np.concatenate([w, wd])
-    return c, s, w * c ** (1.0 - 2.0 * g) * s ** (n - 1)
-
-
 def weighted_halfsphere_area(idx, r=1.0):
     """oint z^(1-2g) dsigma over the half-sphere of radius r (quadrature)."""
-    w = _halfsphere_rule(idx)[2]
+    w = halfsphere_rule(idx.n, idx.gamma)[3]
     return sphere_area(idx.n) * r ** (idx.n + 1.0 - 2.0 * idx.gamma) * np.sum(w)
 
 
@@ -210,7 +156,7 @@ def _surface_integral(idx, field, r):
     """The weighted half-sphere integral of the dilation-tested bulk terms."""
     n, g = idx.n, idx.gamma
     m = idx.m
-    c, s, w = _halfsphere_rule(idx)
+    _, c, s, w = halfsphere_rule(n, g)
     u, ur, uz = field.value_grad(r * s, r * c)
     # the weight's square root goes into each factor: near the equator the
     # squared normal derivative would overflow where its weighted value does

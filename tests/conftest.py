@@ -10,12 +10,10 @@ from fyk._quad import gauss_panels, graded_edges
 
 @pytest.fixture
 def capped_grid_rules():
-    """The direct route's core rule with its panel widths capped at 1, a
-    drop-in for ``moments._grid_rules``: 480 x 780 points at R = 40 and
-    720 x 1020 at R = 64, against 140 x 242 and 150 x 242 for the geometric
-    grid.  Its z-panels start with Gauss-Legendre at [0, 1e-9], which does
-    not resolve the weight z^(1-2g) for g > 1/2, so it is an oracle for that
-    grid at g <= 1/2, and a fixed, denser point set for the profile tests."""
+    """A fixed, dense tensor grid on [0, R]^2 for the profile tests, as
+    (r, wr, z, wz): Gauss-Legendre panels graded from 0.05 in r and from
+    1e-9 in z, their widths capped at 1; 480 x 780 points at R = 40 and
+    720 x 1020 at R = 64."""
 
     def rules(idx, R):
         r, wr = gauss_panels(graded_edges(0.0, R, 0.05, ratio=1.35, h_max=1.0), 10)

@@ -6,6 +6,7 @@ from scipy import special
 from scipy.linalg import blas
 
 from fyk import bubble, moments, specfun
+from fyk._quad import halfsphere_rule
 from fyk.bubble import BubbleParams, HalfSpacePoint
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import ProblemIndex, constants
@@ -448,8 +449,9 @@ def test_far_points_beyond_the_s_rule_raise():
     with pytest.raises(NumericError):
         bubble.extension(idx, BubbleParams(), _pt(np.zeros(3), 4000.0))
     # the arcs' rule is keyed on the radius, which bounds z as well
-    got = bubble.polar_profiles(idx, far, np.array([0.0, 0.7]))["W"][0]
-    want = bubble.extension_gamma_half(idx, 4000.0 * np.sin([0.0, 0.7]), 4000.0 * np.cos([0.0, 0.7]))
+    d = np.array([0.5 * math.pi, 0.87])
+    got = bubble.polar_profiles(idx, far, d)["W"][0]
+    want = bubble.extension_gamma_half(idx, 4000.0 * np.cos(d), 4000.0 * np.sin(d))
     assert np.abs(got / want - 1.0).max() <= 1e-8
     # within the reach the closed form holds to 1e-8, n = 3..12
     for n in (3, 5, 9, 12):
@@ -493,26 +495,30 @@ def test_reach_check_leaves_the_routes_unchanged(monkeypatch, tmp_path):
 _FIELDS = ("W", "Wr_over_r", "Wz", "lap_tan")
 
 
+def _band(idx):
+    """The direct route's polar band: its arcs, the rho-nodes in
+    [1/32, 1], and the half-sphere rule's angles d to the trace plane."""
+    rho = moments._rho_rule(idx)[0]
+    return rho[rho >= bubble._ORIGIN_RADIUS], halfsphere_rule(idx.n, idx.gamma)[0]
+
+
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8), (5, 0.7), (4, 0.3)])
 def test_polar_profiles_match_tensor_diagonal(n, gamma):
-    # the arcs of the direct route: one radius-scaled s-rule against the
-    # tensor grid on each arc, whose rule is keyed on that arc's radius
+    # the direct route's band: one radius-scaled s-rule against the tensor
+    # grid on each arc, whose rule is keyed on that arc's largest r, which
+    # rounds up to 1 as the band's outer arc does.  The two rules differ at
+    # the Fourier-Bessel accuracy floor, largest for W on the inner arc,
+    # whose scaled rule starts 30 times further out: 8.3e-10 relative at
+    # (4, 0.8), 1.6e-12 at (4, 0.3), at most 2.5e-12 elsewhere
     idx = ProblemIndex(n, gamma)
-    alpha = constants(idx).alpha
-    R = moments._default_radius(idx)
-    arcs = R * moments._ARCS
-    th = moments._tail_theta_rule(gamma)[0]  # all 84 nodes
-    got = bubble.polar_profiles(idx, arcs, th, _FIELDS)
+    arcs, d = _band(idx)
+    got = bubble.polar_profiles(idx, arcs, d, _FIELDS)
     for a, rho in enumerate(arcs):
-        want = bubble.radial_profiles(idx, rho * np.sin(th), rho * np.cos(th), _FIELDS)
-        # the rules share their graded panels at s -> 0 on the outer arc and,
-        # R being a power of two, at R/2 and R/4; elsewhere the two differ at
-        # the Fourier-Bessel accuracy floor (7.3e-10 alpha at (4, 0.8), 0.2 R)
-        same_start = rho in (R, R / 2, R / 4)
-        bound = (1e-15 if same_start else 1e-9) * alpha
+        want = bubble.radial_profiles(idx, rho * np.cos(d), rho * np.sin(d), _FIELDS)
         for k in _FIELDS:
-            assert got[k].shape == (arcs.size, th.size)
-            assert np.abs(got[k][a] - np.diagonal(want[k])).max() <= bound, (rho, k)
+            assert got[k].shape == (arcs.size, d.size)
+            w = np.diagonal(want[k])
+            assert np.all(np.abs(got[k][a] - w) <= 2e-9 * np.abs(w)), (rho, k)
 
 
 @pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (7, 0.25)])
@@ -521,21 +527,24 @@ def test_polar_profiles_resolve_each_arc_or_raise(n, gamma):
     # one: below rho = 1e-4 it left no node where the s-integrand lives
     # (W 100 % off), at 1e-3 it was 1.9e-7 off at (4, 0.3)
     idx = ProblemIndex(n, gamma)
-    th = np.linspace(0.0, 1.5, 13)
+    d = np.linspace(0.5 * math.pi - 1.5, 0.5 * math.pi, 13)
     accepted = []
     for rho in np.logspace(-8.0, 0.0, 33):
         try:
-            got = bubble.polar_profiles(idx, np.array([rho, 1.0]), th, _FIELDS)
+            got = bubble.polar_profiles(idx, np.array([rho, 1.0]), d, _FIELDS)
         except NumericError:
             continue
-        want = bubble.paired_profiles(idx, rho * np.sin(th), rho * np.cos(th), _FIELDS)
+        want = bubble.paired_profiles(idx, rho * np.cos(d), rho * np.sin(d), _FIELDS)
         for k in _FIELDS:
             assert np.abs(got[k][0] - want[k]).max() <= 1e-9 * np.abs(want[k]).max(), (rho, k)
         accepted.append(rho)
     assert 0.05 > min(accepted) > 1e-3
-    # the direct route's arcs span 5:1 and stay within the rule
-    R = moments._default_radius(idx)
-    bubble.polar_profiles(idx, R * moments._ARCS, th, ("W",))
+    # the direct route's band, [1/32, 1], stays within the rule: its inner
+    # arc's scaled first node is 9.2e-4, below _S_FIRST_MAX
+    arcs, d = _band(idx)
+    s0 = bubble._s_nodes(bubble._rmax_key(arcs.max()))[0]
+    assert s0[0] * arcs.max() / arcs.min() <= bubble._S_FIRST_MAX
+    bubble.polar_profiles(idx, arcs, d, ("W",))
 
 
 @pytest.mark.parametrize(
@@ -589,7 +598,7 @@ def test_paired_and_polar_profiles_reject_bad_input():
     with pytest.raises(DomainError):
         bubble.polar_profiles(idx, np.array([]), np.array([0.3]))
     with pytest.raises(DomainError):
-        bubble.polar_profiles(idx, np.array([1.0]), np.array([0.5 * math.pi + 0.1]), ("Wz",))
+        bubble.polar_profiles(idx, np.array([1.0]), np.array([0.0]), ("Wz",))
 
 
 def test_profile_evaluators_reject_unknown_fields():
@@ -676,81 +685,86 @@ def _rounding_floor(s, scale):
 
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8)])
 def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
-    # the capped core grid (every sixth r and every second z node: 120 x 510
-    # points at R = 64, 67 x 350 at R = 32) and the direct route's nine tail
+    # the capped grid (every sixth r and every second z node: 120 x 510
+    # points at R = 64, 67 x 350 at R = 32) and the direct route's band of
     # arcs
     idx = ProblemIndex(n, gamma)
     nu = idx.n / 2.0 - 1.0
     alpha = constants(idx).alpha
-    R = moments._default_radius(idx)
+    R = 32.0 if n - 2.0 * gamma > 4.0 else 64.0
     r, _, z, _ = capped_grid_rules(idx, R)
     r, z = r[::6], z[::2]
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
     got = bubble.radial_profiles(idx, r, z, _FIELDS)
-    # in the streamed order, every dropped term is below 1e-20 alpha; the
-    # columns with s z <= 1/2 at every node keep every term and are summed
-    # from the profiles' series, which moves them at rounding, below
-    cut = z * s[-1] > specfun._T_SERIES
-    assert 20 < np.count_nonzero(~cut) < z.size
+    # in the streamed order, every dropped term is below 1e-20 alpha
     want = _blocked_uncut_sums(idx, s, kw, r, z)
     for k in want:
-        assert np.abs(got[k] - want[k])[:, cut].max() <= 1e-15 * alpha, ("core", k)
+        assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("core", k)
     # against the one-GEMM sum of the same terms, the order of summation
-    # and the series move a field at its rounding floor only: Wz near z = 0
-    # sums large cancelling terms, so this floor is far above 1e-15 alpha
-    # there
+    # moves a field at its rounding floor only: Wz near z = 0 sums large
+    # cancelling terms, so this floor is far above 1e-15 alpha there
     one, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
     for k in one:
         assert np.all(np.abs(got[k] - one[k]) <= _rounding_floor(s, scale[k])), ("order", k)
 
-    arcs = R * moments._ARCS
-    th = moments._tail_theta_rule(gamma)[0]
-    s0, ws0 = bubble._s_nodes(bubble._rmax_key(R))
-    scale = (R / arcs)[:, None]
+    arcs, d = _band(idx)
+    top = arcs.max()
+    s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
+    scale = (top / arcs)[:, None]
     s, kw = scale * s0, bubble._what_weights(idx, scale * s0, scale * ws0)
-    uz = np.outer(R * np.cos(th), s0)
-    Ev, Ev1 = bubble._e_pair(nu, np.outer(R * np.sin(th), s0))
+    uz = np.outer(top * np.sin(d), s0)
+    Ev, Ev1 = bubble._e_pair(nu, np.outer(top * np.cos(d), s0))
     Ph, Php = specfun.profile_phi(idx, uz), specfun.profile_phi_prime(idx, uz)
 
-    def combine(c, K, P):
-        return c @ (K * P).T
-
-    want = {
-        "W": combine(kw, Ev, Ph),
-        "Wr_over_r": combine(-kw * s**2 / (2.0 * (nu + 1.0)), Ev1, Ph),
-        "lap_tan": combine(-kw * s**2, Ev, Ph),
-        "Wz": combine(kw * s, Ev, Php),
+    terms = {
+        "W": (kw, Ev, Ph),
+        "Wr_over_r": (-kw * s**2 / (2.0 * (nu + 1.0)), Ev1, Ph),
+        "lap_tan": (-kw * s**2, Ev, Ph),
+        "Wz": (kw * s, Ev, Php),
+        "Wrz_over_r": (-kw * s**3 / (2.0 * (nu + 1.0)), Ev1, Php),
     }
-    got = bubble.polar_profiles(idx, arcs, th, _FIELDS)
-    for k in _FIELDS:
-        assert np.abs(got[k] - want[k]).max() <= 1e-15 * alpha, ("arcs", k)
+    got = bubble.polar_profiles(idx, arcs, d, tuple(terms))
+    # every term summed in one GEMM against the chunked sums of the cut
+    # terms: near W = alpha the arcs sit at their rounding floor
+    for k, (c, K, P) in terms.items():
+        want, mass = c @ (K * P).T, np.abs(c) @ np.abs(K * P).T
+        assert np.all(np.abs(got[k] - want) <= _rounding_floor(s0, mass)), ("arcs", k)
+
+
+def _series_sums(idx, s, kw, r, z):
+    """The four fields with phi and phi' from their power series
+    (``bubble._profile_series``) in place of the kernel, every term kept,
+    for z with s z <= 1/2 at every node."""
+    nu = idx.n / 2.0 - 1.0
+    c, p = bubble._profile_series(idx.gamma)
+    cp, pp = 0.5 * c * p, p - 1.0  # phi' term by term
+    half = 0.5 * np.outer(s, z)
+    Ph = sum(a * half**e for a, e in zip(c, p))
+    Php = sum(a * half**e for a, e in zip(cp, pp))
+    Ev, Ev1 = bubble._e_pair(nu, np.outer(s, r))
+    coef = {"W": (kw, Ev, Ph), "Wr_over_r": (-kw * s**2 / (2.0 * (nu + 1.0)), Ev1, Ph),
+            "lap_tan": (-kw * s**2, Ev, Ph), "Wz": (kw * s, Ev, Php)}
+    return {k: (K * c[:, None]).T @ P for k, (c, K, P) in coef.items()}
 
 
 @pytest.mark.parametrize("gamma", [0.02, 0.05, 0.5, 0.95, 0.98])
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_series_columns_match_the_kernel_path(n, gamma):
-    # the columns with s z <= 1/2 at every node are summed from the
-    # profiles' series; alone, a column is too few to take that path, so it
-    # is the kernel path's sum.  Near g = 0 and g = 1 the series' two sums
-    # cancel (by a factor of about 50 at t = 1/2); the two stay within 7 %
-    # of the rounding floor of the kernel path's own summation order
+    # the columns with s z <= 1/2 at every node: the kernel path of
+    # radial_profiles against the same sums with the profiles' power series
+    # (the series the origin expansion takes its coefficients from).  Near
+    # g = 0 and g = 1 the series' two sums cancel (by a factor of about 50
+    # at t = 1/2); the two stay within the rounding floor of the kernel
+    # path's own summation order
     idx = ProblemIndex(n, gamma)
     r = np.concatenate([[0.0], np.geomspace(0.01, 8.0, 15)])
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
-    z = np.concatenate([np.geomspace(1e-12, specfun._T_SERIES / s[-1], 24), [0.02, 0.1]])
-    series = z * s[-1] <= specfun._T_SERIES
-    assert np.array_equal(bubble._series_columns(idx, s, z), series)
-    # the series take the path only where they outnumber its terms
-    terms = bubble._profile_series(gamma)[0][1].size
-    assert not bubble._series_columns(idx, s, z[:terms]).any()
-    assert bubble._series_columns(idx, s, z[: terms + 1]).all()
+    z = np.geomspace(1e-12, specfun._T_SERIES / s[-1], 24)
     got = bubble.radial_profiles(idx, r, z, _FIELDS)
+    want = _series_sums(idx, s, kw, r, z)
     _, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
-    for j in np.flatnonzero(series):
-        alone = bubble.radial_profiles(idx, r, z[j : j + 1], _FIELDS)
-        for k in _FIELDS:
-            floor = _rounding_floor(s, scale[k][:, j])
-            assert np.all(np.abs(got[k][:, j] - alone[k][:, 0]) <= floor), (z[j], k)
+    for k in want:
+        assert np.all(np.abs(got[k] - want[k]) <= _rounding_floor(s, scale[k])), k
 
 
 def test_radial_profiles_peak_memory(capped_grid_rules):
@@ -814,3 +828,113 @@ def test_shuffled_z_permutes_the_fields(capped_grid_rules):
     got = bubble.radial_profiles(idx, r, z[perm], _FIELDS)
     for k in _FIELDS:
         assert np.array_equal(got[k], want[k][:, perm]), k
+
+
+# -- the origin expansion -----------------------------------------------------
+
+
+_ALL_FIELDS = _FIELDS + ("Wrz_over_r",)
+
+
+def _polar_points(rho, d):
+    return np.outer(rho, np.cos(d)).ravel(), np.outer(rho, np.sin(d)).ravel()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 16, 20, 24])
+def test_origin_fields_match_the_gamma_half_closed_form(n):
+    # W = alpha (u^2 + r^2)^(-q), u = 1 + z, q = m/2, and its derivatives,
+    # at rho <= 1/32 down to the trace and the axis: within 8.2e-15 (n = 24).
+    # paired_profiles errs by 9.1e-5 there at n = 24
+    idx = ProblemIndex(n, 0.5)
+    rho = np.array([1e-9, 1e-4, 0.01, 0.02, bubble._ORIGIN_RADIUS])
+    r, z = _polar_points(rho, np.array([1e-12, 0.3, 0.8, 1.2, 0.5 * math.pi]))
+    got = bubble._origin_fields(idx, r, z, _ALL_FIELDS)
+    alpha, q = constants(idx).alpha, idx.m / 2.0
+    u = 1.0 + z
+    den = u**2 + r**2
+    W = alpha * den ** (-q)
+    Wr_over_r = -2.0 * q * W / den
+    Wz = u * Wr_over_r
+    Wzz = Wr_over_r + 4.0 * q * (q + 1.0) * u * u * W / den**2
+    want = {
+        "W": W,
+        "Wr_over_r": Wr_over_r,
+        "Wz": Wz,
+        "lap_tan": -Wzz,  # W is harmonic at g = 1/2
+        "Wrz_over_r": 4.0 * q * (q + 1.0) * u * W / den**2,
+    }
+    for k in _ALL_FIELDS:
+        assert np.all(np.abs(got[k] / want[k] - 1.0) <= 1e-14), k
+
+
+@pytest.mark.parametrize("n,gamma", [(3, 0.2), (4, 0.8), (5, 0.7), (7, 0.25)])
+def test_origin_fields_match_paired_profiles(n, gamma):
+    # the two routes agree where both hold, away from the trace: within
+    # 2.3e-13 at rho <= 1/32 for n <= 5 and 6.8e-12 (Wrz_over_r) at
+    # (7, 0.25), the Fourier-Bessel floor
+    idx = ProblemIndex(n, gamma)
+    r, z = _polar_points(np.array([0.005, 0.02, 0.031]), np.array([0.05, 0.5, 1.0, 1.5]))
+    got = bubble._origin_fields(idx, r, z, _ALL_FIELDS)
+    want = bubble.paired_profiles(idx, r, z, _ALL_FIELDS)
+    assert tuple(got) == tuple(want)
+    for k in _ALL_FIELDS:
+        assert np.abs(got[k] - want[k]).max() <= 1e-11 * np.abs(want[k]).max(), k
+
+
+def test_origin_fields_raise_beyond_their_radius():
+    idx = ProblemIndex(4, 0.3)
+    edge = bubble._ORIGIN_RADIUS
+    bubble._origin_fields(idx, np.array([edge]), np.array([0.0]), ("W",))
+    with pytest.raises(NumericError):
+        bubble._origin_fields(idx, np.array([0.03]), np.array([0.01]), ("W",))
+    with pytest.raises(DomainError):
+        bubble._origin_fields(idx, np.array([0.01]), np.array([0.0]), ("Wz",))
+
+
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (12, 0.7)])
+def test_wrz_over_r_is_the_z_derivative_of_wr_over_r(n, gamma):
+    # a central difference of Wr_over_r, step 1e-4 z, against the new field,
+    # on both the Fourier-Bessel and the origin routes
+    idx = ProblemIndex(n, gamma)
+    for r, z, route in [
+        (np.array([0.0, 0.4, 1.5, 3.0]), np.array([0.2, 0.7, 0.05, 1.3]), bubble.paired_profiles),
+        (np.array([0.0, 0.01, 0.02]), np.array([0.02, 0.005, 0.01]), bubble._origin_fields),
+    ]:
+        h = 1e-4 * z
+        up, down = (route(idx, r, z + e, ("Wr_over_r",))["Wr_over_r"] for e in (h, -h))
+        got = route(idx, r, z, ("Wrz_over_r",))["Wrz_over_r"]
+        assert np.all(np.abs(got - (up - down) / (2.0 * h)) <= 1e-6 * np.abs(got)), route
+
+
+@pytest.mark.parametrize("n,gamma", [(1, 0.01), (1, 0.45), (2, 0.55), (2, 0.7)])
+def test_fourier_bessel_raises_below_n_minus_2g_one(n, gamma):
+    # where n - 2g < 1 the s-integrand's factor s^(n-1-2g) is singular at
+    # s = 0 and the s-rule misses it: against the Poisson route on
+    # r in {0, 0.7, 3} and z in {0.1, 0.5, 2} these indices erred by 2.4e-4,
+    # 0.33, 1.5e-5 and 1.1e-3.  Every Fourier-Bessel evaluator raises; the
+    # Poisson route still takes the index
+    idx = ProblemIndex(n, gamma)
+    pts = np.array([0.2, 1.0])
+    calls = [
+        lambda: bubble.radial_profiles(idx, pts, pts),
+        lambda: bubble.paired_profiles(idx, pts, pts),
+        lambda: bubble.polar_profiles(idx, pts, pts),
+        lambda: bubble.neumann_trace(idx, BubbleParams(), np.full(n, 0.3)),
+        lambda: bubble.extension(idx, BubbleParams(), _pt(np.full(n, 0.3), 0.5)),
+    ]
+    for call in calls:
+        with pytest.raises(NumericError, match="n - 2 gamma"):
+            call()
+    x = _pt(np.full(n, 0.3), 0.5)
+    assert math.isfinite(bubble.extension(idx, BubbleParams(), x, route="poisson_kernel"))
+
+
+@pytest.mark.parametrize("n,gamma", [(2, 0.45), (3, 0.95), (3, 0.99), (2, 0.5)])
+def test_fourier_bessel_holds_at_n_minus_2g_one_and_above(n, gamma):
+    # on the other side of the line the route holds within 2.2e-6 of the
+    # Poisson route on the same points
+    idx = ProblemIndex(n, gamma)
+    r, z = np.array([0.0, 0.7, 3.0]), np.array([0.1, 0.5, 2.0])
+    fb = bubble.radial_profiles(idx, r, z)["W"]
+    po = np.array([[bubble._extension_poisson(idx, a, b) for b in z] for a in r])
+    assert np.abs(fb / po - 1.0).max() <= 2.5e-6

@@ -40,18 +40,45 @@ def test_integrals_pass_and_tolerance_breach(capsys):
 
 
 def test_integrals_direct_route_meets_tol_at_3_045():
-    # the nine-exponent tail fit brings (3, 0.45) to about 2.5e-6
+    # the half-ball route brings (3, 0.45) to 6.4e-12 relative
     argv = ["integrals", "--n", "3", "--gamma", "0.45", "--method", "direct_2d", "--tol", "1e-4"]
     assert run(argv) == 0
 
 
 @pytest.mark.parametrize("n,gamma", [(5, 0.9), (10, 0.9)])
 def test_integrals_direct_route_meets_tol_for_singular_weight(n, gamma):
-    # the Gauss-Jacobi first z-panel resolves the weight z^(1-2g) for g > 1/2
-    # (worst residual 1.4e-7 at (5, 0.9) and 1e-12 at (10, 0.9); the Legendre
-    # start it replaced left 9.1e-2 and 2.6e-1)
+    # the half-sphere rule's tanh-sinh equator panel resolves the weight
+    # z^(1-2g), singular at the trace for g > 1/2
     argv = ["integrals", "--n", str(n), "--gamma", str(gamma), "--method", "direct_2d"]
     assert run(argv + ["--tol", "1e-4"]) == 0
+
+
+def test_integrals_direct_route_at_4_099(capsys):
+    # the half-sphere rule stops at d = 1e-200 for g > 0.96 (see
+    # _quad._equator_stop), which leaves 7.5e-5 relative at (4, 0.99), a worst
+    # absolute residual of 1.13e-2 (I2), so the run reports a breach
+    argv = ["integrals", "--n", "4", "--gamma", "0.99", "--method", "direct_2d"]
+    assert run(argv + ["--tol", "1e-4"]) == 3
+    out = capsys.readouterr().out
+    assert "worst residual 1.129e-02" in out
+    rows = [line.split(",") for line in out.splitlines()[1:10]]
+    worst = max(abs(float(got) / float(want) - 1.0) for _, got, want, _ in rows)
+    assert 7e-5 <= worst <= 8e-5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "green", "--n", "3", "--gamma", "0.5"],
+        ["solve", "lambda1", "--n", "3", "--gamma", "0.5"],
+        ["solve", "linearized", "--n", "4", "--gamma", "0.3"],
+    ],
+)
+def test_resolution_below_8_is_a_usage_error(argv, capsys):
+    # the three subcommands that read a resolution each declare their own
+    # default; below 8 cells per axis the run stops before any solve
+    assert run(argv + ["--resolution", "4"]) == 1
+    assert "resolution must be at least 8" in capsys.readouterr().err
 
 
 def test_integrals_rejects_divergent_index():

@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 
 from fyk import bubble, moments, specfun
-from fyk._quad import gauss_panels
+from fyk._quad import gauss_panels, graded_edges, jacobi_end_panel
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import (
     ProblemIndex,
@@ -206,13 +206,11 @@ def _live_entries(idx, s, kw, s0, z):
 
 
 def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
-    # the nine tail arcs share one kernel and profile evaluation, and the
-    # decay cut evaluates only the s-terms that can matter: phi and phi' come
-    # together from profile_phi_pair, which sees each live (s, z) point of
-    # the core grid's kernel columns (over several calls, one per block of
-    # s-rows) and of the arcs' (s', theta) grid exactly once, and SciPy's kv
-    # is never called
-    R = 8.0
+    # the half-ball's arcs at rho >= 1/32 share one kernel and profile
+    # evaluation, polar_profiles rescaling one s-rule to each radius: phi and
+    # phi' come together from profile_phi_pair, which sees each live (s', d)
+    # point of that band exactly once; the arcs inside 1/32 take the origin
+    # expansion and evaluate no profile, and SciPy's kv is never called
     idx = ProblemIndex(5, 0.7)
     seen = {"profile_phi_pair": [], "profile_phi": []}
     for name in seen:
@@ -231,46 +229,38 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
         return kv(order, t)
 
     monkeypatch.setattr(special, "kv", kv_spy)
-    polar_args = []
-    polar = bubble.polar_profiles
+    calls = {"polar_profiles": [], "_origin_fields": []}
+    for name in calls:
+        original = getattr(bubble, name)
 
-    def polar_spy(idx, rho, theta, fields):
-        polar_args.append((rho, theta, len(seen["profile_phi_pair"])))
-        return polar(idx, rho, theta, fields)
+        def field_spy(idx, a, b, fields, original=original, name=name):
+            calls[name].append((a, b))
+            return original(idx, a, b, fields)
 
-    monkeypatch.setattr(bubble, "polar_profiles", polar_spy)
-    moments._integrals_direct(idx, R=R)
+        monkeypatch.setattr(bubble, name, field_spy)
+    moments._integrals_direct(idx)
 
-    r, _, z, _ = moments._grid_rules(idx, R)
-    s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
-    # the columns with s z <= 1/2 at every node are summed from the
-    # profiles' series and evaluate no profile point
-    series = z * s[-1] <= specfun._T_SERIES
-    assert np.count_nonzero(series) > 20
-    core = _live_entries(idx, s, kw, s, z[~series])
-    [(arcs, th, split)] = polar_args
+    rho = moments._rho_rule(idx)[0]
+    band = rho >= bubble._ORIGIN_RADIUS
+    [(arcs, d)] = calls["polar_profiles"]
+    assert np.array_equal(arcs, rho[band])
+    [(r, z)] = calls["_origin_fields"]
+    assert r.shape == z.shape == (np.count_nonzero(~band), d.size)
     top = arcs.max()
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
     scale = (top / arcs)[:, None]
     kw = bubble._what_weights(idx, scale * s0, scale * ws0)
-    tail = _live_entries(idx, scale * s0, kw, s0, top * np.cos(th))
-    calls = seen["profile_phi_pair"]
+    live = _live_entries(idx, scale * s0, kw, s0, top * np.sin(d))
     assert seen["profile_phi"] == []
-    assert split > 1  # the core grid streams its s-rows in blocks
-    got = np.concatenate(calls[:split])
-    # the live entries of the kernel columns alone, none of the series'
-    assert got.size == core.size
-    assert np.array_equal(np.sort(got), np.sort(core))
-    got = np.concatenate(calls[split:])
-    assert got.size == tail.size
-    assert np.array_equal(np.sort(got), np.sort(tail))
+    got = np.concatenate(seen["profile_phi_pair"])
+    assert got.size == live.size
+    assert np.array_equal(np.sort(got), np.sort(live))
     assert kv_args == []
 
 
 def test_direct_route_profile_points(monkeypatch):
-    # the core grid's columns near the trace are summed from the profiles'
-    # series, so at (4, 0.8) the route evaluates 0.47 M profile points, core
-    # and arcs, where evaluating every live point took 1.22 M
+    # only the band rho >= 1/32 of the half-ball evaluates profiles, once
+    # for all its arcs: at (4, 0.8) 0.12 M points
     points = []
     pair = bubble.profile_phi_pair
 
@@ -280,7 +270,20 @@ def test_direct_route_profile_points(monkeypatch):
 
     monkeypatch.setattr(bubble, "profile_phi_pair", spy)
     moments._integrals_direct(ProblemIndex(4, 0.8))
-    assert 0 < sum(points) <= 0.65e6
+    assert 0 < sum(points) <= 0.13e6
+
+
+# ten times the half-ball route's measured error, per index
+_DIRECT_BOUNDS = {
+    (7, 0.25): 4.5e-15,  # measured 4.4e-16
+    (4, 0.3): 1.2e-12,  # 1.1e-13
+    (3, 0.45): 3.5e-11,  # 3.5e-12
+    (4, 0.5): 4.5e-15,  # 4.4e-16
+    (10, 0.9): 8.9e-15,  # 8.9e-16
+    (5, 0.9): 4.4e-13,  # 4.3e-14
+    (6, 0.75): 6.7e-15,  # 6.7e-16
+    (4, 0.95): 7.5e-11,  # 7.5e-12
+}
 
 
 @pytest.mark.parametrize(
@@ -297,94 +300,162 @@ def test_direct_route_profile_points(monkeypatch):
     ],
 )
 def test_direct_route_accuracy(n, gamma, bound):
-    # the tail fit carries the nine far-field exponents, the pairwise sums of
-    # 0, 2g, 2 - 2g and 2; R = 32 where n - 2g > 4, else 64.  For g > 1/2 the
-    # core grid's Gauss-Jacobi first z-panel carries the weight z^(1-2g): the
-    # Legendre start it replaced left 6.5e-3 at (10, 0.9), 4.6e-3 at (5, 0.9),
-    # 1.9e-6 at (6, 0.75) and 1.8e-2 at (4, 0.95)
+    # ``bound`` is the bound the core-square route met; the half-ball route
+    # meets the tighter one of _DIRECT_BOUNDS
+    tight = _DIRECT_BOUNDS[(n, gamma)]
+    assert tight <= bound
     idx = ProblemIndex(n, gamma)
     iset = moments.compute_integrals(idx, method="direct_2d")
     want = moments.closed_form_ratios(idx)
-    assert np.abs(iset.I / iset.C0 / want - 1.0).max() <= bound
+    assert np.abs(iset.I / iset.C0 / want - 1.0).max() <= tight
 
 
-def test_tail_exponents_are_the_pairwise_sums():
-    g = 0.3
-    want = [0.0, 2 * g, 4 * g, 2 - 2 * g, 2.0, 2 + 2 * g, 4 - 4 * g, 4 - 2 * g, 4.0]
-    assert np.allclose(moments._tail_exponents(g), sorted(want), rtol=0.0, atol=1e-12)
-    # coinciding exponents merge: at g = 1/2 the set is 0, 1, 2, 3, 4
-    assert np.array_equal(moments._tail_exponents(0.5), [0.0, 1.0, 2.0, 3.0, 4.0])
+@pytest.mark.parametrize("n,gamma", [(6, 0.05), (5, 0.02), (24, 0.5)])
+def test_direct_route_is_finite_at_the_edges(n, gamma):
+    # at (6, 0.05) the half-sphere rule reaches cos(theta) = 8e-155, where
+    # Wz is about 1e146 and Wz^2 would overflow; at (24, 0.5) rho^-54 would
+    # overflow at rho = 3e-7.  Each weight's square root goes into each
+    # factor, and each integrand's power of rho is one exponent
+    import warnings
+
+    idx = ProblemIndex(n, gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iset, combined = moments._integrals_direct(idx)
+    got = np.concatenate([iset.I / iset.C0, combined / iset.C0])
+    want = np.concatenate([moments.closed_form_ratios(idx), moments.combined_ratios(idx)])
+    assert np.all(np.isfinite(got))
+    assert np.abs(got / want - 1.0).max() <= 1e-9
 
 
-def test_default_radius_keys_the_s_rule_at_r():
-    # the core grid's largest r and the outer tail arc round up to the same
-    # power of two, R itself, so the whole route shares one s-rule
-    for n, gamma, R in [(7, 0.25, 32.0), (12, 0.7, 32.0), (4, 0.8, 64.0), (3, 0.45, 64.0)]:
-        idx = ProblemIndex(n, gamma)
-        assert moments._default_radius(idx) == R
-        r = moments._grid_rules(idx, R)[0]
-        assert bubble._rmax_key(r.max()) == R
-        assert bubble._rmax_key(R * moments._ARCS.max()) == R
+def _image_fields(idx, y_r, y_z):
+    """The fields at x = y/|y|^2 from ``moments._kelvin`` of the fields at
+    the points y, unscaled: W, Wr_over_r, Wz and lap_tan."""
+    rho = np.hypot(y_r, y_z)
+    c, s = y_z / rho, y_r / rho
+    f = bubble.paired_profiles(idx, y_r, y_z, moments._FIELDS)
+    scaled = {"W": f["W"], "R": rho**2 * f["Wr_over_r"], "Z": rho * f["Wz"],
+              "L": rho**2 * f["lap_tan"], "T": rho**3 * f["Wrz_over_r"]}
+    scaled["Q"] = s * s * scaled["R"] + c * scaled["Z"] + 0.5 * idx.m * f["W"]
+    g = moments._kelvin(idx, c, s, scaled)
+    # the scale-free fields at x are |y|^m times these, and |x| = 1/|y|
+    x_rho, q = 1.0 / rho, rho**idx.m
+    return {"W": q * g["W"], "Wr_over_r": q * g["R"] / x_rho**2, "Wz": q * g["Z"] / x_rho,
+            "lap_tan": q * g["L"] / x_rho**2, "Z0": q * g["Q"]}
+
+
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (7, 0.25), (4, 0.95)])
+def test_kelvin_map_matches_the_fields_at_the_image(n, gamma):
+    # the exterior integrands take the fields at x = y/|y|^2 from those at
+    # y; against paired_profiles evaluated at x itself, for |y| in [1/2, 1]
+    idx = ProblemIndex(n, gamma)
+    rho = np.array([0.5, 0.7, 1.0])
+    d = np.array([0.01, 0.3, 0.8, 1.3, 1.56])
+    y_r, y_z = np.outer(rho, np.cos(d)).ravel(), np.outer(rho, np.sin(d)).ravel()
+    got = _image_fields(idx, y_r, y_z)
+    x_r, x_z = y_r / (y_r**2 + y_z**2), y_z / (y_r**2 + y_z**2)
+    want = bubble.paired_profiles(idx, x_r, x_z, ("W", "Wr_over_r", "Wz", "lap_tan"))
+    want["Z0"] = bubble.dilation_field(idx, x_r, x_z, want)
+    for k, v in want.items():
+        assert np.abs(got[k] - v).max() <= 1e-9 * np.abs(v).max(), k
 
 
 @pytest.mark.parametrize("R", [0.0, -8.0, math.nan, math.inf, -math.inf])
 def test_direct_route_rejects_bad_radius(R):
+    # the half-ball route has no truncation radius, so every R is a bad
+    # one: a caller that still passes it fails loudly instead of having it
+    # ignored
     idx = ProblemIndex(5, 0.7)
-    with pytest.raises(DomainError, match="truncation radius R"):
+    with pytest.raises(TypeError):
         moments.combined_integrals_direct(idx, R=R)
 
 
 @pytest.mark.parametrize("gamma", [0.05, 0.5, 0.8, 0.95])
 def test_first_z_panel_integrates_the_weight_exactly(gamma):
-    # the 12 nodes of the core grid's first z-panel integrate z^(1-2g) z^k
-    # exactly for k <= 23; its weights are divided by the weight function.
-    # Exactly means to the digits of SciPy's nodes x on [-1, 1]: the
-    # distance 1 - x to the singular end keeps an absolute error of about
-    # eps, which at g = 0.95 is 1e-13 relative at the nearest node
-    # (1 - x = 1.4e-3); measured 1.1e-13 there, at most 3.4e-14 elsewhere
-    idx, h = ProblemIndex(4, gamma), moments._Z_FIRST
-    _, _, z, wz = moments._grid_rules(idx, 64.0)
-    first = z <= h
-    x, w = z[first] / h, wz[first] / h  # the panel on [0, 1]
+    # the 12 nodes of a Gauss-Jacobi panel in the weight z^(1-2g) (the
+    # equator's weight) integrate z^(1-2g) z^k exactly for k <= 23; its
+    # weights are divided by the weight function.  Exactly means to the
+    # digits of SciPy's nodes x on [-1, 1]: the distance 1 - x to the
+    # singular end keeps an absolute error of about eps, which at g = 0.95
+    # is 1e-13 relative at the nearest node (1 - x = 1.4e-3); measured
+    # 1.1e-13 there, at most 3.4e-14 elsewhere
+    h = 1e-6
+    z, wz = jacobi_end_panel(h, 1.0 - 2.0 * gamma)
+    x, w = z / h, wz / h  # the panel on [0, 1]
     a = 1.0 - 2.0 * gamma
     for k in range(24):
         want = 1.0 / (a + k + 1.0)  # int_0^1 x^a x^k dx
         assert abs(w @ x ** (a + k) / want - 1.0) <= 2e-13, k
 
 
+@pytest.mark.parametrize("n,gamma", [(3, 0.45), (4, 0.95), (4, 0.5), (7, 0.25), (24, 0.5)])
+def test_first_rho_panel_integrates_the_weight_exactly(n, gamma):
+    # the rho-rule's first panel, in the exterior integrands' weight
+    # rho^(n-3-2g), integrates rho^(n-3-2g) rho^k exactly for k <= 23
+    idx, h = ProblemIndex(n, gamma), moments._RHO_FIRST
+    rho, w = moments._rho_rule(idx)
+    first = rho <= h
+    assert np.count_nonzero(first) == 12
+    x, w = rho[first] / h, w[first] / h
+    a = n - 3.0 - 2.0 * gamma
+    for k in range(24):
+        want = 1.0 / (a + k + 1.0)
+        assert abs(w @ x ** (a + k) / want - 1.0) <= 2e-13, k
+
+
 def test_core_grid_cost(monkeypatch):
-    # the cost of the direct route's core grid, whose z-columns each take a
-    # profile sum over the s-rule: at most 250 z-columns at R = 64 (242 now,
-    # 320 before the Gauss-Jacobi first panel), 12 of them on that panel
-    class Stop(Exception):
-        pass
+    # the cost of the direct route: 282 rho-nodes (12 on the Gauss-Jacobi
+    # panel, then 27 Gauss panels of 10) times the 148-179 angles of the
+    # half-sphere rule.  Of the rho-nodes 55 lie in [1/32, 1] and take one
+    # polar_profiles band; the other 227 take the origin expansion
+    calls = {}
+    for name in ("polar_profiles", "_origin_fields"):
+        original = getattr(bubble, name)
 
-    calls = []
+        def spy(idx, a, b, fields, original=original, name=name):
+            calls[name] = (np.shape(a), np.shape(b))
+            return original(idx, a, b, fields)
 
-    def spy(idx, r, z, fields):
-        calls.append(z)
-        raise Stop
-
-    monkeypatch.setattr(bubble, "radial_profiles", spy)
+        monkeypatch.setattr(bubble, name, spy)
     idx = ProblemIndex(4, 0.8)
-    assert moments._default_radius(idx) == 64.0
-    with pytest.raises(Stop):
-        moments._integrals_direct(idx)
-    [z] = calls
-    assert z.size <= 250
-    assert np.count_nonzero(z <= moments._Z_FIRST) == 12
+    moments._integrals_direct(idx)
+    (arcs,), (angles,) = calls["polar_profiles"]
+    assert (arcs, angles) == (55, 159)
+    assert calls["_origin_fields"] == ((227, 159), (227, 159))
 
 
-def test_geometric_core_grid_matches_the_capped_grid(monkeypatch, capped_grid_rules):
-    # panels that grow geometrically all the way to R give the totals of
-    # the capped grid, with 140 x 242 core points instead of 480 x 780
-    idx, R = ProblemIndex(7, 0.25), 40.0
-    r, _, z, _ = moments._grid_rules(idx, R)
-    rc, _, zc, _ = capped_grid_rules(idx, R)
-    assert (r.size, z.size, rc.size, zc.size) == (140, 242, 480, 780)
-    iset, combined = moments._integrals_direct(idx, R=R)
-    got = np.concatenate([iset.I, combined])
-    monkeypatch.setattr(moments, "_grid_rules", capped_grid_rules)
-    iset, combined = moments._integrals_direct(idx, R=R)
-    want = np.concatenate([iset.I, combined])
-    assert np.abs(got / want - 1.0).max() <= 1e-13
+def test_half_ball_band_keys_one_s_rule(monkeypatch):
+    # every arc of the band rescales the s-rule of its outer arc, rho < 1,
+    # whose key is 1: the route builds one s-rule and no other
+    keys = []
+    nodes = bubble._s_nodes
+
+    def spy(key):
+        keys.append(key)
+        return nodes(key)
+
+    monkeypatch.setattr(bubble, "_s_nodes", spy)
+    for n, gamma in [(7, 0.25), (12, 0.7), (4, 0.8), (3, 0.45)]:
+        moments._integrals_direct(ProblemIndex(n, gamma))
+    assert keys == [1.0] * 4
+
+
+def test_rho_rule_matches_a_finer_rule(monkeypatch):
+    # the rho-panels of ratio 2 and 10 nodes give the totals of panels of
+    # ratio 1.5 and 12 nodes (540 nodes instead of 282)
+    def finer(idx):
+        d, wd = jacobi_end_panel(moments._RHO_FIRST, idx.n - 3.0 - 2.0 * idx.gamma)
+        edges = graded_edges(moments._RHO_FIRST, 1.0, moments._RHO_FIRST, ratio=1.5)
+        rho, w = gauss_panels(edges, 12)
+        return np.concatenate([d[::-1], rho]), np.concatenate([wd[::-1], w])
+
+    for n, gamma in [(7, 0.25), (4, 0.3)]:
+        idx = ProblemIndex(n, gamma)
+        iset, combined = moments._integrals_direct(idx)
+        got = np.concatenate([iset.I, combined])
+        with monkeypatch.context() as m:
+            m.setattr(moments, "_rho_rule", finer)
+            assert finer(idx)[0].size == 540
+            iset, combined = moments._integrals_direct(idx)
+        want = np.concatenate([iset.I, combined])
+        assert np.abs(got / want - 1.0).max() <= 1e-13

@@ -1,6 +1,6 @@
 import numpy as np
 
-from fyk._quad import gauss_panels, graded_edges
+from fyk._quad import gauss_panels, graded_edges, halfsphere_rule
 
 
 def test_gauss_panels_polynomial_exactness():
@@ -34,3 +34,15 @@ def test_graded_integral_of_singular_power():
     x, w = gauss_panels(e, order=10)
     got = float(np.sum(w / np.sqrt(x)))
     assert abs(got - 2.0) <= 1e-6
+
+
+def test_halfsphere_rule_angles_agree():
+    # the rule gives the distance d to the equator with cos(theta) and
+    # sin(theta): formed from d on the tanh-sinh panel, so there they are
+    # sin(d) and cos(d) exactly, and within rounding on the Gauss panels
+    d, c, s, w = halfsphere_rule(4, 0.8)
+    assert d.shape == c.shape == s.shape == w.shape
+    assert np.all(np.abs(c - np.sin(d)) <= 2e-16) and np.all(np.abs(s - np.cos(d)) <= 2e-16)
+    ts = d < 0.3
+    assert np.array_equal(c[ts], np.sin(d[ts])) and np.array_equal(s[ts], np.cos(d[ts]))
+    assert d.min() > 0.0 and (w > 0.0).all()
