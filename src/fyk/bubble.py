@@ -577,12 +577,14 @@ def paired_profiles(idx, r, z, fields=("W",)):
     return _paired_fields(idx, s, kw, s, r, z, fields)
 
 
-def polar_profiles(idx, rho, d, fields=("W",)):
+def polar_profiles(idx, rho, *, d, fields=("W",)):
     """The fields of ``radial_profiles`` on arcs: at (r, z) =
     (rho[a] cos d[t], rho[a] sin d[t]), as (len(rho), len(d)) arrays, where
     d is the angle to the trace plane.  ``rho`` > 0 and 0 <= ``d`` <= pi/2
     (> 0 for the fields on phi').  The angle is measured from the trace so
-    that z = rho sin d keeps its digits next to it.
+    that z = rho sin d keeps its digits next to it; ``d`` and ``fields`` are
+    keyword-only, so a call that passes the polar angle from the z-axis in
+    their place fails instead of mirroring the arcs.
 
     With s = s'/rho every arc shares the kernel and profile values
     e_nu(s' cos d) and phi(s' sin d); only the what-weights depend on rho

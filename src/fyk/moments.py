@@ -283,12 +283,12 @@ def _half_ball_fields(idx, rho, d, c, s):
     one polar_profiles band above."""
     inner = rho < bubble._ORIGIN_RADIUS
     near = bubble._origin_fields(idx, np.outer(rho[inner], s), np.outer(rho[inner], c), _FIELDS)
-    far = bubble.polar_profiles(idx, rho[~inner], d, _FIELDS)
+    far = bubble.polar_profiles(idx, rho[~inner], d=d, fields=_FIELDS)
     f = {k: np.concatenate([near[k], far[k]]) for k in _FIELDS}
     p = rho[:, None]
-    W, R, Z, L = f["W"], p**2 * f["Wr_over_r"], p * f["Wz"], p**2 * f["lap_tan"]
-    return {"W": W, "R": R, "Z": Z, "L": L, "T": p**3 * f["Wrz_over_r"],
-            "Wrr": L - (idx.n - 1.0) * R, "Q": s * s * R + c * Z + 0.5 * idx.m * W}
+    R, L = p**2 * f["Wr_over_r"], p**2 * f["lap_tan"]
+    return {"W": f["W"], "R": R, "Z": p * f["Wz"], "L": L, "T": p**3 * f["Wrz_over_r"],
+            "Wrr": L - (idx.n - 1.0) * R, "Q": bubble.dilation_field(idx, p * s, p * c, f)}
 
 
 def _kelvin(idx, c, s, f):

@@ -6,7 +6,7 @@ from scipy import special
 from scipy.linalg import blas
 
 from fyk import bubble, moments, specfun
-from fyk._quad import halfsphere_rule
+from fyk._quad import gauss_panels, halfsphere_rule, jacobi_end_panel
 from fyk.bubble import BubbleParams, HalfSpacePoint
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import ProblemIndex, constants
@@ -450,7 +450,7 @@ def test_far_points_beyond_the_s_rule_raise():
         bubble.extension(idx, BubbleParams(), _pt(np.zeros(3), 4000.0))
     # the arcs' rule is keyed on the radius, which bounds z as well
     d = np.array([0.5 * math.pi, 0.87])
-    got = bubble.polar_profiles(idx, far, d)["W"][0]
+    got = bubble.polar_profiles(idx, far, d=d)["W"][0]
     want = bubble.extension_gamma_half(idx, 4000.0 * np.cos(d), 4000.0 * np.sin(d))
     assert np.abs(got / want - 1.0).max() <= 1e-8
     # within the reach the closed form holds to 1e-8, n = 3..12
@@ -493,6 +493,7 @@ def test_reach_check_leaves_the_routes_unchanged(monkeypatch, tmp_path):
 
 
 _FIELDS = ("W", "Wr_over_r", "Wz", "lap_tan")
+_ALL_FIELDS = _FIELDS + ("Wrz_over_r",)
 
 
 def _band(idx):
@@ -500,6 +501,20 @@ def _band(idx):
     [1/32, 1], and the half-sphere rule's angles d to the trace plane."""
     rho = moments._rho_rule(idx)[0]
     return rho[rho >= bubble._ORIGIN_RADIUS], halfsphere_rule(idx.n, idx.gamma)[0]
+
+
+def _tail_arcs(idx):
+    """Nine arcs R [0.2, ..., 1] spanning 5:1, R = 32 where n - 2g > 4 and
+    64 otherwise, and 84 angles d to the trace plane: six 12-node Gauss
+    panels graded toward the trace by 0.55 from pi/4 and one 12-node
+    Gauss-Jacobi panel in d^(1-2g) below them.  The outer arc is a power
+    of two, so a tensor grid whose largest r rounds up to R shares its
+    s-rule, and so do R/2 and R/4."""
+    R = 32.0 if idx.n - 2.0 * idx.gamma > 4.0 else 64.0
+    arcs = R * np.array([0.2, 0.25, 0.28, 0.33, 0.4, 0.5, 0.63, 0.8, 1.0])
+    dist = 0.25 * math.pi * 0.55 ** np.arange(6)
+    d = gauss_panels(np.concatenate([dist[::-1], [0.5 * math.pi]]), 12)[0]
+    return arcs, np.concatenate([d, jacobi_end_panel(dist[-1], 1.0 - 2.0 * idx.gamma)[0]])
 
 
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8), (5, 0.7), (4, 0.3)])
@@ -512,13 +527,25 @@ def test_polar_profiles_match_tensor_diagonal(n, gamma):
     # (4, 0.8), 1.6e-12 at (4, 0.3), at most 2.5e-12 elsewhere
     idx = ProblemIndex(n, gamma)
     arcs, d = _band(idx)
-    got = bubble.polar_profiles(idx, arcs, d, _FIELDS)
+    got = bubble.polar_profiles(idx, arcs, d=d, fields=_FIELDS)
     for a, rho in enumerate(arcs):
         want = bubble.radial_profiles(idx, rho * np.cos(d), rho * np.sin(d), _FIELDS)
         for k in _FIELDS:
             assert got[k].shape == (arcs.size, d.size)
             w = np.diagonal(want[k])
             assert np.all(np.abs(got[k][a] - w) <= 2e-9 * np.abs(w)), (rho, k)
+    # arcs out to R: the rules share their graded panels at s -> 0 on the
+    # outer arc and at R/2 and R/4; elsewhere the two differ at the
+    # Fourier-Bessel accuracy floor (7.3e-10 alpha at (4, 0.8), 0.2 R)
+    alpha = constants(idx).alpha
+    arcs, d = _tail_arcs(idx)
+    got = bubble.polar_profiles(idx, arcs, d=d, fields=_FIELDS)
+    for a, rho in enumerate(arcs):
+        want = bubble.radial_profiles(idx, rho * np.cos(d), rho * np.sin(d), _FIELDS)
+        bound = (1e-15 if rho in arcs[-1] / np.array([1.0, 2.0, 4.0]) else 1e-9) * alpha
+        for k in _FIELDS:
+            assert got[k].shape == (arcs.size, d.size)
+            assert np.abs(got[k][a] - np.diagonal(want[k])).max() <= bound, (rho, k)
 
 
 @pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (7, 0.25)])
@@ -531,7 +558,7 @@ def test_polar_profiles_resolve_each_arc_or_raise(n, gamma):
     accepted = []
     for rho in np.logspace(-8.0, 0.0, 33):
         try:
-            got = bubble.polar_profiles(idx, np.array([rho, 1.0]), d, _FIELDS)
+            got = bubble.polar_profiles(idx, np.array([rho, 1.0]), d=d, fields=_FIELDS)
         except NumericError:
             continue
         want = bubble.paired_profiles(idx, rho * np.cos(d), rho * np.sin(d), _FIELDS)
@@ -544,7 +571,7 @@ def test_polar_profiles_resolve_each_arc_or_raise(n, gamma):
     arcs, d = _band(idx)
     s0 = bubble._s_nodes(bubble._rmax_key(arcs.max()))[0]
     assert s0[0] * arcs.max() / arcs.min() <= bubble._S_FIRST_MAX
-    bubble.polar_profiles(idx, arcs, d, ("W",))
+    bubble.polar_profiles(idx, arcs, d=d)
 
 
 @pytest.mark.parametrize(
@@ -587,18 +614,22 @@ def test_paired_and_polar_profiles_reject_bad_input():
             bubble.radial_profiles(idx, np.array([r]), np.array([z]))
     with pytest.raises(DomainError):
         bubble.radial_profiles(idx, np.ones(2), np.array([1.0, 0.0]), ("Wz",))
-    for rho, th in [(nan, 0.3), (inf, 0.3), (1.0, nan), (1.0, inf),
-                    (1.0, -0.1), (1.0, 0.5 * math.pi + 0.1), (-1.0, 0.3)]:
+    for rho, d in [(nan, 0.3), (inf, 0.3), (1.0, nan), (1.0, inf),
+                   (1.0, -0.1), (1.0, 0.5 * math.pi + 0.1), (-1.0, 0.3)]:
         with pytest.raises(DomainError):
-            bubble.polar_profiles(idx, np.array([0.5, rho]), np.array([0.2, th]))
+            bubble.polar_profiles(idx, np.array([0.5, rho]), d=np.array([0.2, d]))
     with pytest.raises(DomainError):
         bubble.paired_profiles(idx, np.ones(2), np.array([1.0, 0.0]), ("Wz",))
     with pytest.raises(DomainError):
-        bubble.polar_profiles(idx, np.array([1.0, 0.0]), np.array([0.3]))
+        bubble.polar_profiles(idx, np.array([1.0, 0.0]), d=np.array([0.3]))
     with pytest.raises(DomainError):
-        bubble.polar_profiles(idx, np.array([]), np.array([0.3]))
+        bubble.polar_profiles(idx, np.array([]), d=np.array([0.3]))
     with pytest.raises(DomainError):
-        bubble.polar_profiles(idx, np.array([1.0]), np.array([0.0]), ("Wz",))
+        bubble.polar_profiles(idx, np.array([1.0]), d=np.array([0.0]), fields=("Wz",))
+    # the angle is keyword-only: a positional polar angle from the z-axis
+    # would give the fields at the mirrored angle
+    with pytest.raises(TypeError):
+        bubble.polar_profiles(idx, np.array([1.0]), np.array([0.3]))
 
 
 def test_profile_evaluators_reject_unknown_fields():
@@ -609,7 +640,7 @@ def test_profile_evaluators_reject_unknown_fields():
     calls = [
         lambda f: bubble.radial_profiles(idx, pts, pts, f),
         lambda f: bubble.paired_profiles(idx, pts, pts, f),
-        lambda f: bubble.polar_profiles(idx, pts, np.array([0.2, 0.7]), f),
+        lambda f: bubble.polar_profiles(idx, pts, d=np.array([0.2, 0.7]), fields=f),
     ]
     for call in calls:
         for fields in [("Wzz",), ("W", "Wrr"), ("W_minus_w",), "Wz", "W"]:
@@ -686,10 +717,9 @@ def _rounding_floor(s, scale):
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8)])
 def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     # the capped grid (every sixth r and every second z node: 120 x 510
-    # points at R = 64, 67 x 350 at R = 32) and the direct route's band of
-    # arcs
+    # points at R = 64, 67 x 350 at R = 32), nine arcs out to R and the
+    # direct route's band of arcs
     idx = ProblemIndex(n, gamma)
-    nu = idx.n / 2.0 - 1.0
     alpha = constants(idx).alpha
     R = 32.0 if n - 2.0 * gamma > 4.0 else 64.0
     r, _, z, _ = capped_grid_rules(idx, R)
@@ -707,7 +737,27 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     for k in one:
         assert np.all(np.abs(got[k] - one[k]) <= _rounding_floor(s, scale[k])), ("order", k)
 
+    # the arcs out to R against the one-GEMM sums of every term: within
+    # 1e-15 alpha
+    arcs, d = _tail_arcs(idx)
+    got = bubble.polar_profiles(idx, arcs, d=d, fields=_ALL_FIELDS)
+    for k, (c, KP) in _arc_terms(idx, arcs, d).items():
+        assert np.abs(got[k] - c @ KP.T).max() <= 1e-15 * alpha, ("arcs", k)
+    # the band's arcs, near W = alpha, sit at their rounding floor
     arcs, d = _band(idx)
+    got = bubble.polar_profiles(idx, arcs, d=d, fields=_ALL_FIELDS)
+    s0 = bubble._s_nodes(bubble._rmax_key(arcs.max()))[0]
+    for k, (c, KP) in _arc_terms(idx, arcs, d).items():
+        floor = _rounding_floor(s0, np.abs(c) @ np.abs(KP).T)
+        assert np.all(np.abs(got[k] - c @ KP.T) <= floor), ("band", k)
+
+
+
+def _arc_terms(idx, arcs, d):
+    """Per field on the arcs (arcs, d) of ``polar_profiles``, every term of
+    its s-sum as (c, K P): the arc-dependent coefficients (len(arcs), S) and
+    the shared kernel-profile products (len(d), S), none cut."""
+    nu = idx.n / 2.0 - 1.0
     top = arcs.max()
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
     scale = (top / arcs)[:, None]
@@ -715,20 +765,13 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     uz = np.outer(top * np.sin(d), s0)
     Ev, Ev1 = bubble._e_pair(nu, np.outer(top * np.cos(d), s0))
     Ph, Php = specfun.profile_phi(idx, uz), specfun.profile_phi_prime(idx, uz)
-
-    terms = {
-        "W": (kw, Ev, Ph),
-        "Wr_over_r": (-kw * s**2 / (2.0 * (nu + 1.0)), Ev1, Ph),
-        "lap_tan": (-kw * s**2, Ev, Ph),
-        "Wz": (kw * s, Ev, Php),
-        "Wrz_over_r": (-kw * s**3 / (2.0 * (nu + 1.0)), Ev1, Php),
+    return {
+        "W": (kw, Ev * Ph),
+        "Wr_over_r": (-kw * s**2 / (2.0 * (nu + 1.0)), Ev1 * Ph),
+        "Wz": (kw * s, Ev * Php),
+        "lap_tan": (-kw * s**2, Ev * Ph),
+        "Wrz_over_r": (-kw * s**3 / (2.0 * (nu + 1.0)), Ev1 * Php),
     }
-    got = bubble.polar_profiles(idx, arcs, d, tuple(terms))
-    # every term summed in one GEMM against the chunked sums of the cut
-    # terms: near W = alpha the arcs sit at their rounding floor
-    for k, (c, K, P) in terms.items():
-        want, mass = c @ (K * P).T, np.abs(c) @ np.abs(K * P).T
-        assert np.all(np.abs(got[k] - want) <= _rounding_floor(s0, mass)), ("arcs", k)
 
 
 def _series_sums(idx, s, kw, r, z):
@@ -833,8 +876,6 @@ def test_shuffled_z_permutes_the_fields(capped_grid_rules):
 # -- the origin expansion -----------------------------------------------------
 
 
-_ALL_FIELDS = _FIELDS + ("Wrz_over_r",)
-
 
 def _polar_points(rho, d):
     return np.outer(rho, np.cos(d)).ravel(), np.outer(rho, np.sin(d)).ravel()
@@ -918,7 +959,7 @@ def test_fourier_bessel_raises_below_n_minus_2g_one(n, gamma):
     calls = [
         lambda: bubble.radial_profiles(idx, pts, pts),
         lambda: bubble.paired_profiles(idx, pts, pts),
-        lambda: bubble.polar_profiles(idx, pts, pts),
+        lambda: bubble.polar_profiles(idx, pts, d=pts),
         lambda: bubble.neumann_trace(idx, BubbleParams(), np.full(n, 0.3)),
         lambda: bubble.extension(idx, BubbleParams(), _pt(np.full(n, 0.3), 0.5)),
     ]

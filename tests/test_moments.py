@@ -233,9 +233,10 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     for name in calls:
         original = getattr(bubble, name)
 
-        def field_spy(idx, a, b, fields, original=original, name=name):
-            calls[name].append((a, b))
-            return original(idx, a, b, fields)
+        def field_spy(idx, a, *args, original=original, name=name, **kwargs):
+            # polar_profiles takes its angles d by keyword
+            calls[name].append((a, kwargs["d"] if "d" in kwargs else args[0]))
+            return original(idx, a, *args, **kwargs)
 
         monkeypatch.setattr(bubble, name, field_spy)
     moments._integrals_direct(idx)
@@ -273,37 +274,24 @@ def test_direct_route_profile_points(monkeypatch):
     assert 0 < sum(points) <= 0.13e6
 
 
-# ten times the half-ball route's measured error, per index
+# per index and bound of the former core-square route (the test ids), ten
+# times the half-ball route's measured error
 _DIRECT_BOUNDS = {
-    (7, 0.25): 4.5e-15,  # measured 4.4e-16
-    (4, 0.3): 1.2e-12,  # 1.1e-13
-    (3, 0.45): 3.5e-11,  # 3.5e-12
-    (4, 0.5): 4.5e-15,  # 4.4e-16
-    (10, 0.9): 8.9e-15,  # 8.9e-16
-    (5, 0.9): 4.4e-13,  # 4.3e-14
-    (6, 0.75): 6.7e-15,  # 6.7e-16
-    (4, 0.95): 7.5e-11,  # 7.5e-12
+    (7, 0.25, 1e-10): 4.5e-15,  # measured 4.4e-16
+    (4, 0.3, 1e-8): 1.2e-12,  # 1.1e-13
+    (3, 0.45, 1e-5): 3.5e-11,  # 3.5e-12
+    (4, 0.5, 1e-6): 4.5e-15,  # 4.4e-16
+    (10, 0.9, 4e-13): 8.9e-15,  # 8.9e-16
+    (5, 0.9, 8e-8): 4.4e-13,  # 4.3e-14
+    (6, 0.75, 3e-8): 6.7e-15,  # 6.7e-16
+    (4, 0.95, 1.2e-4): 7.5e-11,  # 7.5e-12
 }
 
 
-@pytest.mark.parametrize(
-    "n,gamma,bound",
-    [
-        (7, 0.25, 1e-10),
-        (4, 0.3, 1e-8),
-        (3, 0.45, 1e-5),
-        (4, 0.5, 1e-6),
-        (10, 0.9, 4e-13),
-        (5, 0.9, 8e-8),
-        (6, 0.75, 3e-8),
-        (4, 0.95, 1.2e-4),
-    ],
-)
+@pytest.mark.parametrize("n,gamma,bound", list(_DIRECT_BOUNDS))
 def test_direct_route_accuracy(n, gamma, bound):
-    # ``bound`` is the bound the core-square route met; the half-ball route
-    # meets the tighter one of _DIRECT_BOUNDS
-    tight = _DIRECT_BOUNDS[(n, gamma)]
-    assert tight <= bound
+    tight = _DIRECT_BOUNDS[(n, gamma, bound)]
+    assert tight <= bound  # every bound is kept, and tightened
     idx = ProblemIndex(n, gamma)
     iset = moments.compute_integrals(idx, method="direct_2d")
     want = moments.closed_form_ratios(idx)
@@ -335,8 +323,8 @@ def _image_fields(idx, y_r, y_z):
     c, s = y_z / rho, y_r / rho
     f = bubble.paired_profiles(idx, y_r, y_z, moments._FIELDS)
     scaled = {"W": f["W"], "R": rho**2 * f["Wr_over_r"], "Z": rho * f["Wz"],
-              "L": rho**2 * f["lap_tan"], "T": rho**3 * f["Wrz_over_r"]}
-    scaled["Q"] = s * s * scaled["R"] + c * scaled["Z"] + 0.5 * idx.m * f["W"]
+              "L": rho**2 * f["lap_tan"], "T": rho**3 * f["Wrz_over_r"],
+              "Q": bubble.dilation_field(idx, y_r, y_z, f)}
     g = moments._kelvin(idx, c, s, scaled)
     # the scale-free fields at x are |y|^m times these, and |x| = 1/|y|
     x_rho, q = 1.0 / rho, rho**idx.m
@@ -362,45 +350,38 @@ def test_kelvin_map_matches_the_fields_at_the_image(n, gamma):
 
 @pytest.mark.parametrize("R", [0.0, -8.0, math.nan, math.inf, -math.inf])
 def test_direct_route_rejects_bad_radius(R):
-    # the half-ball route has no truncation radius, so every R is a bad
-    # one: a caller that still passes it fails loudly instead of having it
-    # ignored
+    # the route's band evaluator, polar_profiles, takes no arc radius that
+    # is not finite and > 0, neither as an inner arc nor as the outer one
+    # whose s-rule every arc rescales
     idx = ProblemIndex(5, 0.7)
-    with pytest.raises(TypeError):
-        moments.combined_integrals_direct(idx, R=R)
+    d = np.array([0.2, 1.0])
+    for arcs in ([R, 1.0], [bubble._ORIGIN_RADIUS, R]):
+        with pytest.raises(DomainError):
+            bubble.polar_profiles(idx, np.array(arcs), d=d)
 
 
-@pytest.mark.parametrize("gamma", [0.05, 0.5, 0.8, 0.95])
+@pytest.mark.parametrize("gamma", [0.05, 0.25, 0.45, 0.5, 0.8, 0.95])
 def test_first_z_panel_integrates_the_weight_exactly(gamma):
-    # the 12 nodes of a Gauss-Jacobi panel in the weight z^(1-2g) (the
-    # equator's weight) integrate z^(1-2g) z^k exactly for k <= 23; its
-    # weights are divided by the weight function.  Exactly means to the
-    # digits of SciPy's nodes x on [-1, 1]: the distance 1 - x to the
-    # singular end keeps an absolute error of about eps, which at g = 0.95
-    # is 1e-13 relative at the nearest node (1 - x = 1.4e-3); measured
-    # 1.1e-13 there, at most 3.4e-14 elsewhere
-    h = 1e-6
-    z, wz = jacobi_end_panel(h, 1.0 - 2.0 * gamma)
-    x, w = z / h, wz / h  # the panel on [0, 1]
-    a = 1.0 - 2.0 * gamma
-    for k in range(24):
-        want = 1.0 / (a + k + 1.0)  # int_0^1 x^a x^k dx
-        assert abs(w @ x ** (a + k) / want - 1.0) <= 2e-13, k
-
-
-@pytest.mark.parametrize("n,gamma", [(3, 0.45), (4, 0.95), (4, 0.5), (7, 0.25), (24, 0.5)])
-def test_first_rho_panel_integrates_the_weight_exactly(n, gamma):
-    # the rho-rule's first panel, in the exterior integrands' weight
-    # rho^(n-3-2g), integrates rho^(n-3-2g) rho^k exactly for k <= 23
-    idx, h = ProblemIndex(n, gamma), moments._RHO_FIRST
-    rho, w = moments._rho_rule(idx)
-    first = rho <= h
-    assert np.count_nonzero(first) == 12
-    x, w = rho[first] / h, w[first] / h
-    a = n - 3.0 - 2.0 * gamma
-    for k in range(24):
-        want = 1.0 / (a + k + 1.0)
-        assert abs(w @ x ** (a + k) / want - 1.0) <= 2e-13, k
+    # the rho-rule's first panel, 12 Gauss-Jacobi nodes in the exterior
+    # integrands' weight rho^a, a = n - 3 - 2g, integrates rho^a rho^k
+    # exactly for k <= 23; its weights are divided by the weight function.
+    # Exactly means to the digits of SciPy's nodes x on [-1, 1]: the
+    # distance 1 - x to the singular end keeps an absolute error of about
+    # eps, which at a = -0.9, (3, 0.45) and (4, 0.95), is 1e-13 relative at
+    # the nearest node (rho = 7.2e-4 h); measured 1.2e-13 there, at most
+    # 3.4e-14 elsewhere
+    h = moments._RHO_FIRST
+    for n in (3, 4, 7, 24):
+        if n - 2.0 * gamma <= 2.0:  # below the supercritical line
+            continue
+        rho, w = moments._rho_rule(ProblemIndex(n, gamma))
+        first = rho <= h
+        assert np.count_nonzero(first) == 12
+        x, w = rho[first] / h, w[first] / h  # the panel on [0, 1]
+        a = n - 3.0 - 2.0 * gamma
+        for k in range(24):
+            want = 1.0 / (a + k + 1.0)  # int_0^1 x^a x^k dx
+            assert abs(w @ x ** (a + k) / want - 1.0) <= 2e-13, (n, k)
 
 
 def test_core_grid_cost(monkeypatch):
@@ -412,9 +393,10 @@ def test_core_grid_cost(monkeypatch):
     for name in ("polar_profiles", "_origin_fields"):
         original = getattr(bubble, name)
 
-        def spy(idx, a, b, fields, original=original, name=name):
+        def spy(idx, a, *args, original=original, name=name, **kwargs):
+            b = kwargs["d"] if "d" in kwargs else args[0]  # polar_profiles' d is keyword-only
             calls[name] = (np.shape(a), np.shape(b))
-            return original(idx, a, b, fields)
+            return original(idx, a, *args, **kwargs)
 
         monkeypatch.setattr(bubble, name, spy)
     idx = ProblemIndex(4, 0.8)
