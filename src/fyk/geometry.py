@@ -3,19 +3,23 @@
 Second-order metric expansions near a boundary point in coordinates where
 x_N is the distance to the boundary, the gauge-normalized curvature
 constraints, the Gauss-Codazzi reduction of the scalar curvature, and the
-bicharacteristic ODE system for the first-order equation
+bicharacteristics of the first-order equation
 
     d_N f + (x_N/2) (g^{ij} d_i f d_j f + (d_N f)^2) = 0
 
-that extends a boundary conformal factor into the collar.
+that extends a boundary conformal factor into the collar.  For the flat
+metric they are evaluated in closed form on a fixed s-grid; for a metric
+callable the bicharacteristic ODE system is integrated numerically.
 """
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import DomainError, NumericError
 from .solver import SymmetricTensor
+
+# points of the flat s-grid on [0, 2r): the ODE route's max_step, span / 16
+_FLAT_POINTS = 17
 
 
 def _check_riemann_symmetries(riem, atol):
@@ -190,8 +194,13 @@ class CharacteristicBundle:
     hamiltonian_max: float
 
 
-def _flat_metric(xbar):
-    return np.eye(len(xbar)), np.zeros((len(xbar), len(xbar), len(xbar)))
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on the first call: only a
+    metric callable needs the ODE, and the import is a third of the CLI's
+    start-up."""
+    from scipy import integrate
+
+    return integrate.solve_ivp(*args, **kwargs)
 
 
 def _flow(y, metric, n):
@@ -212,28 +221,44 @@ def _flow(y, metric, n):
     return dy, gpp
 
 
-def _characteristics(K, X0, r, metric, rtol):
-    """Integrate the characteristics from every row of a (B, n) stack of
-    base points on s in [0, 2r), in one ODE solve on a shared s-grid.
+def _flat_states(K, X0, span):
+    """The characteristics of the flat metric in closed form at every row of
+    a (B, n) stack of base points, on ``_FLAT_POINTS`` equispaced s in
+    [0, span]: (s, states (B, T, 2n + 3) ordered (p, z, x), |p|^2 and
+    |p dot|, both (B, T)).
 
-    Returns the grid s (T,), the states (B, T, 2n + 3) ordered (p, z, x),
-    and at every output point the drift of the defining relation and
-    |p dot|, both (B, T)."""
-    if K <= 0 or r <= 0:
-        raise DomainError("K and r must be positive")
-    if r >= K ** (-2.0):
-        raise DomainError("the smallness regime requires r < K^(-2)")
-    X0 = np.asarray(X0, dtype=float)
+    With g = I the tangential momentum p = -2K xbar0 is constant; with
+    c = |p| and u = c s / 2, p_N = -c tan u, x_N = sin(c s) / c,
+    x = xbar0 + p (1 - cos c s) / c^2 and z = z0 - 2 log cos u.  p_N blows up
+    where u reaches pi/2 (the Riccati equation for p_N)."""
     B, n = X0.shape
-    if np.any(np.linalg.norm(X0, axis=1) > 2.0 * r * (1.0 + 1e-12)):
-        raise DomainError("base point must satisfy |xbar0| <= 2r")
-    if metric is None:
-        metric = _flat_metric
+    s = np.linspace(0.0, span, _FLAT_POINTS)
+    p = -2.0 * K * X0
+    c = np.linalg.norm(p, axis=1)[:, None]
+    u = 0.5 * c * s
+    if np.any(u[:, -1] >= np.pi / 2.0):
+        raise NumericError("characteristic blows up before s = 2r: |p| 2r >= pi")
+    sin_u = np.sin(u)
+    y = np.empty((B, len(s), 2 * n + 3))
+    y[..., :n] = p[:, None]
+    y[..., n] = -c * np.tan(u)
+    y[..., n + 1] = -K * np.einsum("ai,ai->a", X0, X0)[:, None] - np.log1p(-sin_u**2)
+    # (1 - cos c s) / c^2 = (s^2 / 2) (sin u / u)^2, finite at c = 0
+    y[..., n + 2 : -1] = X0[:, None] + p[:, None] * (0.5 * s**2 * np.sinc(u / np.pi) ** 2)[..., None]
+    y[..., -1] = s * np.sinc(2.0 * u / np.pi)
+    gpp = np.broadcast_to(c**2, u.shape)
+    return s, y, gpp, 0.5 * (gpp + y[..., n] ** 2)  # only p_N moves
 
+
+def _ode_states(K, X0, span, metric, rtol):
+    """Integrate the bicharacteristic system from every row of a (B, n)
+    stack of base points in one ODE solve on a shared s-grid: (s, states
+    (B, T, 2n + 3) ordered (p, z, x), g^{ij} p_i p_j and |p dot|, both
+    (B, T))."""
+    B, n = X0.shape
     zero = np.zeros((B, 1))
     z0 = -K * np.einsum("ai,ai->a", X0, X0)[:, None]
     y0 = np.concatenate([-2.0 * K * X0, zero, z0, X0, zero], axis=1)
-    span = 2.0 * r * (1.0 - 1e-12)
     sol = solve_ivp(
         lambda s, y: _flow(y.reshape(B, -1), metric, n)[0].ravel(),
         (0.0, span),
@@ -248,20 +273,49 @@ def _characteristics(K, X0, r, metric, rtol):
     T = len(sol.t)
     y = sol.y.reshape(B, 2 * n + 3, T).transpose(0, 2, 1)
     dy, gpp = _flow(y.reshape(B * T, -1), metric, n)
-    pn, xn = y[..., n], y[..., -1]
-    ham = pn + (xn / 2.0) * (gpp.reshape(B, T) + pn**2)
     pdot = np.linalg.norm(dy[:, : n + 1], axis=1).reshape(B, T)
-    return sol.t, y, ham, pdot
+    return sol.t, y, gpp.reshape(B, T), pdot
+
+
+def _characteristics(K, X0, r, metric, rtol):
+    """The characteristics from every row of a (B, n) stack of base points on
+    s in [0, 2r), on one s-grid shared by all rows: closed form for the flat
+    metric (``metric`` None), one ODE solve to ``rtol`` otherwise.
+
+    Returns the grid s (T,), the states (B, T, 2n + 3) ordered (p, z, x),
+    and at every output point the drift of the defining relation and
+    |p dot|, both (B, T)."""
+    if K <= 0 or r <= 0:
+        raise DomainError("K and r must be positive")
+    if r >= K ** (-2.0):
+        raise DomainError("the smallness regime requires r < K^(-2)")
+    X0 = np.asarray(X0, dtype=float)
+    n = X0.shape[1]
+    if np.any(np.linalg.norm(X0, axis=1) > 2.0 * r * (1.0 + 1e-12)):
+        raise DomainError("base point must satisfy |xbar0| <= 2r")
+
+    span = 2.0 * r * (1.0 - 1e-12)
+    if metric is None:
+        s, y, gpp, pdot = _flat_states(K, X0, span)
+    else:
+        s, y, gpp, pdot = _ode_states(K, X0, span, metric, rtol)
+    pn, xn = y[..., n], y[..., -1]
+    ham = pn + (xn / 2.0) * (gpp + pn**2)
+    return s, y, ham, pdot
 
 
 def eikonal_characteristics(K, xbar0, r, metric=None, rtol=1e-10):
-    """Integrate the bicharacteristic system on s in [0, 2r).
+    """The bicharacteristics from one base point on s in [0, 2r).
 
-    ``metric`` maps xbar to (g_inv, dg_inv) with dg_inv[k] = d_k g^{ij};
-    None means the flat metric.  Initial data p = (-2K xbar0, 0),
-    z = -K|xbar0|^2, x = (xbar0, 0).  Along the flow the defining relation
-    p_N + (x_N/2)(g^{ij} p_i p_j + p_N^2) = 0 is conserved; its drift is
-    returned as a diagnostic.
+    ``metric`` maps xbar to (g_inv, dg_inv) with dg_inv[k] = d_k g^{ij}.
+    None means the flat metric, evaluated in closed form (see
+    ``_flat_states``) on 17 equispaced s in [0, 2r); ``NumericError`` where
+    p_N blows up inside the span.  A metric callable is integrated as an ODE
+    to relative tolerance ``rtol`` on the solver's own grid (step at most
+    2r/16); ``rtol`` applies only to that route.  Initial data
+    p = (-2K xbar0, 0), z = -K|xbar0|^2, x = (xbar0, 0).  Along the flow the
+    defining relation p_N + (x_N/2)(g^{ij} p_i p_j + p_N^2) = 0 is
+    conserved; its drift is returned as a diagnostic.
     """
     xbar0 = np.asarray(xbar0, dtype=float)
     n = len(xbar0)
@@ -284,8 +338,9 @@ def characteristic_supnorms(idx, K, r, n=None, samples=24, metric=None):
     empirical bounds sup|p| <= 5/K and 2 (sup|grad p| + sup|p dot|) <= 5K.
 
     Every sample and its 2n partners xbar0 +- h e_i (clipped to the box
-    [-2r, 2r]^n) are integrated together, so each difference compares the
-    two partners at the same s."""
+    [-2r, 2r]^n) go through one ``_characteristics`` call on a shared s-grid,
+    so each difference compares the two partners at the same s: the closed
+    form for the flat metric, one ODE solve to rtol 1e-10 for a callable."""
     if n is None:
         n = idx.n
     if samples < 1:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from fyk import geometry
 from fyk.bubble import HalfSpacePoint
-from fyk.errors import DomainError
+from fyk.errors import DomainError, NumericError
 from fyk.solver import SymmetricTensor
 from fyk.specfun import ProblemIndex
 
@@ -223,9 +223,62 @@ def test_supnorm_sweep_is_one_ode_solve(monkeypatch):
         return solve_ivp(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "solve_ivp", counted)
-    geometry.characteristic_supnorms(ProblemIndex(3, 0.5), 10.0, 0.005, samples=4)
+    geometry.characteristic_supnorms(
+        ProblemIndex(3, 0.5), 10.0, 0.005, samples=4, metric=_curved_metric
+    )
     # 4 samples and their 2n = 6 partners, each a state of 2n + 3 = 9
     assert calls == [4 * 7 * 9]
+
+
+def test_flat_supnorm_sweep_solves_no_ode(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the flat characteristics are in closed form")
+
+    monkeypatch.setattr(geometry, "solve_ivp", refuse)
+    geometry.characteristic_supnorms(ProblemIndex(3, 0.5), 10.0, 0.005, samples=4)
+    geometry.eikonal_characteristics(10.0, np.array([0.004, -0.003, 0.001]), 0.005)
+
+
+def _flat_metric(xbar):
+    # the flat metric as a callable: sends the characteristics through the ODE
+    n = len(xbar)
+    return np.eye(n), np.zeros((n, n, n))
+
+
+@pytest.mark.parametrize(
+    "K, r, v",
+    [
+        (10.0, 0.005, [0.004, -0.003, 0.001]),
+        (10.0, 0.009, [0.0, 0.0, -0.0179]),
+        (2.0, 0.2, [0.3, -0.2, 0.1]),
+        (1.0, 0.9, [0.5, 0.3, 0.0]),  # u = |p| s / 2 reaches 1.05 at s = 2r
+    ],
+)
+def test_flat_closed_form_matches_the_ode(K, r, v):
+    v = np.array(v)
+    closed = geometry.eikonal_characteristics(K, v, r)
+    ode = geometry.eikonal_characteristics(K, v, r, metric=_flat_metric)
+    assert len(closed.s) == 17
+    assert closed.s[-1] == ode.s[-1]
+    for key in ("p", "x", "z"):
+        np.testing.assert_allclose(getattr(closed, key)[-1], getattr(ode, key)[-1], rtol=1e-10, atol=0.0)
+    assert closed.hamiltonian_max <= 1e-14
+
+
+@pytest.mark.parametrize("r", [0.004, 0.009])
+def test_flat_supnorms_match_the_ode(r):
+    idx = ProblemIndex(3, 0.5)
+    closed = geometry.characteristic_supnorms(idx, 10.0, r, samples=8)
+    ode = geometry.characteristic_supnorms(idx, 10.0, r, samples=8, metric=_flat_metric)
+    for key, val in ode.items():
+        assert closed[key] == pytest.approx(val, rel=1e-12, abs=0.0), key
+
+
+@pytest.mark.parametrize("metric", [None, _flat_metric], ids=["closed", "ode"])
+def test_flat_blow_up_raises(metric):
+    # |p| 2r = 6.1 > pi: p_N = -|p| tan(|p| s / 2) blows up inside the span
+    with pytest.raises(NumericError):
+        geometry.eikonal_characteristics(1.0, np.array([1.7, 0.0, 0.0]), 0.9, metric=metric)
 
 
 def test_start_points_outside_the_ball_raise():

@@ -1,17 +1,19 @@
-"""Every module-level import of the library is used, only the modules that
-need it import ``scipy.integrate`` at module level, and nothing but the
-pinned names comes from ``scipy.sparse``.
+"""Every module-level import of the library is used, and no module imports
+``scipy.integrate`` or ``scipy.sparse`` at module level, so ``import fyk.cli``
+loads neither.
 
 A static scan with the stdlib ``ast``: an imported name counts as used when
 the module reads it anywhere or lists it in ``__all__``.
 """
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import fyk
 
-# perfbench/tracing.py patches these by name, so they stay until the tracer
-# stops reading them (ROADMAP items 1 and 3(a))
+# perfbench/tracing.py patches these by name; they are stand-ins bound to
+# None, not imports, until the tracer stops reading them (ROADMAP item 1)
 PINNED = {
     ("moments", "integrate"),
     ("solver", "eigsh"),
@@ -19,9 +21,9 @@ PINNED = {
 }
 
 
-# the module-level names bound from scipy.integrate: perfbench/tracing.py
-# patches both by name (ROADMAP item 3(b) makes them lazy)
-SCIPY_INTEGRATE = {("moments", "integrate"), ("geometry", "solve_ivp")}
+# the module-level names bound from scipy.integrate: none, since
+# geometry.solve_ivp imports it on its first call
+SCIPY_INTEGRATE = set()
 
 
 def _library_sources():
@@ -76,7 +78,7 @@ def test_library_has_no_unused_imports():
     unused = set()
     for stem, source in _library_sources():
         unused.update((stem, name) for name in _unused_imports(source))
-    assert unused - PINNED == set()
+    assert unused == set()
 
 
 def test_scipy_integrate_scan_sees_every_import_form():
@@ -110,8 +112,31 @@ def test_scipy_sparse_scan_sees_submodules():
 def test_scipy_sparse_binds_only_pinned_names():
     # the finite-volume pencils are plain (diagonal, off-diagonal) arrays and
     # the residual gates apply them matrix-free, so no module builds a sparse
-    # matrix; the pinned names stay only for perfbench/tracing.py
+    # matrix; the pinned names are stand-ins, not imports
     found = set()
     for stem, source in _library_sources():
         found.update((stem, name) for name in _names_from(source, "scipy.sparse"))
-    assert found <= PINNED
+    assert found == set()
+
+
+def test_tracer_patched_names_exist_at_import():
+    from fyk import geometry, moments, solver
+
+    modules = {"geometry": geometry, "moments": moments, "solver": solver}
+    for stem, name in PINNED | {("geometry", "solve_ivp")}:
+        assert name in vars(modules[stem]), (stem, name)
+
+
+def test_cli_import_loads_no_scipy_integrate_or_sparse():
+    # a fresh interpreter: the test session itself imports scipy.integrate
+    code = (
+        "import sys, fyk.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'sparse'])))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        cwd=Path(fyk.__file__).parent.parent,
+    )
+    assert out.stdout.strip() == "[]"
