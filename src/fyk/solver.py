@@ -9,7 +9,13 @@ near the trace, where solutions look like a(r) + b(r) z^(2g).
 
 Grid layout: r is cell-centered (faces at i*hr, no node on the axis), z is
 node-based with z = 0 on the grid.  The z = 0 row holds trace unknowns for
-flux/Robin problems and Dirichlet data for extension solves.
+flux/Robin problems and Dirichlet data for extension solves.  ``WeightedGrid``
+owns this geometry: its nodes, its radial pencil and cell masses (from
+``_radial_axis``, which the polar rho axis of ``rayleigh_lambda1`` shares),
+the vertical face transmissibilities t, and the node weights and slab masses
+of z.  Two discretizations are built from it: ``_extension_pencils`` (node
+weights and t/hz^2) and ``_trace_flux_pencils`` (slab masses, t/hz and a
+natural trace face).
 
 Every finite-volume matrix here is a Kronecker sum
 L_r x diag(w_z) + diag(w_r) x L_z of two 1-D symmetric tridiagonal pencils,
@@ -39,7 +45,8 @@ eigsh = spsolve = None
 
 @dataclass(frozen=True)
 class WeightedGrid:
-    """Uniform tensor grid on [0, r_max] x [0, z_max].
+    """Uniform tensor grid on [0, r_max] x [0, z_max] and its finite-volume
+    geometry: nodes, masses and face transmissibilities.
 
     ``weight_exponent`` must equal 1 - 2*gamma of the index the grid is used
     with; operations check this.  The z = 0 face carries trace unknowns.
@@ -52,10 +59,12 @@ class WeightedGrid:
     weight_exponent: float
 
     def __post_init__(self):
-        if self.r_max <= 0 or self.z_max <= 0:
-            raise DomainError("grid extents must be positive")
-        if self.nr < 2 or self.nz < 2:
-            raise DomainError("need at least two cells per axis")
+        if not (0 < self.r_max < np.inf and 0 < self.z_max < np.inf):
+            raise DomainError("grid extents must be finite and positive")
+        if not all(isinstance(k, (int, np.integer)) and k >= 2 for k in (self.nr, self.nz)):
+            raise DomainError("need an integer number of at least two cells per axis")
+        if not np.isfinite(self.weight_exponent):
+            raise DomainError("grid weight exponent must be finite")
 
     @property
     def hr(self):
@@ -74,6 +83,31 @@ class WeightedGrid:
     def z(self):
         """Vertical nodes including the trace z = 0."""
         return np.arange(self.nz + 1) * self.hz
+
+    def radial_axis(self, power):
+        """``_radial_axis`` of the r cells for the weight r^power."""
+        return _radial_axis(self.hr, self.nr, power)
+
+    def node_weights(self, g):
+        """z^(1-2g) at the z nodes, 0 on the trace row: no node-weighted
+        balance is evaluated there, and the weight is infinite for g > 1/2."""
+        w = np.where(self.z > 0, self.z, 1.0) ** (1.0 - 2.0 * g)
+        w[0] = 0.0
+        return w
+
+    def vertical_transmissibility(self, g):
+        """Face values t between consecutive z nodes such that
+        t*(u_hi - u_lo)/dz reproduces the exact flux z^(1-2g) u'(z) for u in
+        span{1, z^(2g)} (harmonic mean of the weight)."""
+        z = self.z
+        return 2.0 * g * np.diff(z) / np.diff(z ** (2.0 * g))
+
+    def slab_mass(self, ex):
+        """Exact integral of z^(ex-1) over each node's control-volume slab
+        [z_j - hz/2, z_j + hz/2] clipped to [0, z_max]."""
+        lo = np.maximum(self.z - self.hz / 2.0, 0.0)
+        hi = np.minimum(self.z + self.hz / 2.0, self.z_max)
+        return (hi**ex - lo**ex) / ex
 
     def check(self, idx):
         if abs(self.weight_exponent - (1.0 - 2.0 * idx.gamma)) > 1e-12:
@@ -120,27 +154,6 @@ class SymmetricTensor:
         return float(np.abs(self.entries).max())
 
 
-def _vertical_transmissibility(z_lo, z_hi, g):
-    """Face value t such that t*(u_hi - u_lo)/dz reproduces the exact flux
-    z^(1-2g) u'(z) for u in span{1, z^(2g)} (harmonic mean of the weight)."""
-    dz = z_hi - z_lo
-    return 2.0 * g * dz / (z_hi ** (2.0 * g) - z_lo ** (2.0 * g))
-
-
-def _radial_cell_volumes(grid, n):
-    """Exact integral of r^(n-1) over each cell."""
-    faces = np.arange(grid.nr + 1) * grid.hr
-    return np.diff(faces**n) / n
-
-
-def _slab_integrals(grid, ex):
-    """Exact integral of z^(ex-1) over each control-volume slab
-    [z_j - hz/2, z_j + hz/2] clipped to [0, z_max]."""
-    lo = np.maximum(grid.z - grid.hz / 2.0, 0.0)
-    hi = np.minimum(grid.z + grid.hz / 2.0, grid.z_max)
-    return (hi**ex - lo**ex) / ex
-
-
 def _flux_balance(t):
     """Symmetric tridiagonal flux balance of len(t) - 1 cells in a row, as
     the pencil (diagonal, off-diagonal).
@@ -174,14 +187,18 @@ def _kron_apply(L_r, w_r, L_z, w_z, U, trace_diag=None):
     return out
 
 
-def _radial_faces(h, cells, power):
-    """Transmissibilities r^power / h of the faces k*h of a cell-centered
-    radial axis: the axis face is natural, and the last face reaches a
-    Dirichlet-0 ghost at distance h/2, which doubles it."""
-    t = (np.arange(cells + 1) * h) ** power / h
+def _radial_axis(h, cells, power):
+    """Cell-centered axis of ``cells`` cells of width h from 0 with the
+    weight r^power: the flux-balance pencil of the transmissibilities
+    r^power / h on the faces k*h, the exact integral of r^power over each
+    cell, and the far face's transmissibility.  The face at 0 is natural;
+    the far face reaches a Dirichlet-0 ghost at distance h/2, which doubles
+    it."""
+    faces = np.arange(cells + 1) * h
+    t = faces**power / h
     t[0] = 0.0
     t[-1] *= 2.0
-    return t
+    return _flux_balance(t), np.diff(faces ** (power + 1.0)) / (power + 1.0), t[-1]
 
 
 def _scaled_tridiagonal(L, w):
@@ -254,24 +271,17 @@ def apply_operator(idx, grid, field_arr):
     """
     grid.check(idx)
     grid.shape_check(field_arr)
-    n, g = idx.n, idx.gamma
+    g = idx.gamma
     u = np.asarray(field_arr, dtype=float)
-    hr, hz = grid.hr, grid.hz
     z = grid.z
-
     out = np.zeros_like(u)
 
-    # radial part: -(z^(1-2g)/vol) * d(r^(n-1) u_r), faces at i*hr; the row
-    # nr-1 would need the ghost beyond r_max and is zeroed below
-    L_r = _flux_balance(_radial_faces(hr, grid.nr, n - 1))
-    div_r = -_tridiag_apply(L_r, u) / _radial_cell_volumes(grid, n)[:, None]
-    zw = np.where(z > 0, z, 1.0) ** (1.0 - 2.0 * g)
-    zw[0] = 0.0  # the j = 0 row is not evaluated anyway
-
-    # vertical part with flux-exact face transmissibilities on the faces
-    # j+1/2 and natural end faces; only the nodes j = 1..nz-1 are kept
-    tz = _vertical_transmissibility(z[:-1], z[1:], g) / hz**2
-    L_z = _flux_balance(np.concatenate(([0.0], tz, [0.0])))
+    # the extension solve's pencils: the radial part -(z^(1-2g)/vol) *
+    # d(r^(n-1) u_r), whose row nr-1 would need the ghost beyond r_max and
+    # stays zero, and the vertical part, of which only the nodes
+    # j = 1..nz-1 are kept
+    (L_r, vol, L_z, zw), _ = _extension_pencils(idx, grid)
+    div_r = -_tridiag_apply(L_r, u) / vol[:, None]
     div_z = -_tridiag_apply(L_z, u.T).T[:, 1:-1]
 
     # near the weighted face solutions mix z^(2g) and z^2 behaviour; the
@@ -279,21 +289,13 @@ def apply_operator(idx, grid, field_arr):
     # the exact operator on a local fit in span{1, z^(2g), z^2, z^(2+2g)}
     for j in range(1, min(4, grid.nz - 2)):
         zs = z[j - 1 : j + 3]
-        B = np.stack(
-            [np.ones(4), zs ** (2.0 * g), zs**2, zs ** (2.0 + 2.0 * g)], axis=1
-        )
-        lvec = np.linalg.solve(
-            B.T,
-            np.array(
-                [0.0, 0.0, 2.0 * (2.0 - 2.0 * g) * zw[j], 2.0 * (2.0 + 2.0 * g) * z[j]]
-            ),
-        )
-        div_z[:, j - 1] = u[:, j - 1 : j + 3] @ lvec
+        B = np.stack([np.ones(4), zs ** (2.0 * g), zs**2, zs ** (2.0 + 2.0 * g)], axis=1)
+        ops = [0.0, 0.0, 2.0 * (2.0 - 2.0 * g) * zw[j], 2.0 * (2.0 + 2.0 * g) * z[j]]
+        div_z[:, j - 1] = u[:, j - 1 : j + 3] @ np.linalg.solve(B.T, np.array(ops))
 
     out[: grid.nr - 1, 1:-1] = -(
         zw[None, 1:-1] * div_r[: grid.nr - 1, 1:-1] + div_z[: grid.nr - 1, :]
     )
-    out[grid.nr - 1, :] = 0.0
     return out
 
 
@@ -323,43 +325,30 @@ def solve_extension(idx, grid, dirichlet_trace, boundary=None):
     the full (nr, nz+1) grid function including the boundary rows.
     """
     grid.check(idx)
-    n, g = idx.n, idx.gamma
     if boundary is None:
         boundary = lambda r, z: bubble.radial_profiles(idx, r, z)["W"]
-    hr, hz = grid.hr, grid.hz
     r, z = grid.r, grid.z
     nr, nz = grid.nr, grid.nz
 
-    trace = np.asarray(dirichlet_trace(r), dtype=float)
-    top = np.broadcast_to(
-        np.asarray(boundary(r, grid.z_max), dtype=float).ravel(), (nr,)
-    ).copy()
-    side = np.broadcast_to(
-        np.asarray(boundary(grid.r_max, z), dtype=float).ravel(), (nz + 1,)
-    ).copy()
+    trace = np.broadcast_to(np.asarray(dirichlet_trace(r), float), (nr,))
+    top = np.broadcast_to(np.asarray(boundary(r, grid.z_max), float).ravel(), (nr,))
+    side = np.broadcast_to(np.asarray(boundary(grid.r_max, z), float).ravel(), (nz + 1,))
 
     # unknowns: u[i, j] for 0 <= i < nr, 1 <= j <= nz-1, i-major; rows are
     # scaled by the radial cell volumes, which makes the matrix the
-    # Kronecker sum L_r x diag(zw) + diag(vol) x L_z
-    vol = _radial_cell_volumes(grid, n)
-    t_r = _radial_faces(hr, nr, n - 1)
-    tz = _vertical_transmissibility(z[:-1], z[1:], g) / hz**2
-    zw = z[1:nz] ** (1.0 - 2.0 * g)
-    L_r, L_z = _flux_balance(t_r), _flux_balance(tz)
+    # Kronecker sum L_r x diag(zw) + diag(vol) x L_z on the interior rows
+    (L_r, vol, (d_z, e_z), zw), t_far = _extension_pencils(idx, grid)
+    L_z, zw = (d_z[1:-1], e_z[1:-1]), zw[1:-1]
 
-    # Dirichlet data enters through the ghost faces of the boundary rows
+    # Dirichlet data enters through the ghost faces of the boundary rows;
+    # the end off-diagonals -e_z[0] and -e_z[-1] are the vertical ones
     rhs = np.zeros((nr, nz - 1))
-    rhs[-1, :] += t_r[-1] * zw * side[1:nz]
-    rhs[:, 0] += vol * tz[0] * trace
-    rhs[:, -1] += vol * tz[-1] * top
+    rhs[-1, :] += t_far * zw * side[1:nz]
+    rhs[:, 0] -= vol * e_z[0] * trace
+    rhs[:, -1] -= vol * e_z[-1] * top
     u = _fast_diag_solve(L_r, vol, L_z, zw, rhs)
     _check_solution("extension", (L_r, vol, L_z, zw), u, rhs)
-
-    out = np.empty((nr, nz + 1))
-    out[:, 0] = trace
-    out[:, nz] = top
-    out[:, 1:nz] = u
-    return out
+    return np.column_stack((trace, u, top))
 
 
 def rayleigh_lambda1(idx, R, resolution=96):
@@ -382,26 +371,16 @@ def rayleigh_lambda1(idx, R, resolution=96):
     radius), so the scaling law lambda1(R) R^2 = const is a genuine check of
     the discretized operator rather than an artifact of mesh similarity.
     """
-    if R <= 0:
-        raise DomainError("radius must be positive")
-    n, g = idx.n, idx.gamma
-    a = n + 1.0 - 2.0 * g
+    if not 0 < R < np.inf:
+        raise DomainError("radius must be positive and finite")
+    if not (isinstance(resolution, (int, np.integer)) and resolution >= 1):
+        raise DomainError("resolution must be a positive integer")
     nrho = max(8, int(round(resolution * R)))
-    hrho = R / nrho
-    rho_f = np.arange(nrho + 1) * hrho
-
-    L = _flux_balance(_radial_faces(hrho, nrho, a))
-    mass = np.diff(rho_f ** (a + 1.0)) / (a + 1.0)  # int rho^a
+    L, mass, _ = _radial_axis(R / nrho, nrho, idx.n + 1.0 - 2.0 * idx.gamma)
     # symmetric scaling M^(-1/2) L M^(-1/2) keeps the pencil tridiagonal
     d, e, _ = _scaled_tridiagonal(L, mass)
     try:
-        lam = eigh_tridiagonal(
-            d,
-            e,
-            eigvals_only=True,
-            select="i",
-            select_range=(0, 0),
-        )
+        lam = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))
     except LinAlgError as exc:
         raise NumericError("eigenvalue solve failed: %s" % exc) from exc
     lam1 = float(lam[0])
@@ -433,8 +412,8 @@ def green_asymptotics(idx, R, width=None, resolution=512):
     """
     if not idx.n >= 2.0 + 2.0 * idx.gamma:
         raise DomainError("Green asymptotics requires n >= 2 + 2*gamma")
-    if R <= 0:
-        raise DomainError("radius must be positive")
+    if not 0 < R < np.inf:
+        raise DomainError("radius must be positive and finite")
     n, g = idx.n, idx.gamma
     if width is None:
         width = R / 64.0
@@ -447,7 +426,8 @@ def green_asymptotics(idx, R, width=None, resolution=512):
     nr, nz = grid.nr, grid.nz
 
     # bump mollifier, unit mass in the discrete trace measure
-    vol = _radial_cell_volumes(grid, n)
+    pencils = _trace_flux_pencils(idx, grid)
+    vol = pencils[1]
     psi = np.zeros(nr)
     inside = r < width
     psi[inside] = np.exp(-1.0 / (1.0 - (r[inside] / width) ** 2))
@@ -458,7 +438,7 @@ def green_asymptotics(idx, R, width=None, resolution=512):
 
     rhs = np.zeros((nr, nz))
     rhs[:, 0] = psi * vol / kappa  # prescribed weighted flux through z = 0, per cell
-    G = _solve_trace_flux(idx, grid, rhs)
+    G = _solve_trace_flux(pencils, rhs)
 
     trace = G[:, 0]
     sel = (r >= 4.0 * width) & (r <= R / 4.0)
@@ -473,41 +453,49 @@ def green_asymptotics(idx, R, width=None, resolution=512):
     return GreenFit(float(slope), float(np.exp(intercept)), r[sel], trace[sel])
 
 
+def _extension_pencils(idx, grid):
+    """The two 1-D pencils (L_r, w_r, L_z, w_z) of the extension operator
+    L_r x diag(w_z) + diag(w_r) x L_z on the full node column j = 0..nz, and
+    the far radial face's transmissibility.  w_r are the radial cell volumes,
+    w_z the node weights z^(1-2g); L_z has the face transmissibilities t/hz^2
+    and natural end faces, so its interior rows j = 1..nz-1 are the Dirichlet
+    problem's pencil."""
+    L_r, vol, t_far = grid.radial_axis(idx.n - 1)
+    tz = grid.vertical_transmissibility(idx.gamma) / grid.hz**2
+    L_z = _flux_balance(np.concatenate(([0.0], tz, [0.0])))
+    return (L_r, vol, L_z, grid.node_weights(idx.gamma)), t_far
+
+
 def _trace_flux_pencils(idx, grid):
     """The two 1-D pencils of the trace-flux operator on the rows
     j = 0..nz-1: it is L_r x diag(w_z) + diag(w_r) x L_z, returned as
     (L_r, w_r, L_z, w_z) with L_r and L_z as (diagonal, off-diagonal)
-    arrays.  w_r are the radial cell volumes, w_z the slab integrals of
-    z^(1-2g); the trace face z = 0 is natural, the far faces r = r_max and
-    z = z_max are zero Dirichlet."""
-    n, g = idx.n, idx.gamma
-    z, nz = grid.z, grid.nz
-    tz = np.concatenate(([0.0], _vertical_transmissibility(z[:-1], z[1:], g)))
-    L_r = _flux_balance(_radial_faces(grid.hr, grid.nr, n - 1))
-    L_z = _flux_balance(tz / grid.hz)
-    slab_w = _slab_integrals(grid, 2.0 - 2.0 * g)[:nz]
-    return L_r, _radial_cell_volumes(grid, n), L_z, slab_w
+    arrays.  w_r are the radial cell volumes, w_z the slab masses of
+    z^(1-2g), and L_z has the face transmissibilities t/hz; the trace face
+    z = 0 is natural, the far faces r = r_max and z = z_max are zero
+    Dirichlet."""
+    L_r, vol, _ = grid.radial_axis(idx.n - 1)
+    t = np.concatenate(([0.0], grid.vertical_transmissibility(idx.gamma)))
+    slab_w = grid.slab_mass(2.0 - 2.0 * idx.gamma)[: grid.nz]
+    return L_r, vol, _flux_balance(t / grid.hz), slab_w
 
 
-def _solve_trace_flux(idx, grid, rhs, bulk_r=None, robin=None):
+def _solve_trace_flux(pencils, rhs, bulk_r=None, robin=None):
     """FV solve of -div(z^(1-2g) grad u) (+ zero-order terms) on the rows
-    j = 0..nz-1 (see ``_trace_flux_pencils``).  ``rhs`` is the (nr, nz)
-    right-hand side, already integrated over control volumes; a weighted
-    flux prescribed through z = 0 enters its trace row.  The zero-order
-    terms are a separable bulk term ``bulk_r[i] * w_z[j]`` and a Robin trace
-    coefficient ``robin`` per radial cell.  Returns the (nr, nz+1) grid
-    function, zero on the Dirichlet row j = nz.
+    j = 0..nz-1 with the ``_trace_flux_pencils`` (L_r, vol, L_z, slab_w).
+    ``rhs`` is the (nr, nz) right-hand side, already integrated over control
+    volumes; a weighted flux prescribed through z = 0 enters its trace row.
+    The zero-order terms are a separable bulk term ``bulk_r[i] * w_z[j]`` and
+    a Robin trace coefficient ``robin`` per radial cell.  Returns the
+    (nr, nz+1) grid function, zero on the Dirichlet row j = nz.
     """
-    nr, nz = grid.nr, grid.nz
-    L_r, vol, L_z, slab_w = _trace_flux_pencils(idx, grid)
+    L_r, vol, L_z, slab_w = pencils
     if bulk_r is not None:
         L_r = (L_r[0] + bulk_r, L_r[1])
     trace_diag = None if robin is None else vol * robin
     u = _fast_diag_solve(L_r, vol, L_z, slab_w, rhs, trace_diag)
     _check_solution("trace-flux", (L_r, vol, L_z, slab_w), u, rhs, trace_diag)
-    out = np.zeros((nr, nz + 1))
-    out[:, :nz] = u
-    return out
+    return np.pad(u, ((0, 0), (0, 1)))
 
 
 def _cutoff(t):
@@ -531,13 +519,15 @@ class LinearizedResult:
     diagnostics: dict = field(default_factory=dict)
 
     def evaluate(self, xbar, xN):
-        """Pointwise Psi; the angular factor vanishes like r^2 at the axis."""
+        """Pointwise Psi on the solved box [0, r_max] x [0, z_max]; the
+        angular factor vanishes like r^2 at the axis."""
         xbar = np.asarray(xbar, dtype=float)
-        r = float(np.linalg.norm(xbar))
-        quad = float(xbar @ self.pi.entries @ xbar)
+        r, z = float(np.linalg.norm(xbar)), float(xN)
+        if not (r <= self.grid.r_max and 0.0 <= z <= self.grid.z_max):
+            raise DomainError("point (r, z) = (%g, %g) is outside the solved box" % (r, z))
         if r == 0.0:
             return 0.0
-        return self._psi_at(r, float(xN)) * quad / r**2
+        return self._psi_at(r, z) * float(xbar @ self.pi.entries @ xbar) / r**2
 
     def _psi_at(self, r, z):
         g = self.grid
@@ -575,10 +565,13 @@ def solve_linearized(idx, pi, eps_hat, grid):
     field.  The kernel fields (dilation and translation derivatives of the
     bubble) live in the radial and first angular sectors, so their
     components in psi vanish; they are computed and reported rather than
-    assumed.
+    assumed.  The ``ortho_energy``, ``ortho_trace`` and ``psi_origin``
+    diagnostics are exactly 0 by construction, not a numerical gate: the
+    angular factor |S| tr(pi) / n of the first two is 0 for trace-free pi,
+    and ``evaluate`` returns 0 at r = 0.
     """
-    if eps_hat <= 0:
-        raise DomainError("eps_hat must be positive")
+    if not 0 < eps_hat < np.inf:
+        raise DomainError("eps_hat must be positive and finite")
     if not isinstance(pi, SymmetricTensor):
         pi = SymmetricTensor(np.asarray(pi, dtype=float), trace_free=True)
     if not pi.trace_free:
@@ -604,34 +597,36 @@ def solve_linearized(idx, pi, eps_hat, grid):
     rho = np.sqrt(r[:, None] ** 2 + z[None, :] ** 2)
     source = 2.0 * eps_hat * z[None, :] * _cutoff(eps_hat * rho) * src_radial
 
-    # control-volume integration: radial volume x slab integral of z^(2-2g)
-    vol = _radial_cell_volumes(grid, n)
-    slab_z2 = _slab_integrals(grid, 3.0 - 2.0 * g)
+    # control-volume integration: radial volume x slab mass of z^(2-2g)
+    pencils = _trace_flux_pencils(idx, grid)
+    vol = pencils[1]
+    slab_z2 = grid.slab_mass(3.0 - 2.0 * g)
     safe = np.where(z > 0, z, 1.0)
     src_cells = vol[:, None] * slab_z2[None, :] * (source / safe[None, :])
     src_cells[:, 0] = 0.0  # the trace slab carries no volume source mass
 
     # zero-order terms: angular eigenvalue 2n/r^2 in the bulk (the radial
     # factor times the slab weights), Robin on the trace
-    vol_m2 = _radial_cell_volumes(grid, n - 2.0)  # int r^(n-3)
+    vol_m2 = grid.radial_axis(n - 3.0)[1]  # int r^(n-3)
     w_tr = bubble._trace_radial(idx, r)
     robin = -((n + 2.0 * g) / m) * w_tr ** (4.0 * g / m) / kappa
     # lim z^(1-2g) dz psi = robin * psi(., 0); the outward bottom flux is the
     # negative of that limit, so the trace balance gains +robin on the LHS
     # diagonal (the coefficient is negative: the boundary term is attractive)
     psi = _solve_trace_flux(
-        idx, grid, src_cells[:, :nz], bulk_r=2.0 * n * vol_m2, robin=robin
+        pencils, src_cells[:, :nz], bulk_r=2.0 * n * vol_m2, robin=robin
     )
 
     result = LinearizedResult(psi=psi, grid=grid, pi=pi, eps_hat=eps_hat)
-    _diagnose(idx, result, prof)
+    _diagnose(idx, result, prof, vol)
     return result
 
 
-def _diagnose(idx, result, prof):
+def _diagnose(idx, result, prof, vol):
     """Report the kernel components pinned at the origin and the
     orthogonality residuals; ``prof`` holds the bubble's ``Wr_over_r`` and
-    ``Wz`` on the grid, with the trace row at z[1]."""
+    ``Wz`` on the grid, with the trace row at z[1], and ``vol`` the radial
+    cell volumes."""
     n, g = idx.n, idx.gamma
     m = idx.m
     grid = result.grid
@@ -661,17 +656,13 @@ def _diagnose(idx, result, prof):
     pr[1:-1, :] = (psi[2:, :] - psi[:-2, :]) / (2.0 * grid.hr)
     pz[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * grid.hz)
     # the trace row z = 0 carries no weight (z^(1-2g) is infinite there for g > 1/2)
-    z_weight = np.zeros_like(z)
-    z_weight[z > 0] = z[z > 0] ** (1.0 - 2.0 * g)
-    weight = _radial_cell_volumes(grid, n)[:, None] * z_weight[None, :] * grid.hz
+    weight = vol[:, None] * grid.node_weights(g)[None, :] * grid.hz
     i_rad = float(np.sum(weight * (pr * wr + pz * wz)))
     energy = float(np.sum(weight * (pr**2 + pz**2)))
     ortho_energy = ang * i_rad
     w_tr = bubble._trace_radial(idx, r)
     p_crit = (n + 2.0 * g) / m
-    tr_rad = float(
-        np.sum(_radial_cell_volumes(grid, n) * w_tr**p_crit * psi[:, 0])
-    )
+    tr_rad = float(np.sum(vol * w_tr**p_crit * psi[:, 0]))
     ortho_trace = ang * tr_rad
 
     sup = result.pi.sup_norm()

@@ -81,6 +81,21 @@ def test_resolution_below_8_is_a_usage_error(argv, capsys):
     assert "resolution must be at least 8" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "lambda1", "--n", "4", "--gamma", "0.3", "--radii", "nan"],
+        ["solve", "lambda1", "--n", "4", "--gamma", "0.3", "--radii", "inf"],
+        ["solve", "green", "--n", "3", "--gamma", "0.5", "--radius", "nan"],
+        ["solve", "linearized", "--n", "4", "--gamma", "0.3", "--eps", "nan"],
+    ],
+)
+def test_non_finite_solver_inputs_are_usage_errors(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+
+
 def test_integrals_rejects_divergent_index():
     assert run(["integrals", "--n", "3", "--gamma", "0.5"]) == 1
 

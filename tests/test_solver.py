@@ -25,6 +25,17 @@ def test_grid_validation():
         WeightedGrid(-1.0, 1.0, 8, 8, 0.4)
     with pytest.raises(DomainError):
         WeightedGrid(1.0, 1.0, 1, 8, 0.4)
+    # extents must be finite, cell counts integers, the exponent finite
+    for bad in (
+        (math.nan, 1.0, 8, 8, 0.4),
+        (1.0, math.inf, 8, 8, 0.4),
+        (1.0, 1.0, 2.5, 8, 0.4),
+        (1.0, 1.0, 8, 8.0, 0.4),
+        (1.0, 1.0, 8, 8, math.nan),
+    ):
+        with pytest.raises(DomainError):
+            WeightedGrid(*bad)
+    assert WeightedGrid(1.0, 1.0, np.int64(8), 8, 0.4).nr == 8
     g = WeightedGrid(2.0, 1.0, 4, 5, 0.4)
     assert g.hr == 0.5
     assert g.r[0] == 0.25  # cell-centered radial axis
@@ -98,6 +109,36 @@ def test_operator_residual_convergence_on_bubble(n, gamma):
     for errs in (interior, face):
         assert errs[0] > errs[1] > errs[2], errs
         assert math.log2(errs[1] / errs[2]) >= 1.5, errs
+
+
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7)])
+def test_operator_is_the_solved_operator(captured, n, gamma):
+    # on a field that vanishes on the Dirichlet rows j = 0 and j = nz, the
+    # extension solve's gated pencils, divided by the cell volumes, are
+    # apply_operator away from its near-trace fit rows j = 1..3 and the
+    # row i = nr-1 it leaves at zero
+    idx = ProblemIndex(n, gamma)
+    grid = _grid(idx, 6.0, 32)
+    solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
+    _, (L_r, vol, L_z, zw), _, _, _ = captured[0]
+    U = np.zeros((grid.nr, grid.nz + 1))
+    U[:, 1:-1] = np.random.default_rng(3).standard_normal((grid.nr, grid.nz - 1))
+    got = solver.apply_operator(idx, grid, U)[:-1, 4:-1]
+    want = solver._kron_apply(L_r, vol, L_z, zw, U[:, 1:-1]) / vol[:, None]
+    absolute = lambda L: (np.abs(L[0]), np.abs(L[1]))
+    scale = solver._kron_apply(absolute(L_r), vol, absolute(L_z), zw, np.abs(U[:, 1:-1]))
+    scale = (scale / vol[:, None])[:-1, 3:]
+    assert (np.abs(got - want[:-1, 3:]) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("power", [0.0, 0.5, 3.0, 4.4, 23.0])
+def test_radial_axis_masses_sum_to_the_integral(power):
+    # the cell masses telescope to int_0^R r^p dr = R^(p+1)/(p+1)
+    R, cells = 2.5, 97
+    L, mass, t_far = solver._radial_axis(R / cells, cells, power)
+    assert math.fsum(mass) == pytest.approx(R ** (power + 1) / (power + 1), rel=1e-14)
+    assert len(L[0]) == len(mass) == cells and len(L[1]) == cells - 1
+    assert t_far == 2.0 * R**power / (R / cells)
 
 
 def test_operator_shape_mismatch():
@@ -272,6 +313,14 @@ def test_lambda1_continuum_limit(n, gamma):
     assert solver.rayleigh_lambda1(idx, 1.0) == pytest.approx(target, rel=1e-3)
 
 
+@pytest.mark.parametrize(
+    "R,resolution", [(math.nan, 96), (math.inf, 96), (0.0, 96), (1.0, 0), (1.0, -5), (1.0, 2.5)]
+)
+def test_lambda1_rejects_bad_radius_and_resolution(R, resolution):
+    with pytest.raises(DomainError):
+        solver.rayleigh_lambda1(ProblemIndex(4, 0.3), R, resolution=resolution)
+
+
 def test_lambda1_is_deterministic():
     idx = ProblemIndex(4, 0.3)
     assert solver.rayleigh_lambda1(idx, 1.0) == solver.rayleigh_lambda1(idx, 1.0)
@@ -308,6 +357,9 @@ def test_green_solve_peak_memory():
 def test_green_requires_admissible_index():
     with pytest.raises(DomainError):
         solver.green_asymptotics(ProblemIndex(3, 0.5 + 1e-9), R=2.0)
+    for R in (math.nan, math.inf, 0.0):
+        with pytest.raises(DomainError):
+            solver.green_asymptotics(ProblemIndex(3, 0.5), R=R)
 
 
 def test_green_is_linear_in_the_source():
@@ -334,6 +386,32 @@ def test_linearized_requires_trace_free():
     grid = _grid(idx, 8.0, 32)
     with pytest.raises(DomainError):
         solver.solve_linearized(idx, pi, 0.5, grid)
+
+
+@pytest.mark.parametrize("eps_hat", [math.nan, math.inf, 0.0, -0.5])
+def test_linearized_rejects_bad_eps(eps_hat):
+    idx = ProblemIndex(4, 0.3)
+    pi = SymmetricTensor(np.diag([1.0, -1.0, 0.0, 0.0]), trace_free=True)
+    with pytest.raises(DomainError):
+        solver.solve_linearized(idx, pi, eps_hat, _grid(idx, 8.0, 32))
+
+
+def test_linearized_evaluate_stays_in_the_box():
+    # outside [0, r_max] x [0, z_max] there is no solution to interpolate:
+    # past r_max the solve's far boundary is 0, not the last cell's value
+    res = _linearized(ProblemIndex(4, 0.3), cells=32, box=8.0)
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    assert math.isfinite(res.evaluate(8.0 * x, 8.0))
+    for xbar, z in (
+        (50.0 * x, 0.5),
+        (x, -0.1),
+        (x, 8.5),
+        (np.array([math.nan, 0.0, 0.0, 0.0]), 0.5),
+        (np.array([math.inf, 0.0, 0.0, 0.0]), 0.5),
+        (x, math.nan),
+    ):
+        with pytest.raises(DomainError):
+            res.evaluate(xbar, z)
 
 
 def test_linearized_scales_linearly():
