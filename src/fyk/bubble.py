@@ -73,10 +73,18 @@ DLMF 10.25.2, 10.27.4) and (-Delta)^g w = w^p,
 and the coefficient of r^(2j) in (-Delta)^k (1 + r^2)^(-a) is
 (-1)^j (a)_(j+k) / (j+k)! * 4^k (j+1)_k (j+n/2)_k.  The other fields
 differentiate the powers, and lap_tan shifts k to k + 1.  With the series'
-9 or 10 powers of z/2 and _ORIGIN_TERMS = 12 of r^2, at |x| <= 1/32
-(_ORIGIN_RADIUS) every field holds within 8.2e-15 of the g = 1/2 closed
-form for n <= 24 (the Fourier-Bessel sums: 9.1e-5 at n = 24); at |x| = 1/8
-the truncation leaves 5.2e-4 at n = 24, so it raises beyond 1/32.
+K = 9 or 10 powers of z/2 and J = _ORIGIN_TERMS = 12 of r^2, at
+|x| <= 1/32 (_ORIGIN_RADIUS) every field holds within 8.0e-15 of the
+g = 1/2 closed form for n <= 24 (the Fourier-Bessel sums: 9.1e-5 at
+n = 24); at |x| = 1/8 the truncation leaves 5.2e-4 at n = 24, so it raises
+beyond 1/32.  The route takes arcs like ``polar_profiles``.  At
+(r, z) = (rho cos d, rho sin d) a term T_kj (z/2)^(e_k) r^(2j) of a branch,
+e_k = e_0 + 2k, is rho^(e_0 + 2(k+j)) times T_kj (sin(d)/2)^(e_k)
+cos(d)^(2j).  So every field is one product A @ B.T: A holds the
+K + J - 1 powers of rho of each branch, and B, per field and angle, the
+angular factors of each power summed.  That is O((N_rho + N_d) K J)
+powers and products and one dgemm, instead of K + J powers at each of the
+N_rho N_d points.
 
 At paired points the sums run over every node, one block of points at a
 time (``_BLOCK`` values of (s, point) per block, however many arcs share
@@ -642,36 +650,53 @@ def _origin_tables(n, g):
     return tables
 
 
-def _origin_fields(idx, r, z, fields):
-    """The fields of ``radial_profiles`` at the paired points (r, z), arrays
-    of one shape, from the origin expansion (see the module docstring);
-    points with r^2 + z^2 > _ORIGIN_RADIUS^2 raise NumericError."""
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    _check_request(r, z, fields)
-    if np.any(r * r + z * z > _ORIGIN_RADIUS**2):
-        raise NumericError(
-            f"the origin expansion serves |x| <= {_ORIGIN_RADIUS:g}",
-            {"rho_max": float(np.sqrt((r * r + z * z).max()))},
-        )
+def _origin_fields(idx, rho, *, d, fields):
+    """The fields of ``radial_profiles`` from the origin expansion (see the
+    module docstring) on arcs, as ``polar_profiles`` takes them: at (r, z) =
+    (rho[a] cos d[t], rho[a] sin d[t]), as (len(rho), len(d)) arrays.
+    ``rho`` > 0 and 0 <= ``d`` <= pi/2 (> 0 for the fields on phi'); an arc
+    beyond _ORIGIN_RADIUS raises NumericError.
+
+    All the fields are one product A @ B.T, A the powers of rho and B the
+    angular factors of equal power summed, one row per field and angle.  The
+    fields on phi' take d/dz (z/2)^e = (e/2) (z/2)^(e-1) and divide by rho."""
+    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if rho.ndim != 1 or d.ndim != 1 or not (rho.size and rho.min() > 0.0):
+        raise DomainError("_origin_fields needs a nonempty 1-D rho > 0 and 1-D d")
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(d))):
+        raise DomainError("rho and d must be finite")
+    top = rho.max()
+    c, s = np.sin(d), np.cos(d)
+    _check_request(top * s, top * c, fields)
+    if top > _ORIGIN_RADIUS:
+        raise NumericError(f"the origin expansion serves |x| <= {_ORIGIN_RADIUS:g}", {"rho_max": float(top)})
+    names = [k for k in _FIELD_NAMES if k in fields]
+    if not names:
+        return {}
     J = _ORIGIN_TERMS
     j = np.arange(J)
-    U = (r * r)[..., None] ** j
-    h = (z / 2.0)[..., None]
-    out = {}
+    S = (s * s)[:, None] ** j
+    h = 0.5 * c[:, None]
+    A, B = [], []
     for e, coef, M in _origin_tables(idx.n, idx.gamma):
-        Z = h**e
+        K = e.size
+        A.append(rho[:, None] ** (e[0] + 2.0 * np.arange(K + J - 1)))  # e_k = e_0 + 2k
+        H = h**e
         T = coef[:, None] * M[:-1, :J]
         Tr = coef[:, None] * 2.0 * (j + 1.0) * M[:-1, 1:]  # (1/r) d/dr
-        terms = {"W": (Z, T), "Wr_over_r": (Z, Tr), "lap_tan": (Z, -coef[:, None] * M[1:, :J])}
-        if any(k in _PRIME_FIELDS for k in fields):
-            Zp = Z * (0.5 * e) / h  # d/dz (z/2)^e = (e/2) (z/2)^(e-1)
-            terms.update(Wz=(Zp, T), Wrz_over_r=(Zp, Tr))
-        for k in _FIELD_NAMES:
-            if k in fields:
-                zk, tk = terms[k]
-                out[k] = out.get(k, 0.0) + np.sum((zk @ tk) * U, axis=-1)
-    return out
+        terms = {"W": (H, T), "Wr_over_r": (H, Tr), "lap_tan": (H, -coef[:, None] * M[1:, :J])}
+        if any(k in _PRIME_FIELDS for k in names):
+            Hp = (0.5 * e) * h ** (e - 1.0)
+            terms.update(Wz=(Hp, T), Wrz_over_r=(Hp, Tr))
+        Hs, Ts = (np.stack(x) for x in zip(*(terms[k] for k in names)))
+        Bb = np.zeros((len(names), d.size, K + J - 1))
+        for k in range(K):  # the terms T_kj go to the powers k + j
+            Bb[:, :, k : k + J] += Hs[:, :, k : k + 1] * Ts[:, None, k] * S
+        B.append(Bb)
+    V = np.concatenate(A, axis=1) @ np.concatenate(B, axis=2).reshape(len(names) * d.size, -1).T
+    V = V.reshape(rho.size, len(names), d.size)
+    return {k: V[:, i] / rho[:, None] if k in _PRIME_FIELDS else V[:, i] for i, k in enumerate(names)}
 
 
 def extension_gamma_half(idx, r, z, lam=1.0):

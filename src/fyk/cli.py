@@ -285,10 +285,11 @@ def cmd_solve_extension(args, cfg):
     sizes = args.sizes
     if len(sizes) < 3:
         raise UsageError("need at least three sizes for two refinement pairs")
+    # every grid is checked before the first solve
+    grids = [solver.WeightedGrid(args.rmax, args.zmax, nn, nn, 1 - 2 * idx.gamma) for nn in sizes]
     errs = []
     last = None
-    for nn in sizes:
-        grid = solver.WeightedGrid(args.rmax, args.zmax, nn, nn, 1 - 2 * idx.gamma)
+    for grid in grids:
         u = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
         ref = bubble.radial_profiles(idx, grid.r, grid.z, fields=("W",))["W"]
         errs.append(float(np.abs(u - ref).max()))

@@ -277,14 +277,17 @@ def _rho_rule(idx):
 
 
 def _half_ball_fields(idx, rho, d, c, s):
-    """The fields at the points (rho s, rho c) of the unit half-ball, as
-    (len(rho), len(d)) arrays, each times the power of rho that makes it
-    scale-free: W, R = rho^2 Wr_over_r, Z = rho Wz, L = rho^2 lap_tan,
-    T = rho^3 Wrz_over_r, Wrr = rho^2 W_rr and the dilation field
-    Q = Z^0; from the origin expansion below bubble._ORIGIN_RADIUS, from
-    one polar_profiles band above."""
+    """The fields at the points (rho s, rho c) of the unit half-ball, with
+    (d, c, s) the angles of ``halfsphere_rule``, as (len(rho), len(d))
+    arrays, each times the power of rho that makes it scale-free: W,
+    R = rho^2 Wr_over_r, Z = rho Wz, L = rho^2 lap_tan, T = rho^3
+    Wrz_over_r, Wrr = rho^2 W_rr and the dilation field Q = Z^0.  Both
+    routes take the same arcs and angles d: the arcs below
+    bubble._ORIGIN_RADIUS the origin expansion (``bubble._origin_fields``,
+    one product of rho-powers and angular tables), the others one
+    ``bubble.polar_profiles`` band."""
     inner = rho < bubble._ORIGIN_RADIUS
-    near = bubble._origin_fields(idx, np.outer(rho[inner], s), np.outer(rho[inner], c), _FIELDS)
+    near = bubble._origin_fields(idx, rho[inner], d=d, fields=_FIELDS)
     far = bubble.polar_profiles(idx, rho[~inner], d=d, fields=_FIELDS)
     f = {k: np.concatenate([near[k], far[k]]) for k in _FIELDS}
     p = rho[:, None]

@@ -42,6 +42,11 @@ from .specfun import constants, sphere_area
 # (ROADMAP item 1 drops those wrappers)
 eigsh = spsolve = None
 
+# the most cells per axis of any grid here: a fast-diagonalization solve
+# holds about seven N x N float arrays, about 1 GB at N = 4096, so a larger
+# grid raises DomainError before anything is allocated
+_MAX_CELLS = 4096
+
 
 @dataclass(frozen=True)
 class WeightedGrid:
@@ -63,6 +68,8 @@ class WeightedGrid:
             raise DomainError("grid extents must be finite and positive")
         if not all(isinstance(k, (int, np.integer)) and k >= 2 for k in (self.nr, self.nz)):
             raise DomainError("need an integer number of at least two cells per axis")
+        if max(self.nr, self.nz) > _MAX_CELLS:
+            raise DomainError(f"at most {_MAX_CELLS} cells per axis")
         if not np.isfinite(self.weight_exponent):
             raise DomainError("grid weight exponent must be finite")
 
@@ -375,6 +382,8 @@ def rayleigh_lambda1(idx, R, resolution=96):
         raise DomainError("radius must be positive and finite")
     if not (isinstance(resolution, (int, np.integer)) and resolution >= 1):
         raise DomainError("resolution must be a positive integer")
+    if resolution > _MAX_CELLS / R:
+        raise DomainError(f"resolution * R must be at most {_MAX_CELLS} cells")
     nrho = max(8, int(round(resolution * R)))
     L, mass, _ = _radial_axis(R / nrho, nrho, idx.n + 1.0 - 2.0 * idx.gamma)
     # symmetric scaling M^(-1/2) L M^(-1/2) keeps the pencil tridiagonal
@@ -533,18 +542,21 @@ class LinearizedResult:
         g = self.grid
         # bilinear in (r, z^(2g)): near the trace psi ~ a(r) + b(r) z^(2g),
         # which this chart reproduces exactly
-        i = min(max(int(r / g.hr - 0.5), 0), g.nr - 2)
+        i = min(max(int(r / g.hr - 0.5), 0), g.nr - 1)
         j = min(max(int(z / g.hz), 0), g.nz - 1)
         two_g = 1.0 - g.weight_exponent
         s_lo, s_hi = g.z[j] ** two_g, g.z[j + 1] ** two_g
-        fr = np.clip((r - g.r[i]) / g.hr, 0.0, 1.0)
+        lo = self.psi[i]
+        # past the last cell center psi falls to the far face's Dirichlet 0
+        # at r_max, hr/2 further out
+        hi, width = (self.psi[i + 1], g.hr) if i + 1 < g.nr else (np.zeros_like(lo), 0.5 * g.hr)
+        fr = np.clip((r - g.r[i]) / width, 0.0, 1.0)
         fz = np.clip((max(z, 0.0) ** two_g - s_lo) / (s_hi - s_lo), 0.0, 1.0)
-        p = self.psi
         return float(
-            (1 - fr) * (1 - fz) * p[i, j]
-            + fr * (1 - fz) * p[i + 1, j]
-            + (1 - fr) * fz * p[i, j + 1]
-            + fr * fz * p[i + 1, j + 1]
+            (1 - fr) * (1 - fz) * lo[j]
+            + fr * (1 - fz) * hi[j]
+            + (1 - fr) * fz * lo[j + 1]
+            + fr * fz * hi[j + 1]
         )
 
 

@@ -876,20 +876,85 @@ def test_shuffled_z_permutes_the_fields(capped_grid_rules):
 # -- the origin expansion -----------------------------------------------------
 
 
+def _origin_fields_per_point(idx, r, z, fields):
+    # the reference oracle: the origin expansion summed at each point (r, z)
+    # of arrays of one shape on its own, every power of r^2 and z/2 raised
+    # there, where the library forms one product of rho-powers and angular
+    # tables
+    J = bubble._ORIGIN_TERMS
+    j = np.arange(J)
+    U = (r * r)[..., None] ** j
+    h = (z / 2.0)[..., None]
+    out = {}
+    for e, coef, M in bubble._origin_tables(idx.n, idx.gamma):
+        Z = h**e
+        T = coef[:, None] * M[:-1, :J]
+        Tr = coef[:, None] * 2.0 * (j + 1.0) * M[:-1, 1:]
+        terms = {"W": (Z, T), "Wr_over_r": (Z, Tr), "lap_tan": (Z, -coef[:, None] * M[1:, :J])}
+        if any(k in bubble._PRIME_FIELDS for k in fields):
+            Zp = Z * (0.5 * e) / h
+            terms.update(Wz=(Zp, T), Wrz_over_r=(Zp, Tr))
+        for k in fields:
+            zk, tk = terms[k]
+            out[k] = out.get(k, 0.0) + np.sum((zk @ tk) * U, axis=-1)
+    return out
+
 
 def _polar_points(rho, d):
-    return np.outer(rho, np.cos(d)).ravel(), np.outer(rho, np.sin(d)).ravel()
+    return np.outer(rho, np.cos(d)), np.outer(rho, np.sin(d))
+
+
+def _origin_grid(idx):
+    # the direct route's arcs inside the origin radius, and its angles
+    rho = moments._rho_rule(idx)[0]
+    return rho[rho < bubble._ORIGIN_RADIUS], halfsphere_rule(idx.n, idx.gamma)[0]
+
+
+@pytest.mark.parametrize(
+    "n,gamma", [(3, 0.2), (4, 0.8), (7, 0.25), (5, 0.02), (6, 0.05), (12, 0.7), (24, 0.5), (4, 0.99)]
+)
+def test_origin_fields_match_the_per_point_sum(n, gamma):
+    # on the direct route's own grid, 227 arcs down to rho = 3e-11 by
+    # 148-179 angles down to d = 1e-200: within 3e-14 of each field's max,
+    # measured 1.6e-14 (Wz and Wrz_over_r at (5, 0.02) and (4, 0.99), where
+    # they grow like z^(2g-1) at the trace) and at most 1.4e-15 elsewhere
+    idx = ProblemIndex(n, gamma)
+    rho, d = _origin_grid(idx)
+    got = bubble._origin_fields(idx, rho, d=d, fields=_ALL_FIELDS)
+    want = _origin_fields_per_point(idx, *_polar_points(rho, d), _ALL_FIELDS)
+    for k in _ALL_FIELDS:
+        assert got[k].shape == (rho.size, d.size), k
+        assert np.abs(got[k] - want[k]).max() <= 3e-14 * np.abs(want[k]).max(), k
+
+
+def test_origin_fields_peak_memory():
+    # the direct route's 227 x 159 origin points at (4, 0.8): the five
+    # fields take 1.4 MB and the product 2.6 MB at its peak; the per-point
+    # sum peaked at 17 MB on its (points, 12) temporaries
+    import tracemalloc
+
+    idx = ProblemIndex(4, 0.8)
+    rho, d = _origin_grid(idx)
+    bubble._origin_tables(idx.n, idx.gamma)
+    tracemalloc.start()
+    try:
+        bubble._origin_fields(idx, rho, d=d, fields=_ALL_FIELDS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5e6
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 16, 20, 24])
 def test_origin_fields_match_the_gamma_half_closed_form(n):
     # W = alpha (u^2 + r^2)^(-q), u = 1 + z, q = m/2, and its derivatives,
-    # at rho <= 1/32 down to the trace and the axis: within 8.2e-15 (n = 24).
+    # at rho <= 1/32 down to the trace and the axis: within 8.0e-15 (n = 20).
     # paired_profiles errs by 9.1e-5 there at n = 24
     idx = ProblemIndex(n, 0.5)
     rho = np.array([1e-9, 1e-4, 0.01, 0.02, bubble._ORIGIN_RADIUS])
-    r, z = _polar_points(rho, np.array([1e-12, 0.3, 0.8, 1.2, 0.5 * math.pi]))
-    got = bubble._origin_fields(idx, r, z, _ALL_FIELDS)
+    d = np.array([1e-12, 0.3, 0.8, 1.2, 0.5 * math.pi])
+    got = bubble._origin_fields(idx, rho, d=d, fields=_ALL_FIELDS)
+    r, z = _polar_points(rho, d)
     alpha, q = constants(idx).alpha, idx.m / 2.0
     u = 1.0 + z
     den = u**2 + r**2
@@ -914,22 +979,42 @@ def test_origin_fields_match_paired_profiles(n, gamma):
     # 2.3e-13 at rho <= 1/32 for n <= 5 and 6.8e-12 (Wrz_over_r) at
     # (7, 0.25), the Fourier-Bessel floor
     idx = ProblemIndex(n, gamma)
-    r, z = _polar_points(np.array([0.005, 0.02, 0.031]), np.array([0.05, 0.5, 1.0, 1.5]))
-    got = bubble._origin_fields(idx, r, z, _ALL_FIELDS)
-    want = bubble.paired_profiles(idx, r, z, _ALL_FIELDS)
+    rho, d = np.array([0.005, 0.02, 0.031]), np.array([0.05, 0.5, 1.0, 1.5])
+    got = bubble._origin_fields(idx, rho, d=d, fields=_ALL_FIELDS)
+    r, z = _polar_points(rho, d)
+    want = bubble.paired_profiles(idx, r.ravel(), z.ravel(), _ALL_FIELDS)
     assert tuple(got) == tuple(want)
     for k in _ALL_FIELDS:
-        assert np.abs(got[k] - want[k]).max() <= 1e-11 * np.abs(want[k]).max(), k
+        assert np.abs(got[k].ravel() - want[k]).max() <= 1e-11 * np.abs(want[k]).max(), k
 
 
 def test_origin_fields_raise_beyond_their_radius():
     idx = ProblemIndex(4, 0.3)
     edge = bubble._ORIGIN_RADIUS
-    bubble._origin_fields(idx, np.array([edge]), np.array([0.0]), ("W",))
-    with pytest.raises(NumericError):
-        bubble._origin_fields(idx, np.array([0.03]), np.array([0.01]), ("W",))
+    bubble._origin_fields(idx, [edge], d=[0.0], fields=("W",))
+    for rho in (np.nextafter(edge, 1.0), math.hypot(0.03, 0.01)):
+        with pytest.raises(NumericError):
+            bubble._origin_fields(idx, [0.01, rho], d=[0.3], fields=("W",))
     with pytest.raises(DomainError):
-        bubble._origin_fields(idx, np.array([0.01]), np.array([0.0]), ("Wz",))
+        bubble._origin_fields(idx, [0.01], d=[0.0], fields=("Wz",))
+
+
+@pytest.mark.parametrize(
+    "rho,d",
+    [([], [0.3]), ([0.0], [0.3]), ([-0.01], [0.3]), ([math.nan], [0.3]), ([math.inf], [0.3]),
+     ([[0.01]], [0.3]), ([0.01], [math.nan]), ([0.01], [-0.1]), ([0.01], [1.6])],
+)
+def test_origin_fields_reject_bad_arcs(rho, d):
+    # the arcs of polar_profiles: a nonempty 1-D rho, finite and > 0, and
+    # finite angles 0 <= d <= pi/2
+    with pytest.raises(DomainError):
+        bubble._origin_fields(ProblemIndex(4, 0.3), rho, d=d, fields=("W",))
+
+
+def _origin_at_points(idx, r, z, fields):
+    # the origin route at paired points (r, z), one arc and one angle each
+    f = [bubble._origin_fields(idx, [math.hypot(a, b)], d=[math.atan2(b, a)], fields=fields) for a, b in zip(r, z)]
+    return {k: np.array([g[k][0, 0] for g in f]) for k in fields}
 
 
 @pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (12, 0.7)])
@@ -939,7 +1024,7 @@ def test_wrz_over_r_is_the_z_derivative_of_wr_over_r(n, gamma):
     idx = ProblemIndex(n, gamma)
     for r, z, route in [
         (np.array([0.0, 0.4, 1.5, 3.0]), np.array([0.2, 0.7, 0.05, 1.3]), bubble.paired_profiles),
-        (np.array([0.0, 0.01, 0.02]), np.array([0.02, 0.005, 0.01]), bubble._origin_fields),
+        (np.array([0.0, 0.01, 0.02]), np.array([0.02, 0.005, 0.01]), _origin_at_points),
     ]:
         h = 1e-4 * z
         up, down = (route(idx, r, z + e, ("Wr_over_r",))["Wr_over_r"] for e in (h, -h))

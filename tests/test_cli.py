@@ -96,6 +96,24 @@ def test_non_finite_solver_inputs_are_usage_errors(argv, capsys):
     assert err.startswith("usage error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "lambda1", "--n", "4", "--gamma", "0.3", "--radii", "1e15"],
+        ["solve", "lambda1", "--n", "4", "--gamma", "0.3", "--resolution", "10000"],
+        ["solve", "green", "--n", "3", "--gamma", "0.5", "--resolution", "4097"],
+        ["solve", "linearized", "--n", "4", "--gamma", "0.3", "--resolution", "100000"],
+        ["solve", "extension", "--n", "4", "--gamma", "0.3", "--sizes", "32,64,4097"],
+    ],
+)
+def test_oversized_solver_grids_are_usage_errors(argv, capsys):
+    # more than solver._MAX_CELLS cells per axis stops the run before any
+    # solve (before, R = 1e15 ended in numpy's MemoryError for 682 PiB)
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "at most 4096" in err
+
+
 def test_integrals_rejects_divergent_index():
     assert run(["integrals", "--n", "3", "--gamma", "0.5"]) == 1
 

@@ -233,10 +233,10 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     for name in calls:
         original = getattr(bubble, name)
 
-        def field_spy(idx, a, *args, original=original, name=name, **kwargs):
-            # polar_profiles takes its angles d by keyword
-            calls[name].append((a, kwargs["d"] if "d" in kwargs else args[0]))
-            return original(idx, a, *args, **kwargs)
+        def field_spy(idx, rho, *, d, fields, original=original, name=name):
+            # both routes take arcs rho and the angles d by keyword
+            calls[name].append((rho, d))
+            return original(idx, rho, d=d, fields=fields)
 
         monkeypatch.setattr(bubble, name, field_spy)
     moments._integrals_direct(idx)
@@ -245,8 +245,9 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     band = rho >= bubble._ORIGIN_RADIUS
     [(arcs, d)] = calls["polar_profiles"]
     assert np.array_equal(arcs, rho[band])
-    [(r, z)] = calls["_origin_fields"]
-    assert r.shape == z.shape == (np.count_nonzero(~band), d.size)
+    [(inner, d_inner)] = calls["_origin_fields"]
+    assert np.array_equal(inner, rho[~band])
+    assert np.array_equal(d_inner, d)
     top = arcs.max()
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
     scale = (top / arcs)[:, None]
@@ -393,17 +394,16 @@ def test_core_grid_cost(monkeypatch):
     for name in ("polar_profiles", "_origin_fields"):
         original = getattr(bubble, name)
 
-        def spy(idx, a, *args, original=original, name=name, **kwargs):
-            b = kwargs["d"] if "d" in kwargs else args[0]  # polar_profiles' d is keyword-only
-            calls[name] = (np.shape(a), np.shape(b))
-            return original(idx, a, *args, **kwargs)
+        def spy(idx, rho, *, d, fields, original=original, name=name):
+            calls[name] = (np.shape(rho), np.shape(d))
+            return original(idx, rho, d=d, fields=fields)
 
         monkeypatch.setattr(bubble, name, spy)
     idx = ProblemIndex(4, 0.8)
     moments._integrals_direct(idx)
     (arcs,), (angles,) = calls["polar_profiles"]
     assert (arcs, angles) == (55, 159)
-    assert calls["_origin_fields"] == ((227, 159), (227, 159))
+    assert calls["_origin_fields"] == ((227,), (159,))
 
 
 def test_half_ball_band_keys_one_s_rule(monkeypatch):

@@ -321,6 +321,37 @@ def test_lambda1_rejects_bad_radius_and_resolution(R, resolution):
         solver.rayleigh_lambda1(ProblemIndex(4, 0.3), R, resolution=resolution)
 
 
+def test_cell_counts_are_bounded():
+    # more than _MAX_CELLS cells per axis raises before anything is
+    # allocated: R = 1e15 in rayleigh_lambda1 asked numpy for 682 PiB
+    cap = solver._MAX_CELLS
+    idx = ProblemIndex(4, 0.3)
+    WeightedGrid(1.0, 1.0, cap, cap, 0.4)
+    for nr, nz in ((cap + 1, 8), (8, cap + 1), (10**30, 8)):
+        with pytest.raises(DomainError, match="at most"):
+            WeightedGrid(1.0, 1.0, nr, nz, 0.4)
+    assert math.isfinite(solver.rayleigh_lambda1(idx, 1.0, resolution=cap))
+    for R, resolution in ((1e15, 96), (1.0, cap + 1), (1e-3, 10**400)):
+        with pytest.raises(DomainError, match="at most"):
+            solver.rayleigh_lambda1(idx, R, resolution=resolution)
+    with pytest.raises(DomainError, match="at most"):
+        solver.green_asymptotics(ProblemIndex(3, 0.5), R=4.0, resolution=cap + 1)
+
+
+def test_default_cell_counts_stay_far_inside_the_bound():
+    # every solve subcommand's default grid has at most 1/8 of _MAX_CELLS
+    # per axis
+    from fyk import cli
+
+    parser = cli.build_parser()
+    for kind in ("extension", "green", "lambda1", "linearized"):
+        args = parser.parse_args(["solve", kind, "--n", "4", "--gamma", "0.3"])
+        cells = max(args.sizes) if kind == "extension" else args.resolution
+        if kind == "lambda1":
+            cells = round(cells * max(args.radii))
+        assert cells <= solver._MAX_CELLS // 8, kind
+
+
 def test_lambda1_is_deterministic():
     idx = ProblemIndex(4, 0.3)
     assert solver.rayleigh_lambda1(idx, 1.0) == solver.rayleigh_lambda1(idx, 1.0)
@@ -412,6 +443,23 @@ def test_linearized_evaluate_stays_in_the_box():
     ):
         with pytest.raises(DomainError):
             res.evaluate(xbar, z)
+
+
+def test_linearized_evaluate_falls_to_zero_at_the_far_face():
+    # psi is 0 on the far Dirichlet face r = r_max: past the last cell
+    # center r_max - hr/2 it falls linearly to 0 there (before, it stayed at
+    # the last cell's value, 3.45e-5 at r = r_max)
+    res = _linearized(ProblemIndex(4, 0.3), cells=32, box=8.0)
+    hr, j = res.grid.hr, 4
+    z = res.grid.z[j]
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    last = res.psi[-1, j]
+    assert last != 0.0
+    assert res.evaluate(8.0 * x, z) == 0.0
+    assert res.evaluate((8.0 - 0.5 * hr) * x, z) == last
+    assert res.evaluate((8.0 - 0.25 * hr) * x, z) == pytest.approx(0.5 * last, rel=1e-12)
+    # inside, psi still interpolates between cell centers
+    assert res.evaluate((8.0 - hr) * x, z) == pytest.approx(0.5 * (last + res.psi[-2, j]), rel=1e-12)
 
 
 def test_linearized_scales_linearly():
