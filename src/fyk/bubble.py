@@ -42,7 +42,8 @@ latter rests on the scaling identity, from s = s'/rho,
 e_nu, e_(nu+1), phi and phi' are evaluated once on (s', d), and only the
 what-weights depend on rho.  The nodes s' are the outermost arc's s-rule
 scaled by its radius, so no arc sees more phase per panel than that rule
-resolves.  The three evaluators share their field formulas.
+resolves; this band starts at 1/32, and the arcs inside take the origin
+expansion below.  The three evaluators share their field formulas.
 
 Every term of a field is  c(s) e(s r) p(s z)  with |e| <= 1 (DLMF 10.14.4),
 |c(s)| <= |kw| max(1, s^2) for the weights kw = D s^(n-1) what(s) ds, and p
@@ -63,8 +64,9 @@ point).  Every field is cut this way; the coefficient of Wrz_over_r
 exceeds the envelope by at most s/n <= 45, so its dropped terms stay below
 4.5e-19 alpha.
 
-Near the origin a private third route, ``_origin_fields``, sums the trace
-expansion of Caffarelli and Silvestre (2007) to every order.  With
+Inside |x| < 1/32 (_ORIGIN_RADIUS) ``polar_profiles`` takes the origin
+expansion in place of the s-sums: the trace expansion of Caffarelli and
+Silvestre (2007), summed to every order.  With
 phi(t) = sum_k A_k (t/2)^(2k) + B_k (t/2)^(2k+2g) (``_profile_series``;
 DLMF 10.25.2, 10.27.4) and (-Delta)^g w = w^p,
 
@@ -74,10 +76,10 @@ and the coefficient of r^(2j) in (-Delta)^k (1 + r^2)^(-a) is
 (-1)^j (a)_(j+k) / (j+k)! * 4^k (j+1)_k (j+n/2)_k.  The other fields
 differentiate the powers, and lap_tan shifts k to k + 1.  With the series'
 K = 9 or 10 powers of z/2 and J = _ORIGIN_TERMS = 12 of r^2, at
-|x| <= 1/32 (_ORIGIN_RADIUS) every field holds within 8.0e-15 of the
-g = 1/2 closed form for n <= 24 (the Fourier-Bessel sums: 9.1e-5 at
-n = 24); at |x| = 1/8 the truncation leaves 5.2e-4 at n = 24, so it raises
-beyond 1/32.  The route takes arcs like ``polar_profiles``.  At
+|x| <= 1/32 every field holds within 8.0e-15 of the g = 1/2 closed form
+for n <= 24 (the Fourier-Bessel sums: 9.1e-5 at n = 24); at |x| = 1/8 the
+truncation leaves 5.2e-4 at n = 24, so the band's s-sums take every arc
+from 1/32 out.  It needs no s-rule, so it holds where n - 2g < 1 too.  At
 (r, z) = (rho cos d, rho sin d) a term T_kj (z/2)^(e_k) r^(2j) of a branch,
 e_k = e_0 + 2k, is rho^(e_0 + 2(k+j)) times T_kj (sin(d)/2)^(e_k)
 cos(d)^(2j).  So every field is one product A @ B.T: A holds the
@@ -92,14 +94,13 @@ them): a block forms kernel times profile on (s, point) for each field and
 contracts it over s with the field's coefficients, of every arc at once, by
 BLAS dgemm.  ``radial_profiles`` streams the tensor grid instead, one block
 of s-rows at a time (``_KERNEL_BLOCK`` values per row block), so it never
-holds an S x len(r) or S x len(z) array.  The z columns are sorted by their
-live prefix, longest first, so the columns a block still needs are a prefix
-too.  Each block evaluates the kernels on (s, r), the profiles on its live
-(s, z) entries alone, and adds its terms to the outputs in place by BLAS
-dgemm: one GEMM per kernel, with the coefficients on the profile side, so
-the fields on e_nu (W, lap_tan, Wz) share one and Wr_over_r and Wrz_over_r
-one on e_(nu+1).  The blocks stop after the last live row.  The tensor, paired
-and polar evaluators share one contraction, ``_accumulate``: each dgemm
+holds an S x len(r) or S x len(z) array.  Each block evaluates the kernels
+on (s, r), the profiles on the live (s, z) entries of the columns up to the
+last one it still needs (all of them live on ascending z, whose live
+prefixes shrink), and adds each field's terms to that field's output in
+place by BLAS dgemm, with the coefficients on the profile side.  The
+blocks stop after the last live row.  The tensor, paired and polar
+evaluators share one contraction, ``_accumulate``: each dgemm
 adds the partial sum of at most isqrt(S) s-rows to the output with one
 rounding, so an entry's sum is chunked, and the chunked sum of S terms in
 chunks of k rounds within (k + S/k) eps sum |terms| (Higham, *Accuracy and
@@ -118,9 +119,9 @@ R/2 begin with the same panels scaled by 2.  A point at large z puts
 its s-integrand at s ~ 1/z, which the rule's first panels resolve only while
 (first node) * z <= _SZ_MAX, z <= 3.2e3 for max r <= 8; beyond that the
 evaluators raise NumericError rather than return a sum that misses the
-integrand.  ``polar_profiles`` raises likewise where an inner arc's scaled
-first node exceeds _S_FIRST_MAX: at rho below 0.03 times the outer radius
-where that is at most 8.  Where n - 2g < 1 the factor s^(n-1-2g) is
+integrand.  ``polar_profiles`` raises likewise where a band arc's scaled
+first node exceeds _S_FIRST_MAX: at rho below 0.03 times the band's outer
+radius where that is at most 8.  Where n - 2g < 1 the factor s^(n-1-2g) is
 singular and the rule misses it (against the Poisson route 0.33 at
 (1, 0.45), 1.1e-3 at (2, 0.7); at most 2.2e-6 for n - 2g >= 1), so there
 ``_what_weights``, which every Fourier-Bessel evaluator calls, raises
@@ -187,10 +188,11 @@ _GAUSS_ORDER = 10
 # docstring): below it the gamma = 1/2 closed form holds to 6.2e-10 at r = 0
 # for n = 3..12; 1e-8 is first lost at 0.125 (n = 8, 9)
 _SZ_MAX = 0.1
-# polar_profiles raises where an arc's first s-node, the outer arc's scaled
-# by (max rho)/rho, exceeds this: below it an arc at (4, 0.3) stays within
-# 1.7e-12 of paired_profiles, at (4, 0.8) within 1e-9; the s^(n-1-2g) factor
-# of the s-integrand is resolved no further (see the module docstring)
+# polar_profiles raises where a band arc's first s-node, the band's outer
+# arc's scaled by (max rho)/rho, exceeds this: below it an arc at (4, 0.3)
+# stays within 1.7e-12 of paired_profiles, at (4, 0.8) within 1e-9; the
+# s^(n-1-2g) factor of the s-integrand is resolved no further (see the
+# module docstring)
 _S_FIRST_MAX = 1e-3
 # the origin expansion's powers of z/2 per branch and of r^2 per power, and
 # the radius it serves (see the module docstring)
@@ -531,42 +533,23 @@ def radial_profiles(idx, r, z, fields=("W",)):
     _check_reach(s, z)
     nu = idx.n / 2.0 - 1.0
     counts = _live_counts(idx, s, kw, s, z)
-    # z columns by live count, descending, so the live columns of every
-    # block of s-rows are a prefix (on ascending z the order is the identity)
-    order = np.argsort(-counts, kind="stable")
-    zs, counts = z[order], counts[order]
     terms = _field_terms(idx, s, kw, fields)
-    # the fields on one kernel share one GEMM: in a group of g fields, column
-    # j * g + f of the F-ordered buffer is field f at z column j, so a block
-    # adds to the contiguous columns of its live prefix
-    groups, bufs, out = {}, {}, {}
-    for k, (_, e, _) in terms.items():
-        groups.setdefault(e, []).append(k)
-    for e, keys in groups.items():
-        bufs[e] = np.zeros((r.size, len(keys), z.size), order="F")
-        out.update((k, bufs[e][:, f]) for f, k in enumerate(keys))
-    stop = counts.max(initial=0)
+    # a block's columns of an F-ordered output take its dgemm in place
+    out = {k: np.zeros((r.size, z.size), order="F") for k in terms}
     rows = max(1, _KERNEL_BLOCK // max(r.size, z.size, 1))
     # partial sums of about sqrt(S) rows minimize the chunked sum's rounding
     # bound (see the module docstring)
     step = max(1, math.isqrt(s.size))
-    for i in range(0, stop if r.size and z.size else 0, rows):
+    for i in range(0, counts.max(initial=0) if r.size else 0, rows):
         blk = slice(i, i + rows)
         kernels = _e_pair(nu, np.outer(s[blk], r))
-        live = np.count_nonzero(counts > i)
+        # the columns up to the last one still live in this block
+        live = np.flatnonzero(counts > i)[-1] + 1
         mask = np.arange(i, i + len(kernels[0]))[:, None] < counts[:live]
-        profiles = _cut_profiles(idx, np.outer(s[blk], zs[:live])[mask], mask, fields)
-        for e, keys in groups.items():
-            P = np.empty((len(mask), live, len(keys)))
-            for f, k in enumerate(keys):
-                c, _, p = terms[k]
-                P[:, :, f] = c[blk, None] * profiles[p]
-            dst = bufs[e][:, :, :live].reshape(r.size, -1, order="F")
-            _accumulate(kernels[e], P.reshape(len(P), -1), dst, step)
-    if not np.array_equal(order, np.arange(z.size)):
-        inv = np.argsort(order)
-        out = {k: v[:, inv] for k, v in out.items()}
-    return {k: out[k] for k in terms}
+        profiles = _cut_profiles(idx, np.outer(s[blk], z[:live])[mask], mask, fields)
+        for k, (c, e, p) in terms.items():
+            _accumulate(kernels[e], c[blk, None] * profiles[p], out[k][:, :live], step)
+    return out
 
 
 def paired_profiles(idx, r, z, fields=("W",)):
@@ -588,16 +571,18 @@ def paired_profiles(idx, r, z, fields=("W",)):
 def polar_profiles(idx, rho, *, d, fields=("W",)):
     """The fields of ``radial_profiles`` on arcs: at (r, z) =
     (rho[a] cos d[t], rho[a] sin d[t]), as (len(rho), len(d)) arrays, where
-    d is the angle to the trace plane.  ``rho`` > 0 and 0 <= ``d`` <= pi/2
-    (> 0 for the fields on phi').  The angle is measured from the trace so
-    that z = rho sin d keeps its digits next to it; ``d`` and ``fields`` are
-    keyword-only, so a call that passes the polar angle from the z-axis in
-    their place fails instead of mirroring the arcs.
+    d is the angle to the trace plane.  ``rho`` > 0, in any order, and
+    0 <= ``d`` <= pi/2 (> 0 for the fields on phi').  The angle is measured
+    from the trace so that z = rho sin d keeps its digits next to it; ``d``
+    and ``fields`` are keyword-only, so a call that passes the polar angle
+    from the z-axis in their place fails instead of mirroring the arcs.
 
-    With s = s'/rho every arc shares the kernel and profile values
-    e_nu(s' cos d) and phi(s' sin d); only the what-weights depend on rho
-    (see the module docstring).  An arc so far inside the outermost one that
-    its scaled first s-node exceeds _S_FIRST_MAX raises NumericError.
+    Arcs inside _ORIGIN_RADIUS take the origin expansion; the others form
+    one band, where with s = s'/rho every arc shares the kernel and profile
+    values e_nu(s' cos d) and phi(s' sin d) and only the what-weights depend
+    on rho (see the module docstring).  A band arc so far inside the band's
+    outermost one that its scaled first s-node exceeds _S_FIRST_MAX raises
+    NumericError.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -605,22 +590,35 @@ def polar_profiles(idx, rho, *, d, fields=("W",)):
         raise DomainError("polar_profiles needs a nonempty 1-D rho > 0 and 1-D d")
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(d))):
         raise DomainError("rho and d must be finite")
-    top = rho.max()
-    r, z = top * np.cos(d), top * np.sin(d)
-    _check_request(r, z, fields)
-    s0, ws0 = _s_nodes(_rmax_key(top))
-    # the outermost arc keeps the rule radial_profiles would use there
-    scale = (top / rho)[:, None]
-    s = scale * s0
-    first = float(s[:, 0].max())
-    if first > _S_FIRST_MAX:
-        raise NumericError(
-            f"rho = {rho.min():g} is beyond the radius-scaled s-rule: its first "
-            f"node {first:.3g} > {_S_FIRST_MAX} (max rho {top:g})",
-            {"rho": float(rho.min()), "rho_max": float(top), "s_first": first},
-        )
-    kw = _what_weights(idx, s, scale * ws0)
-    return _paired_fields(idx, s, kw, s0, r, z, fields)
+    _check_request(rho.max() * np.cos(d), rho.max() * np.sin(d), fields)
+    names = [k for k in _FIELD_NAMES if k in fields]
+    if not names:
+        return {}
+    out = {k: np.empty((rho.size, d.size)) for k in names}
+    inner = rho < _ORIGIN_RADIUS
+    band = rho[~inner]
+    if band.size:
+        top = band.max()
+        s0, ws0 = _s_nodes(_rmax_key(top))
+        # the outermost arc keeps the rule radial_profiles would use there
+        scale = (top / band)[:, None]
+        s = scale * s0
+        first = float(s[:, 0].max())
+        if first > _S_FIRST_MAX:
+            raise NumericError(
+                f"rho = {band.min():g} is beyond the radius-scaled s-rule: its first "
+                f"node {first:.3g} > {_S_FIRST_MAX} (max rho {top:g})",
+                {"rho": float(band.min()), "rho_max": float(top), "s_first": first},
+            )
+        kw = _what_weights(idx, s, scale * ws0)
+        f = _paired_fields(idx, s, kw, s0, top * np.cos(d), top * np.sin(d), names)
+        for k in names:
+            out[k][~inner] = f[k]
+    if inner.any():
+        f = _origin_fields(idx, rho[inner], d, names)
+        for k in names:
+            out[k][inner] = f[k]
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -650,30 +648,16 @@ def _origin_tables(n, g):
     return tables
 
 
-def _origin_fields(idx, rho, *, d, fields):
-    """The fields of ``radial_profiles`` from the origin expansion (see the
-    module docstring) on arcs, as ``polar_profiles`` takes them: at (r, z) =
-    (rho[a] cos d[t], rho[a] sin d[t]), as (len(rho), len(d)) arrays.
-    ``rho`` > 0 and 0 <= ``d`` <= pi/2 (> 0 for the fields on phi'); an arc
-    beyond _ORIGIN_RADIUS raises NumericError.
+def _origin_fields(idx, rho, d, names):
+    """The fields ``names``, in the order of ``_FIELD_NAMES``, from the
+    origin expansion (see the module docstring) on the arcs rho <
+    _ORIGIN_RADIUS and angles d of ``polar_profiles``, which checks them, as
+    (len(rho), len(d)) arrays.
 
     All the fields are one product A @ B.T, A the powers of rho and B the
     angular factors of equal power summed, one row per field and angle.  The
     fields on phi' take d/dz (z/2)^e = (e/2) (z/2)^(e-1) and divide by rho."""
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    d = np.atleast_1d(np.asarray(d, dtype=float))
-    if rho.ndim != 1 or d.ndim != 1 or not (rho.size and rho.min() > 0.0):
-        raise DomainError("_origin_fields needs a nonempty 1-D rho > 0 and 1-D d")
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(d))):
-        raise DomainError("rho and d must be finite")
-    top = rho.max()
     c, s = np.sin(d), np.cos(d)
-    _check_request(top * s, top * c, fields)
-    if top > _ORIGIN_RADIUS:
-        raise NumericError(f"the origin expansion serves |x| <= {_ORIGIN_RADIUS:g}", {"rho_max": float(top)})
-    names = [k for k in _FIELD_NAMES if k in fields]
-    if not names:
-        return {}
     J = _ORIGIN_TERMS
     j = np.arange(J)
     S = (s * s)[:, None] ** j

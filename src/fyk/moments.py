@@ -27,9 +27,9 @@ scaled to be scale-free, each integrand is rho^(n+1-2g) times angular
 factors inside and rho^(n-3-2g) times the image fields outside
 (``_integrals_direct``).  The rule is a Gauss-Jacobi panel in
 rho^(n-3-2g) on [0, 1e-8] and Gauss panels of ratio 2 up to 1, times the
-Pohozaev half-sphere rule (``_quad.halfsphere_rule``).  The fields at
-rho >= 1/32 come from one ``bubble.polar_profiles`` band and inside 1/32
-from the origin expansion (``bubble._origin_fields``).
+Pohozaev half-sphere rule (``_quad.halfsphere_rule``).  The fields on all
+its arcs come from one ``bubble.polar_profiles`` call, which takes the
+origin expansion inside 1/32 and one radius-scaled s-rule outside.
 """
 from dataclasses import dataclass, field
 import math
@@ -281,15 +281,9 @@ def _half_ball_fields(idx, rho, d, c, s):
     (d, c, s) the angles of ``halfsphere_rule``, as (len(rho), len(d))
     arrays, each times the power of rho that makes it scale-free: W,
     R = rho^2 Wr_over_r, Z = rho Wz, L = rho^2 lap_tan, T = rho^3
-    Wrz_over_r, Wrr = rho^2 W_rr and the dilation field Q = Z^0.  Both
-    routes take the same arcs and angles d: the arcs below
-    bubble._ORIGIN_RADIUS the origin expansion (``bubble._origin_fields``,
-    one product of rho-powers and angular tables), the others one
-    ``bubble.polar_profiles`` band."""
-    inner = rho < bubble._ORIGIN_RADIUS
-    near = bubble._origin_fields(idx, rho[inner], d=d, fields=_FIELDS)
-    far = bubble.polar_profiles(idx, rho[~inner], d=d, fields=_FIELDS)
-    f = {k: np.concatenate([near[k], far[k]]) for k in _FIELDS}
+    Wrz_over_r, Wrr = rho^2 W_rr and the dilation field Q = Z^0, from one
+    ``bubble.polar_profiles`` call."""
+    f = bubble.polar_profiles(idx, rho, d=d, fields=_FIELDS)
     p = rho[:, None]
     R, L = p**2 * f["Wr_over_r"], p**2 * f["lap_tan"]
     return {"W": f["W"], "R": R, "Z": p * f["Wz"], "L": L, "T": p**3 * f["Wrz_over_r"],

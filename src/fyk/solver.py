@@ -546,11 +546,15 @@ class LinearizedResult:
         j = min(max(int(z / g.hz), 0), g.nz - 1)
         two_g = 1.0 - g.weight_exponent
         s_lo, s_hi = g.z[j] ** two_g, g.z[j + 1] ** two_g
-        lo = self.psi[i]
-        # past the last cell center psi falls to the far face's Dirichlet 0
-        # at r_max, hr/2 further out
-        hi, width = (self.psi[i + 1], g.hr) if i + 1 < g.nr else (np.zeros_like(lo), 0.5 * g.hr)
-        fr = np.clip((r - g.r[i]) / width, 0.0, 1.0)
+        # psi falls to 0 at the axis, hr/2 before the first cell center, and
+        # to the far face's Dirichlet 0 at r_max, hr/2 past the last
+        zero = np.zeros_like(self.psi[0])
+        if r < g.r[0]:
+            r0, lo, hi, width = 0.0, zero, self.psi[0], 0.5 * g.hr
+        else:
+            r0, lo = g.r[i], self.psi[i]
+            hi, width = (self.psi[i + 1], g.hr) if i + 1 < g.nr else (zero, 0.5 * g.hr)
+        fr = np.clip((r - r0) / width, 0.0, 1.0)
         fz = np.clip((max(z, 0.0) ** two_g - s_lo) / (s_hi - s_lo), 0.0, 1.0)
         return float(
             (1 - fr) * (1 - fz) * lo[j]

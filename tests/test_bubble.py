@@ -550,22 +550,24 @@ def test_polar_profiles_match_tensor_diagonal(n, gamma):
 
 @pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (7, 0.25)])
 def test_polar_profiles_resolve_each_arc_or_raise(n, gamma):
-    # with the outer arc at rho = 1 the rule is scaled by 1/rho on the inner
-    # one: below rho = 1e-4 it left no node where the s-integrand lives
-    # (W 100 % off), at 1e-3 it was 1.9e-7 off at (4, 0.3)
+    # with the outer arc at rho = 8 the band's rule is scaled by 8/rho on an
+    # inner band arc: with the outer arc at 1, below rho = 1e-4 it left no
+    # node where the s-integrand lives (W 100 % off), at 1e-3 it was 1.9e-7
+    # off at (4, 0.3).  Band arcs below about 0.25 raise; the arcs inside
+    # 1/32 take the origin expansion and hold down to rho = 1e-8
     idx = ProblemIndex(n, gamma)
     d = np.linspace(0.5 * math.pi - 1.5, 0.5 * math.pi, 13)
-    accepted = []
+    raised = []
     for rho in np.logspace(-8.0, 0.0, 33):
         try:
-            got = bubble.polar_profiles(idx, np.array([rho, 1.0]), d=d, fields=_FIELDS)
+            got = bubble.polar_profiles(idx, np.array([rho, 8.0]), d=d, fields=_FIELDS)
         except NumericError:
+            raised.append(rho)
             continue
         want = bubble.paired_profiles(idx, rho * np.cos(d), rho * np.sin(d), _FIELDS)
         for k in _FIELDS:
             assert np.abs(got[k][0] - want[k]).max() <= 1e-9 * np.abs(want[k]).max(), (rho, k)
-        accepted.append(rho)
-    assert 0.05 > min(accepted) > 1e-3
+    assert raised and bubble._ORIGIN_RADIUS <= min(raised) and max(raised) < 0.25
     # the direct route's band, [1/32, 1], stays within the rule: its inner
     # arc's scaled first node is 9.2e-4, below _S_FIRST_MAX
     arcs, d = _band(idx)
@@ -614,18 +616,22 @@ def test_paired_and_polar_profiles_reject_bad_input():
             bubble.radial_profiles(idx, np.array([r]), np.array([z]))
     with pytest.raises(DomainError):
         bubble.radial_profiles(idx, np.ones(2), np.array([1.0, 0.0]), ("Wz",))
+    # a bad arc or angle next to a band arc and next to an arc inside 1/32,
+    # which takes the origin expansion: one check serves both routes
     for rho, d in [(nan, 0.3), (inf, 0.3), (1.0, nan), (1.0, inf),
                    (1.0, -0.1), (1.0, 0.5 * math.pi + 0.1), (-1.0, 0.3)]:
-        with pytest.raises(DomainError):
-            bubble.polar_profiles(idx, np.array([0.5, rho]), d=np.array([0.2, d]))
+        for good in (0.5, 0.01):
+            with pytest.raises(DomainError):
+                bubble.polar_profiles(idx, np.array([good, rho]), d=np.array([0.2, d]))
     with pytest.raises(DomainError):
         bubble.paired_profiles(idx, np.ones(2), np.array([1.0, 0.0]), ("Wz",))
     with pytest.raises(DomainError):
         bubble.polar_profiles(idx, np.array([1.0, 0.0]), d=np.array([0.3]))
     with pytest.raises(DomainError):
         bubble.polar_profiles(idx, np.array([]), d=np.array([0.3]))
-    with pytest.raises(DomainError):
-        bubble.polar_profiles(idx, np.array([1.0]), d=np.array([0.0]), fields=("Wz",))
+    for rho in (1.0, 0.01):
+        with pytest.raises(DomainError):
+            bubble.polar_profiles(idx, np.array([rho]), d=np.array([0.0]), fields=("Wz",))
     # the angle is keyword-only: a positional polar angle from the z-axis
     # would give the fields at the mirrored angle
     with pytest.raises(TypeError):
@@ -863,8 +869,9 @@ def test_field_subsets_match_the_full_request(capped_grid_rules):
 
 
 def test_shuffled_z_permutes_the_fields(capped_grid_rules):
-    # the columns are sorted by their live s-prefix internally; the output
-    # follows the caller's order
+    # on shuffled z a block of s-rows sums every column up to the last live
+    # one, whose dead entries add exact zeros; the output follows the
+    # caller's order
     idx, r, z = _small_grid(capped_grid_rules)
     want = bubble.radial_profiles(idx, r, z, _FIELDS)
     perm = np.random.default_rng(7).permutation(z.size)
@@ -914,13 +921,14 @@ def _origin_grid(idx):
     "n,gamma", [(3, 0.2), (4, 0.8), (7, 0.25), (5, 0.02), (6, 0.05), (12, 0.7), (24, 0.5), (4, 0.99)]
 )
 def test_origin_fields_match_the_per_point_sum(n, gamma):
-    # on the direct route's own grid, 227 arcs down to rho = 3e-11 by
-    # 148-179 angles down to d = 1e-200: within 3e-14 of each field's max,
-    # measured 1.6e-14 (Wz and Wrz_over_r at (5, 0.02) and (4, 0.99), where
-    # they grow like z^(2g-1) at the trace) and at most 1.4e-15 elsewhere
+    # polar_profiles on the direct route's own arcs inside 1/32, 227 of them
+    # down to rho = 3e-11, by 148-179 angles down to d = 1e-200: within
+    # 3e-14 of each field's max, measured 1.6e-14 (Wz and Wrz_over_r at
+    # (5, 0.02) and (4, 0.99), where they grow like z^(2g-1) at the trace)
+    # and at most 1.4e-15 elsewhere
     idx = ProblemIndex(n, gamma)
     rho, d = _origin_grid(idx)
-    got = bubble._origin_fields(idx, rho, d=d, fields=_ALL_FIELDS)
+    got = bubble.polar_profiles(idx, rho, d=d, fields=_ALL_FIELDS)
     want = _origin_fields_per_point(idx, *_polar_points(rho, d), _ALL_FIELDS)
     for k in _ALL_FIELDS:
         assert got[k].shape == (rho.size, d.size), k
@@ -929,8 +937,9 @@ def test_origin_fields_match_the_per_point_sum(n, gamma):
 
 def test_origin_fields_peak_memory():
     # the direct route's 227 x 159 origin points at (4, 0.8): the five
-    # fields take 1.4 MB and the product 2.6 MB at its peak; the per-point
-    # sum peaked at 17 MB on its (points, 12) temporaries
+    # fields take 1.4 MB, the product 2.6 MB at its peak and polar_profiles'
+    # outputs 1.4 MB more, 4.1 MB; the per-point sum peaked at 17 MB on its
+    # (points, 12) temporaries
     import tracemalloc
 
     idx = ProblemIndex(4, 0.8)
@@ -938,7 +947,7 @@ def test_origin_fields_peak_memory():
     bubble._origin_tables(idx.n, idx.gamma)
     tracemalloc.start()
     try:
-        bubble._origin_fields(idx, rho, d=d, fields=_ALL_FIELDS)
+        bubble.polar_profiles(idx, rho, d=d, fields=_ALL_FIELDS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -948,12 +957,12 @@ def test_origin_fields_peak_memory():
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 16, 20, 24])
 def test_origin_fields_match_the_gamma_half_closed_form(n):
     # W = alpha (u^2 + r^2)^(-q), u = 1 + z, q = m/2, and its derivatives,
-    # at rho <= 1/32 down to the trace and the axis: within 8.0e-15 (n = 20).
+    # at rho < 1/32 down to the trace and the axis: within 8.0e-15 (n = 20).
     # paired_profiles errs by 9.1e-5 there at n = 24
     idx = ProblemIndex(n, 0.5)
-    rho = np.array([1e-9, 1e-4, 0.01, 0.02, bubble._ORIGIN_RADIUS])
+    rho = np.array([1e-9, 1e-4, 0.01, 0.02, np.nextafter(bubble._ORIGIN_RADIUS, 0.0)])
     d = np.array([1e-12, 0.3, 0.8, 1.2, 0.5 * math.pi])
-    got = bubble._origin_fields(idx, rho, d=d, fields=_ALL_FIELDS)
+    got = bubble.polar_profiles(idx, rho, d=d, fields=_ALL_FIELDS)
     r, z = _polar_points(rho, d)
     alpha, q = constants(idx).alpha, idx.m / 2.0
     u = 1.0 + z
@@ -975,12 +984,12 @@ def test_origin_fields_match_the_gamma_half_closed_form(n):
 
 @pytest.mark.parametrize("n,gamma", [(3, 0.2), (4, 0.8), (5, 0.7), (7, 0.25)])
 def test_origin_fields_match_paired_profiles(n, gamma):
-    # the two routes agree where both hold, away from the trace: within
-    # 2.3e-13 at rho <= 1/32 for n <= 5 and 6.8e-12 (Wrz_over_r) at
-    # (7, 0.25), the Fourier-Bessel floor
+    # polar_profiles inside 1/32 and paired_profiles agree where both hold,
+    # away from the trace: within 2.3e-13 for n <= 5 and 6.8e-12
+    # (Wrz_over_r) at (7, 0.25), the Fourier-Bessel floor
     idx = ProblemIndex(n, gamma)
     rho, d = np.array([0.005, 0.02, 0.031]), np.array([0.05, 0.5, 1.0, 1.5])
-    got = bubble._origin_fields(idx, rho, d=d, fields=_ALL_FIELDS)
+    got = bubble.polar_profiles(idx, rho, d=d, fields=_ALL_FIELDS)
     r, z = _polar_points(rho, d)
     want = bubble.paired_profiles(idx, r.ravel(), z.ravel(), _ALL_FIELDS)
     assert tuple(got) == tuple(want)
@@ -988,15 +997,36 @@ def test_origin_fields_match_paired_profiles(n, gamma):
         assert np.abs(got[k].ravel() - want[k]).max() <= 1e-11 * np.abs(want[k]).max(), k
 
 
-def test_origin_fields_raise_beyond_their_radius():
-    idx = ProblemIndex(4, 0.3)
-    edge = bubble._ORIGIN_RADIUS
-    bubble._origin_fields(idx, [edge], d=[0.0], fields=("W",))
-    for rho in (np.nextafter(edge, 1.0), math.hypot(0.03, 0.01)):
-        with pytest.raises(NumericError):
-            bubble._origin_fields(idx, [0.01, rho], d=[0.3], fields=("W",))
-    with pytest.raises(DomainError):
-        bubble._origin_fields(idx, [0.01], d=[0.0], fields=("Wz",))
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (7, 0.25), (3, 0.45), (12, 0.7)])
+def test_polar_profiles_route_each_arc_by_its_radius(n, gamma):
+    # arcs on both sides of 1/32, in shuffled order: each row is, bit for
+    # bit, that arc's row of the call with the arcs of its own side alone
+    idx = ProblemIndex(n, gamma)
+    inner = np.array([1e-6, 0.004, 0.02, np.nextafter(bubble._ORIGIN_RADIUS, 0.0)])
+    band = np.array([bubble._ORIGIN_RADIUS, 0.1, 0.6, 1.0])
+    rho = np.concatenate([inner, band])
+    perm = np.random.default_rng(3).permutation(rho.size)
+    d = halfsphere_rule(n, gamma)[0]
+    got = bubble.polar_profiles(idx, rho[perm], d=d, fields=_ALL_FIELDS)
+    parts = [bubble.polar_profiles(idx, arcs, d=d, fields=_ALL_FIELDS) for arcs in (inner, band)]
+    for k in _ALL_FIELDS:
+        assert np.array_equal(got[k], np.concatenate([f[k] for f in parts])[perm]), k
+    assert bubble.polar_profiles(idx, rho, d=d, fields=()) == {}
+
+
+@pytest.mark.parametrize("n,gamma", [(1, 0.3), (1, 0.45), (2, 0.7)])
+def test_inner_arcs_hold_below_n_minus_2g_one(n, gamma):
+    # where n - 2g < 1 the Fourier-Bessel sums raise, but the origin
+    # expansion holds: against the Poisson route within 1e-14, measured
+    # 3.3e-16 to 8.9e-16.  A band arc at the same index still raises
+    idx = ProblemIndex(n, gamma)
+    rho, d = np.array([0.005, 0.02, 0.03]), np.array([0.3, 0.8, 1.4])
+    got = bubble.polar_profiles(idx, rho, d=d)["W"]
+    r, z = _polar_points(rho, d)
+    want = np.vectorize(lambda a, b: bubble._extension_poisson(idx, a, b))(r, z)
+    assert np.abs(got / want - 1.0).max() <= 1e-14
+    with pytest.raises(NumericError, match="n - 2 gamma"):
+        bubble.polar_profiles(idx, np.append(rho, 0.5), d=d)
 
 
 @pytest.mark.parametrize(
@@ -1005,15 +1035,21 @@ def test_origin_fields_raise_beyond_their_radius():
      ([[0.01]], [0.3]), ([0.01], [math.nan]), ([0.01], [-0.1]), ([0.01], [1.6])],
 )
 def test_origin_fields_reject_bad_arcs(rho, d):
-    # the arcs of polar_profiles: a nonempty 1-D rho, finite and > 0, and
-    # finite angles 0 <= d <= pi/2
+    # the arcs inside 1/32 pass polar_profiles' one check too: a nonempty
+    # 1-D rho, finite and > 0, and finite angles 0 <= d <= pi/2, alone and
+    # next to a good inner arc
+    idx = ProblemIndex(4, 0.3)
     with pytest.raises(DomainError):
-        bubble._origin_fields(ProblemIndex(4, 0.3), rho, d=d, fields=("W",))
+        bubble.polar_profiles(idx, rho, d=d)
+    if np.ndim(rho) == 1 and len(rho):
+        with pytest.raises(DomainError):
+            bubble.polar_profiles(idx, [0.02] + rho, d=[0.2] + d)
 
 
 def _origin_at_points(idx, r, z, fields):
-    # the origin route at paired points (r, z), one arc and one angle each
-    f = [bubble._origin_fields(idx, [math.hypot(a, b)], d=[math.atan2(b, a)], fields=fields) for a, b in zip(r, z)]
+    # the origin route at paired points (r, z) inside 1/32, one arc and one
+    # angle each
+    f = [bubble.polar_profiles(idx, [math.hypot(a, b)], d=[math.atan2(b, a)], fields=fields) for a, b in zip(r, z)]
     return {k: np.array([g[k][0, 0] for g in f]) for k in fields}
 
 

@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -363,3 +368,43 @@ def test_boolean_columns_print_true_false(monkeypatch, capsys, argv):
     if argv[0] == "pohozaev":
         assert header[-1] == "within_tol"
         assert {row[-1] for row in rows} == ({True, False} if "--tol" in argv else {True})
+
+
+# sha256 of the tables whose accuracy figures the benchmark's err_drift
+# reads, as written at OPENBLAS_NUM_THREADS=1
+PINNED_TABLES = {
+    ("integrals", "7", "0.25"): (
+        "integrals_n7_g0.25_direct_2d.csv",
+        "7b26b491fec2636d396af7fa4d4f2d10f243764165c1e268264f35061ebd2104",
+    ),
+    ("integrals", "4", "0.8"): (
+        "integrals_n4_g0.8_direct_2d.csv",
+        "c8ed0c37d587316106a69a1690487903eb5950f1475a8ce79644dde8433eb818",
+    ),
+    ("pohozaev", "4", "0.3"): (
+        "pohozaev_n4_g0.3.csv",
+        "5a07fe53d6afd8726c8eeb68dcd0d427461f543bf14912c9575e9b0a94e8f41f",
+    ),
+}
+
+
+def test_pinned_tables_are_byte_identical(tmp_path):
+    # a fresh interpreter with one BLAS thread, whose dgemm sums in a fixed
+    # order, so that the tables' last digits do not depend on the machine's
+    # thread count
+    jobs = [
+        [cmd, "--n", n, "--gamma", g, "--out", str(tmp_path)]
+        + (["--method", "direct_2d"] if cmd == "integrals" else [])
+        for cmd, n, g in PINNED_TABLES
+    ]
+    code = f"from fyk import cli\nfor argv in {jobs!r}:\n    assert cli.main(argv) == 0\n"
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True)
+    for name, want in PINNED_TABLES.values():
+        got = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert got == want, (
+            f"{name} changed (sha256 {got}); a deliberate change of these tables "
+            "moves the benchmark's err_drift and must be recorded in CHANGES.md, "
+            "with the new sha256 here"
+        )

@@ -206,11 +206,12 @@ def _live_entries(idx, s, kw, s0, z):
 
 
 def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
-    # the half-ball's arcs at rho >= 1/32 share one kernel and profile
-    # evaluation, polar_profiles rescaling one s-rule to each radius: phi and
-    # phi' come together from profile_phi_pair, which sees each live (s', d)
-    # point of that band exactly once; the arcs inside 1/32 take the origin
-    # expansion and evaluate no profile, and SciPy's kv is never called
+    # the half-ball's arcs take one polar_profiles call.  Those at
+    # rho >= 1/32 share one kernel and profile evaluation, one s-rule
+    # rescaled to each radius: phi and phi' come together from
+    # profile_phi_pair, which sees each live (s', d) point of that band
+    # exactly once; the arcs inside 1/32 take the origin expansion and
+    # evaluate no profile, and SciPy's kv is never called
     idx = ProblemIndex(5, 0.7)
     seen = {"profile_phi_pair": [], "profile_phi": []}
     for name in seen:
@@ -229,25 +230,20 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
         return kv(order, t)
 
     monkeypatch.setattr(special, "kv", kv_spy)
-    calls = {"polar_profiles": [], "_origin_fields": []}
-    for name in calls:
-        original = getattr(bubble, name)
+    calls = []
+    polar = bubble.polar_profiles
 
-        def field_spy(idx, rho, *, d, fields, original=original, name=name):
-            # both routes take arcs rho and the angles d by keyword
-            calls[name].append((rho, d))
-            return original(idx, rho, d=d, fields=fields)
+    def polar_spy(idx, rho, *, d, fields):
+        calls.append((rho, d))
+        return polar(idx, rho, d=d, fields=fields)
 
-        monkeypatch.setattr(bubble, name, field_spy)
+    monkeypatch.setattr(bubble, "polar_profiles", polar_spy)
     moments._integrals_direct(idx)
 
     rho = moments._rho_rule(idx)[0]
-    band = rho >= bubble._ORIGIN_RADIUS
-    [(arcs, d)] = calls["polar_profiles"]
-    assert np.array_equal(arcs, rho[band])
-    [(inner, d_inner)] = calls["_origin_fields"]
-    assert np.array_equal(inner, rho[~band])
-    assert np.array_equal(d_inner, d)
+    [(got_rho, d)] = calls
+    assert np.array_equal(got_rho, rho)
+    arcs = rho[rho >= bubble._ORIGIN_RADIUS]
     top = arcs.max()
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
     scale = (top / arcs)[:, None]
@@ -388,22 +384,23 @@ def test_first_z_panel_integrates_the_weight_exactly(gamma):
 def test_core_grid_cost(monkeypatch):
     # the cost of the direct route: 282 rho-nodes (12 on the Gauss-Jacobi
     # panel, then 27 Gauss panels of 10) times the 148-179 angles of the
-    # half-sphere rule.  Of the rho-nodes 55 lie in [1/32, 1] and take one
-    # polar_profiles band; the other 227 take the origin expansion
-    calls = {}
-    for name in ("polar_profiles", "_origin_fields"):
-        original = getattr(bubble, name)
+    # half-sphere rule, in one polar_profiles call.  Of the rho-nodes 55 lie
+    # in [1/32, 1] and take its band; the other 227 take the origin expansion
+    calls = {"polar": [], "origin": []}
+    polar, origin = bubble.polar_profiles, bubble._origin_fields
 
-        def spy(idx, rho, *, d, fields, original=original, name=name):
-            calls[name] = (np.shape(rho), np.shape(d))
-            return original(idx, rho, d=d, fields=fields)
+    def polar_spy(idx, rho, *, d, fields):
+        calls["polar"].append((rho.size, d.size))
+        return polar(idx, rho, d=d, fields=fields)
 
-        monkeypatch.setattr(bubble, name, spy)
-    idx = ProblemIndex(4, 0.8)
-    moments._integrals_direct(idx)
-    (arcs,), (angles,) = calls["polar_profiles"]
-    assert (arcs, angles) == (55, 159)
-    assert calls["_origin_fields"] == ((227,), (159,))
+    def origin_spy(idx, rho, d, names):
+        calls["origin"].append((rho.size, d.size))
+        return origin(idx, rho, d, names)
+
+    monkeypatch.setattr(bubble, "polar_profiles", polar_spy)
+    monkeypatch.setattr(bubble, "_origin_fields", origin_spy)
+    moments._integrals_direct(ProblemIndex(4, 0.8))
+    assert calls == {"polar": [(282, 159)], "origin": [(227, 159)]}
 
 
 def test_half_ball_band_keys_one_s_rule(monkeypatch):

@@ -462,6 +462,23 @@ def test_linearized_evaluate_falls_to_zero_at_the_far_face():
     assert res.evaluate((8.0 - hr) * x, z) == pytest.approx(0.5 * (last + res.psi[-2, j]), rel=1e-12)
 
 
+def test_linearized_evaluate_falls_to_zero_at_the_axis():
+    # psi is 0 on the axis: before the first cell center hr/2 it falls
+    # linearly to 0 there (before, it held the first cell's value, 4.07e-3
+    # at both r = 1e-6 and r = hr/4 at z = 0.5)
+    res = _linearized(ProblemIndex(4, 0.3), cells=32, box=8.0)
+    hr, j = res.grid.hr, 2
+    z = res.grid.z[j]
+    x = np.array([1.0, 0.0, 0.0, 0.0])
+    first = res.psi[0, j]
+    assert first != 0.0
+    assert res.evaluate(0.5 * hr * x, z) == first
+    assert res.evaluate(0.25 * hr * x, z) == pytest.approx(0.5 * first, rel=1e-12)
+    assert res.evaluate(1e-6 * x, z) == pytest.approx(2e-6 / hr * first, rel=1e-9)
+    # the pinning diagnostics' central difference at hr/4 still reads 0
+    assert res.diagnostics["grad_origin"].tolist() == [0.0] * 4
+
+
 def test_linearized_scales_linearly():
     # the radial factor psi(r, z) does not see the tensor amplitude; the
     # amplitude enters only through the angular factor, so the full field
