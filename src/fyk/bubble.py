@@ -85,27 +85,34 @@ e_k = e_0 + 2k, is rho^(e_0 + 2(k+j)) times T_kj (sin(d)/2)^(e_k)
 cos(d)^(2j).  So every field is one product A @ B.T: A holds the
 K + J - 1 powers of rho of each branch, and B, per field and angle, the
 angular factors of each power summed.  That is O((N_rho + N_d) K J)
-powers and products and one dgemm, instead of K + J powers at each of the
-N_rho N_d points.
+powers and products and one matrix product, instead of K + J powers at
+each of the N_rho N_d points.
 
 At paired points the sums run over every node, one block of points at a
 time (``_BLOCK`` values of (s, point) per block, however many arcs share
 them): a block forms kernel times profile on (s, point) for each field and
 contracts it over s with the field's coefficients, of every arc at once, by
-BLAS dgemm.  ``radial_profiles`` streams the tensor grid instead, one block
-of s-rows at a time (``_KERNEL_BLOCK`` values per row block), so it never
-holds an S x len(r) or S x len(z) array.  Each block evaluates the kernels
+a matrix product.  ``radial_profiles`` streams the tensor grid instead, one
+block of s-rows at a time (``_KERNEL_BLOCK`` values per row block), so it
+never holds an S x len(r) or S x len(z) array.  Each block evaluates the kernels
 on (s, r), the profiles on the live (s, z) entries of the columns up to the
 last one it still needs (all of them live on ascending z, whose live
 prefixes shrink), and adds each field's terms to that field's output in
-place by BLAS dgemm, with the coefficients on the profile side.  The
+place by a matrix product, with the coefficients on the profile side.  The
 blocks stop after the last live row.  The tensor, paired and polar
-evaluators share one contraction, ``_accumulate``: each dgemm
-adds the partial sum of at most isqrt(S) s-rows to the output with one
-rounding, so an entry's sum is chunked, and the chunked sum of S terms in
-chunks of k rounds within (k + S/k) eps sum |terms| (Higham, *Accuracy and
-Stability of Numerical Algorithms*, 2002, section 4.2), least near
-k = sqrt(S); one GEMM over all S rows sums term by term.
+evaluators share one contraction, ``_accumulate``: an entry's sum over s is
+chunked, k = isqrt(S) s-rows at a time.  ``np.matmul`` writes a chunk's
+partial sums into a buffer, and one add puts the buffer on the output, so
+a chunk takes two roundings beyond those inside its product: one where the
+buffer holds its partial sum and one where that sum joins the output.  A
+chunk's k terms cost at most k - 1 roundings inside the product, and with
+the buffer's rounding at most k, each relative to the chunk's sum |terms|;
+the output's adds cost S/k more, each relative to the whole sum |terms|.
+So the chunked sum of S terms rounds within (k + S/k) eps sum |terms| to
+first order (Higham, *Accuracy and Stability of Numerical Algorithms*,
+2002, sections 3.1 and 4.2), least near k = sqrt(S), where it is about
+2 sqrt(S) eps sum |terms|; one product over all S rows sums term by term,
+within S eps sum |terms|.
 
 The s-rule is keyed on the largest r.  Its panels have width
 w = min(0.6, 5 / max r) out to s = 45, where K_g(s) < 3e-20, except near
@@ -129,7 +136,7 @@ NumericError; the Poisson route takes every n.
 
 The kernels e_nu and e_(nu+1) come together from ``_e_pair``.  Since n is an
 integer, nu is an integer or a half-integer, and the pair is run up from
-e_0 = J_0(u), e_1 = 2 J_1(u)/u (Cephes ``j0``/``j1``) or from
+e_0 = J_0(u), e_1 = 2 J_1(u)/u (the numpy kernel ``specfun._j01``) or from
 e_(-1/2) = cos u, e_(1/2) = sin(u)/u (DLMF 10.16.1) by the recurrence
 e_(mu+1) = mu (mu+1) (2/u)^2 (e_mu - e_(mu-1)), which is DLMF 10.6.1
 rescaled.  The recurrence is stable only where u exceeds the orders it
@@ -145,14 +152,13 @@ from functools import lru_cache
 import math
 
 import numpy as np
-from scipy import special
-from scipy.linalg import blas
 
 from ._quad import gauss_panels, graded_edges
 from .errors import DomainError, NumericError
 from .specfun import (
     _T_SERIES,
     ProblemIndex,
+    _j01,
     constants,
     profile_decay_bound,
     profile_phi,
@@ -310,7 +316,8 @@ def _e_pair(nu, u):
     # are overwritten from the power series below
     us = np.where(low, nu + 2.0, u)
     if nu == int(nu):
-        mu, e0, e1 = 0.0, special.j0(us), 2.0 * special.j1(us) / us
+        j0, j1 = _j01(us)
+        mu, e0, e1 = 0.0, j0, 2.0 * j1 / us
     else:
         mu, e0, e1 = -0.5, np.cos(us), np.sin(us) / us
     h2 = 4.0 / (us * us)
@@ -338,9 +345,8 @@ def _s_nodes(rmax_key):
     rmax = float(rmax_key)
     width = min(0.6, 5.0 / max(rmax, 1e-9))
     inner = graded_edges(0.0, min(1.0, _S_CUT), width / 256.0, ratio=2.0, h_max=width)
-    outer = np.arange(inner[-1], _S_CUT + width, width)
-    edges = np.unique(np.concatenate([inner, outer]))
-    return gauss_panels(edges, _GAUSS_ORDER)
+    outer = np.arange(inner[-1], _S_CUT + width, width)  # starts at inner[-1]
+    return gauss_panels(np.concatenate([inner, outer[1:]]), _GAUSS_ORDER)
 
 
 def _what_weights(idx, s, ws):
@@ -485,7 +491,8 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
     rows = np.arange(s0.size)[:, None]
     terms = _field_terms(idx, s, kw, fields)
     # coefficients as (s, arc) and outputs as (arc, point), one arc on paired
-    # points; a block's columns of an F-ordered output take its dgemm in place
+    # points; a block's columns of an F-ordered output are contiguous rows of
+    # its transpose, which _accumulate adds to in place
     coefs = {
         k: np.ascontiguousarray(np.reshape(c, (-1, s0.size)).T) for k, (c, _, _) in terms.items()
     }
@@ -505,11 +512,16 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
 
 def _accumulate(a, b, c, step):
     """c += a^T b in place, for C-ordered ``a`` and ``b`` with the s-rows of
-    one block as their first axis and an F-ordered ``c``: one BLAS dgemm per
-    ``step`` rows, each adding its partial sum to c with one rounding."""
+    one block as their first axis and an F-ordered ``c``: per ``step`` rows,
+    one ``np.matmul`` of the partial sums into a buffer shaped like the
+    C-ordered c^T, then one add of the buffer to c^T (see the module
+    docstring)."""
+    ct = c.T
+    buf = np.empty(ct.shape)
     for i in range(0, len(a), step):
         j = slice(i, i + step)
-        blas.dgemm(1.0, a[j].T, b[j].T, beta=1.0, c=c, trans_b=True, overwrite_c=True)
+        np.matmul(b[j].T, a[j], out=buf)
+        ct += buf
 
 
 def radial_profiles(idx, r, z, fields=("W",)):
@@ -534,7 +546,8 @@ def radial_profiles(idx, r, z, fields=("W",)):
     nu = idx.n / 2.0 - 1.0
     counts = _live_counts(idx, s, kw, s, z)
     terms = _field_terms(idx, s, kw, fields)
-    # a block's columns of an F-ordered output take its dgemm in place
+    # a block's columns of an F-ordered output are contiguous rows of its
+    # transpose, which _accumulate adds to in place
     out = {k: np.zeros((r.size, z.size), order="F") for k in terms}
     rows = max(1, _KERNEL_BLOCK // max(r.size, z.size, 1))
     # partial sums of about sqrt(S) rows minimize the chunked sum's rounding
@@ -713,11 +726,14 @@ def _extension_poisson(idx, r, z):
     rho1 = 2.0 * max(r, z, 1.0)
     # rho-panels as offsets u = rho - r: geometric away from the kernel's
     # peak at u = 0 from width z/2, merged with the trace's panels
-    edges = np.unique(np.concatenate([
+    edges = np.sort(np.concatenate([
         -graded_edges(0.0, r, z / 2.0, ratio=_POISSON_RATIO),
         graded_edges(0.0, rho1 - r, z / 2.0, ratio=_POISSON_RATIO),
         graded_edges(0.0, rho1, 0.25, ratio=_POISSON_RATIO) - r,
     ]))
+    # the distinct edges, as np.unique gives them; np.unique reads np.ma,
+    # whose first import costs a run about 10 ms
+    edges = edges[np.append(True, edges[1:] > edges[:-1])]
     u, wu = gauss_panels(edges, _POISSON_ORDER)
     # the tail rho = rho1 / t, 0 < t <= 1, where the integrand is t^(n-1)
     # times a smooth factor

@@ -14,6 +14,8 @@ callable the bicharacteristic ODE system is integrated numerically.
 from dataclasses import dataclass
 
 import numpy as np
+# imported with the library, not on a sweep's first draw (see fyk._quad)
+from numpy.random import default_rng
 
 from .errors import DomainError, NumericError
 from .solver import SymmetricTensor
@@ -345,7 +347,7 @@ def characteristic_supnorms(idx, K, r, n=None, samples=24, metric=None):
         n = idx.n
     if samples < 1:
         raise DomainError("need at least one sample")
-    rng = np.random.default_rng(7)
+    rng = default_rng(7)
 
     def draw():
         v = rng.normal(size=n)

@@ -21,18 +21,19 @@ Every finite-volume matrix here is a Kronecker sum
 L_r x diag(w_z) + diag(w_r) x L_z of two 1-D symmetric tridiagonal pencils,
 each kept as its two arrays (diagonal, off-diagonal), so the solves are
 separable (fast diagonalization, Lynch, Rice and Thomas 1964): the
-eigenvectors of both pencils turn the 2-D solve into four dense products and
-a pointwise division.  The one non-separable term, the Robin diagonal on the
-trace row of the linearized problem, is added by a capacitance solve on the
-trace unknowns.  Each solve is checked by its residual (residual gate), which
-``_kron_apply`` computes matrix-free from the very pencils the solve
-diagonalized; no sparse matrix is built.  An assembled sparse matrix and
-SuperLU on it are only a test oracle.
+eigenvectors of both pencils, from numpy's dense symmetric ``eigh``, turn
+the 2-D solve into four dense products and a pointwise division.  The one
+non-separable term, the Robin diagonal on the trace row of the linearized
+problem, is added by a capacitance solve on the trace unknowns.  Each
+solve is checked by its residual (residual gate), which ``_kron_apply``
+computes matrix-free from the very pencils the solve diagonalized; no
+sparse matrix is built.  An assembled sparse matrix and SuperLU on it are
+only a test oracle.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, eigh_tridiagonal, solve
+from numpy.linalg import LinAlgError, solve
 
 from . import bubble
 from .errors import DomainError, NumericError
@@ -43,8 +44,10 @@ from .specfun import constants, sphere_area
 eigsh = spsolve = None
 
 # the most cells per axis of any grid here: a fast-diagonalization solve
-# holds about seven N x N float arrays, about 1 GB at N = 4096, so a larger
-# grid raises DomainError before anything is allocated
+# holds about seven N x N float arrays, and each dense eigensolve about four
+# more while it runs (its input, LAPACK's copy and its 2 N^2 workspace), so
+# about 1.5 GB at N = 4096; a larger grid raises DomainError before anything
+# is allocated
 _MAX_CELLS = 4096
 
 
@@ -206,6 +209,49 @@ def _radial_axis(h, cells, power):
     t[0] = 0.0
     t[-1] *= 2.0
     return _flux_balance(t), np.diff(faces ** (power + 1.0)) / (power + 1.0), t[-1]
+
+
+def eigh_tridiagonal(d, e):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of the symmetric
+    tridiagonal matrix with diagonal d and off-diagonal e, by LAPACK's dense
+    symmetric solver through ``np.linalg.eigh``, which reads the lower
+    triangle only."""
+    a = np.diag(d)
+    i = np.arange(len(e))
+    a[i + 1, i] = e
+    return np.linalg.eigh(a)
+
+
+def _lowest_eigenvalue(d, e):
+    """The least eigenvalue of the symmetric tridiagonal matrix with
+    diagonal d and off-diagonal e, by Sturm-sequence bisection (Barth,
+    Martin and Wilkinson 1967).
+
+    The pivots of the LDL' factorization of T - x I count the eigenvalues
+    below x; the least one lies in [min(d - |e_(i-1)| - |e_i|), min(d)]
+    (Gershgorin, and the Rayleigh quotient of a unit vector).  The interval
+    is halved until its ends are adjacent floats, so the value is exact
+    for a matrix within a few eps ||T|| of T."""
+    d = [float(v) for v in d]
+    e2 = [float(v) * float(v) for v in e]
+    r = np.abs(np.concatenate([[0.0], e])) + np.abs(np.concatenate([e, [0.0]]))
+    lo, hi = float(np.min(np.asarray(d) - r)), min(d)
+    tiny = np.finfo(float).tiny
+    while True:
+        x = 0.5 * (lo + hi)
+        if x <= lo or x >= hi:
+            return hi
+        q = d[0] - x
+        below = q < 0.0
+        for di, ei2 in zip(d[1:], e2):
+            q = di - x - ei2 / (q if q != 0.0 else tiny)
+            if q < 0.0:
+                below = True
+                break
+        if below:
+            hi = x
+        else:
+            lo = x
 
 
 def _scaled_tridiagonal(L, w):
@@ -388,11 +434,7 @@ def rayleigh_lambda1(idx, R, resolution=96):
     L, mass, _ = _radial_axis(R / nrho, nrho, idx.n + 1.0 - 2.0 * idx.gamma)
     # symmetric scaling M^(-1/2) L M^(-1/2) keeps the pencil tridiagonal
     d, e, _ = _scaled_tridiagonal(L, mass)
-    try:
-        lam = eigh_tridiagonal(d, e, eigvals_only=True, select="i", select_range=(0, 0))
-    except LinAlgError as exc:
-        raise NumericError("eigenvalue solve failed: %s" % exc) from exc
-    lam1 = float(lam[0])
+    lam1 = _lowest_eigenvalue(d, e)
     if lam1 <= 0:
         raise NumericError(
             "first eigenvalue not positive", diagnostics={"lambda1": lam1}

@@ -35,14 +35,34 @@ other points of a call.  Against 30-digit mpmath values at g in {0.02,
 1.1e-15 relative for both orders, where SciPy's ``kv`` errs by up to 7e-14.
 ``kv`` remains in ``bessel_k``, for general orders, and in the tests as a
 reference.
+
+The oscillatory kernels of ``bubble`` start from J_0 and J_1, which
+``_j01`` evaluates in numpy from the pinned table ``_j01_table`` (made by
+``tools/j01_table.py`` with mpmath):
+
+* u < 8: Chebyshev interpolants of J_0 and J_1 on [0, 4) and [4, 8), 19
+  terms each, in the monomial basis of the panel's local variable;
+* u >= 8: Hankel's form (DLMF 10.17.3)
+  J_nu(u) = sqrt(2/(pi u)) (P_nu(u) cos chi - Q_nu(u) sin chi),
+  chi = u - (nu/2 + 1/4) pi, with the non-oscillatory P_nu and u Q_nu
+  interpolated in x = (lo/u)^2 on [8, 16), [16, 32) and [32, inf), 12, 8
+  and 7 terms.  Both orders share one cos u and one sin u:
+  cos chi_0 = (cos u + sin u)/sqrt(2), and chi_1 = chi_0 - pi/2.
+
+Every interpolant is within 3.5e-18 of its function, so the error is the
+evaluation's rounding: against 30-digit mpmath on (0, 3000] at most 1.8e-16
+absolute for either order, where Cephes ``j0``/``j1`` err by up to 3.6e-15
+(their phase at large u).  SciPy's ``gamma`` and ``kv`` serve only the
+public ``gamma_fn`` and ``bessel_k``, which import ``scipy.special`` on
+their first call, so loading the library loads no SciPy.
 """
 from dataclasses import dataclass
 from functools import lru_cache
 import math
 
 import numpy as np
-from scipy import special
 
+from ._j01_table import J_PANELS, PQ_PANELS
 from .errors import DomainError, NumericError
 
 __all__ = [
@@ -116,6 +136,8 @@ def gamma_fn(x):
         raise DomainError("gamma_fn requires positive arguments")
     if arr.ndim == 0:
         return math.gamma(float(arr))
+    from scipy import special  # on first use: the library itself needs no SciPy
+
     return special.gamma(arr)
 
 
@@ -126,6 +148,8 @@ def bessel_k(order, t):
         raise DomainError("bessel_k got NaN")
     if np.any(tt <= 0.0):
         raise DomainError("bessel_k requires t > 0")
+    from scipy import special
+
     out = special.kv(order, tt)
     if tt.ndim == 0:
         return float(out)
@@ -351,6 +375,71 @@ def _k_pair(g, t):
     out0[order] = k0
     out1[order] = k1
     return out0, out1
+
+
+# -- the pair (J_0, J_1) --------------------------------------------------------
+
+# each panel's series as one (functions, terms) array; panel k of _j01
+# holds _J01_EDGES[k - 1] <= u < _J01_EDGES[k]
+_J01_PANELS = tuple((lo, hi, np.array(series)) for lo, hi, series in J_PANELS + PQ_PANELS)
+_J01_EDGES = tuple(hi for _, hi, _ in _J01_PANELS[:-1])
+
+
+def _horner(coefs, t):
+    """The polynomials whose coefficients (highest power first) are the rows
+    of ``coefs``, at the 1-D points t, as one (rows, len(t)) array."""
+    acc = np.empty((len(coefs), t.size))
+    acc[:] = coefs[:, :1]
+    for k in range(1, coefs.shape[1]):
+        acc *= t
+        acc += coefs[:, k : k + 1]
+    return acc
+
+
+def _j01(u):
+    """J_0(u) and J_1(u) at an array u >= 0 (see the module docstring).
+
+    A point's panel depends on that point alone and the arithmetic is
+    element-wise, so a value does not depend on the other points."""
+    shape = np.shape(u)
+    u = np.asarray(u, dtype=float).ravel()
+    j0, j1 = np.empty_like(u), np.empty_like(u)
+    panel = np.zeros(u.shape, np.int8)
+    for edge in _J01_EDGES:
+        panel += u >= edge
+    for k, (lo, hi, coefs) in enumerate(_J01_PANELS):
+        at = np.flatnonzero(panel == k)
+        if not at.size:
+            continue
+        v = u[at]
+        if k < len(J_PANELS):
+            j0[at], j1[at] = _horner(coefs, (v - 0.5 * (lo + hi)) * (2.0 / (hi - lo)))
+            continue
+        w = 1.0 / v
+        x_hi = (lo / hi) ** 2
+        t = (lo * w) ** 2 * (2.0 / (1.0 - x_hi)) - (1.0 + x_hi) / (1.0 - x_hi)
+        p0, q0, p1, q1 = _horner(coefs, t)
+        # sqrt(2) cos chi_0 = cos u + sin u and sqrt(2) sin chi_0 = sin u - cos u;
+        # cos chi_1 = sin chi_0 and sin chi_1 = -cos chi_0; in place, since
+        # fresh temporaries of this size cost as much as the arithmetic
+        c, s = np.cos(v), np.sin(v)
+        plus = c + s
+        s -= c
+        amp = np.sqrt(w * (1.0 / math.pi))
+        w *= amp
+        p0 *= plus
+        q0 *= w
+        q0 *= s
+        p0 *= amp
+        p0 -= q0
+        j0[at] = p0
+        p1 *= s
+        q1 *= w
+        q1 *= plus
+        p1 *= amp
+        p1 += q1
+        j1[at] = p1
+    return j0.reshape(shape), j1.reshape(shape)
 
 
 # -- the profiles ---------------------------------------------------------------

@@ -356,16 +356,18 @@ def test_jacobi_field_translation_symmetry():
 
 
 def _e_jv(mu, u):
-    """Gamma(mu+1) (u/2)^(-mu) J_mu(u) from SciPy's general-order jv at every
-    point, with the two-term series below 1e-7: the oracle for the kernel."""
+    """Gamma(mu+1) (u/2)^(-mu) J_mu(u) from SciPy's general-order jv, and
+    below u = 1 SciPy's hyp0f1, e_mu(u) = 0F1(; mu + 1; -u^2/4): the oracle
+    for the kernel.  There the jv form errs by up to 2.6e-14 at orders up
+    to 12.5 against 30-digit values, hyp0f1 by 1.8e-15."""
     u = np.asarray(u, dtype=float)
-    small = u < 1e-7
+    small = u < 1.0
     us = np.where(small, 1.0, u)
     out = math.gamma(mu + 1.0) * (us / 2.0) ** (-mu) * special.jv(mu, us)
-    return np.where(small, 1.0 - u**2 / (4.0 * (mu + 1.0)), out)
+    return np.where(small, special.hyp0f1(mu + 1.0, -0.25 * u * u), out)
 
 
-@pytest.mark.parametrize("n", range(2, 13))
+@pytest.mark.parametrize("n", range(2, 25))
 def test_kernel_pair_matches_jv_formula(n):
     nu = n / 2.0 - 1.0
     edges = [0.0, 1e-9, 1e-7 * (1.0 - 1e-9), 1e-7, 1e-7 * (1.0 + 1e-9)]
@@ -374,24 +376,6 @@ def test_kernel_pair_matches_jv_formula(n):
     e0, e1 = bubble._e_pair(nu, u)
     assert np.abs(e0 - _e_jv(nu, u)).max() <= 1e-14
     assert np.abs(e1 - _e_jv(nu + 1.0, u)).max() <= 1e-14
-
-
-def test_kernel_pair_never_calls_jv(monkeypatch):
-    # the recurrence covers u > nu + 1 and the power series the rest
-
-    class Spy:
-        def __getattr__(self, name):
-            return getattr(special, name)
-
-        @staticmethod
-        def jv(order, x):
-            raise AssertionError("special.jv called")
-
-    monkeypatch.setattr(bubble, "special", Spy())
-    u = np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(0.0, 40.0, 4001)])
-    for nu in (-0.5, 0.0, 0.5, 3.0, 4.5, 11.0):
-        e0, e1 = bubble._e_pair(nu, u)
-        assert e0[0] == 1.0 and e1[0] == 1.0
 
 
 @pytest.mark.parametrize(

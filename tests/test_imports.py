@@ -1,9 +1,11 @@
 """Every module-level import of the library is used, and no module imports
-``scipy.integrate`` or ``scipy.sparse`` at module level, so ``import fyk.cli``
-loads neither.
+SciPy at module level, so ``import fyk.cli`` and the subcommands load numpy
+only; ``gamma_fn``, ``bessel_k`` and the metric-callable ``solve_ivp`` import
+SciPy on their first call.
 
 A static scan with the stdlib ``ast``: an imported name counts as used when
-the module reads it anywhere or lists it in ``__all__``.
+the module reads it anywhere or lists it in ``__all__``.  A fresh
+interpreter checks what a run actually loads.
 """
 import ast
 import subprocess
@@ -127,16 +129,48 @@ def test_tracer_patched_names_exist_at_import():
         assert name in vars(modules[stem]), (stem, name)
 
 
-def test_cli_import_loads_no_scipy_integrate_or_sparse():
-    # a fresh interpreter: the test session itself imports scipy.integrate
+def test_library_binds_no_scipy_name_at_module_level():
+    # the Bessel kernel, the Gauss-Jacobi panel, the matrix products and the
+    # eigensolvers are numpy; SciPy is imported inside gamma_fn, bessel_k
+    # and geometry.solve_ivp only
+    found = set()
+    for stem, source in _library_sources():
+        found.update((stem, name) for name in _names_from(source, "scipy"))
+    assert found == set()
+
+
+def test_cli_runs_without_scipy():
+    # a fresh interpreter, since the test session itself imports SciPy: the
+    # import, then one run of the direct route, pohozaev and a small
+    # linearized solve, load no scipy module; the public SciPy wrappers
+    # still work, by their lazy import
     code = (
-        "import sys, fyk.cli\n"
-        "print(sorted(m for m in sys.modules"
-        " if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'sparse'])))\n"
+        "import contextlib, io, math, sys, fyk.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(scipy_modules())\n"
+        "runs = [\n"
+        "    ['integrals', '--n', '7', '--gamma', '0.25', '--method', 'direct_2d', '--tol', '1e-4'],\n"
+        "    ['pohozaev', '--n', '4', '--gamma', '0.3', '--radii', '1'],\n"
+        "    ['solve', 'linearized', '--n', '4', '--gamma', '0.3', '--resolution', '32'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [fyk.cli.main(argv) for argv in runs]\n"
+        "print(codes)\n"
+        "print(scipy_modules())\n"
+        "from fyk.specfun import bessel_k, gamma_fn\n"
+        "g = gamma_fn([0.5, 4.0])\n"
+        "k = bessel_k(0.5, [1.0])\n"
+        "assert abs(g[0] - math.sqrt(math.pi)) <= 1e-15 and g[1] == 6.0\n"
+        "assert abs(k[0] - math.sqrt(math.pi / 2.0) * math.exp(-1.0)) <= 1e-15\n"
+        "print('scipy.special' in sys.modules)\n"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True,
         cwd=Path(fyk.__file__).parent.parent,
     )
-    assert out.stdout.strip() == "[]"
+    after_import, codes, after_runs, lazy = out.stdout.splitlines()
+    assert codes == "[0, 0, 0]"
+    assert after_import == after_runs == "[]"
+    assert lazy == "True"

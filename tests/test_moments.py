@@ -362,11 +362,10 @@ def test_first_z_panel_integrates_the_weight_exactly(gamma):
     # the rho-rule's first panel, 12 Gauss-Jacobi nodes in the exterior
     # integrands' weight rho^a, a = n - 3 - 2g, integrates rho^a rho^k
     # exactly for k <= 23; its weights are divided by the weight function.
-    # Exactly means to the digits of SciPy's nodes x on [-1, 1]: the
-    # distance 1 - x to the singular end keeps an absolute error of about
-    # eps, which at a = -0.9, (3, 0.45) and (4, 0.95), is 1e-13 relative at
-    # the nearest node (rho = 7.2e-4 h); measured 1.2e-13 there, at most
-    # 3.4e-14 elsewhere
+    # The nodes are polished in the distance to the singular end, so the
+    # nearest one (rho = 7.2e-4 h at a = -0.9) keeps its relative digits
+    # too (measured 4.4e-15; with the eigenvalues' distances 1 - x alone
+    # this read 1.2e-13)
     h = moments._RHO_FIRST
     for n in (3, 4, 7, 24):
         if n - 2.0 * gamma <= 2.0:  # below the supercritical line
@@ -378,7 +377,7 @@ def test_first_z_panel_integrates_the_weight_exactly(gamma):
         a = n - 3.0 - 2.0 * gamma
         for k in range(24):
             want = 1.0 / (a + k + 1.0)  # int_0^1 x^a x^k dx
-            assert abs(w @ x ** (a + k) / want - 1.0) <= 2e-13, (n, k)
+            assert abs(w @ x ** (a + k) / want - 1.0) <= 1e-14, (n, k)
 
 
 def test_core_grid_cost(monkeypatch):

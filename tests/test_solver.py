@@ -357,6 +357,27 @@ def test_lambda1_is_deterministic():
     assert solver.rayleigh_lambda1(idx, 1.0) == solver.rayleigh_lambda1(idx, 1.0)
 
 
+@pytest.mark.parametrize("cells", [8, 512, solver._MAX_CELLS])
+def test_lowest_eigenvalue_by_bisection(cells):
+    # the Sturm bisection of rayleigh_lambda1 against the least eigenvalue
+    # of the scaled radial pencil from a dense eigvalsh, and at _MAX_CELLS,
+    # where the dense solve takes about 24 s on two cores, against LAPACK's
+    # tridiagonal bisection through SciPy; each is exact for a matrix within
+    # a few eps ||T|| of T (measured at most 0.5 eps ||T|| apart)
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    for idx in (ProblemIndex(4, 0.3), ProblemIndex(3, 0.95)):
+        L, mass, _ = solver._radial_axis(1.0 / cells, cells, idx.n + 1.0 - 2.0 * idx.gamma)
+        d, e, _ = solver._scaled_tridiagonal(L, mass)
+        if cells < solver._MAX_CELLS:
+            want = np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))[0]
+        else:
+            want = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
+        norm = np.max(np.abs(d) + np.abs(np.r_[0.0, e]) + np.abs(np.r_[e, 0.0]))
+        got = solver._lowest_eigenvalue(d, e)
+        assert abs(got - want) <= 2.0 * np.finfo(float).eps * norm, (idx, cells)
+
+
 # -- green's function ---------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import threading
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -240,6 +242,58 @@ def test_kernel_values_depend_on_the_point_alone():
         for i in rng.choice(t.size, 60, replace=False):
             one0, one1 = specfun._k_pair(g, t[i : i + 1])
             assert one0[0] == k0[i] and one1[0] == k1[i]
+
+
+# -- the pair (J_0, J_1) --------------------------------------------------------
+
+
+def _j01_sweep():
+    """(0, 3000] densely, with the panel edges of _j01 and their neighbours."""
+    edges = specfun._J01_EDGES
+    return np.concatenate([
+        [1e-300, 1e-9],
+        np.nextafter(edges, 0.0), edges, np.nextafter(edges, np.inf),
+        np.linspace(0.0, 40.0, 2001)[1:],
+        np.geomspace(40.0, 3000.0, 1001),
+    ])
+
+
+def test_j01_against_mpmath_no_worse_than_cephes():
+    # absolute error against 30-digit values: measured 1.8e-16 for both
+    # orders (rounding of the u < 8 panels), Cephes 2.1e-15 and 3.6e-15 (its
+    # phase at large u)
+    u = _j01_sweep()
+    ours = specfun._j01(u)
+    cephes = (special.j0(u), special.j1(u))
+    with mpmath.workdps(30):
+        for nu in (0, 1):
+            want = [mpmath.besselj(nu, mpmath.mpf(x)) for x in u]
+            err = [np.array([abs(float(mpmath.mpf(v) - w)) for v, w in zip(got[nu], want)])
+                   for got in (ours, cephes)]
+            assert err[0].max() <= 2.5e-16, nu
+            assert err[0].max() <= err[1].max(), nu
+
+
+def test_j01_values_depend_on_their_own_point_alone():
+    u = _j01_sweep()
+    j0, j1 = specfun._j01(u)
+    perm = np.random.default_rng(3).permutation(u.size)[: u.size // 2 * 2]
+    p0, p1 = specfun._j01(u[perm].reshape(-1, 2))
+    assert np.array_equal(p0.ravel(), j0[perm]) and np.array_equal(p1.ravel(), j1[perm])
+    assert specfun._j01(np.array([0.0])) == (1.0, 0.0)
+
+
+def test_j01_table_matches_its_generator():
+    # the pinned coefficients, regenerated by tools/j01_table.py on the
+    # first panel of J_0 and J_1 and the last panel of Hankel's factors
+    path = Path(__file__).parent.parent / "tools" / "j01_table.py"
+    spec = importlib.util.spec_from_file_location("j01_table", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    lo, hi, series = specfun.J_PANELS[0]
+    assert gen.j_panel(lo, hi) == series
+    lo, hi, series = specfun.PQ_PANELS[-1]
+    assert hi == math.inf and gen.pq_panel(lo) == series
 
 
 def test_profiles_and_field_evaluators_leave_scipy_kv_alone(monkeypatch):
