@@ -378,6 +378,20 @@ def test_kernel_pair_matches_jv_formula(n):
     assert np.abs(e1 - _e_jv(nu + 1.0, u)).max() <= 1e-14
 
 
+def test_kernel_pair_never_calls_jv(monkeypatch):
+    # the recurrence covers u > nu + 1 and the power series the rest; a
+    # SciPy Bessel call anywhere in the kernel would raise here
+    def refuse(*args):
+        raise AssertionError("scipy.special called")
+
+    for name in ("jv", "hyp0f1", "gamma"):
+        monkeypatch.setattr(special, name, refuse)
+    u = np.concatenate([[0.0, 1e-300, 1e-9], np.linspace(0.0, 40.0, 4001)])
+    for nu in (-0.5, 0.0, 0.5, 3.0, 4.5, 11.0):
+        e0, e1 = bubble._e_pair(nu, u)
+        assert e0[0] == 1.0 and e1[0] == 1.0
+
+
 @pytest.mark.parametrize(
     "nu,u",
     [(0.0, 2.5), (0.5, 7.3), (1.0, 50.0), (2.5, 3.4), (4.0, 1234.5), (5.0, 6.0000001)],

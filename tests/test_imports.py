@@ -129,6 +129,21 @@ def test_tracer_patched_names_exist_at_import():
         assert name in vars(modules[stem]), (stem, name)
 
 
+def test_cli_import_loads_no_scipy_integrate_or_sparse():
+    # a fresh interpreter: the test session itself imports scipy.integrate
+    code = (
+        "import sys, fyk.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.split('.')[:2] in (['scipy', 'integrate'], ['scipy', 'sparse'])))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        cwd=Path(fyk.__file__).parent.parent,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_library_binds_no_scipy_name_at_module_level():
     # the Bessel kernel, the Gauss-Jacobi panel, the matrix products and the
     # eigensolvers are numpy; SciPy is imported inside gamma_fn, bessel_k
