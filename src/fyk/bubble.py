@@ -159,6 +159,7 @@ from .specfun import (
     _T_SERIES,
     ProblemIndex,
     _j01,
+    _what_long,
     constants,
     profile_decay_bound,
     profile_phi,
@@ -349,10 +350,11 @@ def _s_nodes(rmax_key):
     return gauss_panels(np.concatenate([inner, outer[1:]]), _GAUSS_ORDER)
 
 
-def _what_weights(idx, s, ws):
+def _what_weights(idx, s, ws, what):
     """The quadrature weights ``ws`` at the nodes ``s`` (any shape) times the
-    calibrated s-integrand factor D s^(n-1) what(s); NumericError where
-    n - 2g < 1 (see the module docstring)."""
+    calibrated s-integrand factor D s^(n-1) what(s), given the values
+    ``what`` of ``profile_what`` at s; NumericError where n - 2g < 1 (see
+    the module docstring)."""
     n, g = idx.n, idx.gamma
     if n - 2.0 * g < 1.0:
         raise NumericError(
@@ -360,7 +362,6 @@ def _what_weights(idx, s, ws):
             f"at (n, gamma) = ({n}, {g}); the Poisson route takes this index",
             {"n": n, "gamma": g},
         )
-    what = profile_what(idx, s)
     # calibration: W(0,0) = alpha forces D * int s^(n-1) what(s) ds = alpha,
     # and the s-integral has the closed form 2^(n-g-2) Gamma(m/2) Gamma(n/2)
     m = idx.m
@@ -371,14 +372,18 @@ def _what_weights(idx, s, ws):
 
 @lru_cache(maxsize=64)
 def _s_rule(n, gamma, rmax_key):
-    """Cached s-quadrature plus precomputed what-weights for one index."""
+    """Cached s-quadrature plus precomputed what-weights for one index; the
+    what values are computed once per rule, so they come correctly rounded
+    from ``specfun._what_long``."""
     s, ws = _s_nodes(rmax_key)
-    return s, _what_weights(ProblemIndex(n, gamma), s, ws)
+    return s, _what_weights(ProblemIndex(n, gamma), s, ws, _what_long(gamma, s))
 
 
 def _rmax_key(rmax):
-    """Bucket rmax to a power of two so the lru cache is effective."""
-    return float(2.0 ** math.ceil(math.log2(max(rmax, 1.0))))
+    """Bucket rmax to a power of two so the lru cache is effective.  Every
+    rmax <= 8 gets the widest panels, 0.6 < 5/8 (see ``_s_nodes``), so they
+    share the key 8 and one rule per index."""
+    return float(2.0 ** math.ceil(math.log2(max(rmax, 8.0))))
 
 
 def _check_request(r, z, fields):
@@ -623,7 +628,7 @@ def polar_profiles(idx, rho, *, d, fields=("W",)):
                 f"node {first:.3g} > {_S_FIRST_MAX} (max rho {top:g})",
                 {"rho": float(band.min()), "rho_max": float(top), "s_first": first},
             )
-        kw = _what_weights(idx, s, scale * ws0)
+        kw = _what_weights(idx, s, scale * ws0, profile_what(idx, s))
         f = _paired_fields(idx, s, kw, s0, top * np.cos(d), top * np.sin(d), names)
         for k in names:
             out[k][~inner] = f[k]

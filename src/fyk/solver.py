@@ -21,8 +21,10 @@ Every finite-volume matrix here is a Kronecker sum
 L_r x diag(w_z) + diag(w_r) x L_z of two 1-D symmetric tridiagonal pencils,
 each kept as its two arrays (diagonal, off-diagonal), so the solves are
 separable (fast diagonalization, Lynch, Rice and Thomas 1964): the
-eigenvectors of both pencils, from numpy's dense symmetric ``eigh``, turn
-the 2-D solve into four dense products and a pointwise division.  The one
+eigenvectors of the radial pencil, from numpy's dense symmetric ``eigh``,
+split the 2-D solve into one tridiagonal system in z per radial mode, which
+one vectorized Thomas sweep solves for all modes at once, between two dense
+products that take the data to the modes and back.  The one
 non-separable term, the Robin diagonal on the trace row of the linearized
 problem, is added by a capacitance solve on the trace unknowns.  Each
 solve is checked by its residual (residual gate), which ``_kron_apply``
@@ -44,10 +46,9 @@ from .specfun import constants, sphere_area
 eigsh = spsolve = None
 
 # the most cells per axis of any grid here: a fast-diagonalization solve
-# holds about seven N x N float arrays, and each dense eigensolve about four
-# more while it runs (its input, LAPACK's copy and its 2 N^2 workspace), so
-# about 1.5 GB at N = 4096; a larger grid raises DomainError before anything
-# is allocated
+# peaked at about six N x N float arrays beyond the interpreter (237 MB of
+# RSS at N = 2048), so about 0.8 GB at N = 4096; a larger grid raises
+# DomainError before anything is allocated
 _MAX_CELLS = 4096
 
 
@@ -231,13 +232,23 @@ def _lowest_eigenvalue(d, e):
     below x; the least one lies in [min(d - |e_(i-1)| - |e_i|), min(d)]
     (Gershgorin, and the Rayleigh quotient of a unit vector).  The interval
     is halved until its ends are adjacent floats, so the value is exact
-    for a matrix within a few eps ||T|| of T."""
-    d = [float(v) for v in d]
-    e2 = [float(v) * float(v) for v in e]
+    for a matrix within a few eps ||T|| of T.  Between two finite ends that
+    takes at most 2100 halvings (the exponent range, down to subnormals,
+    plus the mantissa); a non-finite entry or Gershgorin end raises
+    NumericError, since no comparison with NaN would ever end the loop."""
+    d, e = np.asarray(d, dtype=float), np.asarray(e, dtype=float)
     r = np.abs(np.concatenate([[0.0], e])) + np.abs(np.concatenate([e, [0.0]]))
-    lo, hi = float(np.min(np.asarray(d) - r)), min(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = float(np.min(d - r)), float(np.min(d))
+        e2 = (e * e).tolist()
+    if not (np.isfinite(lo) and np.isfinite(hi) and np.all(np.isfinite(e2))):
+        raise NumericError(
+            "eigenvalue bisection needs a finite matrix",
+            diagnostics={"lower": lo, "upper": hi},
+        )
+    d = d.tolist()
     tiny = np.finfo(float).tiny
-    while True:
+    for _ in range(2100):
         x = 0.5 * (lo + hi)
         if x <= lo or x >= hi:
             return hi
@@ -252,6 +263,9 @@ def _lowest_eigenvalue(d, e):
             hi = x
         else:
             lo = x
+    raise NumericError(
+        "eigenvalue bisection did not converge", diagnostics={"lower": lo, "upper": hi}
+    )
 
 
 def _scaled_tridiagonal(L, w):
@@ -263,37 +277,61 @@ def _scaled_tridiagonal(L, w):
     return d * s * s, e * s[:-1] * s[1:], s
 
 
+def _thomas_modes(lam, L, w, R):
+    """Solve (L + lam_i diag(w)) y_i = r_i for every mode i at once, where
+    r_i and y_i are column i of the (len(w), len(lam)) array R and of the
+    result, and L = (diagonal, off-diagonal) is a tridiagonal pencil: one
+    forward and one backward sweep of Thomas's algorithm, each step a
+    vector operation over the modes.  With lam_i > 0, w > 0 and L a flux
+    balance each matrix is symmetric positive definite and strictly
+    diagonally dominant, so the elimination needs no pivoting."""
+    d, e = L
+    diag = d[:, None] + w[:, None] * lam[None, :]
+    ratio = np.empty((len(d) - 1, len(lam)))
+    Y = np.empty(R.shape)
+    piv = diag[0]
+    np.divide(R[0], piv, out=Y[0])
+    for j in range(1, len(d)):
+        np.divide(e[j - 1], piv, out=ratio[j - 1])
+        piv = diag[j] - e[j - 1] * ratio[j - 1]
+        np.subtract(R[j], e[j - 1] * Y[j - 1], out=Y[j])
+        Y[j] /= piv
+    for j in range(len(d) - 2, -1, -1):
+        Y[j] -= ratio[j] * Y[j + 1]
+    return Y
+
+
 def _fast_diag_solve(L_r, w_r, L_z, w_z, F, trace_diag=None):
     """Solve (L_r x diag(w_z) + diag(w_r) x L_z + diag(trace_diag) x e0 e0') U = F
-    for U of shape (len(w_r), len(w_z)), i-major, by fast diagonalization;
-    L_r and L_z are tridiagonal pencils (diagonal, off-diagonal).
+    for U of shape (len(w_r), len(w_z)), i-major, by fast diagonalization in
+    r; L_r and L_z are tridiagonal pencils (diagonal, off-diagonal).
 
-    With L_r X_r = diag(w_r) X_r diag(lam) and L_z X_z = diag(w_z) X_z diag(mu),
-    both eigenvector sets normalized in their mass, the Kronecker sum is
-    diagonal in X_r x X_z: U = X_r [(X_r' F X_z) / (lam_i + mu_j)] X_z'.  A
-    diagonal d = ``trace_diag`` on the row j = 0 is added by Woodbury: the
-    trace t = U[:, 0] solves (I + C diag(d)) t = t0 with t0 the trace of the
-    plain solve and C = X_r diag(c) X_r', c_i = sum_j X_z[0, j]^2 / (lam_i + mu_j),
+    With L_r X = diag(w_r) X diag(lam) and X' diag(w_r) X = I, U = X V turns
+    the Kronecker sum into one tridiagonal system per mode i,
+    (L_z + lam_i diag(w_z)) v_i = (X' F)_i, solved for all modes at once by
+    ``_thomas_modes``.  A diagonal d = ``trace_diag`` on the row j = 0 is
+    added by Woodbury: the trace t = U[:, 0] solves (I + C diag(d)) t = t0
+    with t0 the trace of the plain solve and C = X diag(c) X', c_i = y_i[0]
+    for the solution y_i of mode i's system with a unit source at node 0,
     and the plain solution loses the response to the trace source d t.
     """
     try:
         d_r, e_r, s_r = _scaled_tridiagonal(L_r, w_r)
-        d_z, e_z, s_z = _scaled_tridiagonal(L_z, w_z)
-        lam, X_r = eigh_tridiagonal(d_r, e_r)
-        mu, X_z = eigh_tridiagonal(d_z, e_z)
-        X_r *= s_r[:, None]
-        X_z *= s_z[:, None]
-        denom = lam[:, None] + mu[None, :]
-        V = (X_r.T @ F @ X_z) / denom
+        lam, X = eigh_tridiagonal(d_r, e_r)
+        X *= s_r[:, None]
+        # V[j, i] is mode i's coefficient at z node j
+        V = _thomas_modes(lam, L_z, w_z, F.T @ X)
         if trace_diag is not None:
-            x0 = X_z[0]
-            C = (X_r * (x0**2 / denom).sum(axis=1)) @ X_r.T
-            t0 = X_r @ (V @ x0)
+            unit = np.zeros(V.shape)
+            unit[0] = 1.0
+            Y = _thomas_modes(lam, L_z, w_z, unit)
+            C = (X * Y[0]) @ X.T
+            t0 = X @ V[0]
             t = solve(np.eye(len(w_r)) + C * trace_diag[None, :], t0)
-            V -= np.outer(X_r.T @ (trace_diag * t), x0) / denom
+            V -= Y * (X.T @ (trace_diag * t))
     except LinAlgError as exc:
         raise NumericError("fast-diagonalization solve failed: %s" % exc) from exc
-    return X_r @ V @ X_z.T
+    return X @ V.T
 
 
 def _check_solution(what, pencils, u, f, trace_diag=None):
@@ -432,8 +470,11 @@ def rayleigh_lambda1(idx, R, resolution=96):
         raise DomainError(f"resolution * R must be at most {_MAX_CELLS} cells")
     nrho = max(8, int(round(resolution * R)))
     L, mass, _ = _radial_axis(R / nrho, nrho, idx.n + 1.0 - 2.0 * idx.gamma)
-    # symmetric scaling M^(-1/2) L M^(-1/2) keeps the pencil tridiagonal
-    d, e, _ = _scaled_tridiagonal(L, mass)
+    # symmetric scaling M^(-1/2) L M^(-1/2) keeps the pencil tridiagonal; at
+    # a radius so small that the cell masses underflow it is not finite,
+    # which the bisection reports as NumericError
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        d, e, _ = _scaled_tridiagonal(L, mass)
     lam1 = _lowest_eigenvalue(d, e)
     if lam1 <= 0:
         raise NumericError(

@@ -28,6 +28,12 @@ on one numpy kernel, ``_k_pair``, that returns K_g and K_(1-g) together at
   and truncation errors stay below e^(-_L), _L = 40; one exponential per
   node serves both orders.
 
+``_what_long`` takes t^(-g) K_g(t) from the same rules in long double, with
+e^(-45) in place of e^(-_L), at every t: on x86 its values round correctly
+but for near-ties.
+It serves the weights of ``bubble``'s cached s-rules, which are computed
+once per rule.
+
 A point's octave, and so its series length or rule, depends on that point
 alone and the arithmetic is element-wise: a value does not depend on the
 other points of a call.  Against 30-digit mpmath values at g in {0.02,
@@ -189,6 +195,8 @@ _T_SERIES = 0.5
 # the trapezoidal rule's discretization and truncation errors are held to
 # e^(-_L) of the integral
 _L = 40.0
+# ``_what_long``'s rules hold them below long double's epsilon: e^(-45) < 2^-64
+_L_LONG = 45.0
 # octave bands are frexp exponents: band b holds 2^(b-1) <= t < 2^b; the
 # series bands run up to _BAND_RULE - 1, every t below 2^(_BAND_MIN - 1)
 # joins the lowest, and the rule bands run from _BAND_RULE to the one that
@@ -295,25 +303,25 @@ def _temme(g, t, bounds, k0, k1):
         k0[:], k1[:] = s1, s0
 
 
-def _rule_step(hi):
+def _rule_step(hi, L):
     """The largest trapezoidal step h with hi (1 - cos d) - 2 pi d / h <= -L
     for some strip half-width d <= pi/2: h = 2 pi d / (L + hi (1 - cos d)),
     maximal where L + hi (1 - cos d - d sin d) = 0, or at d = pi/2."""
-    G = lambda d: _L + hi * (1.0 - math.cos(d) - d * math.sin(d))
+    G = lambda d: L + hi * (1.0 - math.cos(d) - d * math.sin(d))
     lo, up = 0.0, 0.5 * math.pi
     if G(up) < 0.0:
         for _ in range(100):
             mid = 0.5 * (lo + up)
             lo, up = (mid, up) if G(mid) > 0.0 else (lo, mid)
-    return 2.0 * math.pi * up / (_L + hi * (1.0 - math.cos(up)))
+    return 2.0 * math.pi * up / (L + hi * (1.0 - math.cos(up)))
 
 
 @lru_cache(maxsize=256)
-def _trapezoid_rule(g, band):
+def _trapezoid_rule(g, band, dtype=float, L=_L):
     """The trapezoidal rule on band 2^(band-1) <= t < 2^band for
     e^t K_nu(t) = int_0^inf e^(-t (cosh u - 1)) cosh(nu u) du (DLMF 10.32.9):
     the exponents -(cosh u_k - 1) and the weights, a row each for nu = g and
-    nu = 1 - g.
+    nu = 1 - g, as arrays of ``dtype``, for the error bound e^(-L).
 
     The integrand is analytic in the strip |Im u| < d, where it grows by at
     most e^(t (1 - cos d)), so the rule's error is about
@@ -322,13 +330,13 @@ def _trapezoid_rule(g, band):
     the first U with 2^(band-1) (cosh U - 1) - U >= L, past which every
     term, cosh(nu u) <= e^u included, is below e^(-L)."""
     lo, hi = math.ldexp(0.5, band), min(math.ldexp(1.0, band), _T_UNDERFLOW)
-    h = _rule_step(hi)
+    h = _rule_step(hi, L)
     a, b = 0.0, 50.0  # lo (cosh U - 1) - U - L is convex, negative at 0
     for _ in range(100):
         mid = 0.5 * (a + b)
-        a, b = (mid, b) if lo * (math.cosh(mid) - 1.0) - mid < _L else (a, mid)
-    u = h * np.arange(math.ceil(b / h) + 1)
-    w = h * np.cosh(np.outer([g, 1.0 - g], u))
+        a, b = (mid, b) if lo * (math.cosh(mid) - 1.0) - mid < L else (a, mid)
+    u = h * np.arange(math.ceil(b / h) + 1, dtype=dtype)
+    w = h * np.cosh(np.outer(np.array([g, 1.0 - g], dtype), u))
     w[:, 0] *= 0.5
     return -2.0 * np.sinh(0.5 * u) ** 2, w
 
@@ -349,6 +357,31 @@ def _trapezoid(g, t, band, k0, k1):
     np.exp(x, out=x)
     np.multiply(k[0], x, out=k0)
     np.multiply(k[1], x, out=k1)
+
+
+def _what_long(g, t):
+    """t^(-g) K_g(t) at the 1-D points 2^-64 <= t <= _T_UNDERFLOW, from the
+    trapezoidal rules of ``_trapezoid_rule`` in long double, in every band,
+    the series bands too, rounded to float once at the end.
+
+    Where long double carries 64 mantissa bits (x86) the rules' error
+    e^(-_L_LONG) is below its epsilon, so the value is the correctly
+    rounded one but for near-ties (at the 830 nodes of an s-rule, all equal
+    30-digit values rounded at g = 0.05, 0.3 and 0.8, all but one at 0.5),
+    where ``_k_pair`` errs by up to 3 eps; where long double is double it
+    has ``_k_pair``'s accuracy.  It costs about 2 ms per 830 points, so it
+    serves the weights of the cached s-rules in ``bubble``."""
+    ld = np.longdouble
+    out = np.empty(t.size, dtype=ld)
+    band = np.frexp(t)[1]
+    for b in range(int(band.min()), int(band.max()) + 1):
+        at = band == b
+        if not at.any():
+            continue
+        tb = t[at].astype(ld)
+        c, w = _trapezoid_rule(g, b, ld, _L_LONG)
+        out[at] = (np.exp(np.multiply.outer(tb, c)) @ w[0]) * np.exp(-tb) * tb ** ld(-g)
+    return out.astype(float)
 
 
 def _k_pair(g, t):

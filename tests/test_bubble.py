@@ -765,7 +765,8 @@ def _arc_terms(idx, arcs, d):
     top = arcs.max()
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
     scale = (top / arcs)[:, None]
-    s, kw = scale * s0, bubble._what_weights(idx, scale * s0, scale * ws0)
+    s = scale * s0
+    kw = bubble._what_weights(idx, s, scale * ws0, specfun.profile_what(idx, s))
     uz = np.outer(top * np.sin(d), s0)
     Ev, Ev1 = bubble._e_pair(nu, np.outer(top * np.cos(d), s0))
     Ph, Php = specfun.profile_phi(idx, uz), specfun.profile_phi_prime(idx, uz)

@@ -383,7 +383,7 @@ PINNED_TABLES = {
     ),
     ("pohozaev", "4", "0.3"): (
         "pohozaev_n4_g0.3.csv",
-        "f6d853b5a55042b00d14607e706fb8c7d780eae9b2aa7b793869ab40335a2886",
+        "5a07fe53d6afd8726c8eeb68dcd0d427461f543bf14912c9575e9b0a94e8f41f",
     ),
 }
 

@@ -247,7 +247,7 @@ def test_direct_route_evaluates_each_arc_point_once(monkeypatch):
     top = arcs.max()
     s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
     scale = (top / arcs)[:, None]
-    kw = bubble._what_weights(idx, scale * s0, scale * ws0)
+    kw = bubble._what_weights(idx, scale * s0, scale * ws0, specfun.profile_what(idx, scale * s0))
     live = _live_entries(idx, scale * s0, kw, s0, top * np.sin(d))
     assert seen["profile_phi"] == []
     got = np.concatenate(seen["profile_phi_pair"])
@@ -404,7 +404,8 @@ def test_core_grid_cost(monkeypatch):
 
 def test_half_ball_band_keys_one_s_rule(monkeypatch):
     # every arc of the band rescales the s-rule of its outer arc, rho < 1,
-    # whose key is 1: the route builds one s-rule and no other
+    # whose key is 8, the key of every rmax <= 8: the route builds one
+    # s-rule and no other
     keys = []
     nodes = bubble._s_nodes
 
@@ -415,7 +416,7 @@ def test_half_ball_band_keys_one_s_rule(monkeypatch):
     monkeypatch.setattr(bubble, "_s_nodes", spy)
     for n, gamma in [(7, 0.25), (12, 0.7), (4, 0.8), (3, 0.45)]:
         moments._integrals_direct(ProblemIndex(n, gamma))
-    assert keys == [1.0] * 4
+    assert keys == [8.0] * 4
 
 
 def test_rho_rule_matches_a_finer_rule(monkeypatch):

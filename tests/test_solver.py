@@ -378,6 +378,16 @@ def test_lowest_eigenvalue_by_bisection(cells):
         assert abs(got - want) <= 2.0 * np.finfo(float).eps * norm, (idx, cells)
 
 
+@pytest.mark.parametrize("n, R", [(4, 1e-100), (24, 1e-12)])
+def test_lambda1_on_an_underflowing_radius_raises(n, R):
+    # the cell masses underflow to 0, so the scaled pencil holds NaN, with
+    # which the bisection's interval tests would never end it
+    with pytest.raises(NumericError):
+        solver.rayleigh_lambda1(ProblemIndex(n, 0.3), R)
+    with pytest.raises(NumericError):
+        solver._lowest_eigenvalue([1.0, np.nan], [0.5])
+
+
 # -- green's function ---------------------------------------------------------
 
 

@@ -274,6 +274,25 @@ def test_j01_against_mpmath_no_worse_than_cephes():
             assert err[0].max() <= err[1].max(), nu
 
 
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant < 63, reason="long double is not x86 extended precision"
+)
+@pytest.mark.parametrize("g", [0.05, 0.3, 0.8])
+def test_what_long_rounds_correctly_on_an_s_rule(g):
+    # every third node of a cached s-rule, against 30-digit values: within
+    # half an ulp and a hair, where the rules' e^(-45) and long double's
+    # rounding could tip a near-tie (measured: every node correctly rounded)
+    from fyk import bubble
+
+    t = bubble._s_nodes(8.0)[0][::3]
+    got = specfun._what_long(g, t)
+    with mpmath.workdps(30):
+        G = mpmath.mpf(g)
+        for x, v in zip(t, got):
+            want = mpmath.mpf(float(x)) ** (-G) * mpmath.besselk(G, mpmath.mpf(float(x)))
+            assert abs(mpmath.mpf(float(v)) - want) <= 0.51 * np.spacing(float(want)), (g, x)
+
+
 def test_j01_values_depend_on_their_own_point_alone():
     u = _j01_sweep()
     j0, j1 = specfun._j01(u)

@@ -1,8 +1,7 @@
 """Generate ``src/fyk/_j01_table.py``, the pinned coefficients of the numpy
 Bessel kernel ``fyk.specfun._j01`` (J_0 and J_1 of a real argument).
 
-    python tools/j01_table.py            # rewrite the table module
-    python tools/j01_table.py --check    # exit 1 if the module differs
+    python tools/j01_table.py    # rewrite the table module
 
 Needs mpmath.  Every coefficient is a Chebyshev interpolant computed at 40
 digits and then written in the monomial basis of the panel's local variable
@@ -24,8 +23,6 @@ Each series keeps the fewest terms whose dropped Chebyshev tail sums below
 largest of the four).  So every polynomial is within about 3.5e-18 of its
 function before rounding, and the kernel's error is its own rounding.
 """
-import argparse
-import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -154,19 +151,10 @@ def render():
     return "\n".join(lines)
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true", help="compare instead of writing")
-    args = parser.parse_args(argv)
-    text = render()
-    if args.check:
-        same = TABLE.read_text() == text
-        print("table is current" if same else "table differs from the generator")
-        return 0 if same else 1
-    TABLE.write_text(text)
+def main():
+    TABLE.write_text(render())
     print("wrote %s" % TABLE)
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()
