@@ -421,9 +421,9 @@ _J01_EDGES = tuple(hi for _, hi, _ in _J01_PANELS[:-1])
 def _horner(coefs, t):
     """The polynomials whose coefficients (highest power first) are the rows
     of ``coefs``, at the 1-D points t, as one (rows, len(t)) array."""
-    acc = np.empty((len(coefs), t.size))
-    acc[:] = coefs[:, :1]
-    for k in range(1, coefs.shape[1]):
+    acc = coefs[:, :1] * t
+    acc += coefs[:, 1:2]
+    for k in range(2, coefs.shape[1]):
         acc *= t
         acc += coefs[:, k : k + 1]
     return acc
@@ -441,10 +441,10 @@ def _j01(u):
     for edge in _J01_EDGES:
         panel += u >= edge
     for k, (lo, hi, coefs) in enumerate(_J01_PANELS):
-        at = np.flatnonzero(panel == k)
-        if not at.size:
-            continue
+        at = panel == k
         v = u[at]
+        if not v.size:
+            continue
         if k < len(J_PANELS):
             j0[at], j1[at] = _horner(coefs, (v - 0.5 * (lo + hi)) * (2.0 / (hi - lo)))
             continue
