@@ -40,10 +40,12 @@ latter rests on the scaling identity, from s = s'/rho,
       = D * int (s'/rho)^(n-1) what(s'/rho) e_nu(s' cos d) phi(s' sin d) ds'/rho:
 
 e_nu, e_(nu+1), phi and phi' are evaluated once on (s', d), and only the
-what-weights depend on rho.  The nodes s' are the outermost arc's s-rule
-scaled by its radius, so no arc sees more phase per panel than that rule
-resolves; this band starts at 1/32, and the arcs inside take the origin
-expansion below.  The three evaluators share their field formulas.
+what-weights depend on rho.  The arcs lie in the unit half-ball, rho <= 1,
+so the nodes s' are the s-rule of the key 8 (below) scaled by the outermost
+arc's radius, and no arc sees more phase per panel than that rule resolves.
+This band starts at 1/32, where an arc's scaled first node is at most 32
+times the rule's, 9.8e-4; the arcs inside take the origin expansion below.
+The three evaluators share their field formulas.
 
 Every term of a field is  c(s) e(s r) p(s z)  with |e| <= 1 (DLMF 10.14.4),
 |c(s)| <= |kw| max(1, s^2) for the weights kw = D s^(n-1) what(s) ds, and p
@@ -126,9 +128,10 @@ R/2 begin with the same panels scaled by 2.  A point at large z puts
 its s-integrand at s ~ 1/z, which the rule's first panels resolve only while
 (first node) * z <= _SZ_MAX, z <= 3.2e3 for max r <= 8; beyond that the
 evaluators raise NumericError rather than return a sum that misses the
-integrand.  ``polar_profiles`` raises likewise where a band arc's scaled
-first node exceeds _S_FIRST_MAX: at rho below 0.03 times the band's outer
-radius where that is at most 8.  Where n - 2g < 1 the factor s^(n-1-2g) is
+integrand.  The rule's node count grows in proportion to its key (368720
+nodes at 2^12, whose what-weights take 0.5 s), so the keys stop at
+_S_KEY_MAX, and a larger r raises NumericError before any node is built.
+Where n - 2g < 1 the factor s^(n-1-2g) is
 singular and the rule misses it (against the Poisson route 0.33 at
 (1, 0.45), 1.1e-3 at (2, 0.7); at most 2.2e-6 for n - 2g >= 1), so there
 ``_what_weights``, which every Fourier-Bessel evaluator calls, raises
@@ -195,12 +198,9 @@ _GAUSS_ORDER = 10
 # docstring): below it the gamma = 1/2 closed form holds to 6.2e-10 at r = 0
 # for n = 3..12; 1e-8 is first lost at 0.125 (n = 8, 9)
 _SZ_MAX = 0.1
-# polar_profiles raises where a band arc's first s-node, the band's outer
-# arc's scaled by (max rho)/rho, exceeds this: below it an arc at (4, 0.3)
-# stays within 1.7e-12 of paired_profiles, at (4, 0.8) within 1e-9; the
-# s^(n-1-2g) factor of the s-integrand is resolved no further (see the
-# module docstring)
-_S_FIRST_MAX = 1e-3
+# the s-rule keys: 8, whose panels every rmax <= 8 shares, up to the
+# largest rule built (see the module docstring)
+_S_KEY_MIN, _S_KEY_MAX = 8.0, 2.0**12
 # the origin expansion's powers of z/2 per branch and of r^2 per power, and
 # the radius it serves (see the module docstring)
 _ORIGIN_TERMS = 12
@@ -382,8 +382,14 @@ def _s_rule(n, gamma, rmax_key):
 def _rmax_key(rmax):
     """Bucket rmax to a power of two so the lru cache is effective.  Every
     rmax <= 8 gets the widest panels, 0.6 < 5/8 (see ``_s_nodes``), so they
-    share the key 8 and one rule per index."""
-    return float(2.0 ** math.ceil(math.log2(max(rmax, 8.0))))
+    share the key 8 and one rule per index.  An rmax past _S_KEY_MAX raises
+    NumericError (see the module docstring)."""
+    if not rmax <= _S_KEY_MAX:
+        raise NumericError(
+            f"r = {rmax:g} is beyond the s-rule's largest key {_S_KEY_MAX:g}",
+            {"r": float(rmax), "key_max": _S_KEY_MAX},
+        )
+    return float(2.0 ** math.ceil(math.log2(max(rmax, _S_KEY_MIN))))
 
 
 def _check_request(r, z, fields):
@@ -587,27 +593,27 @@ def paired_profiles(idx, r, z, fields=("W",)):
 
 
 def polar_profiles(idx, rho, *, d, fields=("W",)):
-    """The fields of ``radial_profiles`` on arcs: at (r, z) =
-    (rho[a] cos d[t], rho[a] sin d[t]), as (len(rho), len(d)) arrays, where
-    d is the angle to the trace plane.  ``rho`` > 0, in any order, and
-    0 <= ``d`` <= pi/2 (> 0 for the fields on phi').  The angle is measured
-    from the trace so that z = rho sin d keeps its digits next to it; ``d``
-    and ``fields`` are keyword-only, so a call that passes the polar angle
-    from the z-axis in their place fails instead of mirroring the arcs.
+    """The fields of ``radial_profiles`` on arcs of the unit half-ball: at
+    (r, z) = (rho[a] cos d[t], rho[a] sin d[t]), as (len(rho), len(d))
+    arrays, where d is the angle to the trace plane.  0 < ``rho`` <= 1, in
+    any order, and 0 <= ``d`` <= pi/2 (> 0 for the fields on phi'); an arc
+    past rho = 1 raises DomainError, as its Kelvin image
+    W(x) = |x|^(-m) W(x/|x|^2) lies inside.  The angle is measured from the
+    trace so that z = rho sin d keeps its digits next to it; ``d`` and
+    ``fields`` are keyword-only, so a call that passes the polar angle from
+    the z-axis in their place fails instead of mirroring the arcs.
 
     Arcs inside _ORIGIN_RADIUS take the origin expansion; the others form
     one band, where with s = s'/rho every arc shares the kernel and profile
     values e_nu(s' cos d) and phi(s' sin d) and only the what-weights depend
-    on rho (see the module docstring).  A band arc so far inside the band's
-    outermost one that its scaled first s-node exceeds _S_FIRST_MAX raises
-    NumericError.
+    on rho (see the module docstring).
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
-    if rho.ndim != 1 or d.ndim != 1 or not (rho.size and rho.min() > 0.0):
-        raise DomainError("polar_profiles needs a nonempty 1-D rho > 0 and 1-D d")
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(d))):
-        raise DomainError("rho and d must be finite")
+    if rho.ndim != 1 or d.ndim != 1 or not (rho.size and 0.0 < rho.min() and rho.max() <= 1.0):
+        raise DomainError("polar_profiles needs a nonempty 1-D 0 < rho <= 1 and 1-D d")
+    if not np.all(np.isfinite(d)):
+        raise DomainError("d must be finite")
     _check_request(rho.max() * np.cos(d), rho.max() * np.sin(d), fields)
     names = [k for k in _FIELD_NAMES if k in fields]
     if not names:
@@ -617,17 +623,10 @@ def polar_profiles(idx, rho, *, d, fields=("W",)):
     band = rho[~inner]
     if band.size:
         top = band.max()
-        s0, ws0 = _s_nodes(_rmax_key(top))
         # the outermost arc keeps the rule radial_profiles would use there
+        s0, ws0 = _s_nodes(_S_KEY_MIN)
         scale = (top / band)[:, None]
         s = scale * s0
-        first = float(s[:, 0].max())
-        if first > _S_FIRST_MAX:
-            raise NumericError(
-                f"rho = {band.min():g} is beyond the radius-scaled s-rule: its first "
-                f"node {first:.3g} > {_S_FIRST_MAX} (max rho {top:g})",
-                {"rho": float(band.min()), "rho_max": float(top), "s_first": first},
-            )
         kw = _what_weights(idx, s, scale * ws0, profile_what(idx, s))
         f = _paired_fields(idx, s, kw, s0, top * np.cos(d), top * np.sin(d), names)
         for k in names:

@@ -8,6 +8,7 @@ produces byte-identical files.
 """
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -36,18 +37,20 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class RunConfig:
-    tol: float = 1e-6
+    tol: float = 1e-6  # integrals and pohozaev only
     resolution: int | None = None  # solve green, lambda1 and linearized only
     out: str = None
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise UsageError("tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise UsageError("tolerance must be finite and positive")
         if self.resolution is not None and self.resolution < 8:
             raise UsageError("resolution must be at least 8 per axis")
         if self.fmt not in ("csv", "json"):
             raise UsageError("format must be csv or json")
+        if self.fmt == "json" and not self.out:
+            raise UsageError("format json needs an output directory (--out)")
 
 
 _CONFIG_KEYS = ("tol", "out", "format")
@@ -75,8 +78,9 @@ def _load_config(path):
 
 def _build_config(args):
     file_vals = _load_config(args.config) if getattr(args, "config", None) else {}
+    tol = getattr(args, "tol", None)
     try:
-        tol = args.tol if args.tol is not None else float(file_vals.get("tol", 1e-6))
+        tol = tol if tol is not None else float(file_vals.get("tol", 1e-6))
     except ValueError as exc:
         raise UsageError("bad config value: %s" % exc) from exc
     res = getattr(args, "resolution", None)
@@ -202,11 +206,19 @@ def _coefficient_grid(ns, gammas):
     return rows, int(np.count_nonzero(compared)), int(np.count_nonzero(compared & (positive != gate)))
 
 
+# the most coeff-scan rows: a row costs about 350 bytes, so about 350 MB
+_MAX_SCAN_ROWS = 10**6
+
+
 def cmd_coeff_scan(args, cfg):
     if args.n_min < 3 or args.n_max > 64 or args.n_min > args.n_max:
         raise UsageError("dimension range must lie within [3, 64]")
-    if args.gamma_step <= 0 or args.gamma_step >= 1:
+    if not 0 < args.gamma_step < 1:
         raise UsageError("gamma step must lie in (0, 1)")
+    # np.arange's length, checked before it allocates
+    rows = math.ceil((1.0 - args.gamma_step) / args.gamma_step) * (args.n_max - args.n_min + 1)
+    if rows > _MAX_SCAN_ROWS:
+        raise UsageError(f"the scan would take {rows} rows, more than {_MAX_SCAN_ROWS}")
     gammas = np.arange(args.gamma_step, 1.0, args.gamma_step)
     ProblemIndex(args.n_min, float(gammas[-1]))  # arange can round its last gamma up to 1
     rows, checked, mismatches = _coefficient_grid(np.arange(args.n_min, args.n_max + 1), gammas)
@@ -286,7 +298,7 @@ def cmd_solve_extension(args, cfg):
     if len(sizes) < 3:
         raise UsageError("need at least three sizes for two refinement pairs")
     # every grid is checked before the first solve
-    grids = [solver.WeightedGrid(args.rmax, args.zmax, nn, nn, 1 - 2 * idx.gamma) for nn in sizes]
+    grids = [solver.WeightedGrid(args.rmax, args.zmax, nn, nn) for nn in sizes]
     errs = []
     last = None
     for grid in grids:
@@ -366,9 +378,7 @@ def cmd_solve_lambda1(args, cfg):
 def cmd_solve_linearized(args, cfg):
     idx = _index(args)
     pi = _parse_pi(args.pi, idx.n)
-    grid = solver.WeightedGrid(
-        args.box, args.box, cfg.resolution, cfg.resolution, 1 - 2 * idx.gamma
-    )
+    grid = solver.WeightedGrid(args.box, args.box, cfg.resolution, cfg.resolution)
     res = solver.solve_linearized(idx, pi, args.eps, grid)
     d = res.diagnostics
     energy = max(d["energy"], 1e-300)
@@ -400,7 +410,6 @@ def cmd_solve_linearized(args, cfg):
 def _add_common(parser):
     parser.add_argument("--out", help="output directory for artifacts")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--config", help="flat key=value config file")
 
 
@@ -439,6 +448,7 @@ def build_parser():
         choices=("bessel_moments", "direct_2d"),
         default="bessel_moments",
     )
+    p.add_argument("--tol", type=float, default=None)  # read by the verdict
     _add_common(p)
     p.set_defaults(func=cmd_integrals)
 
@@ -452,6 +462,7 @@ def build_parser():
     p = sub.add_parser("pohozaev", help="boundary-identity checks")
     _add_index(p)
     p.add_argument("--radii", type=_radii, default=[0.5, 1.0, 2.0])
+    p.add_argument("--tol", type=float, default=None)  # read by the verdict
     _add_common(p)
     p.set_defaults(func=cmd_pohozaev)
 

@@ -334,7 +334,7 @@ def eikonal_characteristics(K, xbar0, r, metric=None, rtol=1e-10):
     )
 
 
-def characteristic_supnorms(idx, K, r, n=None, samples=24, metric=None):
+def characteristic_supnorms(idx, K, r, samples=24, metric=None):
     """Sup over sampled base points in B(0, 2r) of |p|, of the finite-
     difference Jacobian d p / d xbar0, and of |p dot|; these support the
     empirical bounds sup|p| <= 5/K and 2 (sup|grad p| + sup|p dot|) <= 5K.
@@ -343,8 +343,7 @@ def characteristic_supnorms(idx, K, r, n=None, samples=24, metric=None):
     [-2r, 2r]^n) go through one ``_characteristics`` call on a shared s-grid,
     so each difference compares the two partners at the same s: the closed
     form for the flat metric, one ODE solve to rtol 1e-10 for a callable."""
-    if n is None:
-        n = idx.n
+    n = idx.n
     if samples < 1:
         raise DomainError("need at least one sample")
     rng = default_rng(7)

@@ -55,17 +55,14 @@ _MAX_CELLS = 4096
 @dataclass(frozen=True)
 class WeightedGrid:
     """Uniform tensor grid on [0, r_max] x [0, z_max] and its finite-volume
-    geometry: nodes, masses and face transmissibilities.
-
-    ``weight_exponent`` must equal 1 - 2*gamma of the index the grid is used
-    with; operations check this.  The z = 0 face carries trace unknowns.
+    geometry: nodes, masses and face transmissibilities, whose methods take
+    gamma.  The z = 0 face carries trace unknowns.
     """
 
     r_max: float
     z_max: float
     nr: int
     nz: int
-    weight_exponent: float
 
     def __post_init__(self):
         if not (0 < self.r_max < np.inf and 0 < self.z_max < np.inf):
@@ -74,8 +71,6 @@ class WeightedGrid:
             raise DomainError("need an integer number of at least two cells per axis")
         if max(self.nr, self.nz) > _MAX_CELLS:
             raise DomainError(f"at most {_MAX_CELLS} cells per axis")
-        if not np.isfinite(self.weight_exponent):
-            raise DomainError("grid weight exponent must be finite")
 
     @property
     def hr(self):
@@ -119,13 +114,6 @@ class WeightedGrid:
         lo = np.maximum(self.z - self.hz / 2.0, 0.0)
         hi = np.minimum(self.z + self.hz / 2.0, self.z_max)
         return (hi**ex - lo**ex) / ex
-
-    def check(self, idx):
-        if abs(self.weight_exponent - (1.0 - 2.0 * idx.gamma)) > 1e-12:
-            raise DomainError(
-                "grid weight exponent %.6g does not match 1-2*gamma = %.6g"
-                % (self.weight_exponent, 1.0 - 2.0 * idx.gamma)
-            )
 
     def shape_check(self, field_arr):
         if np.shape(field_arr) != (self.nr, self.nz + 1):
@@ -360,7 +348,6 @@ def apply_operator(idx, grid, field_arr):
     exact vertical transmissibilities keep the {1, z^(2g)} family in the
     discrete kernel.
     """
-    grid.check(idx)
     grid.shape_check(field_arr)
     g = idx.gamma
     u = np.asarray(field_arr, dtype=float)
@@ -415,7 +402,6 @@ def solve_extension(idx, grid, dirichlet_trace, boundary=None):
     z = z_max (default: the analytic standard-bubble extension).  Returns
     the full (nr, nz+1) grid function including the boundary rows.
     """
-    grid.check(idx)
     if boundary is None:
         boundary = lambda r, z: bubble.radial_profiles(idx, r, z)["W"]
     r, z = grid.r, grid.z
@@ -513,7 +499,7 @@ def green_asymptotics(idx, R, width=None, resolution=512):
         raise DomainError("fit annulus [4*width, R/4] is empty")
     kappa = constants(idx).kappa
     L = 3.0 * R
-    grid = WeightedGrid(L, L, resolution, resolution, 1.0 - 2.0 * g)
+    grid = WeightedGrid(L, L, resolution, resolution)
     r = grid.r
     nr, nz = grid.nr, grid.nz
 
@@ -606,6 +592,7 @@ class LinearizedResult:
 
     psi: np.ndarray
     grid: WeightedGrid
+    gamma: float
     pi: SymmetricTensor
     eps_hat: float
     diagnostics: dict = field(default_factory=dict)
@@ -627,7 +614,7 @@ class LinearizedResult:
         # which this chart reproduces exactly
         i = min(max(int(r / g.hr - 0.5), 0), g.nr - 1)
         j = min(max(int(z / g.hz), 0), g.nz - 1)
-        two_g = 1.0 - g.weight_exponent
+        two_g = 2.0 * self.gamma
         s_lo, s_hi = g.z[j] ** two_g, g.z[j + 1] ** two_g
         # psi falls to 0 at the axis, hr/2 before the first cell center, and
         # to the far face's Dirichlet 0 at r_max, hr/2 past the last
@@ -678,7 +665,6 @@ def solve_linearized(idx, pi, eps_hat, grid):
     if pi.n != idx.n:
         raise DomainError("tensor dimension does not match the index")
     idx.require_supercritical("the linearized correction")
-    grid.check(idx)
 
     n, g = idx.n, idx.gamma
     m = idx.m
@@ -716,7 +702,7 @@ def solve_linearized(idx, pi, eps_hat, grid):
         pencils, src_cells[:, :nz], bulk_r=2.0 * n * vol_m2, robin=robin
     )
 
-    result = LinearizedResult(psi=psi, grid=grid, pi=pi, eps_hat=eps_hat)
+    result = LinearizedResult(psi=psi, grid=grid, gamma=g, pi=pi, eps_hat=eps_hat)
     _diagnose(idx, result, prof, vol)
     return result
 

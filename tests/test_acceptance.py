@@ -245,7 +245,7 @@ def test_criterion_09_extension_convergence():
     idx = ProblemIndex(3, 0.5)
     errs = []
     for nr in (32, 64, 128):
-        grid = solver.WeightedGrid(6.0, 6.0, nr, nr, 1.0 - 2.0 * idx.gamma)
+        grid = solver.WeightedGrid(6.0, 6.0, nr, nr)
         W = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
         exact = bubble.radial_profiles(idx, grid.r, grid.z)["W"]
         errs.append(np.abs(W - exact).max())
@@ -273,14 +273,14 @@ def _linearized(scale):
     idx = ProblemIndex(4, 0.3)
     entries = scale * np.diag([1.0, -1.0, 0.0, 0.0])
     pi = solver.SymmetricTensor(entries, trace_free=True)
-    grid = solver.WeightedGrid(20.0, 20.0, 160, 160, 1.0 - 2.0 * idx.gamma)
+    grid = solver.WeightedGrid(20.0, 20.0, 160, 160)
     return solver.solve_linearized(idx, pi, 0.5, grid)
 
 
 def test_criterion_10_zero_tensor():
     idx = ProblemIndex(4, 0.3)
     pi = solver.SymmetricTensor(np.zeros((4, 4)), trace_free=True)
-    grid = solver.WeightedGrid(20.0, 20.0, 64, 64, 1.0 - 2.0 * idx.gamma)
+    grid = solver.WeightedGrid(20.0, 20.0, 64, 64)
     res = solver.solve_linearized(idx, pi, 0.5, grid)
     pts = [
         (np.array([1.0, 0.5, 0.0, 0.0]), 0.2),

@@ -6,7 +6,7 @@ from scipy import special
 from scipy.linalg import blas
 
 from fyk import bubble, moments, specfun
-from fyk._quad import gauss_panels, halfsphere_rule, jacobi_end_panel
+from fyk._quad import halfsphere_rule
 from fyk.bubble import BubbleParams, HalfSpacePoint
 from fyk.errors import DomainError, NumericError
 from fyk.specfun import ProblemIndex, constants
@@ -141,6 +141,22 @@ def test_gamma_half_closed_form():
         got = bubble.extension(idx, p, _pt(xbar, z))
         want = bubble.extension_gamma_half(idx, rho, z)
         assert got == pytest.approx(float(want), rel=1e-9)
+
+
+def test_gamma_half_closed_form_scales_with_lam():
+    # W_lam(r, z) = lam^(-m/2) W(r/lam, z/lam), and the Fourier-Bessel route
+    # at BubbleParams(lam) agrees
+    for n in (2, 3, 6):
+        idx = ProblemIndex(n, 0.5)
+        r, z = np.array([0.0, 0.4, 2.5]), np.array([0.0, 0.3, 1.7])
+        for lam in (0.3, 2.5):
+            got = bubble.extension_gamma_half(idx, r, z, lam=lam)
+            want = lam ** (-idx.m / 2.0) * bubble.extension_gamma_half(idx, r / lam, z / lam)
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0), (n, lam)
+            xbar = np.zeros(n)
+            xbar[0] = r[1]
+            fb = bubble.extension(idx, BubbleParams(lam=lam), _pt(xbar, z[1]))
+            assert fb == pytest.approx(got[1], rel=1e-9), (n, lam)
 
 
 def test_scaling_covariance():
@@ -446,11 +462,6 @@ def test_far_points_beyond_the_s_rule_raise():
         bubble.paired_profiles(idx, np.zeros(1), far)
     with pytest.raises(NumericError):
         bubble.extension(idx, BubbleParams(), _pt(np.zeros(3), 4000.0))
-    # the arcs' rule is keyed on the radius, which bounds z as well
-    d = np.array([0.5 * math.pi, 0.87])
-    got = bubble.polar_profiles(idx, far, d=d)["W"][0]
-    want = bubble.extension_gamma_half(idx, 4000.0 * np.cos(d), 4000.0 * np.sin(d))
-    assert np.abs(got / want - 1.0).max() <= 1e-8
     # within the reach the closed form holds to 1e-8, n = 3..12
     for n in (3, 5, 9, 12):
         idx = ProblemIndex(n, 0.5)
@@ -460,6 +471,35 @@ def test_far_points_beyond_the_s_rule_raise():
         assert np.abs(got / bubble.extension_gamma_half(idx, 0.0, z) - 1.0).max() <= 1e-8
         with pytest.raises(NumericError):
             bubble.paired_profiles(idx, np.zeros(1), np.array([1.01 * z[-1]]))
+
+
+def test_s_rule_keys_are_bounded(monkeypatch):
+    # the rule's node count grows with its key, 368720 nodes at the largest:
+    # a one-point paired_profiles at r = 1e4 once took 2.7 s on 1.47M nodes,
+    # and at r = 1e300 the rule's panels never ended.  Past the largest key
+    # every s-sum raises before it builds a node
+    assert bubble._rmax_key(bubble._S_KEY_MAX) == bubble._S_KEY_MAX
+    for r in (np.nextafter(bubble._S_KEY_MAX, math.inf), 1e300, math.inf, math.nan):
+        with pytest.raises(NumericError, match="largest key"):
+            bubble._rmax_key(r)
+
+    def refuse(key):
+        raise AssertionError(f"an s-rule was built at the key {key}")
+
+    monkeypatch.setattr(bubble, "_s_nodes", refuse)
+    # the point evaluators take r = |xbar| / lam = 1e300, with |xbar|^2
+    # inside the float range
+    idx = ProblemIndex(4, 0.3)
+    far, xbar, p = np.array([1e300]), np.array([1e150, 0.0, 0.0, 0.0]), BubbleParams(lam=1e-150)
+    calls = [
+        lambda: bubble.paired_profiles(idx, far, np.ones(1)),
+        lambda: bubble.radial_profiles(idx, far, np.ones(1)),
+        lambda: bubble.neumann_trace(idx, p, xbar),
+        lambda: bubble.extension(idx, p, _pt(xbar, 1e-150)),
+    ]
+    for call in calls:
+        with pytest.raises(NumericError, match="largest key"):
+            call()
 
 
 def test_reach_check_leaves_the_routes_unchanged(monkeypatch, tmp_path):
@@ -501,20 +541,6 @@ def _band(idx):
     return rho[rho >= bubble._ORIGIN_RADIUS], halfsphere_rule(idx.n, idx.gamma)[0]
 
 
-def _tail_arcs(idx):
-    """Nine arcs R [0.2, ..., 1] spanning 5:1, R = 32 where n - 2g > 4 and
-    64 otherwise, and 84 angles d to the trace plane: six 12-node Gauss
-    panels graded toward the trace by 0.55 from pi/4 and one 12-node
-    Gauss-Jacobi panel in d^(1-2g) below them.  The outer arc is a power
-    of two, so a tensor grid whose largest r rounds up to R shares its
-    s-rule, and so do R/2 and R/4."""
-    R = 32.0 if idx.n - 2.0 * idx.gamma > 4.0 else 64.0
-    arcs = R * np.array([0.2, 0.25, 0.28, 0.33, 0.4, 0.5, 0.63, 0.8, 1.0])
-    dist = 0.25 * math.pi * 0.55 ** np.arange(6)
-    d = gauss_panels(np.concatenate([dist[::-1], [0.5 * math.pi]]), 12)[0]
-    return arcs, np.concatenate([d, jacobi_end_panel(dist[-1], 1.0 - 2.0 * idx.gamma)[0]])
-
-
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8), (5, 0.7), (4, 0.3)])
 def test_polar_profiles_match_tensor_diagonal(n, gamma):
     # the direct route's band: one radius-scaled s-rule against the tensor
@@ -532,46 +558,28 @@ def test_polar_profiles_match_tensor_diagonal(n, gamma):
             assert got[k].shape == (arcs.size, d.size)
             w = np.diagonal(want[k])
             assert np.all(np.abs(got[k][a] - w) <= 2e-9 * np.abs(w)), (rho, k)
-    # arcs out to R: the rules share their graded panels at s -> 0 on the
-    # outer arc and at R/2 and R/4; elsewhere the two differ at the
-    # Fourier-Bessel accuracy floor (7.3e-10 alpha at (4, 0.8), 0.2 R)
-    alpha = constants(idx).alpha
-    arcs, d = _tail_arcs(idx)
-    got = bubble.polar_profiles(idx, arcs, d=d, fields=_FIELDS)
-    for a, rho in enumerate(arcs):
-        want = bubble.radial_profiles(idx, rho * np.cos(d), rho * np.sin(d), _FIELDS)
-        bound = (1e-15 if rho in arcs[-1] / np.array([1.0, 2.0, 4.0]) else 1e-9) * alpha
-        for k in _FIELDS:
-            assert got[k].shape == (arcs.size, d.size)
-            assert np.abs(got[k][a] - np.diagonal(want[k])).max() <= bound, (rho, k)
 
 
 @pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (7, 0.25)])
 def test_polar_profiles_resolve_each_arc_or_raise(n, gamma):
-    # with the outer arc at rho = 8 the band's rule is scaled by 8/rho on an
-    # inner band arc: with the outer arc at 1, below rho = 1e-4 it left no
-    # node where the s-integrand lives (W 100 % off), at 1e-3 it was 1.9e-7
-    # off at (4, 0.3).  Band arcs below about 0.25 raise; the arcs inside
-    # 1/32 take the origin expansion and hold down to rho = 1e-8
+    # with the outer arc at rho = 1 the band's rule is scaled by 1/rho on an
+    # inner band arc, at most 32 times, where its first node sits at 9.8e-4:
+    # the band arcs hold within 2.8e-12 of paired_profiles, and the arcs
+    # inside 1/32 take the origin expansion and hold down to rho = 1e-8
     idx = ProblemIndex(n, gamma)
     d = np.linspace(0.5 * math.pi - 1.5, 0.5 * math.pi, 13)
-    raised = []
     for rho in np.logspace(-8.0, 0.0, 33):
-        try:
-            got = bubble.polar_profiles(idx, np.array([rho, 8.0]), d=d, fields=_FIELDS)
-        except NumericError:
-            raised.append(rho)
-            continue
+        got = bubble.polar_profiles(idx, np.array([rho, 1.0]), d=d, fields=_FIELDS)
         want = bubble.paired_profiles(idx, rho * np.cos(d), rho * np.sin(d), _FIELDS)
         for k in _FIELDS:
             assert np.abs(got[k][0] - want[k]).max() <= 1e-9 * np.abs(want[k]).max(), (rho, k)
-    assert raised and bubble._ORIGIN_RADIUS <= min(raised) and max(raised) < 0.25
-    # the direct route's band, [1/32, 1], stays within the rule: its inner
-    # arc's scaled first node is 9.2e-4, below _S_FIRST_MAX
-    arcs, d = _band(idx)
-    s0 = bubble._s_nodes(bubble._rmax_key(arcs.max()))[0]
-    assert s0[0] * arcs.max() / arcs.min() <= bubble._S_FIRST_MAX
-    bubble.polar_profiles(idx, arcs, d=d)
+    # an arc past the unit half-ball raises, alone and next to arcs inside
+    # it: the radius-keyed rule it once took left W 6 times off at (24, 1/2),
+    # rho = 80, and its Kelvin image lies inside
+    for rho in (np.nextafter(1.0, 2.0), 8.0, 80.0, 4000.0):
+        for arcs in ([rho], [0.01, rho], [0.5, rho]):
+            with pytest.raises(DomainError, match="rho <= 1"):
+                bubble.polar_profiles(idx, np.array(arcs), d=d)
 
 
 @pytest.mark.parametrize(
@@ -721,8 +729,8 @@ def _rounding_floor(s, scale):
 @pytest.mark.parametrize("n,gamma", [(7, 0.25), (4, 0.8)])
 def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     # the capped grid (every sixth r and every second z node: 120 x 510
-    # points at R = 64, 67 x 350 at R = 32), nine arcs out to R and the
-    # direct route's band of arcs
+    # points at R = 64, 67 x 350 at R = 32) and the direct route's band of
+    # arcs
     idx = ProblemIndex(n, gamma)
     alpha = constants(idx).alpha
     R = 32.0 if n - 2.0 * gamma > 4.0 else 64.0
@@ -740,17 +748,10 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     one, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
     for k in one:
         assert np.all(np.abs(got[k] - one[k]) <= _rounding_floor(s, scale[k])), ("order", k)
-
-    # the arcs out to R against the one-GEMM sums of every term: within
-    # 1e-15 alpha
-    arcs, d = _tail_arcs(idx)
-    got = bubble.polar_profiles(idx, arcs, d=d, fields=_ALL_FIELDS)
-    for k, (c, KP) in _arc_terms(idx, arcs, d).items():
-        assert np.abs(got[k] - c @ KP.T).max() <= 1e-15 * alpha, ("arcs", k)
     # the band's arcs, near W = alpha, sit at their rounding floor
     arcs, d = _band(idx)
     got = bubble.polar_profiles(idx, arcs, d=d, fields=_ALL_FIELDS)
-    s0 = bubble._s_nodes(bubble._rmax_key(arcs.max()))[0]
+    s0 = bubble._s_nodes(bubble._S_KEY_MIN)[0]
     for k, (c, KP) in _arc_terms(idx, arcs, d).items():
         floor = _rounding_floor(s0, np.abs(c) @ np.abs(KP).T)
         assert np.all(np.abs(got[k] - c @ KP.T) <= floor), ("band", k)
@@ -763,7 +764,7 @@ def _arc_terms(idx, arcs, d):
     the shared kernel-profile products (len(d), S), none cut."""
     nu = idx.n / 2.0 - 1.0
     top = arcs.max()
-    s0, ws0 = bubble._s_nodes(bubble._rmax_key(top))
+    s0, ws0 = bubble._s_nodes(bubble._S_KEY_MIN)
     scale = (top / arcs)[:, None]
     s = scale * s0
     kw = bubble._what_weights(idx, s, scale * ws0, specfun.profile_what(idx, s))

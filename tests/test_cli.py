@@ -170,6 +170,30 @@ def test_config_file_sets_defaults(tmp_path, capsys):
     ) == 1
 
 
+def test_json_format_needs_an_output_directory(tmp_path, capsys):
+    # without --out a json run once printed the csv table
+    argv = ["constants", "--n", "4", "--gamma", "0.3"]
+    assert run(argv + ["--format", "json"]) == 1
+    assert "--out" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("format = json\n")
+    assert run(argv + ["--config", str(cfgfile)]) == 1
+    assert run(argv + ["--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    assert [p.suffix for p in tmp_path.iterdir() if p != cfgfile] == [".json"]
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-6"])
+def test_tolerance_must_be_finite_and_positive(tol, tmp_path, capsys):
+    # a NaN tolerance made every verdict a breach (exit 3), an infinite one
+    # passed every residual
+    argv = ["integrals", "--n", "5", "--gamma", "0.5"]
+    assert run(argv + ["--tol", tol]) == 1
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("tol = %s\n" % tol)
+    assert run(argv + ["--config", str(cfgfile)]) == 1
+    assert "tolerance must be finite and positive" in capsys.readouterr().err
+
+
 def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     # resolution is a per-subcommand flag, not a config key
     cfgfile = tmp_path / "run.cfg"
@@ -238,6 +262,14 @@ def test_coefficient_scalar_and_array_paths_agree_bitwise():
         assert rep.boundary_zero == (abs(num[k]) < 1e-12)
 
 
+def test_coeff_scan_rows_are_bounded(capsys):
+    # a row costs about 350 bytes: a step of 1e-6 asked for 28M rows (about
+    # 10 GB) and 1e-9 for an 8 GB np.arange before the first row; past
+    # _MAX_SCAN_ROWS the run stops before the grid is built
+    assert run(["coeff-scan", "--gamma-step", "1e-9"]) == 1
+    assert "more than %d" % cli._MAX_SCAN_ROWS in capsys.readouterr().err
+
+
 def test_coeff_scan_grid_rounding_up_to_one_is_usage_error(capsys):
     # np.arange(1/3, 1, 1/3) ends at 1.0, outside the open interval
     assert run(["coeff-scan", "--gamma-step", repr(1.0 / 3.0)]) == 1
@@ -248,6 +280,13 @@ def test_pohozaev_identity_run(capsys):
     assert run(["pohozaev", "--n", "3", "--gamma", "0.5"]) == 0
     out = capsys.readouterr().out
     assert "limit" in out or "surface" in out
+
+
+def test_pohozaev_beyond_the_s_rule_is_a_numeric_failure(capsys):
+    # the half-sphere's fields at r = 1e300 once asked for an s-rule that
+    # never finished building
+    assert run(["pohozaev", "--n", "4", "--gamma", "0.3", "--radii", "1e300"]) == 2
+    assert "largest key" in capsys.readouterr().err
 
 
 def test_solve_lambda1(capsys):
@@ -318,6 +357,22 @@ SUBCOMMANDS = [
     ["solve", "lambda1", "--n", "3", "--gamma", "0.5", "--radii", "0.5,1", "--resolution", "16"],
     ["solve", "linearized", "--n", "4", "--gamma", "0.3", "--resolution", "16", "--box", "10"],
 ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in SUBCOMMANDS if argv[0] not in ("integrals", "pohozaev")],
+    ids=lambda argv: "-".join(argv[:2]),
+)
+def test_tol_is_an_option_only_where_a_verdict_reads_it(argv, tmp_path, capsys):
+    # integrals and pohozaev compare their residuals with the tolerance; the
+    # other subcommands refuse --tol, and a config file's tol key, which
+    # those two read, stays legal for them
+    assert run(argv + ["--tol", "1e-3"]) == 1
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("tol = 1e-3\n")
+    assert run(argv + ["--config", str(cfgfile)]) in (0, 3)
 
 
 def _one_table(monkeypatch, argv):

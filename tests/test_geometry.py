@@ -86,6 +86,30 @@ def test_normalized_jet_gauge_values():
     assert geometry.is_normalized(jet)
 
 
+def test_normalized_jet_takes_riem_h_r_iNjN_and_g_Nk():
+    # riem_h and g_Nk pass into the jet as given; r_iNjN is rescaled so that
+    # its trace is the gauge's r_NN, and a traceless one gains (r_NN / n) I
+    n = 3
+    pi = SymmetricTensor(np.diag([1.0, -1.0, 0.0]), trace_free=True)
+    r_nn = (1.0 - 2.0 * n) / (2.0 * (n - 1.0)) * pi.norm_sq()
+    rng = np.random.default_rng(5)
+    a, b = (x + x.T for x in rng.normal(size=(2, n, n)))
+    # the Kulkarni-Nomizu product of two symmetric forms has the Riemann
+    # symmetries
+    riem = (np.einsum("il,kj->ikjl", a, b) + np.einsum("kj,il->ikjl", a, b)
+            - np.einsum("ij,kl->ikjl", a, b) - np.einsum("kl,ij->ikjl", a, b))
+    g_nk = rng.normal(size=(n, n, n))
+    for r_injn, want in [
+        (np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, 3.0]) * (r_nn / 6.0)),
+        (np.diag([1.0, -1.0, 0.0]), np.diag([1.0, -1.0, 0.0]) + np.eye(n) * (r_nn / n)),
+    ]:
+        jet = geometry.normalized_jet(pi, riem_h=riem, r_iNjN=r_injn, g_Nk=g_nk)
+        assert np.array_equal(jet.riem_h, riem) and np.array_equal(jet.g_Nk, g_nk)
+        assert np.allclose(jet.r_iNjN, want, rtol=1e-15, atol=0.0)
+        assert np.trace(jet.r_iNjN) == pytest.approx(r_nn, rel=1e-15)
+        assert geometry.is_normalized(jet)
+
+
 def test_sqrt_det_expansion_values():
     # trivial jet: volume element is 1; H = 0 kills the linear z term
     pi = SymmetricTensor(np.zeros((3, 3)), trace_free=True)

@@ -71,6 +71,25 @@ def test_identity_on_bubble_at_the_cli_radii(n, gamma, bound):
         assert abs(rep.total) <= bound * scale, r
 
 
+def test_boundary_term_takes_p_f_and_delta():
+    # the trace-sphere term r/(p+1) |S^(n-1)| r^(n-1) f(r)^(-delta) u(r)^(p+1):
+    # f and delta scale it by f(r)^(-delta) and p sets its power, and the
+    # surface term reads none of them
+    idx = ProblemIndex(4, 0.3)
+    field = PowerField([1.0, 1.0], [idx.m, 0.0])
+    r = 0.8
+    base = pohozaev.pohozaev_P(idx, field, r)
+    u, area = float(field.trace(r)), sphere_area(idx.n) * r**idx.n
+    pc = idx.p_critical
+    assert base.boundary_term == pytest.approx(area * u ** (pc + 1.0) / (pc + 1.0), rel=1e-14)
+    for p, f, delta in [(2.0, None, 0.0), (pc, lambda s: 1.0 + s * s, 0.7), (1.5, lambda s: 3.0, -0.4)]:
+        rep = pohozaev.pohozaev_P(idx, field, r, p=p, f=f, delta=delta)
+        scale = 1.0 if f is None else f(r) ** (-delta)
+        assert rep.surface_term == base.surface_term
+        assert rep.boundary_term == pytest.approx(area * scale * u ** (p + 1.0) / (p + 1.0), rel=1e-14)
+        assert rep.total == constants(idx).kappa * rep.surface_term + rep.boundary_term
+
+
 def test_pprime_annihilates_pure_powers():
     # the dilation functional vanishes on each weighted-harmonic power alone
     idx = ProblemIndex(4, 0.3)

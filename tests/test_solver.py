@@ -13,8 +13,8 @@ from fyk.solver import SymmetricTensor, WeightedGrid
 from fyk.specfun import ProblemIndex, constants
 
 
-def _grid(idx, L, n):
-    return WeightedGrid(L, L, n, n, 1.0 - 2.0 * idx.gamma)
+def _grid(L, n):
+    return WeightedGrid(L, L, n, n)
 
 
 # -- grid and tensor plumbing -------------------------------------------------
@@ -22,27 +22,24 @@ def _grid(idx, L, n):
 
 def test_grid_validation():
     with pytest.raises(DomainError):
-        WeightedGrid(-1.0, 1.0, 8, 8, 0.4)
+        WeightedGrid(-1.0, 1.0, 8, 8)
     with pytest.raises(DomainError):
-        WeightedGrid(1.0, 1.0, 1, 8, 0.4)
-    # extents must be finite, cell counts integers, the exponent finite
+        WeightedGrid(1.0, 1.0, 1, 8)
+    # extents must be finite, cell counts integers
     for bad in (
-        (math.nan, 1.0, 8, 8, 0.4),
-        (1.0, math.inf, 8, 8, 0.4),
-        (1.0, 1.0, 2.5, 8, 0.4),
-        (1.0, 1.0, 8, 8.0, 0.4),
-        (1.0, 1.0, 8, 8, math.nan),
+        (math.nan, 1.0, 8, 8),
+        (1.0, math.inf, 8, 8),
+        (1.0, 1.0, 2.5, 8),
+        (1.0, 1.0, 8, 8.0),
     ):
         with pytest.raises(DomainError):
             WeightedGrid(*bad)
-    assert WeightedGrid(1.0, 1.0, np.int64(8), 8, 0.4).nr == 8
-    g = WeightedGrid(2.0, 1.0, 4, 5, 0.4)
+    assert WeightedGrid(1.0, 1.0, np.int64(8), 8).nr == 8
+    g = WeightedGrid(2.0, 1.0, 4, 5)
     assert g.hr == 0.5
     assert g.r[0] == 0.25  # cell-centered radial axis
     assert g.z[0] == 0.0  # node-based vertical axis with the trace row
     assert len(g.z) == 6
-    with pytest.raises(DomainError):
-        g.check(ProblemIndex(4, 0.25))  # weight exponent mismatch
 
 
 def test_symmetric_tensor_validation():
@@ -64,7 +61,7 @@ def test_operator_annihilates_kernel_families(n, gamma):
     # u = 1 and u = z^(2g) are exact solutions; the flux-exact vertical
     # transmissibilities make both discretely harmonic to rounding
     idx = ProblemIndex(n, gamma)
-    grid = _grid(idx, 4.0, 40)
+    grid = _grid(4.0, 40)
     R, Z = np.meshgrid(grid.r, grid.z, indexing="ij")
     for u in (np.ones_like(R), Z ** (2.0 * gamma)):
         resid = solver.apply_operator(idx, grid, u)
@@ -76,7 +73,7 @@ def test_operator_consistency_on_smooth_field():
     # -div(z^w grad u) for u = r^2 z^2 has the closed form checked here
     idx = ProblemIndex(4, 0.3)
     g = idx.gamma
-    grid = _grid(idx, 4.0, 160)
+    grid = _grid(4.0, 160)
     R, Z = np.meshgrid(grid.r, grid.z, indexing="ij")
     u = R**2 * Z**2
     # exact: -z^(1-2g) * (2n z^2 + (4 - 4g) r^2)
@@ -95,7 +92,7 @@ def test_operator_residual_convergence_on_bubble(n, gamma):
     idx = ProblemIndex(n, gamma)
     interior, face = [], []
     for cells in (40, 80, 160):
-        grid = _grid(idx, 4.0, cells)
+        grid = _grid(4.0, cells)
         W = bubble.radial_profiles(idx, grid.r, grid.z)["W"]
         resid = solver.apply_operator(idx, grid, W)
         R, Z = np.meshgrid(grid.r, grid.z, indexing="ij")
@@ -118,7 +115,7 @@ def test_operator_is_the_solved_operator(captured, n, gamma):
     # apply_operator away from its near-trace fit rows j = 1..3 and the
     # row i = nr-1 it leaves at zero
     idx = ProblemIndex(n, gamma)
-    grid = _grid(idx, 6.0, 32)
+    grid = _grid(6.0, 32)
     solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
     _, (L_r, vol, L_z, zw), _, _, _ = captured[0]
     U = np.zeros((grid.nr, grid.nz + 1))
@@ -143,7 +140,7 @@ def test_radial_axis_masses_sum_to_the_integral(power):
 
 def test_operator_shape_mismatch():
     idx = ProblemIndex(4, 0.3)
-    grid = _grid(idx, 2.0, 8)
+    grid = _grid(2.0, 8)
     with pytest.raises(DomainError):
         solver.apply_operator(idx, grid, np.zeros((3, 3)))
 
@@ -190,7 +187,7 @@ def test_barrier_singular_at_origin():
 
 def test_solve_extension_reproduces_constants():
     idx = ProblemIndex(4, 0.3)
-    grid = _grid(idx, 3.0, 24)
+    grid = _grid(3.0, 24)
     W = solver.solve_extension(
         idx, grid, lambda r: np.ones_like(r), boundary=lambda r, z: np.ones(
             np.broadcast(np.atleast_1d(r), np.atleast_1d(z)).shape
@@ -204,7 +201,7 @@ def test_solve_extension_converges_to_bubble(n, gamma):
     idx = ProblemIndex(n, gamma)
     errs = []
     for cells in (24, 48, 96):
-        grid = _grid(idx, 6.0, cells)
+        grid = _grid(6.0, cells)
         W = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
         exact = bubble.radial_profiles(idx, grid.r, grid.z)["W"]
         errs.append(np.abs(W - exact).max())
@@ -238,7 +235,7 @@ def test_kron_sum_structure():
     # the flux balance is symmetric, and constants carry no flux except
     # through the two Dirichlet-0 faces r = r_max and z = z_max
     idx = ProblemIndex(4, 0.3)
-    grid = WeightedGrid(3.0, 2.0, 12, 10, 1.0 - 2.0 * idx.gamma)
+    grid = WeightedGrid(3.0, 2.0, 12, 10)
     L_r, vol, L_z, slab_w = solver._trace_flux_pencils(idx, grid)
     A = _kron_sum(L_r, vol, L_z, slab_w)
     scale = abs(A).max()
@@ -270,7 +267,7 @@ def test_kron_sum_structure():
 
 def test_non_finite_solution_trips_the_gate():
     idx = ProblemIndex(4, 0.3)
-    grid = WeightedGrid(3.0, 2.0, 12, 10, 1.0 - 2.0 * idx.gamma)
+    grid = WeightedGrid(3.0, 2.0, 12, 10)
     pencils = solver._trace_flux_pencils(idx, grid)
     u = np.zeros((grid.nr, grid.nz))
     u[3, 4] = np.nan
@@ -281,7 +278,7 @@ def test_non_finite_solution_trips_the_gate():
 
 def test_extension_default_boundary_is_the_bubble():
     idx = ProblemIndex(4, 0.3)
-    grid = _grid(idx, 6.0, 32)
+    grid = _grid(6.0, 32)
     W = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
     top = bubble.radial_profiles(idx, grid.r, [grid.z_max])["W"][:, 0]
     assert np.array_equal(W[:, -1], top)
@@ -326,10 +323,10 @@ def test_cell_counts_are_bounded():
     # allocated: R = 1e15 in rayleigh_lambda1 asked numpy for 682 PiB
     cap = solver._MAX_CELLS
     idx = ProblemIndex(4, 0.3)
-    WeightedGrid(1.0, 1.0, cap, cap, 0.4)
+    WeightedGrid(1.0, 1.0, cap, cap)
     for nr, nz in ((cap + 1, 8), (8, cap + 1), (10**30, 8)):
         with pytest.raises(DomainError, match="at most"):
-            WeightedGrid(1.0, 1.0, nr, nz, 0.4)
+            WeightedGrid(1.0, 1.0, nr, nz)
     assert math.isfinite(solver.rayleigh_lambda1(idx, 1.0, resolution=cap))
     for R, resolution in ((1e15, 96), (1.0, cap + 1), (1e-3, 10**400)):
         with pytest.raises(DomainError, match="at most"):
@@ -438,14 +435,14 @@ def test_green_is_linear_in_the_source():
 def _linearized(idx, scale=1.0, cells=96, box=16.0):
     entries = scale * np.diag([1.0, -1.0] + [0.0] * (idx.n - 2))
     pi = SymmetricTensor(entries, trace_free=True)
-    grid = WeightedGrid(box, box, cells, cells, 1.0 - 2.0 * idx.gamma)
+    grid = WeightedGrid(box, box, cells, cells)
     return solver.solve_linearized(idx, pi, 0.5, grid)
 
 
 def test_linearized_requires_trace_free():
     idx = ProblemIndex(4, 0.3)
     pi = SymmetricTensor(np.eye(4))
-    grid = _grid(idx, 8.0, 32)
+    grid = _grid(8.0, 32)
     with pytest.raises(DomainError):
         solver.solve_linearized(idx, pi, 0.5, grid)
 
@@ -455,7 +452,7 @@ def test_linearized_rejects_bad_eps(eps_hat):
     idx = ProblemIndex(4, 0.3)
     pi = SymmetricTensor(np.diag([1.0, -1.0, 0.0, 0.0]), trace_free=True)
     with pytest.raises(DomainError):
-        solver.solve_linearized(idx, pi, eps_hat, _grid(idx, 8.0, 32))
+        solver.solve_linearized(idx, pi, eps_hat, _grid(8.0, 32))
 
 
 def test_linearized_evaluate_stays_in_the_box():
@@ -551,10 +548,10 @@ def test_linearized_interpolates_in_the_trace_chart():
     # fields a + b z^(2g), the shape of solutions at the trace, are
     # reproduced between the first two rows
     idx = ProblemIndex(4, 0.3)
-    grid = _grid(idx, 8.0, 48)
+    grid = _grid(8.0, 48)
     psi = np.broadcast_to(1.0 + grid.z ** (2.0 * idx.gamma), (grid.nr, grid.nz + 1))
     pi = SymmetricTensor(np.diag([1.0, -1.0, 0.0, 0.0]), trace_free=True)
-    res = solver.LinearizedResult(psi=psi, grid=grid, pi=pi, eps_hat=0.5)
+    res = solver.LinearizedResult(psi=psi, grid=grid, gamma=idx.gamma, pi=pi, eps_hat=0.5)
     xbar = np.array([2.0, 0.0, 0.0, 0.0])
     for z in (0.1 * grid.hz, 0.5 * grid.hz):
         exact = 1.0 + z ** (2.0 * idx.gamma)
@@ -605,7 +602,7 @@ def _assert_matches_superlu(calls, what):
 @pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (3, 0.02), (3, 0.98)])
 def test_extension_matches_superlu(captured, n, gamma):
     idx = ProblemIndex(n, gamma)
-    grid = _grid(idx, 6.0, 64)
+    grid = _grid(6.0, 64)
     solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
     _assert_matches_superlu(captured, "extension")
 
@@ -624,7 +621,7 @@ def test_linearized_with_robin_term_matches_superlu(captured, n, gamma):
     # the gated pencils are the plain trace-flux ones plus the separable bulk
     # term 2n int r^(n-3) on the radial diagonal, and the attractive
     # (negative) Robin term vol * robin on the trace row
-    grid = WeightedGrid(16.0, 16.0, 64, 64, 1.0 - 2.0 * gamma)
+    grid = WeightedGrid(16.0, 16.0, 64, 64)
     L_r, vol, L_z, slab_w = solver._trace_flux_pencils(idx, grid)
     _, (gL_r, gvol, gL_z, gslab_w), trace_diag, _, _ = captured[0]
     for got, want in zip((gL_r[1], gvol, *gL_z, gslab_w), (L_r[1], vol, *L_z, slab_w)):
@@ -643,7 +640,7 @@ def _solve_each(kind):
     if kind == "extension":
         idx = ProblemIndex(4, 0.3)
         trace = lambda r: bubble._trace_radial(idx, r)
-        solver.solve_extension(idx, _grid(idx, 6.0, 32), trace)
+        solver.solve_extension(idx, _grid(6.0, 32), trace)
     elif kind == "green":
         solver.green_asymptotics(ProblemIndex(3, 0.5), R=2.0, resolution=128)
     else:

@@ -330,7 +330,7 @@ def test_profiles_and_field_evaluators_leave_scipy_kv_alone(monkeypatch):
     pts = np.array([0.2, 1.0, 3.0])
     bubble.radial_profiles(idx, pts, pts, fields)
     bubble.paired_profiles(idx, pts, pts, fields)
-    bubble.polar_profiles(idx, pts, d=np.array([0.1, 0.8]), fields=fields)
+    bubble.polar_profiles(idx, pts / 3.0, d=np.array([0.1, 0.8]), fields=fields)
 
 
 def test_profile_phi_pair_is_phi_and_phi_prime():
