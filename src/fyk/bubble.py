@@ -31,7 +31,8 @@ The tensor-grid evaluator ``radial_profiles`` shares one s-quadrature across
 all requested derivative fields, which keeps grid sweeps cheap.  Two paired
 evaluators sum over s at matched points instead of on a tensor grid, so
 their cost grows with the number of points, not its square:
-``paired_profiles`` at points (r_k, z_k), and ``polar_profiles`` on arcs
+``paired_profiles`` at points (r_k, z_k), on which ``extension`` and
+``jacobi_field`` sum their one point, and ``polar_profiles`` on arcs
 (r, z) = (rho cos d, rho sin d), d the angle to the trace plane (measured
 from the trace, so that z = rho sin d keeps its digits next to it).  The
 latter rests on the scaling identity, from s = s'/rho,
@@ -257,8 +258,12 @@ def trace_bubble(idx, p, xbar):
 
 
 def _trace_radial(idx, r):
-    alpha = constants(idx).alpha
-    return alpha * (1.0 + np.asarray(r, dtype=float) ** 2) ** (-idx.m / 2.0)
+    r = np.asarray(r, dtype=float)
+    with np.errstate(over="ignore"):
+        q = 1.0 + r**2
+    # where 1 + r^2 overflows it is r^2 to rounding: alpha r^(-m), not 0 for m < 2
+    w = np.where(np.isinf(q), np.maximum(r, 1.0) ** -idx.m, q ** (-idx.m / 2.0))
+    return constants(idx).alpha * w
 
 
 def _series_terms(x, mu):
@@ -767,11 +772,13 @@ def _radius(idx, p, xbar):
     xbar = np.asarray(xbar, dtype=float)
     if xbar.shape != (idx.n,):
         raise DomainError(f"xbar must have shape ({idx.n},), got {xbar.shape}")
-    return float(np.linalg.norm(xbar - p.center(idx.n))) / p.lam
+    # hypot, not the root of a sum of squares, which overflows past 1.3e154
+    return math.hypot(*(xbar - p.center(idx.n))) / p.lam
 
 
 def extension(idx, p, x, route="fourier_bessel"):
-    """The extension W_{lam,sigma} at a half-space point."""
+    """The extension W_{lam,sigma} at a half-space point; the Fourier-Bessel
+    route is one ``paired_profiles`` sum there."""
     if route not in ("fourier_bessel", "poisson_kernel"):
         raise DomainError(f"unknown route {route!r}")
     r = _radius(idx, p, x.xbar)
@@ -780,7 +787,7 @@ def extension(idx, p, x, route="fourier_bessel"):
     if x.xN == 0.0:
         return float(scale * _trace_radial(idx, r))
     if route == "fourier_bessel":
-        w = radial_profiles(idx, np.array([r]), np.array([z]), ("W",))["W"][0, 0]
+        w = paired_profiles(idx, np.array([r]), np.array([z]))["W"][0]
     else:
         w = _extension_poisson(idx, r, z)
     return float(scale * w)
@@ -801,7 +808,10 @@ def neumann_trace(idx, p, xbar):
     Where the ratio is below _NEUMANN_MIN_RATIO it raises NumericError; the
     values it returns hold within 2.3e-6 on that sweep (n >= 2).  At n = 1
     the error is about 1e-5, the s-rule's floor at small n - 1 - 2g (see the
-    module docstring).
+    module docstring).  Past n = 12 the error grows before the ratio falls
+    that low, with no raise: against w^p at g = 1/2 it is 2.4e-8 at r = 5
+    and 7.8e-6 at r = 10 for n = 16, and 3.5e-8 at r = 2 and 4.8e-4 at
+    r = 5 for n = 24.
     """
     r = _radius(idx, p, xbar)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r))
@@ -825,7 +835,8 @@ def jacobi_field(idx, k, x):
     Z^0 = r W_r + z W_z + (m/2) W (``dilation_field``) and Z^k = -x_k W_r / r,
     from one ``paired_profiles`` call; on the trace (xN = 0) they take the
     trace's closed forms Z^0 = (m/2) w (1 - r^2)/(1 + r^2) and
-    Z^k = m x_k w / (1 + r^2).
+    Z^k = m x_k w / (1 + r^2), which are -(m/2) w and m x_k w / r^2 where
+    r^2 overflows.
     """
     if not 0 <= k <= idx.n:
         raise DomainError(f"k must lie in [0, {idx.n}]")
@@ -833,10 +844,12 @@ def jacobi_field(idx, k, x):
     z = x.xN
     m = idx.m
     if z == 0.0:
-        w = _trace_radial(idx, r)
+        w, q = _trace_radial(idx, r), r * r
+        if q == math.inf:  # 1 + r^2 is r^2 to rounding
+            return float(-0.5 * m * w if k == 0 else m * (x.xbar[k - 1] / r) * w / r)
         if k == 0:
-            return float(0.5 * m * w * (1.0 - r * r) / (1.0 + r * r))
-        return float(m * x.xbar[k - 1] * w / (1.0 + r * r))
+            return float(0.5 * m * w * (1.0 - q) / (1.0 + q))
+        return float(m * x.xbar[k - 1] * w / (1.0 + q))
     f = paired_profiles(idx, np.array([r]), np.array([z]), ("W", "Wr_over_r", "Wz"))
     if k == 0:
         return float(dilation_field(idx, r, z, f)[0])

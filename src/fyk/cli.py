@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 
 import numpy as np
@@ -143,15 +144,8 @@ def _emit(cfg, name, header, rows, notes=()):
         print(note)
 
 
-def _index(args):
-    try:
-        return ProblemIndex(args.n, args.gamma)
-    except (DomainError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def cmd_constants(args, cfg):
-    idx = _index(args)
+    idx = ProblemIndex(args.n, args.gamma)
     cst = constants(idx)
     rows = [
         ("alpha", cst.alpha),
@@ -164,9 +158,7 @@ def cmd_constants(args, cfg):
 
 
 def cmd_integrals(args, cfg):
-    idx = _index(args)
-    if not idx.n > 2 + 2 * idx.gamma:
-        raise UsageError("integral table requires n > 2 + 2*gamma")
+    idx = ProblemIndex(args.n, args.gamma)
     iset = moments.compute_integrals(idx, method=args.method)
     closed = moments.closed_form_ratios(idx)
     rows = []
@@ -237,12 +229,11 @@ def cmd_coeff_scan(args, cfg):
 
 
 def cmd_pohozaev(args, cfg):
-    idx = _index(args)
-    radii = args.radii
+    idx = ProblemIndex(args.n, args.gamma)
     fld = pohozaev.BubbleExtensionField(idx)
     rows = []
     breach = False
-    for r in radii:
+    for r in args.radii:
         rep = pohozaev.pohozaev_P(idx, fld, r)
         scale = max(abs(rep.surface_term), abs(rep.boundary_term))
         # a Python bool, which the tables print as true/false (not np.bool_)
@@ -293,7 +284,7 @@ def _save_solution(cfg, name, **arrays):
 
 
 def cmd_solve_extension(args, cfg):
-    idx = _index(args)
+    idx = ProblemIndex(args.n, args.gamma)
     sizes = args.sizes
     if len(sizes) < 3:
         raise UsageError("need at least three sizes for two refinement pairs")
@@ -331,7 +322,7 @@ def cmd_solve_extension(args, cfg):
 
 
 def cmd_solve_green(args, cfg):
-    idx = _index(args)
+    idx = ProblemIndex(args.n, args.gamma)
     fit = solver.green_asymptotics(
         idx, args.radius, width=args.width, resolution=cfg.resolution
     )
@@ -359,7 +350,7 @@ def cmd_solve_green(args, cfg):
 
 
 def cmd_solve_lambda1(args, cfg):
-    idx = _index(args)
+    idx = ProblemIndex(args.n, args.gamma)
     vals = [(R, solver.rayleigh_lambda1(idx, R, resolution=cfg.resolution)) for R in args.radii]
     scaled = [v * R * R for R, v in vals]
     base = scaled[0]
@@ -376,7 +367,7 @@ def cmd_solve_lambda1(args, cfg):
 
 
 def cmd_solve_linearized(args, cfg):
-    idx = _index(args)
+    idx = ProblemIndex(args.n, args.gamma)
     pi = _parse_pi(args.pi, idx.n)
     grid = solver.WeightedGrid(args.box, args.box, cfg.resolution, cfg.resolution)
     res = solver.solve_linearized(idx, pi, args.eps, grid)
@@ -418,16 +409,11 @@ def _add_index(parser):
     parser.add_argument("--gamma", type=float, required=True)
 
 
-def _radii(text):
+def _comma_list(kind, text):
+    """An argparse type, bound to ``kind`` by ``partial``: ``text`` as a list
+    of comma-separated ``kind`` values."""
     try:
-        return [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
-def _sizes(text):
-    try:
-        return [int(v) for v in text.split(",")]
+        return [kind(v) for v in text.split(",")]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
@@ -461,7 +447,7 @@ def build_parser():
 
     p = sub.add_parser("pohozaev", help="boundary-identity checks")
     _add_index(p)
-    p.add_argument("--radii", type=_radii, default=[0.5, 1.0, 2.0])
+    p.add_argument("--radii", type=partial(_comma_list, float), default=[0.5, 1.0, 2.0])
     p.add_argument("--tol", type=float, default=None)  # read by the verdict
     _add_common(p)
     p.set_defaults(func=cmd_pohozaev)
@@ -473,7 +459,7 @@ def build_parser():
     _add_index(q)
     q.add_argument("--rmax", type=float, default=6.0)
     q.add_argument("--zmax", type=float, default=6.0)
-    q.add_argument("--sizes", type=_sizes, default=[32, 64, 128])
+    q.add_argument("--sizes", type=partial(_comma_list, int), default=[32, 64, 128])
     _add_common(q)
     q.set_defaults(func=cmd_solve_extension)
 
@@ -487,7 +473,7 @@ def build_parser():
 
     q = ssub.add_parser("lambda1")
     _add_index(q)
-    q.add_argument("--radii", type=_radii, default=[0.5, 1.0, 2.0])
+    q.add_argument("--radii", type=partial(_comma_list, float), default=[0.5, 1.0, 2.0])
     q.add_argument("--resolution", type=int, default=96)
     _add_common(q)
     q.set_defaults(func=cmd_solve_lambda1)
@@ -506,14 +492,10 @@ def build_parser():
 
 def main(argv=None):
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         cfg = _build_config(args)
         return args.func(args, cfg)
-    except UsageError as exc:
-        print("usage error: %s" % exc, file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return EXIT_USAGE
     except NumericError as exc:

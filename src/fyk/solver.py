@@ -33,6 +33,7 @@ sparse matrix is built.  An assembled sparse matrix and SuperLU on it are
 only a test oracle.
 """
 from dataclasses import dataclass, field
+import math
 
 import numpy as np
 from numpy.linalg import LinAlgError, solve
@@ -383,7 +384,7 @@ def barrier_values(idx, mu, x):
     n, g = idx.n, idx.gamma
     xbar = np.asarray(x.xbar, dtype=float)
     z = float(x.xN)
-    rho = float(np.sqrt(np.dot(xbar, xbar) + z * z))
+    rho = math.hypot(*xbar, z)
     if rho == 0.0:
         raise DomainError("barrier values are singular at the origin")
     zw = z ** (1.0 - 2.0 * g)
@@ -601,7 +602,7 @@ class LinearizedResult:
         """Pointwise Psi on the solved box [0, r_max] x [0, z_max]; the
         angular factor vanishes like r^2 at the axis."""
         xbar = np.asarray(xbar, dtype=float)
-        r, z = float(np.linalg.norm(xbar)), float(xN)
+        r, z = math.hypot(*xbar), float(xN)
         if not (r <= self.grid.r_max and 0.0 <= z <= self.grid.z_max):
             raise DomainError("point (r, z) = (%g, %g) is outside the solved box" % (r, z))
         if r == 0.0:

@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 from scipy.linalg import blas
 
-from fyk import bubble, moments, specfun
+from fyk import bubble, moments, solver, specfun
 from fyk._quad import halfsphere_rule
 from fyk.bubble import BubbleParams, HalfSpacePoint
 from fyk.errors import DomainError, NumericError
@@ -500,6 +500,59 @@ def test_s_rule_keys_are_bounded(monkeypatch):
     for call in calls:
         with pytest.raises(NumericError, match="largest key"):
             call()
+
+
+def test_point_inputs_past_the_range_of_their_squares():
+    # |xbar| = 1e300 once overflowed in the norm's dot product, a
+    # RuntimeWarning that the suite's filter makes an error; with warnings
+    # ignored the trace form of Z^0 was inf/inf = NaN from |xbar| = 1e160 on
+    idx = ProblemIndex(4, 0.3)
+    p, xbar = BubbleParams(), np.array([1e300, 0.0, 0.0, 0.0])
+    for call in (
+        lambda: bubble.neumann_trace(idx, p, xbar),
+        lambda: bubble.extension(idx, p, _pt(xbar, 0.5)),
+        lambda: bubble.jacobi_field(idx, 0, _pt(xbar, 0.5)),
+    ):
+        with pytest.raises(NumericError, match="largest key"):
+            call()
+    values = [
+        bubble.trace_bubble(idx, p, xbar),
+        bubble.extension(idx, p, _pt(xbar, 0.0)),
+        bubble.jacobi_field(idx, 0, _pt(xbar, 0.0)),
+        bubble.jacobi_field(idx, 1, _pt(xbar, 0.0)),
+        *solver.barrier_values(idx, 1.0, _pt(xbar, 0.5)),
+    ]
+    assert all(math.isfinite(v) for v in values)
+    grid = solver.WeightedGrid(8.0, 8.0, 8, 8)
+    pi = solver.SymmetricTensor(np.diag([1.0, -1.0, 0.0, 0.0]), trace_free=True)
+    res = solver.LinearizedResult(np.zeros((8, 9)), grid, idx.gamma, pi, 0.5)
+    with pytest.raises(DomainError, match="outside the solved box"):
+        res.evaluate(xbar, 0.5)
+    # where 1 + r^2 overflows it is r^2 to rounding: at m = 1 the trace is
+    # alpha / r, and Z^0 and Z^1 tend to -(m/2) w and m w / r
+    idx = ProblemIndex(2, 0.5)
+    a = constants(idx).alpha
+    for r in (1e160, 1e200, 1e300):
+        x = _pt([r, 0.0], 0.0)
+        w = bubble.trace_bubble(idx, p, x.xbar)
+        assert w == pytest.approx(a / r, rel=1e-15)
+        assert bubble.jacobi_field(idx, 0, x) == -0.5 * w
+        assert bubble.jacobi_field(idx, 1, x) == pytest.approx(w / r, rel=1e-15)
+
+
+def test_extension_sums_its_point_on_paired_profiles(monkeypatch):
+    # the Fourier-Bessel route is one paired_profiles sum at the point,
+    # bit for bit, and no tensor-grid call
+    idx = ProblemIndex(4, 0.3)
+    points = [(0.0, 0.5), (0.7, 1e-3), (2.5, 1.2), (30.0, 0.25), (300.0, 4.0)]
+    want = [bubble.paired_profiles(idx, np.array([r]), np.array([z]))["W"][0] for r, z in points]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extension called radial_profiles")
+
+    monkeypatch.setattr(bubble, "radial_profiles", refuse)
+    for (r, z), w in zip(points, want):
+        assert bubble.extension(idx, BubbleParams(), _pt([r, 0.0, 0.0, 0.0], z)) == w
 
 
 def test_reach_check_leaves_the_routes_unchanged(monkeypatch, tmp_path):

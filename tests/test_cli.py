@@ -119,8 +119,39 @@ def test_oversized_solver_grids_are_usage_errors(argv, capsys):
     assert err.startswith("usage error:") and "at most 4096" in err
 
 
-def test_integrals_rejects_divergent_index():
-    assert run(["integrals", "--n", "3", "--gamma", "0.5"]) == 1
+def test_integrals_rejects_divergent_index(capsys):
+    # the library's own check refuses, with its message, on either route
+    for method in ("bessel_moments", "direct_2d"):
+        assert run(["integrals", "--n", "3", "--gamma", "0.5", "--method", method]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: the quadratic integrals requires n > 2 + 2*gamma; "
+            "(n, gamma) = (3, 0.5) violates it\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["constants", "--n", "3", "--gamma", "0.5", "--bogus"], None),
+        (["pohozaev", "--n", "4", "--gamma", "0.3", "--radii", "1,x"], None),
+        (["solve", "extension", "--n", "4", "--gamma", "0.3", "--sizes", "32,64,1.5"], None),
+        (["integrals", "--n", "5", "--gamma", "0.5", "--tol", "nan"], None),
+        (["constants", "--n", "3", "--gamma", "0.5"], "resolution = 16\n"),
+        (["constants", "--n", "0", "--gamma", "0.5"], None),
+        (["solve", "linearized", "--n", "4", "--gamma", "0.3", "--eps", "nan"], None),
+    ],
+    ids=["argparse", "float-list", "int-list", "run-config", "config-file", "problem-index", "library"],
+)
+def test_each_refusal_prints_one_usage_line(argv, config, tmp_path, capsys):
+    if config is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        argv = argv + ["--config", str(cfgfile)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("usage error: ")
 
 
 def test_csv_output_is_deterministic(tmp_path):

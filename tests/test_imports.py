@@ -1,10 +1,13 @@
-"""Every module-level import of the library is used, and no module imports
-SciPy at module level, so ``import fyk.cli`` and the subcommands load numpy
-only; ``gamma_fn``, ``bessel_k`` and the metric-callable ``solve_ivp`` import
-SciPy on their first call.
+"""Every module-level import of the library is used, every private
+module-level function and class has a reader in the library, and no module
+imports SciPy at module level, so ``import fyk.cli`` and the subcommands load
+numpy only; ``gamma_fn``, ``bessel_k`` and the metric-callable ``solve_ivp``
+import SciPy on their first call.
 
 A static scan with the stdlib ``ast``: an imported name counts as used when
-the module reads it anywhere or lists it in ``__all__``.  A fresh
+the module reads it anywhere or lists it in ``__all__``.  A private helper
+counts as read when some other statement of the library reads it; readers in
+the tests do not count, so no helper lives on for the tests alone.  A fresh
 interpreter checks what a run actually loads.
 """
 import ast
@@ -81,6 +84,44 @@ def test_library_has_no_unused_imports():
     for stem, source in _library_sources():
         unused.update((stem, name) for name in _unused_imports(source))
     assert unused == set()
+
+
+def _unread_private_definitions(sources):
+    """The (module, name) of each private module-level function and class in
+    ``sources`` (module name -> source) that no other top-level statement of
+    any of them reads: as a name, as an attribute or by ``from ... import``."""
+    defined, read = set(), set()
+    for stem, source in sources.items():
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.name for a in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_") \
+                    and not stmt.name.startswith("__"):
+                defined.add((stem, stmt.name))
+                names.discard(stmt.name)  # a recursive call is no reader
+            read |= names
+    return {(stem, name) for stem, name in defined if name not in read}
+
+
+def test_private_definition_scan_sees_every_reader():
+    sources = {
+        "a": "def _loop():\n    return _loop()\n\ndef _named():\n    pass\n\n"
+        "class _Cls:\n    pass\n\ndef _attr():\n    pass\n\nx = _named()\n",
+        "b": "from .a import _Cls\nfrom . import a\ny = a._attr\n\ndef _unused():\n    pass\n"
+        "\ndef __dunder__():\n    pass\n",
+    }
+    assert _unread_private_definitions(sources) == {("a", "_loop"), ("b", "_unused")}
+
+
+def test_every_private_definition_has_a_reader_in_the_library():
+    sources = {p.stem: p.read_text() for p in Path(fyk.__file__).parent.glob("*.py")}
+    assert _unread_private_definitions(sources) == set()
 
 
 def test_scipy_integrate_scan_sees_every_import_form():
