@@ -102,10 +102,13 @@ on (s, r), the profiles on the live (s, z) entries of the columns up to the
 last one it still needs (all of them live on ascending z, whose live
 prefixes shrink), and adds each field's terms to that field's output in
 place by a matrix product, with the coefficients on the profile side.  The
-blocks stop after the last live row.  The tensor, paired and polar
-evaluators share one contraction, ``_accumulate``: an entry's sum over s is
-chunked, k = isqrt(S) s-rows at a time.  ``np.matmul`` writes a chunk's
-partial sums into a buffer, and one add puts the buffer on the output, so
+blocks stop at the last live row, which cuts the last block short: at
+(4, 0.3) the top row z = 6 of a 128-cell grid has 193 live rows, and its
+one block of 512 rows evaluates kernels on those alone.  The tensor,
+paired and polar evaluators share one contraction, ``_accumulate``: an
+entry's sum over s is chunked, k = isqrt(S) s-rows at a time.
+``np.matmul`` writes a chunk's partial sums into a buffer, and one add puts
+the buffer on the output, so
 a chunk takes two roundings beyond those inside its product: one where the
 buffer holds its partial sum and one where that sum joins the output.  A
 chunk's k terms cost at most k - 1 roundings inside the product, and with
@@ -117,9 +120,14 @@ first order (Higham, *Accuracy and Stability of Numerical Algorithms*,
 2 sqrt(S) eps sum |terms|; one product over all S rows sums term by term,
 within S eps sum |terms|.
 
-The s-rule is keyed on the largest r.  Its panels have width
-w = min(0.6, 5 / max r) out to s = 45, where K_g(s) < 3e-20, except near
-s = 0, where they are graded down geometrically (ratio 2) to w/256.
+The s-rule is keyed on the largest r, rounded up to a quarter octave
+2^(k/4) (at least 8; ``_rmax_key``), so a rule has at most 2^(1/4) = 1.19
+times the nodes its r needs: 830 nodes up to r = 8, 2120 at the key
+2^4.5 = 22.6 that r = 20 takes (its power-of-two key, 32, took 2960).  Its
+panels have width w = min(0.6, 5 / key) out to s = 45, where
+K_g(s) < 3e-20, so no panel sees more than 5 rad of phase of e_nu(s r),
+except near s = 0, where they are graded down geometrically (ratio 2) to
+w/256.
 There the s-integrand carries the factor s^(n-1-2g), which is least smooth
 at small n - 1 - 2g, and geometric grading toward an endpoint singularity
 resolves it at any exponent: against the Poisson route a start at w/4 left
@@ -385,16 +393,22 @@ def _s_rule(n, gamma, rmax_key):
 
 
 def _rmax_key(rmax):
-    """Bucket rmax to a power of two so the lru cache is effective.  Every
-    rmax <= 8 gets the widest panels, 0.6 < 5/8 (see ``_s_nodes``), so they
-    share the key 8 and one rule per index.  An rmax past _S_KEY_MAX raises
-    NumericError (see the module docstring)."""
+    """Bucket rmax up to a quarter octave, 2^(k/4), so the lru cache is
+    effective while a rule is at most 2^(1/4) = 1.19 times wider in nodes
+    than rmax needs.  Every rmax <= 8 gets the widest panels, 0.6 < 5/8
+    (see ``_s_nodes``), so they share the key 8 and one rule per index.  An
+    rmax past _S_KEY_MAX raises NumericError (see the module docstring)."""
     if not rmax <= _S_KEY_MAX:
         raise NumericError(
             f"r = {rmax:g} is beyond the s-rule's largest key {_S_KEY_MAX:g}",
             {"r": float(rmax), "key_max": _S_KEY_MAX},
         )
-    return float(2.0 ** math.ceil(math.log2(max(rmax, _S_KEY_MIN))))
+    r = max(rmax, _S_KEY_MIN)
+    k = math.ceil(4.0 * math.log2(r))
+    # log2 rounds; a step either way keeps 2^((k-1)/4) < r <= 2^(k/4)
+    k += 2.0 ** (k / 4.0) < r
+    k -= 2.0 ** ((k - 1) / 4.0) >= r
+    return float(2.0 ** (k / 4.0))
 
 
 def _check_request(r, z, fields):
@@ -569,8 +583,10 @@ def radial_profiles(idx, r, z, fields=("W",)):
     # partial sums of about sqrt(S) rows minimize the chunked sum's rounding
     # bound (see the module docstring)
     step = max(1, math.isqrt(s.size))
-    for i in range(0, counts.max(initial=0) if r.size else 0, rows):
-        blk = slice(i, i + rows)
+    # the blocks stop at the last live row (see the module docstring)
+    stop = counts.max(initial=0) if r.size else 0
+    for i in range(0, stop, rows):
+        blk = slice(i, min(i + rows, stop))
         kernels = _e_pair(nu, np.outer(s[blk], r))
         # the columns up to the last one still live in this block
         live = np.flatnonzero(counts > i)[-1] + 1

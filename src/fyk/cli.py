@@ -293,8 +293,16 @@ def cmd_solve_extension(args, cfg):
     errs = []
     last = None
     for grid in grids:
-        u = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
-        ref = bubble.radial_profiles(idx, grid.r, grid.z, fields=("W",))["W"]
+        # one bubble field serves as the reference (the grid's rows) and as
+        # the Dirichlet data: the top row z = z_max and the side column
+        # r = r_max, the field's last row
+        W = bubble.radial_profiles(idx, np.append(grid.r, grid.r_max), grid.z)["W"]
+        ref = W[:-1]
+
+        def boundary(r, z):
+            return W[-1] if np.ndim(z) else W[:-1, -1]
+
+        u = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r), boundary)
         errs.append(float(np.abs(u - ref).max()))
         last = (grid, u)
     orders = [

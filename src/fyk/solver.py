@@ -51,6 +51,8 @@ eigsh = spsolve = None
 # RSS at N = 2048), so about 0.8 GB at N = 4096; a larger grid raises
 # DomainError before anything is allocated
 _MAX_CELLS = 4096
+# the least normal float: ``_thomas_modes`` sets what falls below it to 0
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -273,20 +275,30 @@ def _thomas_modes(lam, L, w, R):
     forward and one backward sweep of Thomas's algorithm, each step a
     vector operation over the modes.  With lam_i > 0, w > 0 and L a flux
     balance each matrix is symmetric positive definite and strictly
-    diagonally dominant, so the elimination needs no pivoting."""
+    diagonally dominant, so the elimination needs no pivoting.
+
+    The high modes decay through the subnormal range along z (about 5100
+    entries at the 512 cells of ``green_asymptotics``), and a dense product
+    that reads subnormals runs many times slower on x86 (X @ V.T there:
+    21 ms, and 2 ms with them at 0), so every entry below the least normal
+    float, _TINY, is set to 0.  A term that small moves no sum of normal
+    size: the green trace is bit-identical."""
     d, e = L
-    diag = d[:, None] + w[:, None] * lam[None, :]
     ratio = np.empty((len(d) - 1, len(lam)))
     Y = np.empty(R.shape)
-    piv = diag[0]
+    # each row's diagonal d + w lam is formed where the sweep needs it, and
+    # the flush takes no float temporary: a whole diagonal array and an
+    # np.abs(Y) raised the peak RSS of ``solve green`` by 2.1 MB
+    piv = d[0] + w[0] * lam
     np.divide(R[0], piv, out=Y[0])
     for j in range(1, len(d)):
         np.divide(e[j - 1], piv, out=ratio[j - 1])
-        piv = diag[j] - e[j - 1] * ratio[j - 1]
+        piv = d[j] + w[j] * lam - e[j - 1] * ratio[j - 1]
         np.subtract(R[j], e[j - 1] * Y[j - 1], out=Y[j])
         Y[j] /= piv
     for j in range(len(d) - 2, -1, -1):
         Y[j] -= ratio[j] * Y[j + 1]
+    Y[(Y > -_TINY) & (Y < _TINY)] = 0.0
     return Y
 
 

@@ -502,6 +502,69 @@ def test_s_rule_keys_are_bounded(monkeypatch):
             call()
 
 
+def test_s_rule_keys_are_quarter_octaves():
+    # a key is rmax rounded up to 2^(k/4): at most 2^(1/4) = 1.19 times
+    # the nodes rmax needs (a power-of-two key could take twice them), and
+    # every rmax <= 8 shares the key 8, whose rule does not move
+    rng = np.random.default_rng(3)
+    for r in np.exp(rng.uniform(math.log(8.0), math.log(bubble._S_KEY_MAX), 2000)):
+        key = bubble._rmax_key(r)
+        assert r <= key < 2.0**0.25 * r, r
+    # at each key and its float neighbours, the key one quarter octave below
+    # is less than rmax, and the key is not
+    for k in range(13, 49):
+        edge = 2.0 ** (k / 4.0)
+        for r in (np.nextafter(edge, 0.0), edge, np.nextafter(edge, math.inf)):
+            if r > bubble._S_KEY_MAX:
+                continue
+            key = bubble._rmax_key(r)
+            j = round(4.0 * math.log2(key))
+            assert key == 2.0 ** (j / 4.0) and 2.0 ** ((j - 1) / 4.0) < r <= key, (k, r)
+    assert bubble._rmax_key(8.0) == 8.0
+    assert bubble._rmax_key(bubble._S_KEY_MAX) == bubble._S_KEY_MAX
+    assert {bubble._rmax_key(r) for r in (0.0, 1e-300, 1.0, np.nextafter(8.0, 0.0))} == {8.0}
+    # the linearized solve's box 20 takes 2120 nodes; its power-of-two key,
+    # 32, took 2960
+    assert bubble._s_nodes(bubble._rmax_key(20.0))[0].size == 2120
+    assert bubble._s_nodes(32.0)[0].size == 2960
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6, 12])
+def test_quarter_octave_rule_holds_the_gamma_half_closed_form(n):
+    # the linearized solve's default grid at box 20 with its far face,
+    # 161 x 161 points out to r = 20 on the key 2^4.5 = 22.6: within the
+    # closed-form tests' 1e-9 (largest 4.5e-10, at n = 12)
+    idx = ProblemIndex(n, 0.5)
+    grid = solver.WeightedGrid(20.0, 20.0, 160, 160)
+    r, z = np.append(grid.r, grid.r_max), grid.z
+    assert bubble._rmax_key(r.max()) == 2.0**4.5
+    got = bubble.radial_profiles(idx, r, z)["W"]
+    want = bubble.extension_gamma_half(idx, r[:, None], z[None, :])
+    assert np.abs(got / want - 1.0).max() <= 1e-9
+
+
+def test_radial_profiles_stop_at_the_last_live_row(monkeypatch):
+    # the top row of the extension solve's 128-cell grid: 193 of the rule's
+    # 830 s-rows are live at z = 6, inside the first block of 512 rows,
+    # which evaluates kernels on those rows alone
+    idx = ProblemIndex(4, 0.3)
+    grid = solver.WeightedGrid(6.0, 6.0, 128, 128)
+    r, z = grid.r, np.array([grid.z_max])
+    s, kw = bubble._s_rule(idx.n, idx.gamma, bubble._rmax_key(r.max()))
+    live = bubble._live_counts(idx, s, kw, s, z).max()
+    assert live == 193 and bubble._KERNEL_BLOCK // r.size == 512
+    rows = []
+    e_pair = bubble._e_pair
+
+    def spy(nu, u):
+        rows.append(np.shape(u)[0])
+        return e_pair(nu, u)
+
+    monkeypatch.setattr(bubble, "_e_pair", spy)
+    bubble.radial_profiles(idx, r, z)
+    assert rows == [live]
+
+
 def test_point_inputs_past_the_range_of_their_squares():
     # |xbar| = 1e300 once overflowed in the norm's dot product, a
     # RuntimeWarning that the suite's filter makes an error; with warnings

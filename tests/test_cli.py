@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from fyk import cli, pohozaev
+from fyk import bubble, cli, pohozaev, solver
 from fyk.specfun import ProblemIndex
 
 
@@ -345,6 +345,31 @@ def test_solve_extension_orders(tmp_path):
     assert any(n.endswith(".npz") for n in names)
 
 
+def test_solve_extension_evaluates_one_bubble_field_per_grid(monkeypatch, capsys):
+    # at the default sizes 32, 64 and 128 one radial_profiles call per grid
+    # gives the reference and the Dirichlet data of the top row and the
+    # side column
+    fields, solutions = [], []
+    radial_profiles, solve_extension = bubble.radial_profiles, solver.solve_extension
+
+    def profiles_spy(*args, **kwargs):
+        fields.append(radial_profiles(*args, **kwargs))
+        return fields[-1]
+
+    def solve_spy(*args, **kwargs):
+        solutions.append(solve_extension(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(bubble, "radial_profiles", profiles_spy)
+    monkeypatch.setattr(solver, "solve_extension", solve_spy)
+    assert run(["solve", "extension", "--n", "4", "--gamma", "0.3"]) == 0
+    assert len(fields) == len(solutions) == 3
+    for f, u in zip(fields, solutions):
+        W = f["W"]
+        assert W.shape == (u.shape[0] + 1, u.shape[1])
+        assert np.array_equal(u[:, -1], W[:-1, -1])
+
+
 def test_solve_linearized_small(capsys):
     assert run(
         [
@@ -471,6 +496,10 @@ PINNED_TABLES = {
         "pohozaev_n4_g0.3.csv",
         "5a07fe53d6afd8726c8eeb68dcd0d427461f543bf14912c9575e9b0a94e8f41f",
     ),
+    ("solve", "green", "3", "0.5"): (
+        "green_summary_n3_g0.5.csv",
+        "add21441207dab58b19f794a53d4aab374a025253553215f75497a4267ae7776",
+    ),
 }
 
 
@@ -479,9 +508,9 @@ def test_pinned_tables_are_byte_identical(tmp_path):
     # order, so that the tables' last digits do not depend on the machine's
     # thread count
     jobs = [
-        [cmd, "--n", n, "--gamma", g, "--out", str(tmp_path)]
-        + (["--method", "direct_2d"] if cmd == "integrals" else [])
-        for cmd, n, g in PINNED_TABLES
+        [*cmd, "--n", n, "--gamma", g, "--out", str(tmp_path)]
+        + (["--method", "direct_2d"] if cmd == ["integrals"] else [])
+        for *cmd, n, g in PINNED_TABLES
     ]
     code = f"from fyk import cli\nfor argv in {jobs!r}:\n    assert cli.main(argv) == 0\n"
     src = str(Path(cli.__file__).parent.parent)

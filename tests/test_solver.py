@@ -413,6 +413,53 @@ def test_green_solve_peak_memory():
     assert peak <= 30e6
 
 
+def _green_modes(monkeypatch, tiny):
+    """The fit of ``green_asymptotics`` at the CLI default (R = 4, 512
+    cells) with ``solver._TINY`` set to ``tiny``, and the mode coefficients
+    V of its one ``_thomas_modes`` call."""
+    seen = []
+    thomas = solver._thomas_modes
+
+    def spy(*args):
+        seen.append(thomas(*args))
+        return seen[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_TINY", tiny)
+        m.setattr(solver, "_thomas_modes", spy)
+        fit = solver.green_asymptotics(ProblemIndex(3, 0.5), 4.0)
+    (V,) = seen
+    return fit, V
+
+
+def _subnormal(a):
+    return (a != 0.0) & (np.abs(a) < np.finfo(float).tiny)
+
+
+def test_thomas_modes_leave_no_subnormals(monkeypatch):
+    # green's high radial modes decay through the subnormal range along z,
+    # which a dense product reads many times slower; the sweep returns them
+    # as 0
+    _, unflushed = _green_modes(monkeypatch, 0.0)
+    assert _subnormal(unflushed).sum() > 4000
+    _, V = _green_modes(monkeypatch, np.finfo(float).tiny)
+    assert not _subnormal(V).any()
+    assert np.array_equal(V, np.where(_subnormal(unflushed), 0.0, unflushed))
+
+
+def test_green_trace_is_the_unflushed_product(monkeypatch):
+    # the modes' product back to the grid, built here from the unflushed V,
+    # gives the green trace bit for bit
+    _, unflushed = _green_modes(monkeypatch, 0.0)
+    fit, _ = _green_modes(monkeypatch, np.finfo(float).tiny)
+    grid = WeightedGrid(12.0, 12.0, 512, 512)
+    L_r, vol, _, _ = solver._trace_flux_pencils(ProblemIndex(3, 0.5), grid)
+    d, e, s = solver._scaled_tridiagonal(L_r, vol)
+    X = solver.eigh_tridiagonal(d, e)[1] * s[:, None]
+    trace = (X @ unflushed.T)[:, 0]
+    assert np.array_equal(fit.trace_values, trace[np.isin(grid.r, fit.radii)])
+
+
 def test_green_requires_admissible_index():
     with pytest.raises(DomainError):
         solver.green_asymptotics(ProblemIndex(3, 0.5 + 1e-9), R=2.0)
