@@ -236,8 +236,11 @@ class BubbleParams:
     sigma: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam <= 0.0:
-            raise DomainError("bubble scale lambda must be positive")
+        if not 0.0 < self.lam < math.inf:
+            raise DomainError("bubble scale lambda must be positive and finite")
+        sigma = np.asarray(0.0 if self.sigma is None else self.sigma, dtype=float)
+        if not np.all(np.isfinite(sigma)):
+            raise DomainError("bubble center sigma must be finite")
 
     def center(self, n):
         if self.sigma is None:
@@ -788,6 +791,8 @@ def _radius(idx, p, xbar):
     xbar = np.asarray(xbar, dtype=float)
     if xbar.shape != (idx.n,):
         raise DomainError(f"xbar must have shape ({idx.n},), got {xbar.shape}")
+    if not np.all(np.isfinite(xbar)):
+        raise DomainError("xbar must be finite")
     # hypot, not the root of a sum of squares, which overflows past 1.3e154
     return math.hypot(*(xbar - p.center(idx.n))) / p.lam
 

@@ -293,17 +293,11 @@ def cmd_solve_extension(args, cfg):
     errs = []
     last = None
     for grid in grids:
-        # one bubble field serves as the reference (the grid's rows) and as
-        # the Dirichlet data: the top row z = z_max and the side column
-        # r = r_max, the field's last row
+        # one bubble field on (r, r_max) x z is the Dirichlet table, and its
+        # first nr rows are the reference
         W = bubble.radial_profiles(idx, np.append(grid.r, grid.r_max), grid.z)["W"]
-        ref = W[:-1]
-
-        def boundary(r, z):
-            return W[-1] if np.ndim(z) else W[:-1, -1]
-
-        u = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r), boundary)
-        errs.append(float(np.abs(u - ref).max()))
+        u = solver.solve_extension(idx, grid, W)
+        errs.append(float(np.abs(u - W[:-1]).max()))
         last = (grid, u)
     orders = [
         float(np.log2(errs[k] / errs[k + 1])) for k in range(len(errs) - 1)

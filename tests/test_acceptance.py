@@ -246,7 +246,7 @@ def test_criterion_09_extension_convergence():
     errs = []
     for nr in (32, 64, 128):
         grid = solver.WeightedGrid(6.0, 6.0, nr, nr)
-        W = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
+        W = solver.solve_extension(idx, grid)
         exact = bubble.radial_profiles(idx, grid.r, grid.z)["W"]
         errs.append(np.abs(W - exact).max())
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(2)]

@@ -91,6 +91,28 @@ def test_wrong_length_xbar_raises(call):
             call(idx, xbar)
 
 
+def test_non_finite_point_inputs_raise():
+    # NaN or inf in lambda, sigma or xbar raises DomainError, not a NaN
+    # value (or 0.0 from trace_bubble at lam = inf), an inf / inf warning
+    # from jacobi_field (k = 1), or neumann_trace's NumericError that blames
+    # the s-rule's largest key
+    idx = ProblemIndex(4, 0.3)
+    nan_x, inf_x = np.array([np.nan, 0.0, 0.0, 0.0]), np.array([np.inf, 0.0, 0.0, 0.0])
+    for bad in ({"lam": np.nan}, {"lam": np.inf}, {"sigma": nan_x}):
+        with pytest.raises(DomainError):
+            BubbleParams(**bad)
+    calls = [
+        lambda: bubble.trace_bubble(idx, BubbleParams(), nan_x),
+        lambda: bubble.extension(idx, BubbleParams(), _pt(nan_x, 0.0)),
+        lambda: bubble.jacobi_field(idx, 0, _pt(nan_x, 0.0)),
+        lambda: bubble.jacobi_field(idx, 1, _pt(inf_x, 0.0)),
+        lambda: bubble.neumann_trace(idx, BubbleParams(), nan_x),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError):
+            call()
+
+
 def test_poisson_route_gamma_half_sweep():
     # at gamma = 1/2 the Poisson route against the closed form, from the
     # spike near the trace (z = 1e-3) out to r = 1000

@@ -347,8 +347,8 @@ def test_solve_extension_orders(tmp_path):
 
 def test_solve_extension_evaluates_one_bubble_field_per_grid(monkeypatch, capsys):
     # at the default sizes 32, 64 and 128 one radial_profiles call per grid
-    # gives the reference and the Dirichlet data of the top row and the
-    # side column
+    # gives the reference and the Dirichlet table: the trace column, the
+    # top row and the side column
     fields, solutions = [], []
     radial_profiles, solve_extension = bubble.radial_profiles, solver.solve_extension
 
@@ -367,6 +367,7 @@ def test_solve_extension_evaluates_one_bubble_field_per_grid(monkeypatch, capsys
     for f, u in zip(fields, solutions):
         W = f["W"]
         assert W.shape == (u.shape[0] + 1, u.shape[1])
+        assert np.array_equal(u[:, 0], W[:-1, 0])
         assert np.array_equal(u[:, -1], W[:-1, -1])
 
 
@@ -499,6 +500,14 @@ PINNED_TABLES = {
     ("solve", "green", "3", "0.5"): (
         "green_summary_n3_g0.5.csv",
         "add21441207dab58b19f794a53d4aab374a025253553215f75497a4267ae7776",
+    ),
+    ("solve", "lambda1", "4", "0.3"): (
+        "lambda1_n4_g0.3.csv",
+        "fa026489e7a8df806a48525c5d8bed912b42fb82ac45917529417cbd1389cc84",
+    ),
+    ("solve", "extension", "4", "0.3"): (
+        "extension_summary_n4_g0.3.csv",
+        "8ceddc7c680e3a63201b3eec45d363ec0214b5b193dadcc2b369039b6890c751",
     ),
 }
 

@@ -116,14 +116,14 @@ def test_operator_is_the_solved_operator(captured, n, gamma):
     # row i = nr-1 it leaves at zero
     idx = ProblemIndex(n, gamma)
     grid = _grid(6.0, 32)
-    solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
+    solver.solve_extension(idx, grid)
     _, (L_r, vol, L_z, zw), _, _, _ = captured[0]
     U = np.zeros((grid.nr, grid.nz + 1))
     U[:, 1:-1] = np.random.default_rng(3).standard_normal((grid.nr, grid.nz - 1))
     got = solver.apply_operator(idx, grid, U)[:-1, 4:-1]
-    want = solver._kron_apply(L_r, vol, L_z, zw, U[:, 1:-1]) / vol[:, None]
+    want = solver._kron_apply((L_r, vol, L_z, zw), U[:, 1:-1]) / vol[:, None]
     absolute = lambda L: (np.abs(L[0]), np.abs(L[1]))
-    scale = solver._kron_apply(absolute(L_r), vol, absolute(L_z), zw, np.abs(U[:, 1:-1]))
+    scale = solver._kron_apply((absolute(L_r), vol, absolute(L_z), zw), np.abs(U[:, 1:-1]))
     scale = (scale / vol[:, None])[:-1, 3:]
     assert (np.abs(got - want[:-1, 3:]) <= 1e-13 * scale).all()
 
@@ -188,11 +188,7 @@ def test_barrier_singular_at_origin():
 def test_solve_extension_reproduces_constants():
     idx = ProblemIndex(4, 0.3)
     grid = _grid(3.0, 24)
-    W = solver.solve_extension(
-        idx, grid, lambda r: np.ones_like(r), boundary=lambda r, z: np.ones(
-            np.broadcast(np.atleast_1d(r), np.atleast_1d(z)).shape
-        )
-    )
+    W = solver.solve_extension(idx, grid, np.ones((grid.nr + 1, grid.nz + 1)))
     assert np.abs(W - 1.0).max() <= 1e-12
 
 
@@ -202,7 +198,7 @@ def test_solve_extension_converges_to_bubble(n, gamma):
     errs = []
     for cells in (24, 48, 96):
         grid = _grid(6.0, cells)
-        W = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
+        W = solver.solve_extension(idx, grid)
         exact = bubble.radial_profiles(idx, grid.r, grid.z)["W"]
         errs.append(np.abs(W - exact).max())
     assert errs[0] > errs[1] > errs[2], errs
@@ -259,7 +255,7 @@ def test_kron_sum_structure():
     U = np.random.default_rng(7).standard_normal((grid.nr, grid.nz))
     for P, t in ((L_r, None), (bulk_L_r, None), (L_r, trace), (bulk_L_r, trace)):
         M = _kron_sum(P, vol, L_z, slab_w, t)
-        got = solver._kron_apply(P, vol, L_z, slab_w, U, t)
+        got = solver._kron_apply((P, vol, L_z, slab_w), U, t)
         assert got.shape == U.shape
         row_scale = abs(M) @ np.abs(U.ravel())
         assert (np.abs(got.ravel() - M @ U.ravel()) <= 1e-14 * row_scale).all()
@@ -276,12 +272,34 @@ def test_non_finite_solution_trips_the_gate():
     assert info.value.diagnostics == {"nunk": u.size}
 
 
-def test_extension_default_boundary_is_the_bubble():
+def test_extension_default_boundary_is_the_bubble(monkeypatch):
+    # the default Dirichlet table is the bubble on (r, r_max) x z from one
+    # radial_profiles call, and the solution's trace column and top row are
+    # that table's edges, bit for bit
     idx = ProblemIndex(4, 0.3)
     grid = _grid(6.0, 32)
-    W = solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
-    top = bubble.radial_profiles(idx, grid.r, [grid.z_max])["W"][:, 0]
-    assert np.array_equal(W[:, -1], top)
+    calls, radial_profiles = [], bubble.radial_profiles
+
+    def profiles_spy(*args, **kwargs):
+        calls.append((args, radial_profiles(*args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(bubble, "radial_profiles", profiles_spy)
+    W = solver.solve_extension(idx, grid)
+    ((args, f),) = calls
+    assert np.array_equal(args[1], np.append(grid.r, grid.r_max))
+    assert np.array_equal(args[2], grid.z)
+    table = f["W"]
+    assert np.array_equal(W[:, 0], table[:-1, 0])
+    assert np.array_equal(W[:, -1], table[:-1, -1])
+
+
+def test_extension_rejects_a_table_of_the_wrong_shape():
+    idx = ProblemIndex(4, 0.3)
+    grid = WeightedGrid(6.0, 4.0, 12, 10)
+    for shape in ((12, 11), (13, 10)):
+        with pytest.raises(DomainError, match="Dirichlet table"):
+            solver.solve_extension(idx, grid, np.ones(shape))
 
 
 # -- eigenvalue scaling -------------------------------------------------------
@@ -400,8 +418,9 @@ def test_green_asymptotics_slope_and_constant():
 def test_green_solve_peak_memory():
     # the 512 x 512 trace-flux solve at the CLI default: the residual gate
     # applies the Kronecker sum matrix-free, so the peak is a few dense
-    # 512 x 512 arrays (14.8 MB measured); assembling the sparse 2-D matrix
-    # for the gate took it to 70 MB
+    # 512 x 512 arrays (11.1 MB measured, and 14.9 MB with the gate run
+    # inside the solve, before its mode arrays are freed); assembling the
+    # sparse 2-D matrix for the gate took it to 70 MB
     import tracemalloc
 
     tracemalloc.start()
@@ -410,7 +429,7 @@ def test_green_solve_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 30e6
+    assert peak <= 13e6
 
 
 def _green_modes(monkeypatch, tiny):
@@ -650,7 +669,7 @@ def _assert_matches_superlu(calls, what):
 def test_extension_matches_superlu(captured, n, gamma):
     idx = ProblemIndex(n, gamma)
     grid = _grid(6.0, 64)
-    solver.solve_extension(idx, grid, lambda r: bubble._trace_radial(idx, r))
+    solver.solve_extension(idx, grid)
     _assert_matches_superlu(captured, "extension")
 
 
@@ -686,8 +705,7 @@ def test_linearized_with_robin_term_matches_superlu(captured, n, gamma):
 def _solve_each(kind):
     if kind == "extension":
         idx = ProblemIndex(4, 0.3)
-        trace = lambda r: bubble._trace_radial(idx, r)
-        solver.solve_extension(idx, _grid(6.0, 32), trace)
+        solver.solve_extension(idx, _grid(6.0, 32))
     elif kind == "green":
         solver.green_asymptotics(ProblemIndex(3, 0.5), R=2.0, resolution=128)
     else:
