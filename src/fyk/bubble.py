@@ -45,8 +45,8 @@ what-weights depend on rho.  The arcs lie in the unit half-ball, rho <= 1,
 so the nodes s' are the s-rule of the key 8 (below) scaled by the outermost
 arc's radius, and no arc sees more phase per panel than that rule resolves.
 This band starts at 1/32, where an arc's scaled first node is at most 32
-times the rule's, 9.8e-4; the arcs inside take the origin expansion below.
-The three evaluators share their field formulas.
+times the rule's, 9.8e-4.  The three evaluators share their field formulas,
+and inside 1/32 all three take the origin expansion below.
 
 Every term of a field is  c(s) e(s r) p(s z)  with |e| <= 1 (DLMF 10.14.4),
 |c(s)| <= |kw| max(1, s^2) for the weights kw = D s^(n-1) what(s) ds, and p
@@ -67,9 +67,10 @@ point).  Every field is cut this way; the coefficient of Wrz_over_r
 exceeds the envelope by at most s/n <= 45, so its dropped terms stay below
 4.5e-19 alpha.
 
-Inside |x| < 1/32 (_ORIGIN_RADIUS) ``polar_profiles`` takes the origin
+Inside |x| < 1/32 (_ORIGIN_RADIUS) the evaluators take the origin
 expansion in place of the s-sums: the trace expansion of Caffarelli and
-Silvestre (2007), summed to every order.  With
+Silvestre (2007), summed to every order; ``paired_profiles`` and
+``radial_profiles`` overwrite their s-sums there (``_with_origin``).  With
 phi(t) = sum_k A_k (t/2)^(2k) + B_k (t/2)^(2k+2g) (``_profile_series``;
 DLMF 10.25.2, 10.27.4) and (-Delta)^g w = w^p,
 
@@ -80,7 +81,7 @@ and the coefficient of r^(2j) in (-Delta)^k (1 + r^2)^(-a) is
 differentiate the powers, and lap_tan shifts k to k + 1.  With the series'
 K = 9 or 10 powers of z/2 and J = _ORIGIN_TERMS = 12 of r^2, at
 |x| <= 1/32 every field holds within 8.0e-15 of the g = 1/2 closed form
-for n <= 24 (the Fourier-Bessel sums: 9.1e-5 at n = 24); at |x| = 1/8 the
+for n <= 24 (the Fourier-Bessel sums: 7.0e-4 at n = 24); at |x| = 1/8 the
 truncation leaves 5.2e-4 at n = 24, so the band's s-sums take every arc
 from 1/32 out.  It needs no s-rule, so it holds where n - 2g < 1 too.  At
 (r, z) = (rho cos d, rho sin d) a term T_kj (z/2)^(e_k) r^(2j) of a branch,
@@ -95,21 +96,19 @@ At paired points the sums run over every node, one block of points at a
 time (``_BLOCK`` values of (s, point) per block, however many arcs share
 them): a block forms kernel times profile on (s, point) for each field and
 contracts it over s with the field's coefficients, of every arc at once, by
-a matrix product.  ``radial_profiles`` streams the tensor grid instead, one
-block of s-rows at a time (``_KERNEL_BLOCK`` values per row block), so it
-never holds an S x len(r) or S x len(z) array.  Each block evaluates the kernels
-on (s, r), the profiles on the live (s, z) entries of the columns up to the
-last one it still needs (all of them live on ascending z, whose live
-prefixes shrink), and adds each field's terms to that field's output in
-place by a matrix product, with the coefficients on the profile side.  The
-blocks stop at the last live row, which cuts the last block short: at
-(4, 0.3) the top row z = 6 of a 128-cell grid has 193 live rows, and its
-one block of 512 rows evaluates kernels on those alone.  The tensor,
-paired and polar evaluators share one contraction, ``_accumulate``: an
-entry's sum over s is chunked, k = isqrt(S) s-rows at a time.
-``np.matmul`` writes a chunk's partial sums into a buffer, and one add puts
-the buffer on the output, so
-a chunk takes two roundings beyond those inside its product: one where the
+a matrix product.  ``radial_profiles`` streams the tensor grid instead
+(``_tensor_fields``), one block of s-rows at a time (``_KERNEL_BLOCK``
+values per row block), so it never holds an S x len(r) or S x len(z) array.
+Each block evaluates the kernels on (s, r), the profiles on the live (s, z)
+entries of the columns up to the last one it still needs (all of them live
+on ascending z, whose live prefixes shrink), and adds each field's terms to
+that field's output in place by a matrix product, with the coefficients on
+the profile side.  The blocks stop at the last live row (at (4, 0.3) the
+top row z = 6 of a 128-cell grid has 193).  The tensor, paired and polar
+evaluators share one contraction, ``_accumulate``: an entry's sum over s is
+chunked, k = isqrt(S) s-rows at a time.  ``np.matmul`` writes a chunk's
+partial sums into a buffer, and one add puts the buffer on the output, so a
+chunk takes two roundings beyond those inside its product: one where the
 buffer holds its partial sum and one where that sum joins the output.  A
 chunk's k terms cost at most k - 1 roundings inside the product, and with
 the buffer's rounding at most k, each relative to the chunk's sum |terms|;
@@ -123,24 +122,22 @@ within S eps sum |terms|.
 The s-rule is keyed on the largest r, rounded up to a quarter octave
 2^(k/4) (at least 8; ``_rmax_key``), so a rule has at most 2^(1/4) = 1.19
 times the nodes its r needs: 830 nodes up to r = 8, 2120 at the key
-2^4.5 = 22.6 that r = 20 takes (its power-of-two key, 32, took 2960).  Its
-panels have width w = min(0.6, 5 / key) out to s = 45, where
-K_g(s) < 3e-20, so no panel sees more than 5 rad of phase of e_nu(s r),
-except near s = 0, where they are graded down geometrically (ratio 2) to
-w/256.
-There the s-integrand carries the factor s^(n-1-2g), which is least smooth
-at small n - 1 - 2g, and geometric grading toward an endpoint singularity
-resolves it at any exponent: against the Poisson route a start at w/4 left
-1.1e-4 at (3, 0.95) and 1.4e-7 at (4, 0.8), the graded one 1.1e-6 and
-6.4e-12.  The start stays in proportion to w, so the rules keyed on R and
-R/2 begin with the same panels scaled by 2.  A point at large z puts
-its s-integrand at s ~ 1/z, which the rule's first panels resolve only while
-(first node) * z <= _SZ_MAX, z <= 3.2e3 for max r <= 8; beyond that the
-evaluators raise NumericError rather than return a sum that misses the
-integrand.  The rule's node count grows in proportion to its key (368720
-nodes at 2^12, whose what-weights take 0.5 s), so the keys stop at
-_S_KEY_MAX, and a larger r raises NumericError before any node is built.
-Where n - 2g < 1 the factor s^(n-1-2g) is
+2^4.5 = 22.6 that r = 20 takes.  Its panels have width w = min(0.6, 5 / key)
+out to s = 45, where K_g(s) < 3e-20, so no panel sees more than 5 rad of
+phase of e_nu(s r), except near s = 0, where they are graded down
+geometrically (ratio 2) to w/256.  There the s-integrand carries the factor
+s^(n-1-2g), which is least smooth at small n - 1 - 2g, and geometric
+grading toward an endpoint singularity resolves it at any exponent: against
+the Poisson route a start at w/4 left 1.1e-4 at (3, 0.95) and 1.4e-7 at
+(4, 0.8), the graded one 1.1e-6 and 6.4e-12.  The start stays in proportion
+to w, so the rules keyed on R and R/2 begin with the same panels scaled by
+2.  A point at large z puts its s-integrand at s ~ 1/z, which the rule's
+first panels resolve only while (first node) * z <= _SZ_MAX, z <= 3.2e3 for
+max r <= 8; beyond that the evaluators raise NumericError rather than
+return a sum that misses the integrand.  The rule's node count grows in
+proportion to its key (368720 nodes at 2^12, whose what-weights take
+0.5 s), so the keys stop at _S_KEY_MAX, and a larger r raises NumericError
+before any node is built.  Where n - 2g < 1 the factor s^(n-1-2g) is
 singular and the rule misses it (against the Poisson route 0.33 at
 (1, 0.45), 1.1e-3 at (2, 0.7); at most 2.2e-6 for n - 2g >= 1), so there
 ``_what_weights``, which every Fourier-Bessel evaluator calls, raises
@@ -557,24 +554,8 @@ def _accumulate(a, b, c, step):
         ct += buf
 
 
-def radial_profiles(idx, r, z, fields=("W",)):
-    """Evaluate extension-derived fields on the tensor grid r x z.
-
-    ``r`` and ``z`` are 1-D arrays of finite values >= 0 (z > 0 for ``Wz``);
-    returns a dict of (len(r), len(z)) arrays. Available fields:
-
-    * ``W``        — the extension itself (z = 0 allowed)
-    * ``Wr_over_r``— (1/r) dW/dr (finite at r = 0)
-    * ``Wz``       — dW/dz (z > 0 required)
-    * ``lap_tan``  — tangential Laplacian of W
-    * ``Wrz_over_r`` — (1/r) d^2W/dr dz (z > 0 required)
-
-    Any other name, or a bare string for ``fields``, raises DomainError.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_request(r, z, fields)
-    s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
+def _tensor_fields(idx, s, kw, r, z, fields):
+    """The fields of ``_field_terms`` on the tensor grid r x z (see the module docstring)."""
     _check_reach(s, z)
     nu = idx.n / 2.0 - 1.0
     counts = _live_counts(idx, s, kw, s, z)
@@ -600,12 +581,47 @@ def radial_profiles(idx, r, z, fields=("W",)):
     return out
 
 
+def _with_origin(idx, r, z, out):
+    """The s-sums ``out`` at (r, z), overwritten inside _ORIGIN_RADIUS by the origin expansion."""
+    rho = np.hypot(r, z)
+    inner = rho < _ORIGIN_RADIUS
+    if out and inner.any():
+        r, z = (np.broadcast_to(a, rho.shape)[inner] for a in (r, z))
+        f = _origin_fields(idx, rho[inner], np.arctan2(z, r), list(out), paired=True)
+        for k in out:
+            out[k][inner] = f[k][:, 0]
+    return out
+
+
+def radial_profiles(idx, r, z, fields=("W",)):
+    """Evaluate extension-derived fields on the tensor grid r x z.
+
+    ``r`` and ``z`` are 1-D arrays of finite values >= 0 (z > 0 for ``Wz``);
+    returns a dict of (len(r), len(z)) arrays. Available fields:
+
+    * ``W``        — the extension itself (z = 0 allowed)
+    * ``Wr_over_r``— (1/r) dW/dr (finite at r = 0)
+    * ``Wz``       — dW/dz (z > 0 required)
+    * ``lap_tan``  — tangential Laplacian of W
+    * ``Wrz_over_r`` — (1/r) d^2W/dr dz (z > 0 required)
+
+    Any other name, or a bare string for ``fields``, raises DomainError.
+    Entries inside _ORIGIN_RADIUS take the origin expansion.
+    """
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    z = np.atleast_1d(np.asarray(z, dtype=float))
+    _check_request(r, z, fields)
+    s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
+    return _with_origin(idx, r[:, None], z[None, :], _tensor_fields(idx, s, kw, r, z, fields))
+
+
 def paired_profiles(idx, r, z, fields=("W",)):
     """The fields of ``radial_profiles`` at the paired points (r[k], z[k]).
 
     ``r`` and ``z`` are 1-D arrays of one length; returns a dict of 1-D
     arrays.  All points share one s-rule, keyed on the largest r, and each
-    field is summed over s point by point, so the cost grows with N, not N^2.
+    field is summed over s point by point, so the cost grows with N, not N^2;
+    the points inside _ORIGIN_RADIUS take the origin expansion instead.
     """
     r = np.atleast_1d(np.asarray(r, dtype=float))
     z = np.atleast_1d(np.asarray(z, dtype=float))
@@ -613,7 +629,7 @@ def paired_profiles(idx, r, z, fields=("W",)):
         raise DomainError("paired r and z must be 1-D arrays of one length")
     _check_request(r, z, fields)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
-    return _paired_fields(idx, s, kw, s, r, z, fields)
+    return _with_origin(idx, r, z, _paired_fields(idx, s, kw, s, r, z, fields))
 
 
 def polar_profiles(idx, rho, *, d, fields=("W",)):
@@ -628,9 +644,7 @@ def polar_profiles(idx, rho, *, d, fields=("W",)):
     the z-axis in their place fails instead of mirroring the arcs.
 
     Arcs inside _ORIGIN_RADIUS take the origin expansion; the others form
-    one band, where with s = s'/rho every arc shares the kernel and profile
-    values e_nu(s' cos d) and phi(s' sin d) and only the what-weights depend
-    on rho (see the module docstring).
+    one band on one scaled s-rule (see the module docstring).
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     d = np.atleast_1d(np.asarray(d, dtype=float))
@@ -689,15 +703,16 @@ def _origin_tables(n, g):
     return tables
 
 
-def _origin_fields(idx, rho, d, names):
+def _origin_fields(idx, rho, d, names, paired=False):
     """The fields ``names``, in the order of ``_FIELD_NAMES``, from the
     origin expansion (see the module docstring) on the arcs rho <
     _ORIGIN_RADIUS and angles d of ``polar_profiles``, which checks them, as
-    (len(rho), len(d)) arrays.
+    (len(rho), len(d)) arrays, or (len(rho), 1) with arc i at d[i] if ``paired``.
 
     All the fields are one product A @ B.T, A the powers of rho and B the
-    angular factors of equal power summed, one row per field and angle.  The
-    fields on phi' take d/dz (z/2)^e = (e/2) (z/2)^(e-1) and divide by rho."""
+    angular factors of equal power summed, one row per field and angle (if
+    ``paired``, each row of A meets its own).  The fields on phi' take
+    d/dz (z/2)^e = (e/2) (z/2)^(e-1) and divide by rho."""
     c, s = np.sin(d), np.cos(d)
     J = _ORIGIN_TERMS
     j = np.arange(J)
@@ -719,8 +734,9 @@ def _origin_fields(idx, rho, d, names):
         for k in range(K):  # the terms T_kj go to the powers k + j
             Bb[:, :, k : k + J] += Hs[:, :, k : k + 1] * Ts[:, None, k] * S
         B.append(Bb)
-    V = np.concatenate(A, axis=1) @ np.concatenate(B, axis=2).reshape(len(names) * d.size, -1).T
-    V = V.reshape(rho.size, len(names), d.size)
+    A, B = np.concatenate(A, axis=1), np.concatenate(B, axis=2)
+    V = np.einsum("ip,fip->if", A, B) if paired else A @ B.reshape(len(names) * d.size, -1).T
+    V = V.reshape(rho.size, len(names), -1)
     return {k: V[:, i] / rho[:, None] if k in _PRIME_FIELDS else V[:, i] for i, k in enumerate(names)}
 
 
@@ -830,9 +846,12 @@ def neumann_trace(idx, p, xbar):
     values it returns hold within 2.3e-6 on that sweep (n >= 2).  At n = 1
     the error is about 1e-5, the s-rule's floor at small n - 1 - 2g (see the
     module docstring).  Past n = 12 the error grows before the ratio falls
-    that low, with no raise: against w^p at g = 1/2 it is 2.4e-8 at r = 5
-    and 7.8e-6 at r = 10 for n = 16, and 3.5e-8 at r = 2 and 4.8e-4 at
-    r = 5 for n = 24.
+    that low, with no raise, at small r too: against w^p at g = 1/2 it is
+    1.1e-9 at r = 0 for n = 12; 1.6e-7, 2.4e-8, 7.8e-6 at r = 0, 5, 10 for
+    n = 16; 1.9e-4, 5.9e-10, 3.5e-8, 4.8e-4 at r = 0, 0.5, 2, 5 for n = 24.
+    It keeps its s-sum inside 1/32, unlike the fields: the floor reaches
+    past 1/32, and on the trace the origin expansion is w^p itself, which
+    would leave the sum no independent check.
     """
     r = _radius(idx, p, xbar)
     s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r))

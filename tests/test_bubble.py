@@ -1,3 +1,4 @@
+from functools import lru_cache
 import math
 
 import numpy as np
@@ -306,6 +307,20 @@ def test_neumann_trace_raises_where_its_sum_cancels(rho, bound):
     assert abs(flux / w**idx.p_critical - 1.0) <= bound
 
 
+@pytest.mark.parametrize(
+    "n,rho,err", [(12, 0.0, 1.1e-9), (16, 0.0, 1.6e-7), (24, 0.0, 1.9e-4), (24, 0.5, 5.9e-10)]
+)
+def test_neumann_trace_floor_at_small_r_and_large_n(n, rho, err):
+    # the floor that neumann_trace's docstring states: at g = 1/2 against
+    # w^p, with no raise, its error is the documented value to 10 %
+    idx = ProblemIndex(n, 0.5)
+    xbar = np.zeros(n)
+    xbar[0] = rho
+    flux = bubble.neumann_trace(idx, BubbleParams(), xbar)
+    w = bubble.trace_bubble(idx, BubbleParams(), xbar)
+    assert abs(flux / w**idx.p_critical - 1.0) == pytest.approx(err, rel=0.1)
+
+
 @pytest.mark.parametrize("n,gamma,bound", [(4, 0.3, 1.1e-10), (3, 0.05, 5e-14), (5, 0.5, 1e-7)])
 def test_extension_flux_meets_the_neumann_trace(n, gamma, bound):
     # the extension's own Neumann data: -kappa z^(1-2g) Wz at z = 1e-8 is
@@ -405,15 +420,27 @@ def _e_jv(mu, u):
     return np.where(small, special.hyp0f1(mu + 1.0, -0.25 * u * u), out)
 
 
+_JV_GRID = np.linspace(0.0, 3000.0, 600001)
+
+
+@lru_cache(maxsize=4)
+def _e_jv_grid(mu):
+    # the oracle on the shared grid, by order: the order nu + 1 of n is the
+    # order nu of n + 2, so in the cases' order each order is computed once
+    return _e_jv(mu, _JV_GRID)
+
+
 @pytest.mark.parametrize("n", range(2, 25))
 def test_kernel_pair_matches_jv_formula(n):
     nu = n / 2.0 - 1.0
     edges = [0.0, 1e-9, 1e-7 * (1.0 - 1e-9), 1e-7, 1e-7 * (1.0 + 1e-9)]
     edges += [nu + 1.0 - 1e-9, nu + 1.0, nu + 1.0 + 1e-9]
-    u = np.concatenate([edges, np.linspace(0.0, 3000.0, 600001)])
-    e0, e1 = bubble._e_pair(nu, u)
-    assert np.abs(e0 - _e_jv(nu, u)).max() <= 1e-14
-    assert np.abs(e1 - _e_jv(nu + 1.0, u)).max() <= 1e-14
+    # each value depends on its own u alone, so the edges take one call of
+    # their own
+    for u, oracle in [(np.array(edges), lambda mu: _e_jv(mu, edges)), (_JV_GRID, _e_jv_grid)]:
+        e0, e1 = bubble._e_pair(nu, u)
+        assert np.abs(e0 - oracle(nu)).max() <= 1e-14
+        assert np.abs(e1 - oracle(nu + 1.0)).max() <= 1e-14
 
 
 def test_kernel_pair_never_calls_jv(monkeypatch):
@@ -875,7 +902,7 @@ def test_decay_cut_matches_the_uncut_sums(n, gamma, capped_grid_rules):
     r, _, z, _ = capped_grid_rules(idx, R)
     r, z = r[::6], z[::2]
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
-    got = bubble.radial_profiles(idx, r, z, _FIELDS)
+    got = bubble._tensor_fields(idx, s, kw, r, z, _FIELDS)
     # in the streamed order, every dropped term is below 1e-20 alpha
     want = _blocked_uncut_sums(idx, s, kw, r, z)
     for k in want:
@@ -938,16 +965,16 @@ def _series_sums(idx, s, kw, r, z):
 @pytest.mark.parametrize("n", [3, 4, 7, 12])
 def test_series_columns_match_the_kernel_path(n, gamma):
     # the columns with s z <= 1/2 at every node: the kernel path of
-    # radial_profiles against the same sums with the profiles' power series
-    # (the series the origin expansion takes its coefficients from).  Near
-    # g = 0 and g = 1 the series' two sums cancel (by a factor of about 50
-    # at t = 1/2); the two stay within the rounding floor of the kernel
-    # path's own summation order
+    # radial_profiles, whose corner inside 1/32 it then overwrites, against
+    # the same sums with the profiles' power series (the series the origin
+    # expansion takes its coefficients from).  Near g = 0 and g = 1 the
+    # series' two sums cancel (by a factor of about 50 at t = 1/2); the two
+    # stay within the rounding floor of the kernel path's own summation order
     idx = ProblemIndex(n, gamma)
     r = np.concatenate([[0.0], np.geomspace(0.01, 8.0, 15)])
     s, kw = bubble._s_rule(n, gamma, bubble._rmax_key(r.max()))
     z = np.geomspace(1e-12, specfun._T_SERIES / s[-1], 24)
-    got = bubble.radial_profiles(idx, r, z, _FIELDS)
+    got = bubble._tensor_fields(idx, s, kw, r, z, _FIELDS)
     want = _series_sums(idx, s, kw, r, z)
     _, scale = _one_gemm_sums_and_scale(idx, s, kw, r, z)
     for k in want:
@@ -1095,13 +1122,18 @@ def test_origin_fields_peak_memory():
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 12, 16, 20, 24])
 def test_origin_fields_match_the_gamma_half_closed_form(n):
     # W = alpha (u^2 + r^2)^(-q), u = 1 + z, q = m/2, and its derivatives,
-    # at rho < 1/32 down to the trace and the axis: within 8.0e-15 (n = 20).
-    # paired_profiles errs by 9.1e-5 there at n = 24
+    # at rho < 1/32 down to the trace and the axis: within 8.0e-15 (n = 20)
     idx = ProblemIndex(n, 0.5)
     rho = np.array([1e-9, 1e-4, 0.01, 0.02, np.nextafter(bubble._ORIGIN_RADIUS, 0.0)])
     d = np.array([1e-12, 0.3, 0.8, 1.2, 0.5 * math.pi])
     got = bubble.polar_profiles(idx, rho, d=d, fields=_ALL_FIELDS)
-    r, z = _polar_points(rho, d)
+    want = _gamma_half_fields(idx, *_polar_points(rho, d))
+    for k in _ALL_FIELDS:
+        assert np.all(np.abs(got[k] / want[k] - 1.0) <= 1e-14), k
+
+
+def _gamma_half_fields(idx, r, z):
+    # W = alpha (u^2 + r^2)^(-q), u = 1 + z, q = m/2, and its derivatives
     alpha, q = constants(idx).alpha, idx.m / 2.0
     u = 1.0 + z
     den = u**2 + r**2
@@ -1109,22 +1141,55 @@ def test_origin_fields_match_the_gamma_half_closed_form(n):
     Wr_over_r = -2.0 * q * W / den
     Wz = u * Wr_over_r
     Wzz = Wr_over_r + 4.0 * q * (q + 1.0) * u * u * W / den**2
-    want = {
+    return {
         "W": W,
         "Wr_over_r": Wr_over_r,
         "Wz": Wz,
         "lap_tan": -Wzz,  # W is harmonic at g = 1/2
         "Wrz_over_r": 4.0 * q * (q + 1.0) * u * W / den**2,
     }
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 12, 16, 24])
+def test_every_evaluator_takes_the_origin_expansion_inside_1_32(n, monkeypatch):
+    # paired_profiles, the corner of radial_profiles and polar_profiles,
+    # down to rho = 1e-9 and d = 1e-12: within 1e-14 of the closed form,
+    # measured at most 7.1e-15 (n = 24).  The s-sums the paired and tensor
+    # evaluators took there erred by up to 3.6e-14 (n = 4), 5.4e-11 (n = 8),
+    # 1.5e-8 (n = 12), 1.3e-6 (n = 16) and 7.0e-4 (n = 24)
+    idx = ProblemIndex(n, 0.5)
+    served, origin_fields = [], bubble._origin_fields
+
+    def spy(idx, rho, d, names, paired=False):
+        served.append((paired, rho.size))
+        return origin_fields(idx, rho, d, names, paired)
+
+    monkeypatch.setattr(bubble, "_origin_fields", spy)
+    rho = np.array([1e-9, 1e-4, 0.01, 0.02, np.nextafter(bubble._ORIGIN_RADIUS, 0.0)])
+    d = np.array([1e-12, 0.3, 0.8, 1.2, 0.5 * math.pi])
+    r, z = _polar_points(rho, d)
+    paired = bubble.paired_profiles(idx, r.ravel(), z.ravel(), _ALL_FIELDS)
+    polar = bubble.polar_profiles(idx, rho, d=d, fields=_ALL_FIELDS)
+    want = _gamma_half_fields(idx, r, z)
+    # a tensor grid whose corner holds 5 x 5 of its 6 x 6 entries, the
+    # axis and d = 1e-12 (r = 1e-9, z = 1e-21) among them
+    rg = np.array([0.0, 1e-9, 1e-4, 0.01, 0.02, 0.1])
+    zg = np.array([1e-21, 1e-9, 1e-4, 0.01, 0.02, 0.5])
+    radial = bubble.radial_profiles(idx, rg, zg, _ALL_FIELDS)
+    corner = np.hypot(rg[:, None], zg[None, :]) < bubble._ORIGIN_RADIUS
+    want_grid = _gamma_half_fields(idx, rg[:, None], zg[None, :])
+    assert served == [(True, r.size), (False, rho.size), (True, corner.sum())]
     for k in _ALL_FIELDS:
-        assert np.all(np.abs(got[k] / want[k] - 1.0) <= 1e-14), k
+        assert np.all(np.abs(paired[k] / want[k].ravel() - 1.0) <= 1e-14), ("paired", k)
+        assert np.all(np.abs(polar[k] / want[k] - 1.0) <= 1e-14), ("polar", k)
+        assert np.all(np.abs(radial[k] / want_grid[k] - 1.0)[corner] <= 1e-14), ("radial", k)
 
 
 @pytest.mark.parametrize("n,gamma", [(3, 0.2), (4, 0.8), (5, 0.7), (7, 0.25)])
 def test_origin_fields_match_paired_profiles(n, gamma):
-    # polar_profiles inside 1/32 and paired_profiles agree where both hold,
-    # away from the trace: within 2.3e-13 for n <= 5 and 6.8e-12
-    # (Wrz_over_r) at (7, 0.25), the Fourier-Bessel floor
+    # polar_profiles and paired_profiles both take the origin expansion
+    # inside 1/32, one as a tensor product and one point by point, at
+    # angles found again from (r, z)
     idx = ProblemIndex(n, gamma)
     rho, d = np.array([0.005, 0.02, 0.031]), np.array([0.05, 0.5, 1.0, 1.5])
     got = bubble.polar_profiles(idx, rho, d=d, fields=_ALL_FIELDS)
@@ -1132,7 +1197,7 @@ def test_origin_fields_match_paired_profiles(n, gamma):
     want = bubble.paired_profiles(idx, r.ravel(), z.ravel(), _ALL_FIELDS)
     assert tuple(got) == tuple(want)
     for k in _ALL_FIELDS:
-        assert np.abs(got[k].ravel() - want[k]).max() <= 1e-11 * np.abs(want[k]).max(), k
+        assert np.abs(got[k].ravel() - want[k]).max() <= 1e-14 * np.abs(want[k]).max(), k
 
 
 @pytest.mark.parametrize("n,gamma", [(4, 0.3), (7, 0.25), (3, 0.45), (12, 0.7)])
@@ -1184,26 +1249,19 @@ def test_origin_fields_reject_bad_arcs(rho, d):
             bubble.polar_profiles(idx, [0.02] + rho, d=[0.2] + d)
 
 
-def _origin_at_points(idx, r, z, fields):
-    # the origin route at paired points (r, z) inside 1/32, one arc and one
-    # angle each
-    f = [bubble.polar_profiles(idx, [math.hypot(a, b)], d=[math.atan2(b, a)], fields=fields) for a, b in zip(r, z)]
-    return {k: np.array([g[k][0, 0] for g in f]) for k in fields}
-
-
 @pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7), (12, 0.7)])
 def test_wrz_over_r_is_the_z_derivative_of_wr_over_r(n, gamma):
     # a central difference of Wr_over_r, step 1e-4 z, against the new field,
-    # on both the Fourier-Bessel and the origin routes
+    # on both the Fourier-Bessel route and, inside 1/32, the origin route
     idx = ProblemIndex(n, gamma)
-    for r, z, route in [
-        (np.array([0.0, 0.4, 1.5, 3.0]), np.array([0.2, 0.7, 0.05, 1.3]), bubble.paired_profiles),
-        (np.array([0.0, 0.01, 0.02]), np.array([0.02, 0.005, 0.01]), _origin_at_points),
+    for r, z in [
+        (np.array([0.0, 0.4, 1.5, 3.0]), np.array([0.2, 0.7, 0.05, 1.3])),
+        (np.array([0.0, 0.01, 0.02]), np.array([0.02, 0.005, 0.01])),
     ]:
         h = 1e-4 * z
-        up, down = (route(idx, r, z + e, ("Wr_over_r",))["Wr_over_r"] for e in (h, -h))
-        got = route(idx, r, z, ("Wrz_over_r",))["Wrz_over_r"]
-        assert np.all(np.abs(got - (up - down) / (2.0 * h)) <= 1e-6 * np.abs(got)), route
+        up, down = (bubble.paired_profiles(idx, r, z + e, ("Wr_over_r",))["Wr_over_r"] for e in (h, -h))
+        got = bubble.paired_profiles(idx, r, z, ("Wrz_over_r",))["Wrz_over_r"]
+        assert np.all(np.abs(got - (up - down) / (2.0 * h)) <= 1e-6 * np.abs(got)), r
 
 
 @pytest.mark.parametrize("n,gamma", [(1, 0.01), (1, 0.45), (2, 0.55), (2, 0.7)])

@@ -507,7 +507,7 @@ PINNED_TABLES = {
     ),
     ("solve", "extension", "4", "0.3"): (
         "extension_summary_n4_g0.3.csv",
-        "8ceddc7c680e3a63201b3eec45d363ec0214b5b193dadcc2b369039b6890c751",
+        "5b1e0f2fd1620e67c1e27d3a0270a35dbb65d4c9e86b1e1dbc75735b4760f871",
     ),
 }
 
