@@ -70,7 +70,7 @@ exceeds the envelope by at most s/n <= 45, so its dropped terms stay below
 Inside |x| < 1/32 (_ORIGIN_RADIUS) the evaluators take the origin
 expansion in place of the s-sums: the trace expansion of Caffarelli and
 Silvestre (2007), summed to every order; ``paired_profiles`` and
-``radial_profiles`` overwrite their s-sums there (``_with_origin``).  With
+``radial_profiles`` overwrite their s-sums there (``_route``).  With
 phi(t) = sum_k A_k (t/2)^(2k) + B_k (t/2)^(2k+2g) (``_profile_series``;
 DLMF 10.25.2, 10.27.4) and (-Delta)^g w = w^p,
 
@@ -133,15 +133,15 @@ the Poisson route a start at w/4 left 1.1e-4 at (3, 0.95) and 1.4e-7 at
 to w, so the rules keyed on R and R/2 begin with the same panels scaled by
 2.  A point at large z puts its s-integrand at s ~ 1/z, which the rule's
 first panels resolve only while (first node) * z <= _SZ_MAX, z <= 3.2e3 for
-max r <= 8; beyond that the evaluators raise NumericError rather than
+max r <= 8; beyond that ``_route`` raises NumericError rather than
 return a sum that misses the integrand.  The rule's node count grows in
 proportion to its key (368720 nodes at 2^12, whose what-weights take
 0.5 s), so the keys stop at _S_KEY_MAX, and a larger r raises NumericError
 before any node is built.  Where n - 2g < 1 the factor s^(n-1-2g) is
 singular and the rule misses it (against the Poisson route 0.33 at
 (1, 0.45), 1.1e-3 at (2, 0.7); at most 2.2e-6 for n - 2g >= 1), so there
-``_what_weights``, which every Fourier-Bessel evaluator calls, raises
-NumericError; the Poisson route takes every n.
+``_what_weights``, which every s-sum calls, raises NumericError; the
+Poisson route and the origin expansion take every n.
 
 The kernels e_nu and e_(nu+1) come together from ``_e_pair``.  Since n is an
 integer, nu is an integer or a half-integer, and the pair is run up from
@@ -200,7 +200,7 @@ _S_CUT = 45.0   # K_g(s) < 3e-20 beyond this; truncation is below fp noise
 # evaluated; see the module docstring
 _TAU = 1e-20
 _GAUSS_ORDER = 10
-# the s-sums raise past (first s-node) * max z = _SZ_MAX (see the module
+# _route raises past (first s-node) * max z = _SZ_MAX (see the module
 # docstring): below it the gamma = 1/2 closed form holds to 6.2e-10 at r = 0
 # for n = 3..12; 1e-8 is first lost at 0.125 (n = 8, 9)
 _SZ_MAX = 0.1
@@ -412,10 +412,9 @@ def _rmax_key(rmax):
 
 
 def _check_request(r, z, fields):
-    """Reject requests the s-sums cannot take: a field name that is not one
-    of ``_FIELD_NAMES`` (or a bare string in place of a sequence of names),
-    NaN or infinite coordinates, negative r or z, and z = 0 where a field
-    on phi' (Wz, Wrz_over_r) is requested."""
+    """The requested names in ``_FIELD_NAMES`` order; raises DomainError on any
+    other name (or a bare string for the names), NaN or infinite coordinates,
+    negative r or z, and z = 0 for a field on phi' (Wz, Wrz_over_r)."""
     if isinstance(fields, str):
         raise DomainError(f"fields must be a sequence of field names, not the string {fields!r}")
     unknown = [k for k in fields if k not in _FIELD_NAMES]
@@ -428,14 +427,12 @@ def _check_request(r, z, fields):
     prime = [k for k in fields if k in _PRIME_FIELDS]
     if prime and np.any(z <= 0.0):
         raise DomainError(f"{', '.join(prime)} requires z > 0")
+    return [k for k in _FIELD_NAMES if k in fields]
 
 
 def _check_reach(s0, z):
-    """Raise NumericError where the s-nodes ``s0`` cannot resolve the
-    largest z (see _SZ_MAX)."""
-    if not z.size:
-        return
-    zmax, first = float(z.max()), float(s0[0])
+    """Raise NumericError where the s-nodes ``s0`` cannot resolve the largest z (_SZ_MAX)."""
+    zmax, first = float(z.max(initial=0.0)), float(s0[0])
     if first * zmax > _SZ_MAX:
         raise NumericError(
             f"z = {zmax:g} is beyond the s-rule's reach: its first node "
@@ -516,7 +513,6 @@ def _paired_fields(idx, s, kw, s0, r, z, fields):
     order.  Each field is kernel * profile contracted over s with its
     coefficients, for every arc of ``s`` at once, by ``_accumulate``."""
     nu = idx.n / 2.0 - 1.0
-    _check_reach(s0, z)
     counts = _live_counts(idx, s, kw, s0, z)
     rows = np.arange(s0.size)[:, None]
     terms = _field_terms(idx, s, kw, fields)
@@ -556,7 +552,6 @@ def _accumulate(a, b, c, step):
 
 def _tensor_fields(idx, s, kw, r, z, fields):
     """The fields of ``_field_terms`` on the tensor grid r x z (see the module docstring)."""
-    _check_reach(s, z)
     nu = idx.n / 2.0 - 1.0
     counts = _live_counts(idx, s, kw, s, z)
     terms = _field_terms(idx, s, kw, fields)
@@ -581,14 +576,27 @@ def _tensor_fields(idx, s, kw, r, z, fields):
     return out
 
 
-def _with_origin(idx, r, z, out):
-    """The s-sums ``out`` at (r, z), overwritten inside _ORIGIN_RADIUS by the origin expansion."""
-    rho = np.hypot(r, z)
+def _route(idx, r, z, fields, paired):
+    """The fields of ``paired_profiles`` if ``paired``, else of ``radial_profiles``, with
+    no s-rule where every point (on a tensor grid, its far corner) lies inside _ORIGIN_RADIUS."""
+    r, z = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (r, z))
+    if paired and (r.shape != z.shape or r.ndim != 1):
+        raise DomainError("paired r and z must be 1-D arrays of one length")
+    names = _check_request(r, z, fields)
+    grid = (r, z) if paired else (r[:, None], z[None, :])
+    far = (r, z) if paired else (r.max(initial=0.0), z.max(initial=0.0))
+    if np.all(np.hypot(*far) < _ORIGIN_RADIUS):
+        out = {k: np.empty(np.broadcast(*grid).shape) for k in names}
+    else:
+        s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max(initial=0.0)))
+        _check_reach(s, z)
+        out = _paired_fields(idx, s, kw, s, r, z, names) if paired else _tensor_fields(idx, s, kw, r, z, names)
+    rho = np.hypot(*grid)
     inner = rho < _ORIGIN_RADIUS
-    if out and inner.any():
-        r, z = (np.broadcast_to(a, rho.shape)[inner] for a in (r, z))
-        f = _origin_fields(idx, rho[inner], np.arctan2(z, r), list(out), paired=True)
-        for k in out:
+    if names and inner.any():
+        r, z = (np.broadcast_to(a, rho.shape)[inner] for a in grid)
+        f = _origin_fields(idx, rho[inner], np.arctan2(z, r), names, paired=True)
+        for k in names:
             out[k][inner] = f[k][:, 0]
     return out
 
@@ -606,13 +614,10 @@ def radial_profiles(idx, r, z, fields=("W",)):
     * ``Wrz_over_r`` — (1/r) d^2W/dr dz (z > 0 required)
 
     Any other name, or a bare string for ``fields``, raises DomainError.
-    Entries inside _ORIGIN_RADIUS take the origin expansion.
+    Entries inside _ORIGIN_RADIUS take the origin expansion instead of the
+    s-sums, so a grid with none outside takes every n.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    _check_request(r, z, fields)
-    s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
-    return _with_origin(idx, r[:, None], z[None, :], _tensor_fields(idx, s, kw, r, z, fields))
+    return _route(idx, r, z, fields, paired=False)
 
 
 def paired_profiles(idx, r, z, fields=("W",)):
@@ -621,15 +626,10 @@ def paired_profiles(idx, r, z, fields=("W",)):
     ``r`` and ``z`` are 1-D arrays of one length; returns a dict of 1-D
     arrays.  All points share one s-rule, keyed on the largest r, and each
     field is summed over s point by point, so the cost grows with N, not N^2;
-    the points inside _ORIGIN_RADIUS take the origin expansion instead.
+    the points inside _ORIGIN_RADIUS take the origin expansion instead, so a
+    call with none outside takes every n.
     """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if r.shape != z.shape or r.ndim != 1:
-        raise DomainError("paired r and z must be 1-D arrays of one length")
-    _check_request(r, z, fields)
-    s, kw = _s_rule(idx.n, idx.gamma, _rmax_key(r.max() if r.size else 1.0))
-    return _with_origin(idx, r, z, _paired_fields(idx, s, kw, s, r, z, fields))
+    return _route(idx, r, z, fields, paired=True)
 
 
 def polar_profiles(idx, rho, *, d, fields=("W",)):
@@ -652,8 +652,7 @@ def polar_profiles(idx, rho, *, d, fields=("W",)):
         raise DomainError("polar_profiles needs a nonempty 1-D 0 < rho <= 1 and 1-D d")
     if not np.all(np.isfinite(d)):
         raise DomainError("d must be finite")
-    _check_request(rho.max() * np.cos(d), rho.max() * np.sin(d), fields)
-    names = [k for k in _FIELD_NAMES if k in fields]
+    names = _check_request(rho.max() * np.cos(d), rho.max() * np.sin(d), fields)
     if not names:
         return {}
     out = {k: np.empty((rho.size, d.size)) for k in names}
@@ -666,6 +665,7 @@ def polar_profiles(idx, rho, *, d, fields=("W",)):
         scale = (top / band)[:, None]
         s = scale * s0
         kw = _what_weights(idx, s, scale * ws0, profile_what(idx, s))
+        # no reach check: z <= rho <= 1 times the first node, 3.06e-5, is far below _SZ_MAX
         f = _paired_fields(idx, s, kw, s0, top * np.cos(d), top * np.sin(d), names)
         for k in names:
             out[k][~inner] = f[k]
@@ -706,8 +706,8 @@ def _origin_tables(n, g):
 def _origin_fields(idx, rho, d, names, paired=False):
     """The fields ``names``, in the order of ``_FIELD_NAMES``, from the
     origin expansion (see the module docstring) on the arcs rho <
-    _ORIGIN_RADIUS and angles d of ``polar_profiles``, which checks them, as
-    (len(rho), len(d)) arrays, or (len(rho), 1) with arc i at d[i] if ``paired``.
+    _ORIGIN_RADIUS and angles d that ``polar_profiles`` or ``_route`` checks,
+    as (len(rho), len(d)) arrays, or (len(rho), 1) with arc i at d[i] if ``paired``.
 
     All the fields are one product A @ B.T, A the powers of rho and B the
     angular factors of equal power summed, one row per field and angle (if
@@ -824,7 +824,7 @@ def extension(idx, p, x, route="fourier_bessel"):
     if x.xN == 0.0:
         return float(scale * _trace_radial(idx, r))
     if route == "fourier_bessel":
-        w = paired_profiles(idx, np.array([r]), np.array([z]))["W"][0]
+        w = paired_profiles(idx, r, z)["W"][0]
     else:
         w = _extension_poisson(idx, r, z)
     return float(scale * w)
@@ -890,7 +890,7 @@ def jacobi_field(idx, k, x):
         if k == 0:
             return float(0.5 * m * w * (1.0 - q) / (1.0 + q))
         return float(m * x.xbar[k - 1] * w / (1.0 + q))
-    f = paired_profiles(idx, np.array([r]), np.array([z]), ("W", "Wr_over_r", "Wz"))
+    f = paired_profiles(idx, r, z, ("W", "Wr_over_r", "Wz"))
     if k == 0:
         return float(dilation_field(idx, r, z, f)[0])
     return float(-x.xbar[k - 1] * f["Wr_over_r"][0])

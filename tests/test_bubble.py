@@ -1156,15 +1156,20 @@ def test_every_evaluator_takes_the_origin_expansion_inside_1_32(n, monkeypatch):
     # down to rho = 1e-9 and d = 1e-12: within 1e-14 of the closed form,
     # measured at most 7.1e-15 (n = 24).  The s-sums the paired and tensor
     # evaluators took there erred by up to 3.6e-14 (n = 4), 5.4e-11 (n = 8),
-    # 1.5e-8 (n = 12), 1.3e-6 (n = 16) and 7.0e-4 (n = 24)
+    # 1.5e-8 (n = 12), 1.3e-6 (n = 16) and 7.0e-4 (n = 24).  A call whose
+    # points all lie inside builds no s-rule
     idx = ProblemIndex(n, 0.5)
-    served, origin_fields = [], bubble._origin_fields
+    served, origin_fields, s_rule = [], bubble._origin_fields, bubble._s_rule
 
     def spy(idx, rho, d, names, paired=False):
         served.append((paired, rho.size))
         return origin_fields(idx, rho, d, names, paired)
 
+    def refuse(*key):
+        raise AssertionError(f"an s-rule was built for points inside 1/32: {key}")
+
     monkeypatch.setattr(bubble, "_origin_fields", spy)
+    monkeypatch.setattr(bubble, "_s_rule", refuse)
     rho = np.array([1e-9, 1e-4, 0.01, 0.02, np.nextafter(bubble._ORIGIN_RADIUS, 0.0)])
     d = np.array([1e-12, 0.3, 0.8, 1.2, 0.5 * math.pi])
     r, z = _polar_points(rho, d)
@@ -1172,17 +1177,21 @@ def test_every_evaluator_takes_the_origin_expansion_inside_1_32(n, monkeypatch):
     polar = bubble.polar_profiles(idx, rho, d=d, fields=_ALL_FIELDS)
     want = _gamma_half_fields(idx, r, z)
     # a tensor grid whose corner holds 5 x 5 of its 6 x 6 entries, the
-    # axis and d = 1e-12 (r = 1e-9, z = 1e-21) among them
+    # axis and d = 1e-12 (r = 1e-9, z = 1e-21) among them; the corner alone
+    # builds no s-rule and gives the grid's values there bit for bit
     rg = np.array([0.0, 1e-9, 1e-4, 0.01, 0.02, 0.1])
     zg = np.array([1e-21, 1e-9, 1e-4, 0.01, 0.02, 0.5])
+    alone = bubble.radial_profiles(idx, rg[:5], zg[:5], _ALL_FIELDS)
+    monkeypatch.setattr(bubble, "_s_rule", s_rule)
     radial = bubble.radial_profiles(idx, rg, zg, _ALL_FIELDS)
     corner = np.hypot(rg[:, None], zg[None, :]) < bubble._ORIGIN_RADIUS
     want_grid = _gamma_half_fields(idx, rg[:, None], zg[None, :])
-    assert served == [(True, r.size), (False, rho.size), (True, corner.sum())]
+    assert served == [(True, r.size), (False, rho.size), (True, corner.sum()), (True, corner.sum())]
     for k in _ALL_FIELDS:
         assert np.all(np.abs(paired[k] / want[k].ravel() - 1.0) <= 1e-14), ("paired", k)
         assert np.all(np.abs(polar[k] / want[k] - 1.0) <= 1e-14), ("polar", k)
         assert np.all(np.abs(radial[k] / want_grid[k] - 1.0)[corner] <= 1e-14), ("radial", k)
+        assert np.array_equal(alone[k], radial[k][:5, :5]), ("corner alone", k)
 
 
 @pytest.mark.parametrize("n,gamma", [(3, 0.2), (4, 0.8), (5, 0.7), (7, 0.25)])
@@ -1220,16 +1229,26 @@ def test_polar_profiles_route_each_arc_by_its_radius(n, gamma):
 @pytest.mark.parametrize("n,gamma", [(1, 0.3), (1, 0.45), (2, 0.7)])
 def test_inner_arcs_hold_below_n_minus_2g_one(n, gamma):
     # where n - 2g < 1 the Fourier-Bessel sums raise, but the origin
-    # expansion holds: against the Poisson route within 1e-14, measured
-    # 3.3e-16 to 8.9e-16.  A band arc at the same index still raises
+    # expansion holds, on arcs, at paired points and at a point of
+    # extension's Fourier-Bessel route alike: against the Poisson route
+    # within 1e-14, measured 3.3e-16 to 8.9e-16.  A band arc or a paired
+    # point at rho = 0.5 at the same index still raises
     idx = ProblemIndex(n, gamma)
     rho, d = np.array([0.005, 0.02, 0.03]), np.array([0.3, 0.8, 1.4])
-    got = bubble.polar_profiles(idx, rho, d=d)["W"]
     r, z = _polar_points(rho, d)
     want = np.vectorize(lambda a, b: bubble._extension_poisson(idx, a, b))(r, z)
-    assert np.abs(got / want - 1.0).max() <= 1e-14
+    e1 = np.eye(n)[0]
+    got = {
+        "polar": bubble.polar_profiles(idx, rho, d=d)["W"],
+        "paired": bubble.paired_profiles(idx, r.ravel(), z.ravel())["W"].reshape(r.shape),
+        "extension": np.vectorize(lambda a, b: bubble.extension(idx, BubbleParams(), _pt(a * e1, b)))(r, z),
+    }
+    for route, w in got.items():
+        assert np.abs(w / want - 1.0).max() <= 1e-14, route
     with pytest.raises(NumericError, match="n - 2 gamma"):
         bubble.polar_profiles(idx, np.append(rho, 0.5), d=d)
+    with pytest.raises(NumericError, match="n - 2 gamma"):
+        bubble.paired_profiles(idx, np.append(r.ravel(), 0.4), np.append(z.ravel(), 0.3))
 
 
 @pytest.mark.parametrize(
