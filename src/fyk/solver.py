@@ -668,6 +668,11 @@ def solve_linearized(idx, pi, eps_hat, grid):
     diagnostics are exactly 0 by construction, not a numerical gate: the
     angular factor |S| tr(pi) / n of the first two is 0 for trace-free pi,
     and ``evaluate`` returns 0 at r = 0.
+
+    The bubble is evaluated only on the bounding box of the cutoff's
+    support, rho < 2/eps, off the trace row: one ``radial_profiles`` call
+    on r[:kr] x z[1:kz].  Every other node of the source has chi = 0 and
+    stays 0, and no diagnostic reads a bubble field.
     """
     if not 0 < eps_hat < np.inf:
         raise DomainError("eps_hat must be positive and finite")
@@ -685,22 +690,22 @@ def solve_linearized(idx, pi, eps_hat, grid):
     r, z = grid.r, grid.z
     nz = grid.nz
 
-    # one evaluation serves the source and the diagnostics; Wz needs z > 0,
-    # so the trace row takes z[1], which the source's trace slab drops and
-    # the diagnostics' weight masks
-    z_pos = np.where(z > 0, z, z[1])
-    prof = bubble.radial_profiles(idx, r, z_pos, fields=("Wr_over_r", "Wz", "lap_tan"))
+    # the source lives where chi > 0: r[:kr] x z[:kz], a prefix of each axis
+    # as chi falls with rho; the trace slab carries no volume source mass, so
+    # its row stays 0 and the bubble is evaluated on z[1:kz] only
+    chi = _cutoff(eps_hat * np.sqrt(r[:, None] ** 2 + z[None, :] ** 2))
+    kr, kz = (np.count_nonzero(chi.any(axis=a)) for a in (1, 0))
+    prof = bubble.radial_profiles(idx, r[:kr], z[1:kz], fields=("Wr_over_r", "lap_tan"))
     # pi_ij d_ij W = (W_rr - W_r/r) * angular for trace-free pi; the control
     # volumes integrate the source against the radial volume and the slab
     # mass of z^(2-2g), which takes the source's factor z
     src_radial = prof["lap_tan"] - n * prof["Wr_over_r"]
-    rho = np.sqrt(r[:, None] ** 2 + z[None, :] ** 2)
     L_r, vol, L_z, slab_w = _trace_flux_pencils(idx, grid)
     slab_z2 = grid.slab_mass(3.0 - 2.0 * g)
-    src_cells = vol[:, None] * slab_z2[None, :] * (
-        2.0 * eps_hat * _cutoff(eps_hat * rho) * src_radial
+    src_cells = np.zeros(chi.shape)
+    src_cells[:kr, 1:kz] = vol[:kr, None] * slab_z2[None, 1:kz] * (
+        2.0 * eps_hat * chi[:kr, 1:kz] * src_radial
     )
-    src_cells[:, 0] = 0.0  # the trace slab carries no volume source mass
 
     # zero-order terms: angular eigenvalue 2n/r^2 in the bulk, the radial
     # diagonal's 2n int r^(n-3) times the slab weights, and Robin on the trace
@@ -714,15 +719,20 @@ def solve_linearized(idx, pi, eps_hat, grid):
     psi = np.pad(u, ((0, 0), (0, 1)))  # zero on the Dirichlet row j = nz
 
     result = LinearizedResult(psi=psi, grid=grid, gamma=g, pi=pi, eps_hat=eps_hat)
-    _diagnose(idx, result, prof, vol, w_tr)
+    _diagnose(idx, result, vol, w_tr)
     return result
 
 
-def _diagnose(idx, result, prof, vol, w_tr):
+def _diagnose(idx, result, vol, w_tr):
     """Report the kernel components pinned at the origin and the
-    orthogonality residuals; ``prof`` holds the bubble's ``Wr_over_r`` and
-    ``Wz`` on the grid, with the trace row at z[1], ``vol`` the radial cell
-    volumes and ``w_tr`` the trace bubble at the cell centers."""
+    orthogonality residuals; ``vol`` are the radial cell volumes and
+    ``w_tr`` the trace bubble at the cell centers.
+
+    The radial energy overlap int z^(1-2g) grad psi . grad W is taken in its
+    trace form: by parts, with div(z^(1-2g) grad W) = 0, psi = 0 on the far
+    faces and the bubble's Neumann identity -kappa lim z^(1-2g) dz W = w^p
+    (Caffarelli-Silvestre), it equals (1/kappa) int w^p psi(., 0), so no
+    bubble field is read."""
     n, g = idx.n, idx.gamma
     m = idx.m
     grid = result.grid
@@ -742,10 +752,8 @@ def _diagnose(idx, result, prof, vol, w_tr):
     c0 = 2.0 * val0 / (cst.alpha * m)
     ci = grad0 / (cst.alpha * m)
 
-    # orthogonality residuals: angular factor x radial energy integral
+    # orthogonality residuals: angular factor x radial integral
     ang = sphere_area(n) * np.trace(result.pi.entries) / n
-    wr = r[:, None] * prof["Wr_over_r"]
-    wz = prof["Wz"]
     psi = result.psi
     pr = np.zeros_like(psi)
     pz = np.zeros_like(psi)
@@ -753,11 +761,11 @@ def _diagnose(idx, result, prof, vol, w_tr):
     pz[:, 1:-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * grid.hz)
     # the trace row z = 0 carries no weight (z^(1-2g) is infinite there for g > 1/2)
     weight = vol[:, None] * grid.node_weights(g)[None, :] * grid.hz
-    i_rad = float(np.sum(weight * (pr * wr + pz * wz)))
     energy = float(np.sum(weight * (pr**2 + pz**2)))
-    ortho_energy = ang * i_rad
     p_crit = (n + 2.0 * g) / m
     tr_rad = float(np.sum(vol * w_tr**p_crit * psi[:, 0]))
+    overlap = tr_rad / cst.kappa
+    ortho_energy = ang * overlap
     ortho_trace = ang * tr_rad
 
     sup = result.pi.sup_norm()
@@ -775,7 +783,7 @@ def _diagnose(idx, result, prof, vol, w_tr):
             "ortho_energy": ortho_energy,
             "ortho_trace": ortho_trace,
             "energy": energy,
-            "radial_energy_overlap": i_rad,
+            "radial_energy_overlap": overlap,
             "envelope_max": float(envelope.max()),
         }
     )

@@ -483,7 +483,8 @@ def test_boolean_columns_print_true_false(monkeypatch, capsys, argv):
 
 
 # sha256 of the tables whose accuracy figures the benchmark's err_drift
-# reads, as written at OPENBLAS_NUM_THREADS=1
+# reads, and of the linearized summary, which feeds no accuracy figure, as
+# written at OPENBLAS_NUM_THREADS=1
 PINNED_TABLES = {
     ("integrals", "7", "0.25"): (
         "integrals_n7_g0.25_direct_2d.csv",
@@ -508,6 +509,10 @@ PINNED_TABLES = {
     ("solve", "extension", "4", "0.3"): (
         "extension_summary_n4_g0.3.csv",
         "5b1e0f2fd1620e67c1e27d3a0270a35dbb65d4c9e86b1e1dbc75735b4760f871",
+    ),
+    ("solve", "linearized", "4", "0.3"): (
+        "linearized_summary_n4_g0.3.csv",
+        "1c4cbbf50fa056b97def0158c3c4e9a7215b05019c8650a47d86831cc852309e",
     ),
 }
 

@@ -637,6 +637,79 @@ def test_linearized_evaluate_angular_factor():
     assert res.evaluate(zz, 0.5) == 0.0
 
 
+@pytest.mark.parametrize("eps_hat,kr,kz", [(0.5, 32, 32), (1e-3, 160, 161), (100.0, 0, 0)])
+def test_linearized_evaluates_the_bubble_on_the_cutoffs_support(monkeypatch, eps_hat, kr, kz):
+    # one radial_profiles call on r[:kr] x z[1:kz], the bounding box of
+    # chi(eps rho) > 0 without the trace row, and no Wz: at box 20 and 160
+    # cells that is rho < 4 for eps = 1/2, the whole box for eps = 1e-3, and
+    # no node at all for eps = 100, where psi is 0
+    idx = ProblemIndex(4, 0.3)
+    calls, radial_profiles = [], bubble.radial_profiles
+
+    def profiles_spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return radial_profiles(*args, **kwargs)
+
+    monkeypatch.setattr(bubble, "radial_profiles", profiles_spy)
+    pi = SymmetricTensor(np.diag([1.0, -1.0, 0.0, 0.0]), trace_free=True)
+    grid = _grid(20.0, 160)
+    res = solver.solve_linearized(idx, pi, eps_hat, grid)
+    ((args, kw),) = calls
+    assert np.array_equal(args[1], grid.r[:kr])
+    assert np.array_equal(args[2], grid.z[1:kz])
+    assert "Wz" not in kw["fields"]
+    assert (res.psi == 0.0).all() == (kr == 0)
+
+
+@pytest.mark.parametrize("n,gamma", [(4, 0.3), (5, 0.7)])
+def test_linearized_source_matches_the_full_grid_source(captured, n, gamma):
+    # the gated right-hand side is the source built from the bubble on the
+    # whole grid, up to the s-rule's rounding, and exactly 0 off chi's support
+    idx = ProblemIndex(n, gamma)
+    _linearized(idx, cells=64, box=16.0)
+    f = captured[0][4]
+    grid = WeightedGrid(16.0, 16.0, 64, 64)
+    r, z = grid.r, grid.z[: grid.nz]
+    prof = bubble.radial_profiles(idx, r, z[1:], fields=("Wr_over_r", "lap_tan"))
+    chi = solver._cutoff(0.5 * np.hypot(r[:, None], z[None, :]))
+    vol = grid.radial_axis(n - 1)[1]
+    want = np.zeros_like(f)
+    want[:, 1:] = vol[:, None] * grid.slab_mass(3.0 - 2.0 * gamma)[None, 1 : grid.nz] * (
+        2.0 * 0.5 * chi[:, 1:] * (prof["lap_tan"] - n * prof["Wr_over_r"])
+    )
+    assert np.abs(f - want).max() <= 1e-13 * np.abs(want).max()
+    assert (f[chi == 0.0] == 0.0).all()
+    assert (chi == 0.0).any() and (chi > 0.0).any()
+
+
+def _volume_overlap(idx, res):
+    # int z^(1-2g) grad psi . grad W in its volume form: the bubble's
+    # gradient on the whole grid and central differences of psi, off the
+    # trace row
+    grid, psi = res.grid, res.psi
+    r, z = grid.r, grid.z
+    prof = bubble.radial_profiles(idx, r, z[1:], fields=("Wr_over_r", "Wz"))
+    pr = np.zeros_like(psi[:, 1:])
+    pz = np.zeros_like(psi[:, 1:])
+    pr[1:-1] = (psi[2:, 1:] - psi[:-2, 1:]) / (2.0 * grid.hr)
+    pz[:, :-1] = (psi[:, 2:] - psi[:, :-2]) / (2.0 * grid.hz)
+    weight = grid.radial_axis(idx.n - 1)[1][:, None] * grid.node_weights(idx.gamma)[None, 1:] * grid.hz
+    return float(np.sum(weight * (pr * r[:, None] * prof["Wr_over_r"] + pz * prof["Wz"])))
+
+
+def test_linearized_overlap_trace_form_meets_the_volume_form():
+    # the reported overlap is (1/kappa) int w^p psi(., 0), the trace form the
+    # Neumann identity gives; the volume form approaches it as z is refined,
+    # the gap being psi's discretization error
+    idx = ProblemIndex(4, 0.3)
+    pi = SymmetricTensor(np.diag([1.0, -1.0, 0.0, 0.0]), trace_free=True)
+    gaps = []
+    for nz in (160, 1280):
+        res = solver.solve_linearized(idx, pi, 0.5, WeightedGrid(20.0, 20.0, 160, nz))
+        gaps.append(abs(_volume_overlap(idx, res) - res.diagnostics["radial_energy_overlap"]))
+    assert gaps[1] < 0.5 * gaps[0]
+
+
 # -- fast diagonalization against SuperLU -------------------------------------
 
 
